@@ -25,15 +25,15 @@ Guards (hard CI gates):
 """
 
 import json
-from pathlib import Path
 
 import pytest
 
 from repro.bench.experiments import chaos_ablation
+from repro.bench.runner import bench_artifact
 
 pytestmark = pytest.mark.chaos
 
-ARTIFACT = Path(__file__).resolve().parent / "BENCH_fleet.json"
+ARTIFACT = bench_artifact("BENCH_fleet.json")
 
 N_WORKERS = 4
 

@@ -2,8 +2,9 @@
 
 Runs the ``FLEET-ABLATE`` experiment (cold fleet sweeps at 1 and 4
 workers, then a 10%-delta re-sweep against the warmed store) and writes
-a ``BENCH_fleet.json`` artifact next to this file so later PRs can
-track the fleet's scaling and delta-reuse wins.
+a ``BENCH_fleet.json`` artifact to the git-ignored ``.bench_build/``
+(see :func:`~repro.bench.runner.bench_artifact`) to track the fleet's
+scaling and delta-reuse wins.
 
 Guards:
 
@@ -20,14 +21,14 @@ Guards:
 """
 
 import json
-from pathlib import Path
 
 import pytest
 
 from repro.bench.experiments import fleet_ablation
+from repro.bench.runner import bench_artifact
 from repro.utils.parallel import available_cpu_count
 
-ARTIFACT = Path(__file__).resolve().parent / "BENCH_fleet.json"
+ARTIFACT = bench_artifact("BENCH_fleet.json")
 
 N_WORKERS = 4
 

@@ -1,9 +1,10 @@
 """Kernel-fusion microbenchmark: fused ragged CSR vs legacy dense kernel.
 
 Runs both kernel paths on the ``BENCH_SMALL``-shaped workload and writes
-a ``BENCH_kernels.json`` artifact next to this file so later PRs can
-track the fused path's trajectory (wall-clock ratio and peak
-intermediate memory) across the repository's history.
+a ``BENCH_kernels.json`` artifact to the git-ignored ``.bench_build/``
+(see :func:`~repro.bench.runner.bench_artifact`) to track the fused
+path's trajectory (wall-clock ratio and peak intermediate memory)
+across the repository's history.
 
 The guard assertions are deliberately loose on time (CI machines are
 noisy) and strict on memory (pool accounting is deterministic).
@@ -12,18 +13,18 @@ noisy) and strict on memory (pool accounting is deterministic).
 import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.backends import available_backends, get_backend
+from repro.bench.runner import bench_artifact
 from repro.core.kernels import dense_intermediate_bytes, run_ragged
 from repro.core.secondary import SecondaryUncertainty
 from repro.core.vectorized import run_vectorized
 from repro.utils.bufpool import ScratchBufferPool
 
-ARTIFACT = Path(__file__).resolve().parent / "BENCH_kernels.json"
+ARTIFACT = bench_artifact("BENCH_kernels.json")
 REPEATS = 5
 
 #: pinned occurrence-chunk cache budget: the artifact tracks numbers

@@ -15,32 +15,44 @@ Guards (hard CI gates):
 * **digest equality** — every sweep that crossed the wire (warm
   replays, both cold assemblies, the faulted run) produces the
   byte-identical YLT of the monolithic sequential run;
-* **sublinear assembly** — gather of a partition/shuffle sweep issues
-  O(P) store fetches, not O(S): at 64+ segments and 8 partitions the
-  partial-assembly fetch count must be at most a quarter of the
-  per-segment fetch count (and within slack of P itself);
+* **sublinear assembly** — gather of a partition/shuffle sweep reads
+  O(P) store entries, not O(S): at 64+ segments and 8 partitions the
+  partial-assembly entry count must be at most a quarter of the
+  per-segment entry count (and within slack of P itself);
+* **O(1) round trips** — a warm remote replay and both gathers carry
+  their probes and fetches in ``contains_many``/``get_many`` batches:
+  at most 2 + 2·⌈S/BATCH_KEYS⌉ RPCs per replay, and one manifest load
+  plus ⌈entries/BATCH_KEYS⌉ fetches per gather;
 * **recovery under faults** — the wire-faults row actually killed a
   worker and still drained every job with zero failures and exactly
   one compute per segment fleet-wide.
 """
 
 import json
-from pathlib import Path
+import math
 
 import pytest
 
 from repro.bench.experiments import net_ablation
+from repro.bench.runner import bench_artifact
+from repro.store.base import BATCH_KEYS
 
 pytestmark = pytest.mark.net
 
-ARTIFACT = Path(__file__).resolve().parent / "BENCH_net.json"
+ARTIFACT = bench_artifact("BENCH_net.json")
 
 N_WORKERS = 3
 N_PARTITIONS = 8
 
 #: Partial assembly must beat per-segment assembly by at least this
-#: factor in store fetches issued at gather time.
+#: factor in store entries read at gather time.
 FETCH_RATIO_FLOOR = 4.0
+
+
+def max_replay_rpcs(n_segments: int) -> int:
+    """RPC ceiling of one warm remote replay: the manifest save and
+    load, plus one ``contains_many`` and one ``get_many`` per chunk."""
+    return 2 + 2 * math.ceil(n_segments / BATCH_KEYS)
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +100,8 @@ def test_warm_replay_submits_no_jobs(rows_by_mode):
     """A fully stored sweep replays without recompute on either tier."""
     assert rows_by_mode["warm-local"]["jobs"] == 0
     assert rows_by_mode["warm-remote"]["jobs"] == 0
-    assert rows_by_mode["warm-remote"]["rpc_requests"] >= 1
+    remote = rows_by_mode["warm-remote"]
+    assert 1 <= remote["rpc_requests"] <= max_replay_rpcs(remote["segments"])
 
 
 def test_digest_equality_over_the_wire(rows_by_mode):
@@ -110,13 +123,18 @@ def test_partition_assembly_is_sublinear_in_segments(rows_by_mode):
     segs = rows_by_mode["assemble-segments"]
     parts = rows_by_mode["assemble-partials"]
     assert segs["segments"] >= 64, segs
-    # per-segment assembly really pays one get per segment …
-    assert segs["assembly_fetches"] >= segs["segments"], segs
-    # … while partial assembly pays one get per partition (small slack
+    # per-segment assembly really reads one entry per segment …
+    assert segs["assembly_entries"] >= segs["segments"], segs
+    # … while partial assembly reads one per partition (small slack
     # for a manifest-shaped probe), 4x+ fewer than the segment path.
-    assert parts["assembly_fetches"] <= N_PARTITIONS + 2, parts
-    ratio = segs["assembly_fetches"] / parts["assembly_fetches"]
+    assert parts["assembly_entries"] <= N_PARTITIONS + 2, parts
+    ratio = segs["assembly_entries"] / parts["assembly_entries"]
     assert ratio >= FETCH_RATIO_FLOOR, (segs, parts)
+    # either way the entries ride get_many batches: the manifest load
+    # plus one round trip per BATCH_KEYS entries
+    for row, entries in ((segs, segs["segments"]), (parts, N_PARTITIONS)):
+        ceiling = 1 + math.ceil(entries / BATCH_KEYS)
+        assert row["assembly_fetches"] <= ceiling, row
 
 
 def test_wire_faults_row_recovered_fully(rows_by_mode):

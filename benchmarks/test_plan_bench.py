@@ -3,8 +3,9 @@
 Runs the ``PLAN-ABLATE`` experiment (N candidate layers sharing one ELT
 set, quoted once through per-candidate sequential engine runs and once
 through the plan-level :class:`~repro.pricing.realtime.QuoteService`)
-and writes a ``BENCH_plan.json`` artifact next to this file so later PRs
-can track the plan-sharing win across the repository's history.
+and writes a ``BENCH_plan.json`` artifact to the git-ignored
+``.bench_build/`` (see :func:`~repro.bench.runner.bench_artifact`) to
+track the plan-sharing win across the repository's history.
 
 Guards: batched quoting must never be *slower* than sequential
 re-quoting (the hard CI regression gate), and the headline batch is
@@ -15,16 +16,16 @@ bit-for-bit: the reuse is free only because it is exact.
 """
 
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.bench.experiments import plan_ablation
+from repro.bench.runner import bench_artifact
 from repro.data.layer import LayerTerms
 from repro.pricing.realtime import QuoteService, RealTimePricer
 
-ARTIFACT = Path(__file__).resolve().parent / "BENCH_plan.json"
+ARTIFACT = bench_artifact("BENCH_plan.json")
 N_CANDIDATES = 8
 
 

@@ -4,8 +4,9 @@ Runs the ``REPLAY-ABLATE`` experiment (cold sequential analysis vs warm
 replays from the memory and file tiers of a
 :class:`~repro.store.TieredStore`, plus the cross-process quote-reuse
 rows where a *child process* warms a shared file store) and writes a
-``BENCH_replay.json`` artifact next to this file so later PRs can track
-the replay win across the repository's history.
+``BENCH_replay.json`` artifact to the git-ignored ``.bench_build/``
+(see :func:`~repro.bench.runner.bench_artifact`) to track the replay
+win across the repository's history.
 
 Guards:
 
@@ -21,13 +22,13 @@ Guards:
 """
 
 import json
-from pathlib import Path
 
 import pytest
 
 from repro.bench.experiments import replay_ablation
+from repro.bench.runner import bench_artifact
 
-ARTIFACT = Path(__file__).resolve().parent / "BENCH_replay.json"
+ARTIFACT = bench_artifact("BENCH_replay.json")
 N_CANDIDATES = 8
 
 #: the CI floor for warm whole-analysis replay over a cold run.

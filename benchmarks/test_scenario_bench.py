@@ -23,15 +23,15 @@ Guards (hard CI gates):
 """
 
 import json
-from pathlib import Path
 
 import pytest
 
 from repro.bench.experiments import scenario_ablation
+from repro.bench.runner import bench_artifact
 
 pytestmark = pytest.mark.scenario
 
-ARTIFACT = Path(__file__).resolve().parent / "BENCH_scenarios.json"
+ARTIFACT = bench_artifact("BENCH_scenarios.json")
 
 N_WORKERS = 2
 SEGMENT_TRIALS = 100

@@ -27,15 +27,15 @@ Guards (hard CI gates):
 """
 
 import json
-from pathlib import Path
 
 import pytest
 
 from repro.bench.experiments import serve_ablation
+from repro.bench.runner import bench_artifact
 
 pytestmark = pytest.mark.serve
 
-ARTIFACT = Path(__file__).resolve().parent / "BENCH_serve.json"
+ARTIFACT = bench_artifact("BENCH_serve.json")
 
 #: CI floor: goodput at 2x offered load, as a fraction of capacity.
 GOODPUT_FLOOR = 0.70

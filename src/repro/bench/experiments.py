@@ -1990,9 +1990,11 @@ def net_ablation(
     * **assemble-segments / assemble-partials** — cold sweeps over the
       wire, classic per-segment assembly vs partition/shuffle
       (``n_partitions`` reduce jobs folding partial YLTs).  Each row
-      records the *store fetches issued at assembly* on a dedicated
-      gather client — S gets vs P gets, the sublinearity the
-      benchmark's hard gate pins;
+      records, on a dedicated gather client, the *entries read at
+      assembly* (S segments vs P partials, the sublinearity the
+      benchmark's hard gate pins) and the *round trips* that carried
+      them (``get_many`` batches, at most ⌈entries/BATCH_KEYS⌉ plus
+      the manifest load);
     * **wire-faults** — a cold sweep with injected wire latency and
       connection drops on the surviving workers and 1 of ``n_workers``
       killed at its first compute (lease expiry + peer requeue must
@@ -2152,6 +2154,7 @@ def net_ablation(
                 "segments": ticket.delta.n_segments,
                 "jobs": ticket.submitted,
                 "assembly_fetches": g_store.transport.requests,
+                "assembly_entries": g_store.hits,
                 "computed": sum(w.stats.computed for w in workers),
                 "rpc_retries": sum(
                     w.store.stats()["rpc_retries"] for w in workers
@@ -2287,10 +2290,12 @@ def net_ablation(
             f"{remote_runs[0][3]} RPCs)."
         )
         report.note(
-            f"assembly fetches: {seg_row['assembly_fetches']} per-segment "
-            f"gets vs {part_row['assembly_fetches']} partial-YLT gets at "
+            f"assembly reads: {seg_row['assembly_entries']} segment "
+            f"entries vs {part_row['assembly_entries']} partial YLTs at "
             f"{n_partitions} partitions of {n_segments} segments — the "
-            "shuffle makes gather O(P), not O(S)."
+            "shuffle makes gather read O(P) entries, not O(S); batched "
+            f"fetches carry them in {seg_row['assembly_fetches']} and "
+            f"{part_row['assembly_fetches']} round trips."
         )
         report.note(
             f"wire-faults row: {fault_row['workers_killed']} worker killed, "

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Dict, List
 
 from repro.core.analysis import AnalysisResult
@@ -26,6 +28,19 @@ def get_workload(spec: WorkloadSpec) -> Workload:
 def clear_workload_cache() -> None:
     """Drop cached workloads (memory hygiene for large sweeps)."""
     _WORKLOAD_CACHE.clear()
+
+
+def bench_artifact(name: str) -> Path:
+    """Where a benchmark test writes its ``BENCH_*.json`` artifact.
+
+    ``$REPRO_BENCH_OUT`` when set, else the git-ignored ``.bench_build``
+    under the working directory: running the suite never rewrites the
+    committed ``benchmarks/BENCH_*.json`` baselines, which change only
+    when someone copies a fresh artifact over them on purpose.
+    """
+    out = Path(os.environ.get("REPRO_BENCH_OUT") or ".bench_build")
+    out.mkdir(parents=True, exist_ok=True)
+    return out / name
 
 
 def measure_engine(

@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 #: fault kinds (what goes wrong)
 KIND_IO_ERROR = "io_error"  # raise OSError (transient unless unbounded)
@@ -172,40 +172,52 @@ class FaultPlan:
         op: str,
         key: str | None = None,
         worker: str | None = None,
+        keys: Sequence[str] | None = None,
     ) -> List[FaultSpec]:
-        """Advance counters for ``op`` and return the specs that fire."""
+        """Advance counters for ``op`` and return the specs that fire.
+
+        ``keys`` describes a batch operation: each key-targeted spec is
+        evaluated once per key it carries (as on the per-key operations
+        the batch replaces), every other spec once for the operation.
+        """
         fired: List[FaultSpec] = []
         with self._lock:
             for i, spec in enumerate(self.specs):
-                if not spec.matches(op, key, worker):
-                    continue
-                self._counts[i] += 1
-                count = self._counts[i]
-                if spec.times is not None and self._fired[i] >= spec.times:
-                    continue
-                hit = (
-                    (spec.at is not None and count == spec.at)
-                    or (spec.every is not None and count % spec.every == 0)
-                    or (
-                        spec.probability > 0.0
-                        and self._draw(i, op, count, key) < spec.probability
-                    )
-                )
-                if not hit:
-                    continue
-                self._fired[i] += 1
-                fired.append(spec)
-                self.log.append(
-                    FaultEvent(
-                        kind=spec.kind,
-                        op=op,
-                        count=count,
-                        key=key,
-                        worker=worker,
-                        spec_index=i,
-                    )
-                )
+                keyed = keys is not None and spec.key_substring is not None
+                for target in keys if keyed else [key]:
+                    if spec.matches(op, target, worker) and self._hit(
+                        i, spec, op, target
+                    ):
+                        fired.append(spec)
+                        self.log.append(
+                            FaultEvent(
+                                kind=spec.kind,
+                                op=op,
+                                count=self._counts[i],
+                                key=target,
+                                worker=worker,
+                                spec_index=i,
+                            )
+                        )
         return fired
+
+    def _hit(self, i: int, spec: FaultSpec, op: str, key: str | None) -> bool:
+        """Count one matching operation for spec ``i``; does it fire?"""
+        self._counts[i] += 1
+        count = self._counts[i]
+        if spec.times is not None and self._fired[i] >= spec.times:
+            return False
+        hit = (
+            (spec.at is not None and count == spec.at)
+            or (spec.every is not None and count % spec.every == 0)
+            or (
+                spec.probability > 0.0
+                and self._draw(i, op, count, key) < spec.probability
+            )
+        )
+        if hit:
+            self._fired[i] += 1
+        return hit
 
     # ------------------------------------------------------------------
     def fired_counts(self) -> Dict[str, int]:

@@ -13,14 +13,23 @@ placement, no arithmetic).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
 import numpy as np
 
 from repro.data.ylt import YearLossTable
 from repro.plan.delta import DeltaPlan
-from repro.store.base import ResultStore
-from repro.store.verify import fetch_verified
+from repro.store.base import BATCH_KEYS, ResultStore, StoreEntry
+from repro.store.verify import fetch_verified, verify_entry
 from repro.utils.retry import STORE_FETCH_POLICY, RetryPolicy
 
 
@@ -55,10 +64,39 @@ def _segment_specs(source) -> List[SegmentSpec]:
     ]
 
 
+def _tiled_rows(
+    spans: List[Tuple[int, int, int]], n_trials: int, what: str
+) -> Dict[int, np.ndarray]:
+    """An empty output row per layer, once the ``(layer_id, start,
+    stop)`` spans (sorted by layer, then start) are checked to tile
+    every layer's ``[0, n_trials)`` exactly once; a gap, overlap or
+    short layer raises :class:`FleetAssemblyError` naming it."""
+    covered: Dict[int, int] = {}
+    for layer_id, start, stop in spans:
+        if start != covered.get(layer_id, 0) or stop > n_trials:
+            raise FleetAssemblyError(
+                f"layer {layer_id}: {what} coverage breaks at trial "
+                f"{covered.get(layer_id, 0)} (next {what} spans "
+                f"[{start}, {stop}) of {n_trials})"
+            )
+        covered[layer_id] = stop
+    for layer_id, stop in covered.items():
+        if stop != n_trials:
+            raise FleetAssemblyError(
+                f"layer {layer_id} covered only [0, {stop}) of "
+                f"[0, {n_trials})"
+            )
+    return {
+        layer_id: np.empty(n_trials, dtype=np.float64) for layer_id in covered
+    }
+
+
 class ResultAssembler:
     """Merge stored per-segment losses into the final YLT.
 
-    Segment fetches go through
+    Segments are read a chunk at a time with ``get_many``, and every
+    entry is checked with :func:`~repro.store.verify.verify_entry`.
+    Anything short of a verified entry is fetched again by
     :func:`~repro.store.verify.fetch_verified`: transient read errors
     and transient corruption are retried under ``retry_policy``, and a
     durably damaged entry is deleted from the store and reported as
@@ -77,11 +115,33 @@ class ResultAssembler:
     # ------------------------------------------------------------------
     def missing_keys(self, source) -> List[str]:
         """Segment keys the store cannot currently serve."""
-        return [
-            key
-            for key, *_ in _segment_specs(source)
-            if not self.store.contains(key)
-        ]
+        keys = [key for key, *_ in _segment_specs(source)]
+        found = self.store.contains_many(keys)
+        return [key for key, hit in zip(keys, found) if not hit]
+
+    def _fetch(self, keys: List[str]) -> Iterator[Optional[StoreEntry]]:
+        """Verified entries for ``keys`` in order (``None`` = missing).
+
+        Reads :data:`~repro.store.base.BATCH_KEYS` keys per
+        ``get_many`` — one round trip per chunk on a remote store.  An
+        entry that is missing or fails
+        :func:`~repro.store.verify.verify_entry`, or whose chunk read
+        raised, is fetched again by
+        :func:`~repro.store.verify.fetch_verified`, which keeps the
+        per-key retry, delete and ``note_corrupt`` behaviour.
+        """
+        for start in range(0, len(keys), BATCH_KEYS):
+            chunk = keys[start : start + BATCH_KEYS]
+            try:
+                entries = self.store.get_many(chunk)
+            except OSError:
+                entries = [None] * len(chunk)
+            for key, entry in zip(chunk, entries):
+                if entry is None or not verify_entry(entry):
+                    entry = fetch_verified(
+                        self.store, key, policy=self.retry_policy
+                    )
+                yield entry
 
     def assemble(
         self,
@@ -110,46 +170,29 @@ class ResultAssembler:
             else:
                 n_trials = max(stop for _, _, _, stop in specs)
 
-        per_layer: Dict[int, np.ndarray] = {}
-        covered: Dict[int, int] = {}
+        specs.sort(key=lambda s: (s[1], s[2]))
+        per_layer = _tiled_rows(
+            [spec[1:] for spec in specs], n_trials, "segment"
+        )
         missing: List[str] = []
-        for key, layer_id, start, stop in sorted(
-            specs, key=lambda s: (s[1], s[2])
-        ):
-            out = per_layer.get(layer_id)
-            if out is None:
-                out = per_layer[layer_id] = np.empty(n_trials, dtype=np.float64)
-                covered[layer_id] = 0
-            if start != covered[layer_id] or stop > n_trials:
-                raise FleetAssemblyError(
-                    f"layer {layer_id}: segment coverage breaks at trial "
-                    f"{covered[layer_id]} (next segment spans "
-                    f"[{start}, {stop}) of {n_trials})"
-                )
-            entry = fetch_verified(self.store, key, policy=self.retry_policy)
+        fetched = self._fetch([key for key, *_ in specs])
+        for (key, layer_id, start, stop), entry in zip(specs, fetched):
             if entry is None:
                 missing.append(key)
-            else:
-                losses = entry.arrays["losses"]
-                if losses.shape != (stop - start,):
-                    raise FleetAssemblyError(
-                        f"segment {key[:16]}… of layer {layer_id} holds "
-                        f"{losses.shape} losses for trials [{start}, {stop})"
-                    )
-                out[start:stop] = losses
-            covered[layer_id] = stop
+                continue
+            losses = entry.arrays["losses"]
+            if losses.shape != (stop - start,):
+                raise FleetAssemblyError(
+                    f"segment {key[:16]}… of layer {layer_id} holds "
+                    f"{losses.shape} losses for trials [{start}, {stop})"
+                )
+            per_layer[layer_id][start:stop] = losses
         if missing:
             raise FleetAssemblyError(
                 f"{len(missing)} segment(s) not in store "
                 f"(first: {missing[0]}) — run workers (or requeue) before "
                 "gathering"
             )
-        for layer_id, stop in covered.items():
-            if stop != n_trials:
-                raise FleetAssemblyError(
-                    f"layer {layer_id} covered only [0, {stop}) of "
-                    f"[0, {n_trials})"
-                )
         return YearLossTable.from_dict(per_layer)
 
     def assemble_partials(
@@ -160,10 +203,11 @@ class ResultAssembler:
         The partition/shuffle read path: fetch the ``P`` partition
         entries named by ``manifest["partitions"]`` (instead of the
         ``S`` member segments), unpack each partial's blocks and place
-        them by global trial index — ``P`` store round trips for the
-        whole sweep.  Coverage and placement rules are identical to
-        :meth:`assemble`, and since partials concatenate the exact
-        segment bytes, so is the assembled YLT.
+        them by global trial index — ``P`` entries, read in
+        ``⌈P/BATCH_KEYS⌉`` ``get_many`` calls, for the whole sweep.
+        Coverage and placement rules are identical to :meth:`assemble`,
+        and since partials concatenate the exact segment bytes, so is
+        the assembled YLT.
 
         Raises :class:`FleetAssemblyError` when the manifest has no
         partitions or any partial is missing/damaged — callers fall
@@ -182,9 +226,8 @@ class ResultAssembler:
 
         blocks: List[Tuple[int, int, int, np.ndarray]] = []
         missing: List[str] = []
-        for partition in partitions:
-            key = str(partition["key"])
-            entry = fetch_verified(self.store, key, policy=self.retry_policy)
+        keys = [str(partition["key"]) for partition in partitions]
+        for key, entry in zip(keys, self._fetch(keys)):
             if entry is None:
                 missing.append(key)
                 continue
@@ -201,27 +244,8 @@ class ResultAssembler:
                 "gathering"
             )
 
-        per_layer: Dict[int, np.ndarray] = {}
-        covered: Dict[int, int] = {}
-        for layer_id, start, stop, losses in sorted(
-            blocks, key=lambda b: (b[0], b[1])
-        ):
-            out = per_layer.get(layer_id)
-            if out is None:
-                out = per_layer[layer_id] = np.empty(n_trials, dtype=np.float64)
-                covered[layer_id] = 0
-            if start != covered[layer_id] or stop > n_trials:
-                raise FleetAssemblyError(
-                    f"layer {layer_id}: partial coverage breaks at trial "
-                    f"{covered[layer_id]} (next block spans "
-                    f"[{start}, {stop}) of {n_trials})"
-                )
-            out[start:stop] = losses
-            covered[layer_id] = stop
-        for layer_id, stop in covered.items():
-            if stop != n_trials:
-                raise FleetAssemblyError(
-                    f"layer {layer_id} covered only [0, {stop}) of "
-                    f"[0, {n_trials})"
-                )
+        blocks.sort(key=lambda b: (b[0], b[1]))
+        per_layer = _tiled_rows([b[:3] for b in blocks], n_trials, "partial")
+        for layer_id, start, stop, losses in blocks:
+            per_layer[layer_id][start:stop] = losses
         return YearLossTable.from_dict(per_layer)

@@ -171,10 +171,11 @@ def submit_sweep(
         partitions = build_partitions(delta.segments, n_partitions)
         manifest["partitions"] = manifest_partitions(partitions)
         queue.save_sweep(sweep_id, manifest)
-        todo = [
-            p for p in partitions if not store.contains(p["key"])
-        ]
-        submitted = queue.submit(reduce_jobs(sweep_id, todo))
+        stored = store.contains_many([p["key"] for p in partitions])
+        todo = [p for p, hit in zip(partitions, stored) if not hit]
+        # a warm sweep with nothing to do makes no queue call (on a
+        # remote queue, one round trip fewer)
+        submitted = queue.submit(reduce_jobs(sweep_id, todo)) if todo else 0
         return SweepTicket(
             sweep_id=sweep_id,
             delta=delta,
@@ -204,7 +205,7 @@ def submit_sweep(
         )
         for record in delta.missing
     ]
-    submitted = queue.submit(jobs)
+    submitted = queue.submit(jobs) if jobs else 0
     return SweepTicket(
         sweep_id=sweep_id,
         delta=delta,

@@ -18,11 +18,14 @@ over that transport.  Design choices worth naming:
   from a sick tier, so slotting a ``RemoteStore`` into a tier list
   buys hedged reads, quarantine and graceful degradation with no new
   code.
-* **Retries are safe by construction.**  GET/CONTAINS/STATS are pure
-  reads; PUT/DELETE are idempotent because keys are content-addressed
-  (two puts of one key carry identical bytes).  A dropped connection
-  mid-RPC therefore costs one reconnect-and-retry, never a wrong
-  state.
+* **Retries are safe by construction.**  GET/CONTAINS/STATS and the
+  batched GET_MANY/CONTAINS_MANY are pure reads; PUT/DELETE are
+  idempotent because keys are content-addressed (two puts of one key
+  carry identical bytes).  A dropped connection mid-RPC therefore
+  costs one reconnect-and-retry, never a wrong state.
+* **Bulk paths are batched.**  ``contains_many``/``get_many`` carry
+  :data:`~repro.store.base.BATCH_KEYS` keys per round trip, so a warm
+  sweep's probe and gather cost O(1) RPCs, not one per segment.
 * **Cross-machine ``get_or_compute`` dedup** uses the server's
   lease-based LOCK op: ``_exclusive`` polls for the lock and releases
   it on exit.  When the server is unreachable the guard degrades to a
@@ -39,7 +42,7 @@ import socket
 import threading
 import time
 import uuid
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,7 +63,7 @@ from repro.net.protocol import (
     read_frame_size,
     unpack_payload,
 )
-from repro.store.base import ResultStore, StoreEntry
+from repro.store.base import BATCH_KEYS, ResultStore, StoreEntry, check_keys
 from repro.utils.retry import CircuitBreaker, RetryPolicy, retry_call
 
 logger = logging.getLogger("repro.net.client")
@@ -134,11 +137,25 @@ class WireTransport:
                 sock.close()
 
     # -- chaos hook ----------------------------------------------------
-    def _inject(self, op: str, key: Optional[str], sock: socket.socket) -> None:
-        """Apply any scheduled wire fault for ``op`` (send/recv)."""
+    def _inject(
+        self,
+        op: str,
+        key: Optional[str],
+        sock: socket.socket,
+        keys: Optional[Sequence[str]] = None,
+    ) -> None:
+        """Apply any scheduled wire fault for ``op`` (send/recv).
+
+        A batch request passes its ``keys``: key-targeted fault specs
+        then fire for each key it carries, as they would on the per-key
+        requests the batch replaces.
+        """
         if self.fault_plan is None:
             return
-        for spec in self.fault_plan.fire(op, key=key, worker=self.worker_id):
+        fired = self.fault_plan.fire(
+            op, key=key, worker=self.worker_id, keys=keys
+        )
+        for spec in fired:
             if spec.kind == KIND_LATENCY:
                 time.sleep(spec.latency_seconds)
             elif spec.kind == KIND_DROP:
@@ -168,12 +185,13 @@ class WireTransport:
         transport trouble (retryable), ``ValueError`` on server-rejected
         requests (not retryable)."""
         key = header.get("key") or header.get("job_id")
+        keys = header.get("keys")
         frame = pack_message(header, blobs)
         sock = self._checkout()
         try:
-            self._inject(OP_SEND, key, sock)
+            self._inject(OP_SEND, key, sock, keys)
             sock.sendall(frame)
-            self._inject(OP_RECV, key, sock)
+            self._inject(OP_RECV, key, sock, keys)
             prefix = self._read_exact(sock, 8)
             payload = self._read_exact(sock, read_frame_size(prefix))
         except BaseException:
@@ -343,13 +361,8 @@ class RemoteStore(ResultStore):
     # -- ResultStore backend hooks --------------------------------------
     def _get(self, key: str) -> Optional[StoreEntry]:
         header, blobs = self._rpc({"op": "get", "key": key})
-        if not header.get("found"):
-            return None
-        try:
-            return decode_entry(header, blobs)
-        except WireProtocolError as exc:
-            self.note_corrupt(key, str(exc))
-            return None
+        slot = header if header.get("found") else None
+        return self._decode(key, slot, blobs)
 
     def _put(self, key: str, entry: StoreEntry) -> None:
         header, blobs = encode_entry({"op": "put", "key": key}, entry)
@@ -358,6 +371,66 @@ class RemoteStore(ResultStore):
     def contains(self, key: str) -> bool:
         header, _ = self._rpc({"op": "contains", "key": key})
         return bool(header.get("found"))
+
+    def contains_many(self, keys: Sequence[str]) -> List[bool]:
+        """One ``contains_many`` round trip per :data:`BATCH_KEYS` keys."""
+        keys = check_keys(keys)
+        found: List[bool] = []
+        for start in range(0, len(keys), BATCH_KEYS):
+            chunk = keys[start : start + BATCH_KEYS]
+            header, _ = self._rpc(
+                {"op": "contains_many", "keys": chunk, "n": len(chunk)}
+            )
+            reply = header.get("found")
+            if not isinstance(reply, list) or len(reply) != len(chunk):
+                raise WireProtocolError(
+                    f"contains_many answered {reply!r} for {len(chunk)} keys"
+                )
+            found.extend(bool(f) for f in reply)
+        return found
+
+    def get_many(self, keys: Sequence[str]) -> List[Optional[StoreEntry]]:
+        """Counted batch fetch: one ``get_many`` round trip per chunk.
+
+        The server answers a prefix of each request (it stops at a
+        byte budget) and the rest is asked for again, so a chunk of
+        large entries costs a few more round trips, never a giant
+        frame.  An entry whose blobs do not decode is counted corrupt
+        and comes back ``None``, as from :meth:`get`.
+        """
+        keys = check_keys(keys)
+        entries: List[Optional[StoreEntry]] = []
+        while len(entries) < len(keys):
+            chunk = keys[len(entries) : len(entries) + BATCH_KEYS]
+            header, blobs = self._rpc(
+                {"op": "get_many", "keys": chunk, "n": len(chunk)}
+            )
+            slots = header.get("entries")
+            answered = len(slots) if isinstance(slots, list) else 0
+            if not 1 <= answered <= len(chunk):
+                raise WireProtocolError(
+                    f"get_many answered {slots!r} for {len(chunk)} keys"
+                )
+            for index, (key, slot) in enumerate(zip(chunk, slots)):
+                entries.append(self._decode(key, slot, blobs, f"{index}/"))
+        with self._lock:
+            hits = sum(entry is not None for entry in entries)
+            self.hits += hits
+            self.misses += len(entries) - hits
+        return entries
+
+    def _decode(self, key, slot, blobs, prefix="") -> Optional[StoreEntry]:
+        """The entry encoded in ``slot`` (``None`` for a miss); one that
+        does not decode is counted corrupt and treated as a miss."""
+        if slot is None:
+            return None
+        try:
+            if not isinstance(slot, dict):
+                raise WireProtocolError(f"entry slot {prefix!r} is {slot!r}")
+            return decode_entry(slot, blobs, prefix=prefix)
+        except (WireProtocolError, ValueError, TypeError) as exc:
+            self.note_corrupt(key, str(exc))
+            return None
 
     def _delete(self, key: str) -> bool:
         header, _ = self._rpc({"op": "delete", "key": key})

@@ -23,7 +23,9 @@ attempting a multi-terabyte allocation.
 :func:`encode_entry` / :func:`decode_entry` map a
 :class:`~repro.store.base.StoreEntry` onto this shape (meta in the
 header, one blob per array) — the network analogue of the file store's
-``meta.json`` + ``.npy`` layout.
+``meta.json`` + ``.npy`` layout.  :func:`encode_entries` carries
+a batch of them in one frame, each entry's blobs under a per-index name
+prefix (``decode_entry(slot, blobs, prefix=...)`` reads one back).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.io.atomic import array_crc32
-from repro.store.base import StoreEntry
+from repro.store.base import BATCH_KEYS, StoreEntry, check_keys
 
 #: protocol magic + version; bump on incompatible framing changes.
 MAGIC = b"RKV1"
@@ -186,15 +188,18 @@ def encode_entry(
 
 
 def decode_entry(
-    header: Mapping[str, Any], blobs: Mapping[str, np.ndarray]
+    header: Mapping[str, Any],
+    blobs: Mapping[str, np.ndarray],
+    prefix: str = "",
 ) -> StoreEntry:
-    """Rebuild the :class:`StoreEntry` encoded by :func:`encode_entry`."""
+    """Rebuild the :class:`StoreEntry` encoded by :func:`encode_entry`
+    (its blobs named ``prefix + array name``)."""
     names = header.get("arrays")
     if not isinstance(names, list) or not names:
         raise WireProtocolError(f"entry frame lists no arrays: {names!r}")
     arrays = {}
     for name in names:
-        array = blobs.get(str(name))
+        array = blobs.get(prefix + str(name))
         if array is None:
             raise WireProtocolError(
                 f"entry frame promises array {name!r} but carries no "
@@ -202,6 +207,58 @@ def decode_entry(
             )
         arrays[str(name)] = array
     return StoreEntry(arrays=arrays, meta=dict(header.get("meta") or {}))
+
+
+# -- batched ops -----------------------------------------------------------
+
+#: the server stops adding entries to one ``get_many`` reply once their
+#: arrays reach this many bytes; the client asks again for the rest, so
+#: a reply stays this size plus at most one entry.
+BATCH_REPLY_BYTES = 16 << 20
+
+
+def batch_keys(header: Mapping[str, Any]) -> List[str]:
+    """The validated ``keys`` of a batch request.
+
+    ``keys`` must be a list of valid store keys, of at most
+    :data:`BATCH_KEYS`, whose length equals the declared ``n`` — a
+    request failing any check is the caller's bug (``ValueError``,
+    answered ``bad_request``).
+    """
+    keys = header.get("keys")
+    if not isinstance(keys, list):
+        raise ValueError(f"batch request keys must be a list, got {keys!r}")
+    if header.get("n") != len(keys):
+        raise ValueError(
+            f"batch request declares n={header.get('n')!r} but carries "
+            f"{len(keys)} keys"
+        )
+    if len(keys) > BATCH_KEYS:
+        raise ValueError(
+            f"batch of {len(keys)} keys exceeds BATCH_KEYS={BATCH_KEYS}"
+        )
+    return check_keys(keys)
+
+
+def encode_entries(
+    entries: List[Optional[StoreEntry]],
+) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
+    """Fold a batch of optional entries into one message.
+
+    The header's ``"entries"`` holds one slot per entry — ``None`` for
+    a miss, else the entry's meta and array names — and entry ``i``'s
+    arrays ride as CRC'd blobs named ``"{i}/{array name}"``.
+    """
+    slots: List[Optional[Dict[str, Any]]] = []
+    blobs: Dict[str, np.ndarray] = {}
+    for index, entry in enumerate(entries):
+        if entry is None:
+            slots.append(None)
+            continue
+        slot, arrays = encode_entry({}, entry)
+        slots.append(slot)
+        blobs.update((f"{index}/{name}", a) for name, a in arrays.items())
+    return {"entries": slots}, blobs
 
 
 def error_header(error: str, kind: str = "server_error") -> Dict[str, Any]:

@@ -3,9 +3,9 @@
 One asyncio server fronts two contracts over the framing in
 :mod:`repro.net.protocol`:
 
-* a **store front**: GET/PUT/CONTAINS/DELETE/STATS plus lease-based
-  LOCK/UNLOCK, delegating to any local
-  :class:`~repro.store.base.ResultStore` (a ``FileStore`` in
+* a **store front**: GET/PUT/CONTAINS/DELETE/STATS, the batched
+  CONTAINS_MANY/GET_MANY and lease-based LOCK/UNLOCK, delegating to
+  any local :class:`~repro.store.base.ResultStore` (a ``FileStore`` in
   production, a ``MemoryStore`` in tests);
 * a **queue front**: submit/claim/heartbeat/complete/fail/requeue and
   the introspection calls, delegating to a server-local
@@ -35,6 +35,7 @@ production daemon.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import logging
 import threading
 import time
@@ -44,7 +45,10 @@ import numpy as np
 
 from repro.fleet.jobs import FleetJob, JobQueue
 from repro.net.protocol import (
+    BATCH_REPLY_BYTES,
+    batch_keys,
     decode_entry,
+    encode_entries,
     encode_entry,
     error_header,
     pack_message,
@@ -189,13 +193,15 @@ class NetServer:
                 except (ConnectionError, OSError):
                     break
         finally:
-            if task is not None:
-                self._connections.discard(task)
             try:
                 writer.close()
                 await writer.wait_closed()
             except (ConnectionError, OSError, asyncio.CancelledError):
                 pass
+            # Only now: stop() awaits every task still listed, so a
+            # handler closing its stream is never left pending.
+            if task is not None:
+                self._connections.discard(task)
 
     # -- dispatch ------------------------------------------------------
     def _dispatch(
@@ -236,6 +242,23 @@ class NetServer:
     def _op_contains(self, header, blobs) -> bytes:
         key = check_key(str(header.get("key")))
         return self._reply({"found": bool(self.store.contains(key))})
+
+    def _op_contains_many(self, header, blobs) -> bytes:
+        found = self.store.contains_many(batch_keys(header))
+        return self._reply({"found": [bool(f) for f in found]})
+
+    def _op_get_many(self, header, blobs) -> bytes:
+        # Answers a prefix of the keys: entries stop once their arrays
+        # reach BATCH_REPLY_BYTES, and the client asks for the rest.
+        entries = []
+        nbytes = 0
+        for key in batch_keys(header):
+            if entries and nbytes >= BATCH_REPLY_BYTES:
+                break
+            entry = self.store.get(key)
+            entries.append(entry)
+            nbytes += 0 if entry is None else entry.nbytes
+        return self._reply(*encode_entries(entries))
 
     def _op_delete(self, header, blobs) -> bytes:
         key = check_key(str(header.get("key")))
@@ -393,21 +416,23 @@ class ServerThread:
     def _run(self) -> None:
         assert self._loop is not None
         asyncio.set_event_loop(self._loop)
-
-        async def _serve() -> None:
-            await self.server.start()
-            self._started.set()
-
-        self._loop.run_until_complete(_serve())
         try:
+            self._loop.run_until_complete(self.server.start())
+            # Signalled from inside run_forever, so once start() returns
+            # the loop is running and stop()'s loop.stop reaches it.
+            self._loop.call_soon(self._started.set)
             self._loop.run_forever()
         finally:
             self._loop.run_until_complete(self.server.stop())
             self._loop.close()
 
     def stop(self) -> None:
-        if self._loop is not None and self._loop.is_running():
-            self._loop.call_soon_threadsafe(self._loop.stop)
+        loop = self._loop
+        if loop is not None:
+            # Scheduled even when the loop is not running yet: the
+            # callback then ends run_forever on its first pass.
+            with contextlib.suppress(RuntimeError):  # loop already closed
+                loop.call_soon_threadsafe(loop.stop)
         if self._thread is not None:
             self._thread.join(timeout=self.startup_timeout)
         self._loop = None

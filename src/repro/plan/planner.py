@@ -312,7 +312,9 @@ class Planner:
 
         Derives each task's content-addressed segment key
         (:func:`repro.store.keys.segment_key`) and probes ``store`` for
-        it, returning a :class:`~repro.plan.delta.DeltaPlan` whose
+        all of them with one ``contains_many`` (one round trip per chunk
+        on a remote store), returning a
+        :class:`~repro.plan.delta.DeltaPlan` whose
         :meth:`~repro.plan.delta.DeltaPlan.missing_plan` covers only
         the absent segments.  The plan defaults to the engine-native
         decomposition (:meth:`plan`), or the fixed-stride
@@ -324,10 +326,7 @@ class Planner:
         segment missing (a cold plan).
         """
         from repro.plan.delta import DeltaPlan, SegmentRecord
-        from repro.store.keys import (  # deferred imports
-            layer_fingerprint,
-            segment_key,
-        )
+        from repro.store.keys import segment_keys  # deferred import
 
         if plan is None:
             if segment_trials is not None:
@@ -336,33 +335,23 @@ class Planner:
                 )
             else:
                 plan = self.plan(yet, portfolio, caps)
-        layer_fps = {
-            layer.layer_id: layer_fingerprint(portfolio, layer)
-            for layer in portfolio.layers
-        }
-        records = []
-        for task in plan.tasks:
-            key = segment_key(
-                yet,
-                portfolio,
-                task.layer_id,
-                task.trial_start,
-                task.trial_stop,
-                task.occ_start,
-                kernel=plan.kernel,
-                dtype=caps.dtype,
-                lookup_kind=lookup_kind,
-                secondary=secondary,
-                secondary_seed=secondary_seed,
-                layer_fp=layer_fps[task.layer_id],
-            )
-            records.append(
-                SegmentRecord(
-                    task=task,
-                    key=key,
-                    stored=store is not None and store.contains(key),
-                )
-            )
+        keys = segment_keys(
+            yet,
+            portfolio,
+            plan.tasks,
+            kernel=plan.kernel,
+            dtype=caps.dtype,
+            lookup_kind=lookup_kind,
+            secondary=secondary,
+            secondary_seed=secondary_seed,
+        )
+        stored = (
+            [False] * len(keys) if store is None else store.contains_many(keys)
+        )
+        records = [
+            SegmentRecord(task=task, key=key, stored=hit)
+            for task, key, hit in zip(plan.tasks, keys, stored)
+        ]
         delta = DeltaPlan(plan=plan, segments=tuple(records))
         delta.validate_coverage()
         return delta

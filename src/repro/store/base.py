@@ -25,7 +25,7 @@ import re
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +33,12 @@ logger = logging.getLogger("repro.store")
 
 #: keys must be path- and lock-file-safe: digests, or readable test ids.
 _KEY_RE = re.compile(r"^[A-Za-z0-9._-]{1,200}$")
+
+#: keys per batched round trip: a remote store sends one
+#: ``contains_many``/``get_many`` request per chunk of this size (its
+#: server refuses larger batches), and gather reads entries in chunks
+#: of this size to bound what it holds at once.
+BATCH_KEYS = 256
 
 
 def check_key(key: str) -> str:
@@ -42,6 +48,13 @@ def check_key(key: str) -> str:
             f"store keys must match {_KEY_RE.pattern!r}, got {key!r}"
         )
     return key
+
+
+def check_keys(keys: Sequence[str]) -> List[str]:
+    """Validate a batch of store keys (a list of keys, not one string)."""
+    if isinstance(keys, (str, bytes)):
+        raise ValueError(f"expected a sequence of store keys, got {keys!r}")
+    return [check_key(key) for key in keys]
 
 
 @dataclass(frozen=True)
@@ -157,6 +170,28 @@ class ResultStore(abc.ABC):
 
     def __contains__(self, key: str) -> bool:
         return self.contains(key)
+
+    # -- batched reads -------------------------------------------------
+    def contains_many(self, keys: Sequence[str]) -> List[bool]:
+        """:meth:`contains` for each key, in order.
+
+        Every key is validated before any is probed.  The default loops
+        over :meth:`contains`, so wrappers keep their per-key semantics;
+        :class:`~repro.net.client.RemoteStore` overrides it with one
+        round trip per chunk of keys.
+        """
+        keys = check_keys(keys)
+        return [self.contains(key) for key in keys]
+
+    def get_many(self, keys: Sequence[str]) -> List[Optional[StoreEntry]]:
+        """:meth:`get` for each key, in order (``None`` for a miss).
+
+        Counted like :meth:`get`; every key is validated before any is
+        read.  The default loops over :meth:`get`; network backends
+        override it to fetch a chunk of entries per round trip.
+        """
+        keys = check_keys(keys)
+        return [self.get(key) for key in keys]
 
     def delete(self, key: str) -> bool:
         """Remove ``key`` if present; ``True`` when an entry was removed.

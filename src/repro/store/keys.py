@@ -201,7 +201,6 @@ def segment_key(
     lookup_kind: str,
     secondary=None,
     secondary_seed: int = 0,
-    layer_fp: tuple | None = None,
 ) -> str:
     """The store key of one segment: a (layer, trial-range) of work.
 
@@ -221,31 +220,94 @@ def segment_key(
     segments carry neither, so a repeated block of trials is recognised
     as the same work wherever it lands.
 
-    ``layer_fp`` lets a caller deriving many keys of one layer pass the
-    precomputed :func:`layer_fingerprint` (the planner fingerprints
-    each layer once per delta plan, not once per segment).
+    This is the reference composition; :func:`segment_keys` derives a
+    whole plan's keys byte-identically in one pass.
     """
-    stream = None
-    if secondary is not None:
-        position = (
-            int(trial_start) if kernel == "dense" else int(occ_start)
-        )
-        stream = (
-            str(kernel),
-            secondary_fingerprint(secondary, secondary_seed),
-            position,
-        )
-    if layer_fp is None:
-        layer_fp = layer_fingerprint(portfolio, portfolio.layer(layer_id))
     return fingerprint_digest(
         SEGMENT_SCHEMA,
         str(kernel),
         yet_slice_fingerprint(yet, trial_start, trial_stop),
-        layer_fp,
+        layer_fingerprint(portfolio, portfolio.layer(layer_id)),
         str(np.dtype(dtype).str),
         str(lookup_kind),
-        stream,
+        _segment_stream(
+            kernel, secondary, secondary_seed, trial_start, occ_start
+        ),
     )
+
+
+def _segment_stream(
+    kernel: str,
+    secondary,
+    secondary_seed: int,
+    trial_start: int,
+    occ_start: int,
+) -> tuple | None:
+    """The stochastic-stream component of a segment key (``None`` for
+    primary segments)."""
+    if secondary is None:
+        return None
+    position = int(trial_start) if kernel == "dense" else int(occ_start)
+    stream_fp = secondary_fingerprint(secondary, secondary_seed)
+    return (str(kernel), stream_fp, position)
+
+
+def segment_keys(
+    yet: YearEventTable,
+    portfolio: Portfolio,
+    tasks,
+    kernel: str,
+    dtype: str,
+    lookup_kind: str,
+    secondary=None,
+    secondary_seed: int = 0,
+) -> list:
+    """:func:`segment_key` of every task (each a
+    :class:`~repro.plan.plan.PlanTask`), in order, in one pass.
+
+    Byte-identical to calling :func:`segment_key` per task, but each
+    invariant part of the key tuple (schema, kernel, dtype, lookup) is
+    serialised once, each layer fingerprint once, and each trial
+    range's slice fingerprint once for all layers; the parts are then
+    spliced into the encoding :func:`canonical_bytes` gives the whole
+    7-tuple.  A sweep's plan derives hundreds of keys from a handful of
+    distinct parts, and re-serialising the ~120-value layer fingerprint
+    per segment dominated delta planning.
+    """
+    kernel = str(kernel)
+    head = (
+        b"L"
+        + struct.pack("<I", 7)
+        + canonical_bytes(SEGMENT_SCHEMA)
+        + canonical_bytes(kernel)
+    )
+    tail = canonical_bytes(str(np.dtype(dtype).str)) + canonical_bytes(
+        str(lookup_kind)
+    )
+    layer_parts: dict = {}
+    slice_parts: dict = {}
+    keys = []
+    for task in tasks:
+        layer_part = layer_parts.get(task.layer_id)
+        if layer_part is None:
+            layer = portfolio.layer(task.layer_id)
+            layer_part = layer_parts[task.layer_id] = canonical_bytes(
+                layer_fingerprint(portfolio, layer)
+            )
+        span = (task.trial_start, task.trial_stop)
+        slice_part = slice_parts.get(span)
+        if slice_part is None:
+            slice_part = slice_parts[span] = canonical_bytes(
+                yet_slice_fingerprint(yet, *span)
+            )
+        stream = _segment_stream(
+            kernel, secondary, secondary_seed, task.trial_start, task.occ_start
+        )
+        payload = b"".join(
+            (head, slice_part, layer_part, tail, canonical_bytes(stream))
+        )
+        keys.append(hashlib.sha256(payload).hexdigest())
+    return keys
 
 
 def scenario_result_key(

@@ -3,6 +3,8 @@ under injected wire faults, breaker fail-fast, and tier slotting."""
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -203,3 +205,25 @@ class TestSharedTransport:
             store.put(f"{i:064d}", entry_for(i + 1))
         # sequential requests reuse the single pooled socket
         assert transport.reconnects == 1
+
+
+class TestServerThreadLifecycle:
+    def test_start_stop_pairs_leak_no_threads(self):
+        """Stop right after start (the race window between startup and
+        ``run_forever``) must end the loop every time: no pair may wait
+        out its timeout, and no thread may outlive its owner."""
+        baseline = set(threading.enumerate())
+        for _ in range(200):
+            with ServerThread(NetServer(MemoryStore())):
+                pass
+        assert set(threading.enumerate()) - baseline == set()
+
+    def test_stop_is_idempotent_and_safe_before_start(self):
+        thread = ServerThread(NetServer(MemoryStore()))
+        thread.stop()  # never started: a no-op
+        thread.start()
+        thread.stop()
+        thread.stop()
+        assert not any(
+            t.name == "repro-kv-server" for t in threading.enumerate()
+        )

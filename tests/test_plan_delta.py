@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.secondary import SecondaryUncertainty
 from repro.data.layer import Layer, Portfolio
@@ -309,3 +310,62 @@ class TestStoredSegmentsAreTheAnswer:
                 record.task.trial_start : record.task.trial_stop
             ]
             assert np.array_equal(entry.arrays["losses"], expected)
+
+
+class TestSegmentKeysFastPath:
+    """``plan_missing`` derives keys in one pass (``segment_keys``); they
+    must be byte-identical to the reference :func:`segment_key`."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_trials=st.integers(1, 600),
+        kernel=st.sampled_from(["ragged", "dense"]),
+        secondary=st.booleans(),
+        stride=st.one_of(st.none(), st.integers(1, 700)),
+        n_slots=st.integers(1, 5),
+        batch_trials=st.one_of(st.none(), st.integers(1, 300)),
+        seed=st.integers(0, 2**31 - 1),
+        dtype=st.sampled_from(["<f8", "<f4"]),
+    )
+    def test_keys_equal_segment_key(
+        self,
+        multilayer_workload,
+        n_trials,
+        kernel,
+        secondary,
+        stride,
+        n_slots,
+        batch_trials,
+        seed,
+        dtype,
+    ):
+        yet = multilayer_workload.yet.slice_trials(0, n_trials)
+        book = multilayer_workload.portfolio
+        caps = EngineCapabilities(
+            engine="test",
+            kernel=kernel,
+            n_slots=n_slots,
+            batch_trials=batch_trials,
+            dtype=dtype,
+        )
+        shared = dict(
+            lookup_kind="direct",
+            secondary=SecondaryUncertainty(4.0, 4.0) if secondary else None,
+            secondary_seed=seed,
+        )
+        delta = Planner().plan_missing(
+            yet, book, caps, None, segment_trials=stride, **shared
+        )
+        for record in delta.segments:
+            task = record.task
+            assert record.key == segment_key(
+                yet,
+                book,
+                task.layer_id,
+                task.trial_start,
+                task.trial_stop,
+                task.occ_start,
+                kernel=delta.plan.kernel,
+                dtype=dtype,
+                **shared,
+            )
