@@ -10,15 +10,20 @@ uses for entries::
         claimed/<job_id>.json     # leased to a worker (mtime = heartbeat)
         done/<job_id>.json        # completed
         failed/<job_id>.json      # exhausted max_attempts
-        locks/<job_id>.lock       # requeue-scan exclusivity (flock)
+        locks/queue.lock          # transition exclusivity (flock)
         sweeps/<sweep_id>.json    # sweep manifests (what to assemble)
 
 Claiming is a rename from ``pending/`` to ``claimed/``: exactly one of
 N racing workers (threads *or* processes on a shared filesystem) wins,
-no lock required.  Leases are the claimed file's mtime: a worker
-heartbeats by touching it, and :meth:`requeue_expired` renames files
-whose heartbeat is older than ``lease_seconds`` back to ``pending/``
-(under a per-job flock so concurrent scanners don't double-count).
+no lock required.  A claimer works through the names of one
+``pending/`` listing before listing again (the instance's *backlog*),
+so draining a sweep of S jobs lists the directory O(1) times, not S.
+Leases are the claimed file's mtime: a worker heartbeats by touching
+it, and :meth:`requeue_expired` renames files whose heartbeat is older
+than ``lease_seconds`` back to ``pending/``.  Every transition out of
+``claimed/`` — complete, fail, requeue — happens under the one queue
+flock, as a stat plus a rename, so concurrent scanners agree on one
+requeue and a lost claim cannot be completed.
 
 Exactly-once *effects* do not depend on exactly-once job execution: a
 job's result lands in the content-addressed result store via
@@ -32,11 +37,13 @@ by *someone* — which rename-based claims plus lease expiry give.
 from __future__ import annotations
 
 import os
+import threading
 import time
 import uuid
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Deque, Dict, Iterator, List, Optional, Union
 
 from repro.io.atomic import lock_file, read_json, touch, write_json_atomic
 
@@ -168,6 +175,12 @@ class JobQueue:
         self.queue_dir = Path(queue_dir).expanduser()
         self.lease_seconds = float(lease_seconds)
         self.max_attempts = int(max_attempts)
+        # Unclaimed names of the last ``pending/`` listing, per sweep
+        # prefix.  Names are hints, not leases: the rename still
+        # decides every claim.
+        self._backlog: Dict[str, Deque[str]] = {}
+        self._backlog_lock = threading.Lock()
+        self._ensured = False
 
     # -- layout --------------------------------------------------------
     def state_dir(self, state: str) -> Path:
@@ -180,14 +193,23 @@ class JobQueue:
         return self.queue_dir / "locks"
 
     @property
+    def _queue_lock(self) -> Path:
+        return self._locks_dir / "queue.lock"
+
+    @property
     def _sweeps_dir(self) -> Path:
         return self.queue_dir / "sweeps"
 
     def ensure(self) -> None:
+        """Create the layout (once per instance: every claim and
+        transition calls this, and the directories never go away)."""
+        if self._ensured:
+            return
         for state in JOB_STATES:
             self.state_dir(state).mkdir(parents=True, exist_ok=True)
         self._locks_dir.mkdir(parents=True, exist_ok=True)
         self._sweeps_dir.mkdir(parents=True, exist_ok=True)
+        self._ensured = True
 
     def _job_path(self, state: str, job_id: str) -> Path:
         return self.state_dir(state) / f"{job_id}.json"
@@ -253,40 +275,61 @@ class JobQueue:
             paths = [p for p in paths if p.name.startswith(prefix)]
         return paths
 
+    def _pending_names(self, prefix: str) -> List[str]:
+        """Job file names in ``pending/`` starting with ``prefix``.
+
+        Unsorted scandir: claims need *a* job, not the first job, and a
+        10k-segment sweep would otherwise pay an O(n log n) sort.
+        """
+        try:
+            with os.scandir(self.state_dir("pending")) as it:
+                return [
+                    entry.name
+                    for entry in it
+                    if entry.name.endswith(".json")
+                    and entry.name.startswith(prefix)
+                ]
+        except OSError:
+            return []
+
     def claim(
         self, worker_id: str | None = None, sweep_id: str | None = None
     ) -> Optional[FleetJob]:
         """Atomically take one pending job, or ``None`` if none remain.
 
         The claim is a ``rename(2)`` into ``claimed/`` — exactly one of
-        N racing claimants wins each job.  Workers start their scan at
-        an id-derived offset so a fleet doesn't stampede the same file.
-        The claimed file is rewritten with owner/attempt bookkeeping
-        (its mtime starts the lease).
+        N racing claimants wins each job.  Candidates come from the
+        instance's backlog of the last ``pending/`` listing; a name a
+        peer claimed meanwhile just loses its rename.  When the backlog
+        runs dry the directory is listed once more, so ``None`` means
+        ``pending/`` held no job for this sweep at that listing.  The
+        claimed file is rewritten with owner/attempt bookkeeping (its
+        mtime starts the lease).
         """
         self.ensure()
         worker_id = worker_id or f"worker-{os.getpid()}-{uuid.uuid4().hex[:6]}"
-        # Unsorted scandir: claims need *a* job, not the first job, and
-        # a 10k-segment sweep would otherwise pay an O(n log n) sort
-        # per claim.  The id-derived offset de-stampedes the fleet.
         prefix = f"{sweep_id}." if sweep_id is not None else ""
-        try:
-            with os.scandir(self.state_dir("pending")) as it:
-                candidates = [
-                    Path(entry.path)
-                    for entry in it
-                    if entry.name.endswith(".json")
-                    and entry.name.startswith(prefix)
-                ]
-        except OSError:
-            return None
-        if not candidates:
-            return None
-        offset = hash(worker_id) % len(candidates)
-        for path in candidates[offset:] + candidates[:offset]:
-            target = self.state_dir("claimed") / path.name
+        pending_dir = self.state_dir("pending")
+        claimed_dir = self.state_dir("claimed")
+        listed = False
+        while True:
+            with self._backlog_lock:
+                backlog = self._backlog.get(prefix)
+                if not backlog and not listed:
+                    # Dry backlog: list once per call, rotated by a
+                    # worker-id-derived offset so a fleet doesn't
+                    # stampede the same file.
+                    listed = True
+                    names = self._pending_names(prefix)
+                    offset = hash(worker_id) % len(names) if names else 0
+                    backlog = deque(names[offset:] + names[:offset])
+                    self._backlog[prefix] = backlog
+                if not backlog:
+                    return None
+                name = backlog.popleft()
+            target = claimed_dir / name
             try:
-                os.rename(path, target)
+                os.rename(pending_dir / name, target)
             except OSError:
                 continue  # a racing worker won this one; try the next
             # rename preserves the pending file's (stale) mtime; start
@@ -301,9 +344,10 @@ class JobQueue:
                     # pending.  It is still live work — move on.
                     continue
                 # Present but unreadable: poison, not a crash loop.
+                job_id = name[: -len(".json")]
                 job = FleetJob(
-                    job_id=path.stem,
-                    sweep_id=(sweep_id or path.stem.split(".")[0]),
+                    job_id=job_id,
+                    sweep_id=(sweep_id or job_id.split(".")[0]),
                     kind="unknown",
                     key="unreadable",
                 )
@@ -314,7 +358,6 @@ class JobQueue:
             job.owner = worker_id
             write_json_atomic(target, job.to_json())
             return job
-        return None
 
     def heartbeat(self, job: FleetJob) -> bool:
         """Refresh the lease on a claimed job (``False`` if lost)."""
@@ -325,9 +368,10 @@ class JobQueue:
 
         ``False`` when the claim was lost meanwhile (lease expired and
         a peer requeued or finished the job) — the caller's result is
-        already safe in the store either way.
+        already safe in the store either way.  One rename, no rewrite:
+        the file already holds what :meth:`claim` wrote.
         """
-        return self._move(job, "claimed", "done")
+        return self._move(job, "claimed", "done", rewrite=False)
 
     def fail(
         self,
@@ -373,20 +417,25 @@ class JobQueue:
         )
         return state if self._move(job, "claimed", state) else "lost"
 
-    def _move(self, job: FleetJob, src: str, dst: str) -> bool:
+    def _move(
+        self, job: FleetJob, src: str, dst: str, rewrite: bool = True
+    ) -> bool:
         """Transition a job this caller owns; ``False`` if it doesn't.
 
-        Guarded by the job's flock (shared with :meth:`requeue_expired`)
+        Guarded by the queue flock (shared with :meth:`requeue_expired`)
         and an under-lock existence check, so a worker whose lease
         expired — its job requeued and possibly finished by a peer —
         cannot re-materialise it in another state from a stale copy.
+        ``rewrite`` first replaces the file with ``job``'s current
+        fields (failure provenance); without it the move is one rename.
         """
         self.ensure()
         source = self._job_path(src, job.job_id)
-        with lock_file(self._locks_dir / f"{job.job_id}.lock"):
+        with lock_file(self._queue_lock, create=False):
             if not source.is_file():
                 return False  # claim lost: the job moved on without us
-            write_json_atomic(source, job.to_json())
+            if rewrite:
+                write_json_atomic(source, job.to_json())
             try:
                 os.replace(source, self._job_path(dst, job.job_id))
             except OSError:
@@ -416,7 +465,7 @@ class JobQueue:
 
         A claimed file whose heartbeat (lease age, clock-skew-clamped
         by :meth:`_lease_age`) is at least ``lease_seconds`` old is
-        renamed back under a per-job flock — two concurrent scanners
+        renamed back under the queue flock — two concurrent scanners
         agree on one requeue, and a worker that heartbeats between the
         check and the rename keeps its job only if the heartbeat landed
         first (losing a heartbeat race costs a duplicate *claim*, never
@@ -431,7 +480,7 @@ class JobQueue:
                 continue  # completed meanwhile
             if not expired:
                 continue
-            with lock_file(self._locks_dir / f"{path.stem}.lock"):
+            with lock_file(self._queue_lock):
                 try:
                     if self._lease_age(path, now) < self.lease_seconds:
                         continue  # heartbeat arrived while we waited

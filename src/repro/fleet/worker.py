@@ -14,13 +14,13 @@ worker just moves jobs between them:
    read, not a compute;
 4. mark the job done.
 
-A heartbeat thread touches the claimed file while the compute runs, so
-long segments on slow workers are not stolen; a worker that dies
-mid-compute simply stops heartbeating and its job is requeued by any
-peer's :meth:`~repro.fleet.jobs.JobQueue.requeue_expired` scan.  Failed
-computes requeue up to the queue's ``max_attempts`` and then land in
-``failed/`` with the error *and its provenance* (exception chain +
-attempt history) recorded.
+One heartbeat thread per worker touches the claimed file while the
+compute runs, so long segments on slow workers are not stolen; a worker
+that dies mid-compute simply stops heartbeating and its job is requeued
+by any peer's :meth:`~repro.fleet.jobs.JobQueue.requeue_expired` scan.
+Failed computes requeue up to the queue's ``max_attempts`` and then
+land in ``failed/`` with the error *and its provenance* (exception
+chain + attempt history) recorded.
 
 Resilience knobs (all on by default):
 
@@ -97,26 +97,58 @@ class WorkerStats:
 
 
 class _Heartbeat:
-    """Background lease refresher for one claimed job."""
+    """One background lease refresher per worker.
 
-    def __init__(self, queue: JobQueue, job: FleetJob, interval: float) -> None:
+    The thread starts on the first :meth:`hold`, refreshes the lease of
+    whichever job is held at every tick, and exits when the outermost
+    ``with`` block ends — a worker pays one thread start per
+    :meth:`FleetWorker.run`, not one per job.
+    """
+
+    def __init__(self, queue: JobQueue) -> None:
         self._queue = queue
-        self._job = job
-        self._interval = max(0.01, float(interval))
+        self._lock = threading.Lock()
+        self._job: Optional[FleetJob] = None
+        self._depth = 0
         self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
+        self._thread: Optional[threading.Thread] = None
 
-    def _run(self) -> None:
-        while not self._stop.wait(self._interval):
-            self._queue.heartbeat(self._job)
+    def _run(self, interval: float) -> None:
+        while not self._stop.wait(interval):
+            with self._lock:
+                job = self._job
+            if job is None:
+                continue
+            try:
+                self._queue.heartbeat(job)
+            except Exception:
+                pass  # best effort: the next tick beats again
+
+    def hold(self, job: Optional[FleetJob]) -> None:
+        """Beat ``job``'s lease from now on (``None``: beat nothing)."""
+        with self._lock:
+            self._job = job
+        if job is not None and self._thread is None:
+            # lease/4 cadence; read at start (a remote queue's lease is
+            # the server's, fetched on first use)
+            interval = max(0.01, self._queue.lease_seconds / 4)
+            self._stop.clear()
+            self._thread = threading.Thread(
+                target=self._run, args=(interval,), daemon=True
+            )
+            self._thread.start()
 
     def __enter__(self) -> "_Heartbeat":
-        self._thread.start()
+        self._depth += 1
         return self
 
     def __exit__(self, *exc) -> None:
-        self._stop.set()
-        self._thread.join()
+        self._depth -= 1
+        self.hold(None)
+        if self._depth == 0 and self._thread is not None:
+            self._stop.set()
+            self._thread.join()
+            self._thread = None
 
 
 class FleetWorker:
@@ -186,6 +218,7 @@ class FleetWorker:
         self.backend = backend
         self.backend_name = active_backend_name(backend)
         self._speculated_ids: Set[str] = set()
+        self._heartbeat = _Heartbeat(queue)
         self.stats = WorkerStats(
             worker_id=self.worker_id, backend=self.backend_name
         )
@@ -378,13 +411,17 @@ class FleetWorker:
     # ------------------------------------------------------------------
     def run_one(self, sweep_id: str | None = None) -> bool:
         """Claim and process a single job; ``False`` when none pending."""
+        with self._heartbeat:
+            return self._claim_and_run(sweep_id)
+
+    def _claim_and_run(self, sweep_id: str | None) -> bool:
         job = self.queue.claim(self.worker_id, sweep_id=sweep_id)
         if job is None:
             return False
         self.stats.claimed += 1
+        self._heartbeat.hold(job)
         try:
-            with _Heartbeat(self.queue, job, self.queue.lease_seconds / 4):
-                self._run_job(job)
+            self._run_job(job)
         except (KeyboardInterrupt, SystemExit):
             # A killed worker must stop, not eat the signal — hand the
             # job straight back (the interruption is not the job's
@@ -398,6 +435,8 @@ class FleetWorker:
                 self.stats.failed += 1
                 self.stats.errors[job.job_id] = repr(exc)
             return True
+        finally:
+            self._heartbeat.hold(None)
         self.queue.complete(job)
         return True
 
@@ -466,13 +505,16 @@ class FleetWorker:
         fair-share scenarios).
         """
         done = 0
-        while max_jobs is None or done < max_jobs:
-            if self.run_one(sweep_id=sweep_id):
-                done += 1
-                continue
-            self.stats.requeued_for_peers += len(self.queue.requeue_expired())
-            if self.queue.active_count(sweep_id) == 0 or not drain:
-                break
-            if not self.speculate_one(sweep_id=sweep_id):
-                time.sleep(poll_seconds)
+        with self._heartbeat:
+            while max_jobs is None or done < max_jobs:
+                if self._claim_and_run(sweep_id):
+                    done += 1
+                    continue
+                self.stats.requeued_for_peers += len(
+                    self.queue.requeue_expired()
+                )
+                if self.queue.active_count(sweep_id) == 0 or not drain:
+                    break
+                if not self.speculate_one(sweep_id=sweep_id):
+                    time.sleep(poll_seconds)
         return self.stats

@@ -143,12 +143,15 @@ def write_json_atomic(path: PathLike, payload: Any) -> None:
     Readers see the complete old document or the complete new one,
     never a torn write — the property the fleet job queue's state files
     rely on (``os.replace`` also *moves* files between queue state
-    directories atomically).
+    directories atomically).  Compact separators keep ``json`` on its C
+    encoder (``indent=`` forces the pure-Python one); readers accept
+    either layout.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.parent / f".{path.name}.tmp-{os.getpid()}-{uuid.uuid4().hex}"
-    tmp.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    text = json.dumps(payload, separators=(",", ":"), sort_keys=True)
+    tmp.write_text(text + "\n")
     os.replace(tmp, path)
 
 
@@ -172,7 +175,8 @@ def lock_file(path: PathLike, create: bool = True):
     Yields ``True`` while the lock is held.  This is the per-key
     exclusivity primitive shared by :class:`~repro.store.SharedFileStore`
     (one computation per key per fleet) and the fleet job queue's
-    requeue scan (one requeue per expired lease).  Degrades gracefully —
+    transitions out of ``claimed/`` (one requeue per expired lease, no
+    completion of a lost claim).  Degrades gracefully —
     yields ``False`` without locking — on platforms without ``fcntl`` or
     when the lock file cannot be created (read-only cache dir): callers
     lose cross-process exclusivity, never correctness, because every

@@ -186,7 +186,9 @@ class FileStore(ResultStore):
                     "nbytes": nbytes,
                     "crc32": array_crc32(array),
                 }
-            (tmp / _META_NAME).write_text(json.dumps(manifest, indent=1))
+            (tmp / _META_NAME).write_text(
+                json.dumps(manifest, separators=(",", ":"))
+            )
         except BaseException:
             remove_dir(tmp)
             raise

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import os
+import threading
 import time
 
 import pytest
 
+import repro.fleet.jobs as jobs_module
 from repro.fleet.jobs import JOB_KIND_SEGMENT, FleetJob, JobQueue
 
 
@@ -220,3 +223,149 @@ class TestValidation:
         path.write_text("{not json")
         assert queue.claim("w1") is None
         assert queue.counts()["failed"] == 1
+
+
+def drain(queue, worker_id="w1", sweep_id=None):
+    """Claim until empty; the claimed jobs in claim order."""
+    claimed = []
+    while True:
+        job = queue.claim(worker_id, sweep_id=sweep_id)
+        if job is None:
+            return claimed
+        claimed.append(job)
+
+
+class TestFilesystemCost:
+    """What a job costs the queue directory, independent of timing."""
+
+    def test_drained_sweep_leaves_at_most_one_lock_file(self, queue):
+        queue.submit(make_jobs(12))
+        for job in drain(queue):
+            assert queue.complete(job)
+        assert queue.counts()["done"] == 12
+        assert len(os.listdir(queue.queue_dir / "locks")) <= 1
+
+    def test_one_worker_drain_lists_pending_at_most_twice(
+        self, queue, monkeypatch
+    ):
+        queue.submit(make_jobs(12))
+        pending = os.fspath(queue.state_dir("pending"))
+        listings = []
+        real_scandir = os.scandir
+
+        def counting_scandir(path="."):
+            if os.fspath(path) == pending:
+                listings.append(path)
+            return real_scandir(path)
+
+        monkeypatch.setattr(jobs_module.os, "scandir", counting_scandir)
+        assert len(drain(queue)) == 12
+        assert len(listings) <= 2
+
+
+class TestBacklog:
+    def test_two_threads_on_one_instance_complete_each_job_once(
+        self, queue
+    ):
+        queue.submit(make_jobs(40))
+        completed = {"t0": [], "t1": []}
+        start = threading.Barrier(2)
+
+        def worker(name):
+            start.wait()
+            for job in drain(queue, worker_id=name):
+                assert queue.complete(job)
+                completed[name].append(job.job_id)
+
+        threads = [
+            threading.Thread(target=worker, args=(name,)) for name in completed
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        ids = completed["t0"] + completed["t1"]
+        assert len(ids) == len(set(ids)) == 40
+        assert queue.counts() == {
+            "pending": 0, "claimed": 0, "done": 40, "failed": 0,
+        }
+
+    def test_stale_backlog_still_claims_every_remaining_job(
+        self, queue, tmp_path
+    ):
+        """A peer instance claiming part of the sweep leaves names in
+        this instance's backlog that lose their rename; the remaining
+        jobs are all still claimed, and ``None`` comes only once
+        ``pending/`` is empty."""
+        queue.submit(make_jobs(10))
+        first = queue.claim("w-a")  # lists pending/: backlog of 9
+        other = JobQueue(tmp_path / "queue")
+        taken = {other.claim("w-b").job_id for _ in range(4)}
+        rest = []
+        while True:
+            job = queue.claim("w-a")
+            if job is None:
+                break
+            rest.append(job.job_id)
+        assert queue.counts()["pending"] == 0
+        ids = {first.job_id} | taken | set(rest)
+        assert len(rest) == 5 and len(ids) == 10
+
+    def test_jobs_arriving_after_the_listing_are_claimed(self, queue):
+        queue.submit(make_jobs(2, "sweep-a"))
+        assert queue.claim("w1") is not None  # backlog: one name
+        queue.submit(make_jobs(3, "sweep-b"))
+        assert len(drain(queue)) == 4
+
+    def test_requeued_job_is_claimed_from_the_next_listing(self, tmp_path):
+        queue = JobQueue(tmp_path / "q", lease_seconds=0.05)
+        queue.submit(make_jobs(3))
+        lost = queue.claim("w1")
+        time.sleep(0.1)
+        assert queue.requeue_expired() == [lost.job_id]
+        ids = [job.job_id for job in drain(queue, "w2")]
+        assert sorted(ids) == sorted(j.job_id for j in make_jobs(3))
+
+
+class TestTransitions:
+    def test_done_file_is_the_claimed_job(self, queue):
+        queue.submit(make_jobs(1))
+        job = queue.claim("w1")
+        assert queue.complete(job)
+        path = queue.state_dir("done") / f"{job.job_id}.json"
+        done = json.loads(path.read_text())
+        assert done == job.to_json()
+        assert done["owner"] == "w1" and done["attempts"] == 1
+
+    def test_fail_records_history_in_the_file(self, queue):
+        queue.submit(make_jobs(1))
+        job = queue.claim("w1")
+        assert queue.fail(job, "boom", exc=ValueError("bad")) == "pending"
+        [pending] = list(queue.jobs("pending"))
+        assert pending.error == "boom"
+        assert pending.history[0]["exc_type"] == "ValueError"
+        assert pending.history[0]["worker"] == "w1"
+
+    def test_lost_claim_cannot_complete(self, tmp_path):
+        queue = JobQueue(tmp_path / "q", lease_seconds=0.05)
+        queue.submit(make_jobs(1))
+        job = queue.claim("slow-worker")
+        time.sleep(0.1)
+        assert queue.requeue_expired() == [job.job_id]
+        assert queue.complete(job) is False
+        assert queue.counts() == {
+            "pending": 1, "claimed": 0, "done": 0, "failed": 0,
+        }
+
+
+class TestLegacyLayout:
+    def test_indented_job_file_still_claims(self, queue):
+        """Job files written with the earlier ``indent=1`` layout."""
+        [job] = make_jobs(1)
+        queue.ensure()
+        path = queue.state_dir("pending") / f"{job.job_id}.json"
+        path.write_text(json.dumps(job.to_json(), indent=1, sort_keys=True))
+        claimed = queue.claim("w1")
+        assert claimed.job_id == job.job_id
+        assert claimed.payload == job.payload
+        assert queue.complete(claimed)

@@ -280,6 +280,19 @@ def test_missing_array_file_is_a_miss(damaged_setup):
     assert store.corrupt_misses == 1
 
 
+def test_indented_meta_json_still_loads(damaged_setup):
+    """Entries written with the earlier ``indent=1`` manifest layout."""
+    store, key, entry_dir = damaged_setup
+    meta = json.loads((entry_dir / "meta.json").read_text())
+    (entry_dir / "meta.json").write_text(json.dumps(meta, indent=1))
+    entry = store.get(key)
+    assert entry is not None
+    np.testing.assert_array_equal(
+        entry.arrays["value"], np.arange(64, dtype=np.float64)
+    )
+    assert store.corrupt_misses == 0
+
+
 def test_wrong_format_tag_is_a_miss(damaged_setup):
     store, key, entry_dir = damaged_setup
     meta = json.loads((entry_dir / "meta.json").read_text())
