@@ -8,34 +8,42 @@ import numpy as np
 import pytest
 
 from repro.bench.experiments import ext_secondary
-from repro.core.secondary import (
-    SecondaryUncertainty,
-    layer_trial_batch_secondary,
+from repro.core.kernels import (
+    build_layer_tables,
+    layer_trial_batch_ragged,
+    layer_trial_batch_secondary_ragged,
 )
-from repro.core.vectorized import layer_trial_batch
-from repro.lookup.factory import build_layer_lookups
+from repro.core.secondary import SecondaryUncertainty, layer_stream_key
 
 
 @pytest.fixture(scope="module")
 def kernel_inputs(workload):
     layer = workload.portfolio.layers[0]
-    lookups = build_layer_lookups(
-        workload.portfolio.elts_of(layer), workload.catalog.n_events
+    lookups, stacked, _ = build_layer_tables(
+        workload.portfolio.elts_of(layer),
+        workload.catalog.n_events,
+        "direct",
+        np.float64,
     )
-    return workload.yet.to_dense(), lookups, layer.terms
+    yet = workload.yet
+    return (yet.event_ids, yet.offsets, lookups, layer.terms), stacked, layer
 
 
 def test_deterministic_kernel(benchmark, kernel_inputs):
-    dense, lookups, terms = kernel_inputs
-    year = benchmark(layer_trial_batch, dense, lookups, terms)
+    args, stacked, _ = kernel_inputs
+    year = benchmark(layer_trial_batch_ragged, *args, stacked=stacked)
     assert np.all(year >= 0)
 
 
 def test_secondary_uncertainty_kernel(benchmark, kernel_inputs):
-    dense, lookups, terms = kernel_inputs
+    args, stacked, layer = kernel_inputs
     su = SecondaryUncertainty(4.0, 4.0)
     year = benchmark(
-        layer_trial_batch_secondary, dense, lookups, terms, su, 42
+        layer_trial_batch_secondary_ragged,
+        *args,
+        su,
+        layer_stream_key(42, layer.layer_id),
+        stacked=stacked,
     )
     benchmark.extra_info["multiplier_cv"] = su.multiplier_cv
     assert np.all(year >= 0)

@@ -24,12 +24,7 @@ Quickstart::
 
 from repro.core.analysis import AggregateRiskAnalysis, AnalysisResult
 from repro.core.algorithm import aggregate_risk_analysis_reference
-from repro.core.kernels import (
-    DEFAULT_KERNEL,
-    KERNELS,
-    autotune_batch_trials,
-    run_ragged,
-)
+from repro.core.kernels import autotune_batch_trials, run_ragged
 from repro.core.occurrence import max_occurrence_losses, occurrence_frequency
 from repro.core.secondary import SecondaryUncertainty
 from repro.data import (
@@ -101,8 +96,6 @@ __all__ = [
     "AggregateRiskAnalysis",
     "AnalysisResult",
     "aggregate_risk_analysis_reference",
-    "DEFAULT_KERNEL",
-    "KERNELS",
     "autotune_batch_trials",
     "run_ragged",
     "SecondaryUncertainty",

@@ -14,8 +14,8 @@ back to the vectorised numpy path — which is therefore both the
 permanent correctness oracle and the universal fallback.  Concretely,
 compiled backends only ever see the stacked-direct, non-secondary path
 (one ``(n_elts, catalog + 1)`` table, CSR ids/offsets); non-direct
-lookup kinds, the dense kernel and the counter-based secondary streams
-always run the oracle, so "fallback" is not an error state but the
+lookup kinds and the counter-based secondary streams always run the
+oracle, so "fallback" is not an error state but the
 normal route for everything outside the hot loop.
 
 Numerics policy

@@ -50,11 +50,11 @@ from repro.utils.timer import ACTIVITIES
 #: default measured workload — small enough for CI, same shape as PAPER
 DEFAULT_MEASURED = BENCH_SMALL
 
-#: kernel used by the paper-figure experiments' *measured* rows.  Their
-#: model_* columns price the paper's padded dense CUDA/CPU kernels, so
-#: measurements must run the same ledger; the KERNEL-ABLATE pair is
-#: where the fused ragged kernel (the engine default) is compared.
-PAPER_KERNEL = "dense"
+#: traffic ledger of the paper-figure experiments' measured GPU rows.
+#: Their model_* columns price the paper's padded CUDA kernels, so the
+#: simulated devices must price the same ledger.  (``create_engine``
+#: drops the option for the CPU engines, which price nothing.)
+PAPER_TRAFFIC = "paper"
 
 
 # ----------------------------------------------------------------------
@@ -91,7 +91,7 @@ def seq_scaling(
                 "model_seconds": model.total_seconds,
             }
             if measure:
-                result = measure_engine(spec, "sequential", kernel=PAPER_KERNEL)
+                result = measure_engine(spec, "sequential")
                 row["measured_seconds"] = result.wall_seconds
             report.add(**row)
     report.note(
@@ -131,9 +131,7 @@ def fig1a(
             "model_speedup": seq_model / model.total_seconds,
         }
         if measure:
-            result = measure_engine(
-                measured_spec, "multicore", n_cores=n, kernel=PAPER_KERNEL
-            )
+            result = measure_engine(measured_spec, "multicore", n_cores=n)
             if measured_base is None:
                 measured_base = result.wall_seconds
             row["measured_seconds"] = result.wall_seconds
@@ -175,7 +173,6 @@ def fig1b(
                 "multicore",
                 n_cores=n_cores,
                 threads_per_core=t,
-                kernel=PAPER_KERNEL,
             )
             row["measured_seconds"] = result.wall_seconds
         report.add(**row)
@@ -209,7 +206,10 @@ def fig2(
         }
         if measure:
             result = measure_engine(
-                measured_spec, "gpu", threads_per_block=tpb, kernel=PAPER_KERNEL
+                measured_spec,
+                "gpu",
+                threads_per_block=tpb,
+                traffic=PAPER_TRAFFIC,
             )
             row["sim_modeled_seconds"] = result.modeled_seconds
         report.add(**row)
@@ -244,7 +244,7 @@ def fig3(
         }
         if measure:
             result = measure_engine(
-                measured_spec, "multi-gpu", n_devices=n, kernel=PAPER_KERNEL
+                measured_spec, "multi-gpu", n_devices=n, traffic=PAPER_TRAFFIC
             )
             if measured_base is None:
                 measured_base = result.modeled_seconds
@@ -294,7 +294,7 @@ def fig4(
                 measured_spec,
                 "multi-gpu",
                 threads_per_block=tpb,
-                kernel=PAPER_KERNEL,
+                traffic=PAPER_TRAFFIC,
             )
             row["sim_modeled_seconds"] = result.modeled_seconds
         report.add(**row)
@@ -330,7 +330,7 @@ def fig5(
             "model_speedup": seq_model / prediction.total_seconds,
         }
         if measure:
-            result = measure_engine(measured_spec, name, kernel=PAPER_KERNEL)
+            result = measure_engine(measured_spec, name, traffic=PAPER_TRAFFIC)
             if result.modeled_seconds is None:
                 # CPU engines: real wall seconds, comparable to each other.
                 row["measured_wall_seconds"] = result.wall_seconds
@@ -373,7 +373,7 @@ def fig6(
         report.add(source="model-paper", **row_model)
     if measure:
         for name in ("sequential", "multicore", "gpu", "gpu-optimized", "multi-gpu"):
-            result = measure_engine(measured_spec, name, kernel=PAPER_KERNEL)
+            result = measure_engine(measured_spec, name, traffic=PAPER_TRAFFIC)
             fractions = result.profile.fractions()
             row = {
                 "source": "measured",
@@ -484,16 +484,16 @@ def opt_ablation(
             "model_paper_seconds": model.total_seconds,
         }
         if measure:
-            # Pinned to the dense kernel: this experiment reproduces the
-            # paper's ablation of its padded CUDA kernel, which is what
-            # the analytic model prices.
+            # Priced on the paper's ledger: this experiment reproduces
+            # the paper's ablation of its padded CUDA kernel, which is
+            # what the analytic model prices.
             result = measure_engine(
                 measured_spec,
                 "gpu-optimized",
                 threads_per_block=tpb,
                 chunk_events=chunk_events,
                 flags=flags,
-                kernel="dense",
+                traffic=PAPER_TRAFFIC,
             )
             row["sim_modeled_seconds"] = result.modeled_seconds
         report.add(**row)
@@ -509,181 +509,10 @@ def opt_ablation(
     return report
 
 
-# ----------------------------------------------------------------------
-# KERNEL-ABLATE: dense padded kernel vs fused ragged CSR kernel
-# ----------------------------------------------------------------------
-def kernel_ablation(
-    measured_spec: WorkloadSpec = DEFAULT_MEASURED,
-    measure: bool = True,
-    repeats: int = 5,
-) -> ExperimentReport:
-    """Fused ragged CSR kernel vs the legacy dense padded kernel."""
-    from repro.core.kernels import dense_intermediate_bytes, run_ragged
-    from repro.core.vectorized import run_vectorized
-    from repro.utils.bufpool import ScratchBufferPool
-
-    report = ExperimentReport(
-        exp_id="KERNEL-ABLATE",
-        title="Kernel path ablation: dense padded vs fused ragged CSR",
-    )
-    if measure:
-        workload = get_workload(measured_spec)
-        yet, portfolio = workload.yet, workload.portfolio
-        catalog = workload.catalog.n_events
-        for dtype_label, dtype in (("float64", np.float64), ("float32", np.float32)):
-            itemsize = np.dtype(dtype).itemsize
-            for kernel in ("dense", "ragged"):
-                pool = ScratchBufferPool()
-
-                def run_once() -> None:
-                    if kernel == "dense":
-                        run_vectorized(yet, portfolio, catalog, dtype=dtype)
-                    else:
-                        run_ragged(yet, portfolio, catalog, dtype=dtype, pool=pool)
-
-                run_once()  # warm the lookup cache and the scratch pool
-                best = min(_timed_seconds(run_once) for _ in range(max(1, repeats)))
-                if kernel == "dense":
-                    # Analytic: the dense path's intermediates are untracked
-                    # allocator churn, estimated at its documented peak.
-                    peak = dense_intermediate_bytes(
-                        yet.n_trials, yet.max_events_per_trial, itemsize
-                    )
-                else:
-                    peak = pool.peak_bytes
-                report.add(
-                    kernel=kernel,
-                    dtype=dtype_label,
-                    measured_seconds=best,
-                    lookups_per_second=measured_spec.n_lookups / best,
-                    peak_intermediate_bytes=peak,
-                )
-        by_key = {(r["kernel"], r["dtype"]): r for r in report.rows}
-        for dtype_label in ("float64", "float32"):
-            dense_row = by_key[("dense", dtype_label)]
-            ragged_row = by_key[("ragged", dtype_label)]
-            report.note(
-                f"{dtype_label}: ragged is "
-                f"{dense_row['measured_seconds'] / ragged_row['measured_seconds']:.2f}x "
-                f"faster than dense with "
-                f"{dense_row['peak_intermediate_bytes'] / max(1, ragged_row['peak_intermediate_bytes']):.2f}x "
-                "less peak intermediate memory."
-            )
-    report.note(
-        "the ragged path never materialises a (trials, events) dense "
-        "block: one stacked gather per occurrence chunk, in-place terms "
-        "in pooled scratch, np.add.reduceat over the CSR offsets."
-    )
-    return report
-
-
 def _timed_seconds(fn) -> float:
     started = time.perf_counter()
     fn()
     return time.perf_counter() - started
-
-
-# ----------------------------------------------------------------------
-# KERNEL-ABLATE-SECONDARY: secondary uncertainty, dense vs fused ragged
-# ----------------------------------------------------------------------
-def kernel_ablation_secondary(
-    measured_spec: WorkloadSpec = DEFAULT_MEASURED,
-    measure: bool = True,
-    repeats: int = 5,
-) -> ExperimentReport:
-    """Secondary-uncertainty kernels: dense rejection-sampled vs fused.
-
-    The dense path draws ``rng.beta`` per padded (occurrence, ELT) slot;
-    the fused ragged path samples counter-based inverse-transform
-    multipliers directly into pooled scratch inside the stacked-gather
-    chunk.  Same Beta damage-ratio model, same mean-1 guarantee — the
-    ablation quantifies the sampling formulation's speedup and the
-    memory-footprint gap.
-    """
-    from repro.core.kernels import dense_intermediate_bytes, run_ragged
-    from repro.core.secondary import SecondaryUncertainty
-    from repro.core.vectorized import run_vectorized
-    from repro.utils.bufpool import ScratchBufferPool
-
-    report = ExperimentReport(
-        exp_id="KERNEL-ABLATE-SECONDARY",
-        title="Secondary-uncertainty kernel ablation: dense vs fused ragged",
-    )
-    if measure:
-        workload = get_workload(measured_spec)
-        yet, portfolio = workload.yet, workload.portfolio
-        catalog = workload.catalog.n_events
-        su = SecondaryUncertainty(4.0, 4.0)
-        for dtype_label, dtype in (("float64", np.float64), ("float32", np.float32)):
-            itemsize = np.dtype(dtype).itemsize
-            for kernel in ("dense", "ragged"):
-                pool = ScratchBufferPool()
-
-                def run_once() -> None:
-                    if kernel == "dense":
-                        run_vectorized(
-                            yet,
-                            portfolio,
-                            catalog,
-                            dtype=dtype,
-                            secondary=su,
-                            secondary_seed=42,
-                        )
-                    else:
-                        run_ragged(
-                            yet,
-                            portfolio,
-                            catalog,
-                            dtype=dtype,
-                            pool=pool,
-                            secondary=su,
-                            secondary_seed=42,
-                        )
-
-                run_once()  # warm lookup cache, scratch pool, quantile table
-                best = min(_timed_seconds(run_once) for _ in range(max(1, repeats)))
-                if kernel == "dense":
-                    peak = dense_intermediate_bytes(
-                        yet.n_trials,
-                        yet.max_events_per_trial,
-                        itemsize,
-                        secondary=True,
-                    )
-                else:
-                    peak = pool.peak_bytes
-                report.add(
-                    kernel=kernel,
-                    dtype=dtype_label,
-                    measured_seconds=best,
-                    lookups_per_second=measured_spec.n_lookups / best,
-                    peak_intermediate_bytes=peak,
-                )
-        by_key = {(r["kernel"], r["dtype"]): r for r in report.rows}
-        for dtype_label in ("float64", "float32"):
-            dense_row = by_key[("dense", dtype_label)]
-            ragged_row = by_key[("ragged", dtype_label)]
-            report.note(
-                f"{dtype_label}: fused ragged secondary is "
-                f"{dense_row['measured_seconds'] / ragged_row['measured_seconds']:.2f}x "
-                f"faster than dense secondary with "
-                f"{dense_row['peak_intermediate_bytes'] / max(1, ragged_row['peak_intermediate_bytes']):.2f}x "
-                "less peak intermediate memory."
-            )
-    report.note(
-        "the fused path replaces per-slot Beta rejection sampling with "
-        "one Philox uniform + quantile-table read per (occurrence, ELT) "
-        "pair, sampled into pooled scratch beside the gathered block; "
-        "draws are keyed by global occurrence index, so results are "
-        "invariant to batching and engine decomposition."
-    )
-    report.note(
-        "chunk geometry follows this host's detected L2 budget "
-        "(override with REPRO_L2_CACHE_BYTES); the CI artifact in "
-        "benchmarks/BENCH_kernels.json pins 1 MiB for cross-machine "
-        "comparability, so its absolute numbers can differ from this "
-        "report's."
-    )
-    return report
 
 
 def quote_bench_spec() -> WorkloadSpec:
@@ -1581,9 +1410,12 @@ def ext_secondary(
     measured_spec: WorkloadSpec = DEFAULT_MEASURED, measure: bool = True
 ) -> ExperimentReport:
     """Secondary uncertainty: distributional cost and statistical effect."""
-    from repro.core.secondary import SecondaryUncertainty, layer_trial_batch_secondary
-    from repro.core.vectorized import layer_trial_batch
-    from repro.lookup.factory import build_layer_lookups
+    from repro.core.kernels import (
+        build_layer_tables,
+        layer_trial_batch_ragged,
+        layer_trial_batch_secondary_ragged,
+    )
+    from repro.core.secondary import SecondaryUncertainty, layer_stream_key
 
     report = ExperimentReport(
         exp_id="EXT-SECONDARY",
@@ -1592,12 +1424,17 @@ def ext_secondary(
     if measure:
         workload = get_workload(measured_spec)
         layer = workload.portfolio.layers[0]
-        lookups = build_layer_lookups(
-            workload.portfolio.elts_of(layer), workload.catalog.n_events
+        lookups, stacked, _ = build_layer_tables(
+            workload.portfolio.elts_of(layer),
+            workload.catalog.n_events,
+            "direct",
+            np.float64,
         )
-        dense = workload.yet.to_dense()
+        ids, offsets = workload.yet.event_ids, workload.yet.offsets
         started = time.perf_counter()
-        base = layer_trial_batch(dense, lookups, layer.terms)
+        base = layer_trial_batch_ragged(
+            ids, offsets, lookups, layer.terms, stacked=stacked
+        )
         base_seconds = time.perf_counter() - started
         for cv_label, su in (
             ("none", None),
@@ -1609,8 +1446,14 @@ def ext_secondary(
                 seconds = base_seconds
             else:
                 started = time.perf_counter()
-                year = layer_trial_batch_secondary(
-                    dense, lookups, layer.terms, su, seed=42
+                year = layer_trial_batch_secondary_ragged(
+                    ids,
+                    offsets,
+                    lookups,
+                    layer.terms,
+                    su,
+                    layer_stream_key(42, layer.layer_id),
+                    stacked=stacked,
                 )
                 seconds = time.perf_counter() - started
             report.add(
@@ -2510,8 +2353,6 @@ ALL_EXPERIMENTS = {
     "FIG-6": fig6,
     "DS-TABLE": data_structures,
     "OPT-ABLATE": opt_ablation,
-    "KERNEL-ABLATE": kernel_ablation,
-    "KERNEL-ABLATE-SECONDARY": kernel_ablation_secondary,
     "PLAN-ABLATE": plan_ablation,
     "REPLAY-ABLATE": replay_ablation,
     "FLEET-ABLATE": fleet_ablation,

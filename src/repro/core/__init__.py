@@ -4,19 +4,15 @@
   (steps 2–4 of Algorithm 1), scalar and vectorised.
 * :mod:`repro.core.algorithm` — a line-by-line scalar reference of
   Algorithm 1, the correctness oracle for every engine.
-* :mod:`repro.core.vectorized` — the dense trial-batch kernel: the
-  legacy numerical core all five implementations in
-  :mod:`repro.engines` share.
-* :mod:`repro.core.kernels` — the fused zero-copy kernel path: ragged
-  CSR execution, stacked multi-ELT gathers, pooled scratch buffers,
-  double-buffered batch streaming and the L2-aware batch autotuner
-  (``kernel="ragged"``, the default on every engine).
+* :mod:`repro.core.kernels` — the numeric kernel every implementation
+  in :mod:`repro.engines` shares: ragged CSR execution, stacked
+  multi-ELT gathers, pooled scratch buffers, double-buffered batch
+  streaming and the L2-aware batch autotuner.
 * :mod:`repro.core.analysis` — the high-level
   :class:`~repro.core.analysis.AggregateRiskAnalysis` entry point.
 * :mod:`repro.core.secondary` — the paper's future-work extension:
   secondary uncertainty (per-event loss distributions) inside the
-  kernel, with counter-based decomposition-invariant sampling on the
-  ragged path.
+  kernel, with counter-based decomposition-invariant sampling.
 """
 
 from repro.core.terms import (
@@ -25,13 +21,7 @@ from repro.core.terms import (
     trial_loss_from_occurrence_losses,
 )
 from repro.core.algorithm import aggregate_risk_analysis_reference
-from repro.core.vectorized import (
-    layer_trial_batch,
-    run_vectorized,
-)
 from repro.core.kernels import (
-    DEFAULT_KERNEL,
-    KERNELS,
     autotune_batch_trials,
     get_l2_cache_bytes,
     layer_trial_batch_ragged,
@@ -41,7 +31,7 @@ from repro.core.kernels import (
     segment_sums,
 )
 from repro.core.analysis import AggregateRiskAnalysis, AnalysisResult
-from repro.core.secondary import SecondaryUncertainty, layer_trial_batch_secondary
+from repro.core.secondary import SecondaryUncertainty
 from repro.core.occurrence import max_occurrence_losses, occurrence_frequency
 
 __all__ = [
@@ -51,10 +41,6 @@ __all__ = [
     "apply_occurrence_terms",
     "trial_loss_from_occurrence_losses",
     "aggregate_risk_analysis_reference",
-    "layer_trial_batch",
-    "run_vectorized",
-    "DEFAULT_KERNEL",
-    "KERNELS",
     "autotune_batch_trials",
     "get_l2_cache_bytes",
     "layer_trial_batch_ragged",
@@ -65,5 +51,4 @@ __all__ = [
     "AggregateRiskAnalysis",
     "AnalysisResult",
     "SecondaryUncertainty",
-    "layer_trial_batch_secondary",
 ]

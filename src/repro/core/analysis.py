@@ -88,13 +88,6 @@ class AggregateRiskAnalysis:
     dtype:
         Working precision; ``numpy.float32`` reproduces the paper's
         reduced-precision optimisation.
-    kernel:
-        Numerical core: ``"ragged"`` (the fused zero-copy CSR kernel of
-        :mod:`repro.core.kernels`, the default — ~2-3x faster than dense
-        with ~2.5x less peak scratch, and the only path with
-        decomposition-invariant secondary sampling) or ``"dense"`` (the
-        legacy padded trial-block kernel, kept selectable as the
-        bit-for-bit baseline).
     secondary:
         Optional :class:`~repro.core.secondary.SecondaryUncertainty`:
         sample per-(occurrence, ELT) damage-ratio multipliers inside the
@@ -102,7 +95,7 @@ class AggregateRiskAnalysis:
     secondary_seed:
         Seed of the multiplier streams (ignored without ``secondary``).
     backend:
-        Kernel backend the ragged path dispatches through on every run
+        Backend the kernel dispatches through on every run
         — a registry name (``"numpy"``/``"numba"``/``"cupy"``/
         ``"auto"``), a backend instance, or None to follow the
         ``REPRO_KERNEL_BACKEND``-then-numpy precedence of
@@ -124,21 +117,17 @@ class AggregateRiskAnalysis:
         catalog_size: int,
         lookup_kind: str = "direct",
         dtype: np.dtype | type = np.float64,
-        kernel: str | None = None,
         secondary=None,
         secondary_seed=None,
         backend=None,
         store=None,
     ) -> None:
-        from repro.core.kernels import DEFAULT_KERNEL, check_kernel
-
         check_positive("catalog_size", catalog_size)
         portfolio.validate()
         self.portfolio = portfolio
         self.catalog_size = int(catalog_size)
         self.lookup_kind = lookup_kind
         self.dtype = np.dtype(dtype)
-        self.kernel = check_kernel(DEFAULT_KERNEL if kernel is None else kernel)
         self.secondary = secondary
         self.secondary_seed = secondary_seed
         self.backend = backend
@@ -150,7 +139,6 @@ class AggregateRiskAnalysis:
         options: Dict[str, Any] = {
             "lookup_kind": self.lookup_kind,
             "dtype": self.dtype,
-            "kernel": self.kernel,
             "secondary": self.secondary,
             "secondary_seed": self.secondary_seed,
             "backend": self.backend,
@@ -187,7 +175,8 @@ class AggregateRiskAnalysis:
         ``"reference"``, ``"sequential"``, ``"multicore"``, ``"gpu"``,
         ``"gpu-optimized"``, ``"multi-gpu"``.  Extra keyword arguments are
         forwarded to the engine constructor (e.g. ``n_cores=8`` for
-        multicore, ``threads_per_block=256`` for GPU engines).
+        multicore, ``threads_per_block=256`` or ``traffic="paper"`` for
+        GPU engines).
 
         ``plan`` (an :class:`~repro.plan.plan.ExecutionPlan`, e.g. from
         :meth:`plan`) skips planning and executes the given
@@ -228,14 +217,7 @@ class AggregateRiskAnalysis:
         re-sweep of a partially changed input computes only the delta),
         drained by ``n_workers`` in-process worker threads, and
         assembled from the store into a YLT **bit-for-bit identical**
-        to a monolithic :meth:`run` of the same numeric configuration
-        (the dense-secondary path additionally requires the engine's
-        own plan, the default here).  One documented exception: the
-        simulated-GPU engines' dense-secondary streams are seeded
-        engine-internally (``"gpu-dense-secondary"``), so for those
-        three configurations the fleet produces the *CPU-canonical*
-        bytes of the same plan (identical to ``execute_plan_cpu``)
-        rather than the GPU engine's private stream.
+        to a monolithic :meth:`run` of the same numeric configuration.
 
         ``queue_dir`` makes the sweep durable and shareable: external
         ``repro-fleet worker`` processes pointing at the same queue and

@@ -1,18 +1,14 @@
-"""Fused zero-copy kernels: Algorithm 1 directly on the ragged CSR arrays.
+"""The numeric kernel: Algorithm 1 directly on the ragged CSR arrays.
 
-Why a second kernel path
-------------------------
+Every engine — sequential, multicore, the simulated GPUs and the fleet
+workers — computes year losses through this module; only the schedule
+around it differs, as in the paper, where one kernel body runs from
+sequential C++ to four GPUs.
+
 The paper's central lesson is that aggregate risk analysis is
 memory-bound: every optimisation that won (direct access tables, chunked
 shared-memory staging, reduced precision) cuts bytes moved per trial.
-The legacy dense path (:mod:`repro.core.vectorized`) moves *more* bytes
-than the problem requires: each batch pads the ragged YET to a
-``(trials, events)`` matrix, then loops over ELTs doing one gather plus
-several term-application temporaries each — a 15-ELT layer materialises
-~45 full-size intermediates per batch.
-
-This module is the fused alternative, selected with ``kernel="ragged"``
-on any engine (``kernel="dense"`` keeps the legacy path):
+The kernel is built around that:
 
 * **no dense padding** — the kernel runs on the YET's CSR arrays
   (``event_ids``/``offsets``) directly, via zero-copy views from
@@ -26,8 +22,8 @@ on any engine (``kernel="dense"`` keeps the legacy path):
   vector in place, and all working arrays come from a
   :class:`~repro.utils.bufpool.ScratchBufferPool` (allocate once, reuse
   every batch);
-* **segment reduction instead of a padded row-sum** — per-trial totals
-  come from ``np.add.reduceat`` over the CSR offsets;
+* **segment reduction** — per-trial totals come from
+  ``np.add.reduceat`` over the CSR offsets;
 * **occurrence chunking** — the gather runs over bounded occurrence
   chunks (the CPU mirror of the paper's shared-memory chunking), so peak
   scratch is ``n_elts x occ_chunk`` words rather than
@@ -35,20 +31,8 @@ on any engine (``kernel="dense"`` keeps the legacy path):
 * **a batch autotuner** — :func:`autotune_batch_trials` sizes trial
   batches to a byte budget instead of defaulting to all-trials-at-once.
 
-Choosing ``dense`` vs ``ragged``
---------------------------------
-Prefer ``ragged`` when trials are ragged (dense padding wastes
-``max/mean`` in both memory and arithmetic), when layers have many ELTs
-(the fused gather and in-place terms remove per-ELT temporaries), or
-when memory is tight (the autotuner plus pooling bound peak scratch).
-The dense path remains useful as the bit-for-bit legacy baseline, for
-the ``combined`` GPU variant study, and for workloads so small that
-kernel choice is noise.  Both paths produce YLTs equal to the scalar
-reference within float64 tolerance; the ``KERNEL-ABLATE`` experiment and
-``benchmarks/test_kernel_fusion.py`` track the trajectory.
-
 Non-direct lookup kinds (``sorted``/``hash``/``cuckoo``/``compressed``)
-cannot be stacked into one matrix; for them the ragged path still runs —
+cannot be stacked into one matrix; for them the kernel still runs —
 per-ELT lookups over the *flat* CSR id array, combined in place — it
 just forgoes the single fused gather.
 """
@@ -81,16 +65,11 @@ from repro.utils.timer import (
     ActivityProfile,
 )
 
-KERNEL_DENSE = "dense"
+#: the kernel's name in key formats.  Plan fingerprints, segment keys,
+#: analysis keys, fleet manifest ``config`` blocks and scenario campaign
+#: keys carry it as a constant, so stores written while a second
+#: (padded) kernel existed still replay.
 KERNEL_RAGGED = "ragged"
-KERNELS = (KERNEL_DENSE, KERNEL_RAGGED)
-"""Kernel-path names accepted by engines and the high-level API."""
-
-#: the default kernel path of every engine and the high-level API.
-#: Ragged became the default once KERNEL-ABLATE confirmed parity with a
-#: ~2-3x speedup and ~2.5x lower peak scratch across dtypes; ``dense``
-#: remains selectable as the legacy baseline.
-DEFAULT_KERNEL = KERNEL_RAGGED
 
 #: default scratch budget of the batch autotuner (bytes)
 DEFAULT_BATCH_BUDGET_BYTES = 64 * 2**20
@@ -204,13 +183,6 @@ def occ_chunk_for(
     return max(MIN_OCC_CHUNK, min(max_occ_chunk(itemsize, l2), chunk))
 
 
-def check_kernel(kernel: str) -> str:
-    """Validate a kernel-path name (engine constructors call this)."""
-    if kernel not in KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
-    return kernel
-
-
 # ----------------------------------------------------------------------
 # Autotuning
 # ----------------------------------------------------------------------
@@ -231,9 +203,9 @@ def autotune_batch_trials(
     size the kernel will actually use, including the secondary path's
     rounding of the chunk to whole RNG tiles), the secondary path's
     multiplier block plus its per-tile uniform/index workspaces, and the
-    per-trial totals.  Solving ``scratch(batch) <= budget`` replaces the
-    dense path's default of all-trials-at-once with an explicit memory
-    policy; the result is clamped to ``[1, n_trials]``.
+    per-trial totals.  Solving ``scratch(batch) <= budget`` gives an
+    explicit memory policy instead of all-trials-at-once; the result is
+    clamped to ``[1, n_trials]``.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
@@ -260,30 +232,6 @@ def autotune_batch_trials(
     return max(1, min(n_trials, batch))
 
 
-def dense_intermediate_bytes(
-    n_trials_batch: int, max_events: int, itemsize: int = 8, secondary: bool = False
-) -> int:
-    """Estimated peak intermediate bytes of one dense-path batch.
-
-    Counts the full-size blocks simultaneously live at the legacy
-    kernel's peak (inside a financial-term application): the padded
-    ``(batch, max_events)`` id matrix (int32), the combined block, the
-    gather result and two term-application temporaries — four blocks of
-    the working itemsize plus the 4-byte ids.  With ``secondary``, the
-    dense path additionally materialises a full-size float64 multiplier
-    matrix and the scaled-gross temporary it produces.  The
-    ``KERNEL-ABLATE`` experiments compare these estimates against the
-    ragged path's *measured* pool peak.
-    """
-    block = int(n_trials_batch) * int(max_events)
-    per_slot = 4 + 4 * int(itemsize)
-    if secondary:
-        # rng-sampled multipliers are always float64; `gross * multipliers`
-        # adds one more block at the promoted itemsize.
-        per_slot += 8 + max(8, int(itemsize))
-    return block * per_slot
-
-
 # ----------------------------------------------------------------------
 # Segment reduction
 # ----------------------------------------------------------------------
@@ -294,9 +242,9 @@ def segment_sums(
 
     ``offsets`` delimits segment ``i`` as ``values[offsets[i]:offsets[i+1]]``;
     empty segments (including trailing ones whose start index equals
-    ``values.size``) sum to exactly 0.0.  This replaces the dense path's
-    padded row-sum: one ``np.add.reduceat`` over the offsets instead of
-    touching ``n_trials x max_events`` slots.
+    ``values.size``) sum to exactly 0.0: one ``np.add.reduceat`` over
+    the offsets instead of a row-sum over ``n_trials x max_events``
+    padded slots.
     """
     offs = np.asarray(offsets)
     starts = offs[:-1]
@@ -328,20 +276,29 @@ def build_layer_tables(
     catalog_size: int,
     lookup_kind: str,
     dtype: np.dtype | type,
-    kernel: str,
+    legacy_kernel: str = KERNEL_RAGGED,
     cache: LookupCache | None = None,
 ) -> tuple[list, StackedDirectTable | None, int]:
-    """Cached lookup structures for one layer, per kernel path.
+    """Cached lookup structures for one layer.
 
-    Returns ``(lookups, stacked, table_bytes)``: the ragged path over
-    direct tables uses one stacked matrix (``lookups`` empty), every
-    other combination uses the per-ELT structures.  ``table_bytes`` is
-    what an engine stages to a (simulated) device.  Builds go through
-    ``cache`` (the process-wide lookup cache by default) so layers
-    sharing ELTs — and repeated runs — build once.
+    Returns ``(lookups, stacked, table_bytes)``: direct tables are
+    stacked into one matrix (``lookups`` empty), every other lookup kind
+    uses the per-ELT structures.  ``table_bytes`` is what an engine
+    stages to a (simulated) device.  Builds go through ``cache`` (the
+    process-wide lookup cache by default) so layers sharing ELTs — and
+    repeated runs — build once.
+
+    ``legacy_kernel`` keeps the fifth positional slot of the old
+    per-kernel signature, which ``perfbench/harness.py`` still fills
+    with :data:`KERNEL_RAGGED`; any other value raises ``ValueError``.
     """
+    if legacy_kernel != KERNEL_RAGGED:
+        raise ValueError(
+            f"unknown kernel {legacy_kernel!r}: {KERNEL_RAGGED!r} is the "
+            "only kernel"
+        )
     cache = cache if cache is not None else get_lookup_cache()
-    if kernel == KERNEL_RAGGED and lookup_kind == "direct":
+    if lookup_kind == "direct":
         stacked = cache.stacked_table(elts, catalog_size, dtype=dtype)
         return [], stacked, stacked.nbytes
     lookups = cache.layer_lookups(
@@ -422,7 +379,7 @@ def _fill_combined(
             pool.give(gross)
     else:
         # Fallback combine for non-stackable lookup kinds: still no
-        # dense padding — per-ELT lookups run over the flat id array.
+        # padding — per-ELT lookups run over the flat id array.
         combined[:] = 0.0
         work = combined.dtype
         for lookup in lookups or ():
@@ -746,8 +703,8 @@ def run_ragged(
     """Full analysis with the fused ragged kernel, batched over trials.
 
     ``batch_trials=None`` (the default) invokes
-    :func:`autotune_batch_trials` with ``budget_bytes`` — unlike the
-    dense path, the default is a memory policy, not all-trials-at-once.
+    :func:`autotune_batch_trials` with ``budget_bytes`` — the default
+    is a memory policy, not all-trials-at-once.
     Lookup builds go through ``cache`` (the process-wide
     :func:`~repro.lookup.factory.get_lookup_cache` by default) so layers
     sharing ELTs — and repeated runs — build each table once.
@@ -783,7 +740,6 @@ def run_ragged(
     caps = EngineCapabilities(
         engine="run-ragged",
         n_slots=1,
-        kernel=KERNEL_RAGGED,
         batch_trials=(
             None if batch_trials is None else max(1, int(batch_trials))
         ),

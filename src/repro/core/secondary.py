@@ -12,45 +12,27 @@ Each (event occurrence, ELT) pair draws an independent multiplier inside
 the kernel, which multiplies the lookup cost by a per-access RNG draw —
 exactly the "fine grain analysis" workload the paper anticipates.
 
-Two sampling implementations coexist:
-
-* the legacy dense kernel (:func:`layer_trial_batch_secondary`) draws
-  ``rng.beta`` per (occurrence, ELT) slot of the padded trial block —
-  rejection sampling, sequential stream, results depend on batch order;
-* the fused ragged kernel (:func:`repro.core.kernels.layer_trial_batch_secondary_ragged`)
-  uses the machinery below: **counter-based inverse-transform sampling**.
-  One Philox uniform per (occurrence, ELT) pair indexes a cached
-  equiprobable-quantile table of the rescaled Beta (the GPU-friendly
-  formulation — a counter-addressable RNG plus a table read, no rejection
-  loop).  Streams are keyed by the *global occurrence index* in fixed
-  :data:`SECONDARY_TILE`-wide tiles, so the multipliers a pair receives
-  are invariant to trial batching, occurrence chunking and engine
-  decomposition — any worker that covers a tile regenerates it bit-for-bit.
-  The table's mean is renormalised to exactly 1, preserving expected
-  losses by construction.
+Sampling is **counter-based inverse-transform sampling**
+(used by :func:`repro.core.kernels.layer_trial_batch_secondary_ragged`).
+One Philox uniform per (occurrence, ELT) pair indexes a cached
+equiprobable-quantile table of the rescaled Beta (the GPU-friendly
+formulation — a counter-addressable RNG plus a table read, no rejection
+loop).  Streams are keyed by the *global occurrence index* in fixed
+:data:`SECONDARY_TILE`-wide tiles, so the multipliers a pair receives
+are invariant to trial batching, occurrence chunking and engine
+decomposition — any worker that covers a tile regenerates it bit-for-bit.
+The table's mean is renormalised to exactly 1, preserving expected
+losses by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
-from repro.core.terms import (
-    apply_aggregate_terms_cumulative,
-    apply_occurrence_terms,
-)
-from repro.data.layer import LayerTerms
-from repro.lookup.base import LossLookup
 from repro.utils.rng import SeedLike, default_rng, stable_hash_seed
-from repro.utils.timer import (
-    ACTIVITY_FINANCIAL,
-    ACTIVITY_LAYER,
-    ACTIVITY_LOOKUP,
-    ActivityProfile,
-)
 from repro.utils.validation import check_positive
 
 #: occurrences per counter-based RNG tile.  A tile is the unit of
@@ -105,14 +87,6 @@ class SecondaryUncertainty:
         raw_mean = a / (a + b)
         raw_var = a * b / ((a + b) ** 2 * (a + b + 1))
         return float(np.sqrt(raw_var) / raw_mean)
-
-    def sample_multipliers(
-        self, shape: tuple, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Draw multipliers of ``shape`` with mean 1."""
-        raw = rng.beta(self.alpha, self.beta, size=shape)
-        scale = (self.alpha + self.beta) / self.alpha
-        return raw * scale
 
     def quantile_table(
         self, bins: int = QUANTILE_BINS, dtype: np.dtype | type = np.float64
@@ -248,43 +222,3 @@ def resolve_secondary_seed(seed: SeedLike) -> int:
 def layer_stream_key(base_seed: int, layer_id: int) -> int:
     """Per-layer stream key: layers draw independent multiplier streams."""
     return stable_hash_seed(base_seed, "secondary-layer", int(layer_id))
-
-
-def layer_trial_batch_secondary(
-    event_matrix: np.ndarray,
-    lookups: Sequence[LossLookup],
-    layer_terms: LayerTerms,
-    uncertainty: SecondaryUncertainty,
-    seed: SeedLike = None,
-    profile: ActivityProfile | None = None,
-    dtype: np.dtype | type = np.float64,
-) -> np.ndarray:
-    """Steps 1–4 with per-(occurrence, ELT) secondary-uncertainty draws.
-
-    Identical to :func:`repro.core.vectorized.layer_trial_batch` except the
-    gross loss from each lookup is scaled by an independent damage-ratio
-    multiplier before financial terms apply.
-    """
-    profile = profile if profile is not None else ActivityProfile()
-    rng = default_rng(seed)
-    matrix = np.asarray(event_matrix)
-    if matrix.ndim != 2:
-        raise ValueError(f"event_matrix must be 2-D, got shape {matrix.shape}")
-    work_dtype = np.dtype(dtype)
-
-    combined = np.zeros(matrix.shape, dtype=work_dtype)
-    for lookup in lookups:
-        with profile.track(ACTIVITY_LOOKUP):
-            gross = lookup.lookup(matrix)
-        with profile.track(ACTIVITY_FINANCIAL):
-            multipliers = uncertainty.sample_multipliers(matrix.shape, rng)
-            # Null/padded events have zero gross loss, so scaling them is a
-            # no-op and no masking is needed.
-            net = lookup.terms.apply(gross * multipliers)
-            combined += net.astype(work_dtype, copy=False)
-
-    with profile.track(ACTIVITY_LAYER):
-        occ = apply_occurrence_terms(combined, layer_terms, out=combined)
-        totals = occ.sum(axis=1, dtype=np.float64)
-        year = apply_aggregate_terms_cumulative(totals, layer_terms)
-    return year

@@ -11,10 +11,10 @@ Storage layout
 Trials are stored in CSR-like ragged form: one flat ``event_ids`` array,
 one flat ``timestamps`` array, and an ``offsets`` array with
 ``offsets[i]:offsets[i+1]`` delimiting trial ``i``.  This is the layout
-streamed to the (simulated) GPU.  Vectorised CPU engines prefer a
-rectangular view, produced by :meth:`YearEventTable.to_dense` with null-id
-padding (padding events have id 0 which every lookup structure maps to
-zero loss, so padding never changes a result).
+streamed to the (simulated) GPU and consumed directly by the kernel.  A
+rectangular view is available from :meth:`YearEventTable.to_dense` with
+null-id padding (padding events have id 0 which every lookup structure
+maps to zero loss, so padding never changes a result).
 """
 
 from __future__ import annotations

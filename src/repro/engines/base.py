@@ -45,8 +45,7 @@ class Engine(abc.ABC):
     """One implementation of aggregate risk analysis.
 
     Engines are plan executors: :meth:`capabilities` declares how the
-    engine wants the trial space decomposed (lanes, kernel, balance,
-    batching), the shared :class:`~repro.plan.planner.Planner` turns
+    engine wants the trial space decomposed (lanes, balance, batching), the shared :class:`~repro.plan.planner.Planner` turns
     that into an :class:`~repro.plan.plan.ExecutionPlan`, and
     :meth:`_execute` runs the plan's tasks — no engine owns its own
     decomposition loop.  Because tasks are keyed by global trial and
@@ -67,21 +66,16 @@ class Engine(abc.ABC):
         Working precision of the loss accumulation.  The optimised GPU
         engines override the default to ``float32`` (the paper's
         reduced-precision optimisation) unless told otherwise.
-    kernel:
-        Numerical core: ``"ragged"`` (the fused zero-copy CSR kernel of
-        :mod:`repro.core.kernels`, the default) or ``"dense"`` (the
-        legacy padded trial-block kernel).
     secondary:
         Optional :class:`~repro.core.secondary.SecondaryUncertainty`:
         per-(occurrence, ELT) damage-ratio multipliers applied inside the
-        kernel.  The ragged path samples them with counter-based streams
-        keyed by global occurrence index (reproducible for a given
-        ``secondary_seed`` and invariant to engine decomposition); the
-        dense path draws per batch.
+        kernel, sampled with counter-based streams keyed by global
+        occurrence index (reproducible for a given ``secondary_seed``
+        and invariant to engine decomposition).
     secondary_seed:
         Seed of the multiplier streams (ignored without ``secondary``).
     backend:
-        Kernel backend the ragged path dispatches through — a registry
+        Backend the kernel dispatches through — a registry
         name (``"numpy"``/``"numba"``/``"cupy"``/``"auto"``), a
         :class:`~repro.backends.base.KernelBackend` instance, or None
         to follow the ``REPRO_KERNEL_BACKEND``-then-numpy precedence of
@@ -99,16 +93,12 @@ class Engine(abc.ABC):
         self,
         lookup_kind: str = "direct",
         dtype: np.dtype | type = np.float64,
-        kernel: str | None = None,
         secondary=None,
         secondary_seed=None,
         backend=None,
     ) -> None:
-        from repro.core.kernels import DEFAULT_KERNEL, check_kernel
-
         self.lookup_kind = lookup_kind
         self.dtype = np.dtype(dtype)
-        self.kernel = check_kernel(DEFAULT_KERNEL if kernel is None else kernel)
         self.secondary = secondary
         self.secondary_seed = secondary_seed
         self.backend = backend
@@ -138,7 +128,6 @@ class Engine(abc.ABC):
         return EngineCapabilities(
             engine=self.name,
             n_slots=1,
-            kernel=self.kernel,
             dtype=self.dtype.str,
             secondary=self.secondary is not None,
         )
@@ -355,5 +344,5 @@ class Engine(abc.ABC):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"{type(self).__name__}(lookup_kind={self.lookup_kind!r}, "
-            f"dtype={self.dtype}, kernel={self.kernel!r})"
+            f"dtype={self.dtype})"
         )

@@ -19,8 +19,10 @@ from repro.data.ylt import YearLossTable
 from repro.core.secondary import layer_stream_key
 from repro.engines.base import Engine
 from repro.engines.gpu_common import (
+    TRAFFIC_FUSED,
     ARABasicKernel,
     build_layer_tables,
+    check_traffic,
     merge_meta_occupancy,
     modeled_activity_profile,
 )
@@ -44,6 +46,11 @@ class GPUBasicEngine(Engine):
         observed sweet spot and the default here).
     batch_blocks:
         Functional batching granularity (results/cost unaffected).
+    traffic:
+        Traffic ledger the simulated device prices: ``"fused"`` (the
+        default, what the ragged kernel moves) or ``"paper"`` (the
+        paper's padded CUDA kernel, as the analytic model prices it).
+        Changes modeled seconds only, never the YLT.
     """
 
     name = "gpu"
@@ -55,7 +62,7 @@ class GPUBasicEngine(Engine):
         device_spec: DeviceSpec = TESLA_C2075,
         threads_per_block: int = 256,
         batch_blocks: int = 256,
-        kernel: str | None = None,
+        traffic: str = TRAFFIC_FUSED,
         secondary=None,
         secondary_seed=None,
         backend=None,
@@ -63,11 +70,11 @@ class GPUBasicEngine(Engine):
         super().__init__(
             lookup_kind=lookup_kind,
             dtype=dtype,
-            kernel=kernel,
             secondary=secondary,
             secondary_seed=secondary_seed,
             backend=backend,
         )
+        self.traffic = check_traffic(traffic)
         check_positive("threads_per_block", threads_per_block)
         check_positive("batch_blocks", batch_blocks)
         self.device_spec = device_spec
@@ -81,7 +88,6 @@ class GPUBasicEngine(Engine):
         return EngineCapabilities(
             engine=self.name,
             n_slots=1,
-            kernel=self.kernel,
             slot_batching="whole",
             dtype=self.dtype.str,
             secondary=self.secondary is not None,
@@ -103,7 +109,7 @@ class GPUBasicEngine(Engine):
         profile = ActivityProfile()
         meta: Dict[str, Any] = {
             "device": self.device_spec.name,
-            "kernel": self.kernel,
+            "traffic": self.traffic,
             "secondary": self.secondary is not None,
             "layers": [],
         }
@@ -121,7 +127,6 @@ class GPUBasicEngine(Engine):
                 catalog_size,
                 self.lookup_kind,
                 self.dtype,
-                self.kernel,
             )
             device.alloc(f"elt_tables_layer{layer.layer_id}", table_bytes)
             modeled_total += device.transfers.h2d(
@@ -147,7 +152,7 @@ class GPUBasicEngine(Engine):
                 layer_terms=layer.terms,
                 out=out,
                 dtype=self.dtype,
-                kernel=self.kernel,
+                traffic=self.traffic,
                 stacked=stacked,
                 secondary=self.secondary,
                 secondary_stream_key=layer_stream_key(

@@ -18,23 +18,30 @@ Two kernels mirror the paper's CUDA implementations:
   - **registers** — per-thread accumulators move from shared memory into
     the register file.
 
-Both kernels compute through the same NumPy step functions as the CPU
-engines, so their YLTs are exact (basic) or float32-accurate (optimised
-with reduced precision) relative to the scalar reference.
+Both kernels compute with the same ragged kernel as the CPU engines
+(:mod:`repro.core.kernels`), so their YLTs are exact (basic) or
+float32-accurate (optimised with reduced precision) relative to the
+scalar reference.  What differs is the *traffic ledger* the simulated
+device prices, chosen with ``traffic=``:
 
-Traffic accounting per (event, ELT) pair, basic kernel:
+* ``"fused"`` (the default) — :func:`record_ragged_traffic`, what the
+  fused ragged formulation moves (coalesced CSR streams, fused gather,
+  no global intermediates);
+* ``"paper"`` — :func:`record_basic_traffic` /
+  :func:`record_optimized_traffic`, the paper's padded CUDA kernels,
+  which the analytic performance model prices and the paper-figure
+  experiments reproduce.
+
+The ledger is a pure function of occurrences, trials, ELTs, word size
+and flags, so switching it changes modeled seconds only, never a YLT.
+
+Paper traffic accounting per (event, ELT) pair, basic kernel:
 one RANDOM lookup + four STRIDED intermediate accesses (write/read ``lx``,
 read/write ``lox``); plus nine STRIDED accesses per event for the
 occurrence/cumulative/aggregate steps; plus coalesced YET reads and YLT
 writes.  The optimised kernel keeps only the RANDOM lookups and coalesced
 streams, moving everything else on-chip — which is exactly why the paper
 measures it ~2x faster (38.47 s → 20.63 s).
-
-With ``kernel="ragged"`` both kernel classes switch to
-:func:`record_ragged_traffic`, the fused formulation's own ledger
-(coalesced CSR streams, fused gather, no global intermediates), so
-modeled seconds reflect what the fused kernel actually moves rather than
-reusing the dense ledger.
 """
 
 from __future__ import annotations
@@ -46,19 +53,11 @@ import numpy as np
 
 from repro.core.kernels import (
     build_layer_tables,
-    check_kernel,
     layer_trial_batch_ragged,
     layer_trial_batch_secondary_ragged,
     occ_chunk_for,
 )
-from repro.core.secondary import (
-    SecondaryUncertainty,
-    layer_trial_batch_secondary,
-)
-from repro.core.terms import (
-    apply_aggregate_terms_cumulative,
-    apply_occurrence_terms,
-)
+from repro.core.secondary import SecondaryUncertainty
 from repro.data.layer import LayerTerms
 from repro.data.yet import YearEventTable
 from repro.gpusim.kernel import SimKernel
@@ -66,7 +65,6 @@ from repro.gpusim.memory import DeviceCounters
 from repro.lookup.base import LossLookup
 from repro.lookup.combined import StackedDirectTable
 from repro.utils.bufpool import ScratchBufferPool
-from repro.utils.rng import stable_hash_seed
 from repro.utils.timer import (
     ACTIVITY_FETCH,
     ACTIVITY_FINANCIAL,
@@ -75,6 +73,22 @@ from repro.utils.timer import (
     ACTIVITY_OTHER,
     ActivityProfile,
 )
+
+#: the traffic ledgers a simulated GPU kernel can price (``traffic=``)
+TRAFFIC_FUSED = "fused"
+TRAFFIC_PAPER = "paper"
+TRAFFIC_LEDGERS = (TRAFFIC_FUSED, TRAFFIC_PAPER)
+
+
+def check_traffic(traffic: str) -> str:
+    """Validate a traffic-ledger name (GPU engine constructors call this)."""
+    if traffic not in TRAFFIC_LEDGERS:
+        raise ValueError(
+            f"unknown traffic ledger {traffic!r}; expected one of "
+            f"{TRAFFIC_LEDGERS}"
+        )
+    return traffic
+
 
 # Dynamic instructions per (event, ELT) iteration of the inner loop.
 INSTR_PER_ITER_ROLLED = 8.0
@@ -283,8 +297,8 @@ def record_ragged_traffic(
 ) -> None:
     """Ledger entries of the *fused ragged* kernel (flag-dependent).
 
-    The ragged formulation's traffic differs from the dense ledger in
-    exactly the ways the fusion wins on hardware:
+    The fused formulation's traffic differs from the paper's padded
+    ledger in exactly the ways the fusion wins on hardware:
 
     * the trial stream is the CSR arrays — coalesced event ids **plus
       the coalesced offsets array** — instead of a padded id block;
@@ -293,14 +307,14 @@ def record_ragged_traffic(
       over it in place: with ``flags.chunking`` there is **no** global
       intermediate traffic, without it the gathered block spills to
       global memory and is re-read once by the terms pass (2 accesses
-      per pair — still half the dense basic kernel's 4);
+      per pair — still half the padded basic kernel's 4);
     * the segment reduction + occurrence/aggregate clamps make one
       strided pass over the combined vector (2 accesses per event)
-      instead of the dense path's nine;
+      instead of the padded kernel's nine;
     * with ``secondary``, one quantile-table read per pair (random) and
       the counter-RNG arithmetic.
 
-    Shared by both ARA kernel classes when ``kernel="ragged"`` so the
+    Shared by both ARA kernel classes under ``traffic="fused"`` so the
     modeled GPU seconds show the same fusion win the CPU wall clock
     measures.
     """
@@ -360,12 +374,11 @@ def record_ragged_traffic(
 class _ARAKernelBase(SimKernel):
     """Shared functional body of both ARA kernels (one thread per trial).
 
-    ``kernel`` selects the functional compute: ``"dense"`` (the legacy
-    padded block) or ``"ragged"`` (the fused CSR path of
-    :mod:`repro.core.kernels`, fed by ``stacked`` when the layer uses
-    direct tables).  The *traffic ledger* is unchanged either way — the
-    simulated device still models the paper's CUDA kernels; only the
-    host-side functional arithmetic switches implementation.
+    The functional compute is always the ragged kernel of
+    :mod:`repro.core.kernels` (fed by ``stacked`` when the layer uses
+    direct tables).  ``traffic`` only picks the ledger the simulated
+    device prices: ``"fused"`` (:func:`record_ragged_traffic`) or
+    ``"paper"`` (the paper's padded CUDA kernels).
     """
 
     def __init__(
@@ -375,7 +388,7 @@ class _ARAKernelBase(SimKernel):
         layer_terms: LayerTerms,
         out: np.ndarray,
         dtype: np.dtype,
-        kernel: str = "dense",
+        traffic: str = TRAFFIC_FUSED,
         stacked: StackedDirectTable | None = None,
         secondary: SecondaryUncertainty | None = None,
         secondary_stream_key: int = 0,
@@ -391,7 +404,7 @@ class _ARAKernelBase(SimKernel):
         self.layer_terms = layer_terms
         self.out = out
         self.dtype = np.dtype(dtype)
-        self.kernel = check_kernel(kernel)
+        self.traffic = check_traffic(traffic)
         self.stacked = stacked
         self.secondary = secondary
         self.secondary_stream_key = int(secondary_stream_key)
@@ -399,9 +412,9 @@ class _ARAKernelBase(SimKernel):
         # through (the traffic ledger never depends on it).
         self.backend = backend
         # Global occurrence index of this (sub-)YET's first occurrence:
-        # multi-device engines pass their slice's origin so the ragged
-        # path's counter-based secondary draws stay decomposition-
-        # invariant across device counts.
+        # multi-device engines pass their slice's origin so the
+        # counter-based secondary draws stay decomposition-invariant
+        # across device counts.
         self.occ_origin = int(occ_origin)
         self._pool = ScratchBufferPool()
 
@@ -415,82 +428,67 @@ class _ARAKernelBase(SimKernel):
 
     @property
     def occ_chunk(self) -> int:
-        """Occurrence-chunk depth of the fused ragged gather."""
+        """Occurrence-chunk depth of the fused gather."""
         return occ_chunk_for(max(1, self.n_elts), self.word_bytes)
 
-    def _compute_range(self, start: int, stop: int) -> tuple[np.ndarray, int]:
-        """Functional work for trials [start, stop): returns (year, n_occ)."""
-        if self.kernel == "ragged":
-            ids, offs = self.yet.csr_block(start, stop)
-            if self.secondary is not None:
-                year = layer_trial_batch_secondary_ragged(
-                    ids,
-                    offs,
-                    self.lookups,
-                    self.layer_terms,
-                    self.secondary,
-                    self.secondary_stream_key,
-                    stacked=self.stacked,
-                    occ_base=self.occ_origin + int(self.yet.offsets[start]),
-                    dtype=self.dtype,
-                    pool=self._pool,
-                    backend=self.backend,
-                )
-            else:
-                year = layer_trial_batch_ragged(
-                    ids,
-                    offs,
-                    self.lookups,
-                    self.layer_terms,
-                    stacked=self.stacked,
-                    dtype=self.dtype,
-                    pool=self._pool,
-                    backend=self.backend,
-                )
-            self.out[start:stop] = year
-            return year, ids.size
-        chunk = self.yet.slice_trials(start, stop)
-        dense = chunk.to_dense()
+    def _compute_range(self, start: int, stop: int) -> int:
+        """Functional work for trials [start, stop): returns n_occ."""
+        ids, offs = self.yet.csr_block(start, stop)
         if self.secondary is not None:
-            # occ_origin distinguishes devices of a multi-GPU split whose
-            # sub-YETs all start their local batch ranges at 0 — without
-            # it two devices would replay identical multiplier streams
-            # on different trials.
-            year = layer_trial_batch_secondary(
-                dense,
+            year = layer_trial_batch_secondary_ragged(
+                ids,
+                offs,
                 self.lookups,
                 self.layer_terms,
                 self.secondary,
-                seed=stable_hash_seed(
-                    self.secondary_stream_key,
-                    "gpu-dense-secondary",
-                    self.occ_origin,
-                    start,
-                ),
+                self.secondary_stream_key,
+                stacked=self.stacked,
+                occ_base=self.occ_origin + int(self.yet.offsets[start]),
                 dtype=self.dtype,
+                pool=self._pool,
+                backend=self.backend,
             )
-            self.out[start:stop] = year
-            return year, chunk.n_occurrences
-        combined = np.zeros(dense.shape, dtype=self.dtype)
-        for lookup in self.lookups:
-            gross = lookup.lookup(dense)
-            net = lookup.terms.apply(gross)
-            combined += net.astype(self.dtype, copy=False)
-        occ = apply_occurrence_terms(combined, self.layer_terms, out=combined)
-        totals = occ.sum(axis=1, dtype=np.float64)
-        year = apply_aggregate_terms_cumulative(totals, self.layer_terms)
+        else:
+            year = layer_trial_batch_ragged(
+                ids,
+                offs,
+                self.lookups,
+                self.layer_terms,
+                stacked=self.stacked,
+                dtype=self.dtype,
+                pool=self._pool,
+                backend=self.backend,
+            )
         self.out[start:stop] = year
-        return year, chunk.n_occurrences
+        return ids.size
+
+    def _record_fused(
+        self,
+        counters: DeviceCounters,
+        n_occ: int,
+        n_trials: int,
+        flags: OptimizationFlags,
+    ) -> None:
+        record_ragged_traffic(
+            counters,
+            n_occ=n_occ,
+            n_trials=n_trials,
+            n_elts=self.n_elts,
+            word=self.word_bytes,
+            flags=flags,
+            occ_chunk=self.occ_chunk,
+            secondary=self.secondary is not None,
+        )
 
 
 class ARABasicKernel(_ARAKernelBase):
     """Implementation (iii): intermediates in global/local memory.
 
-    With ``kernel="ragged"`` the ledger switches to
-    :func:`record_ragged_traffic` (no optimisation flags: the gathered
-    block still spills to global memory, but the CSR streams and the
-    fused single-pass reduction already halve the strided traffic) — so
-    modeled seconds show the fusion win even on the unoptimised engine.
+    Under ``traffic="fused"`` the ledger is :func:`record_ragged_traffic`
+    with no optimisation flags (the gathered block still spills to
+    global memory, but the CSR streams and the fused single-pass
+    reduction already halve the strided traffic) — so modeled seconds
+    show the fusion win even on the unoptimised engine.
     """
 
     name = "ara-basic"
@@ -499,17 +497,10 @@ class ARABasicKernel(_ARAKernelBase):
     barrier_intensity = 0.0
 
     def run_range(self, start: int, stop: int, counters: DeviceCounters) -> None:
-        _, n_occ = self._compute_range(start, stop)
-        if self.kernel == "ragged":
-            record_ragged_traffic(
-                counters,
-                n_occ=n_occ,
-                n_trials=stop - start,
-                n_elts=self.n_elts,
-                word=self.word_bytes,
-                flags=OptimizationFlags.none(),
-                occ_chunk=self.occ_chunk,
-                secondary=self.secondary is not None,
+        n_occ = self._compute_range(start, stop)
+        if self.traffic == TRAFFIC_FUSED:
+            self._record_fused(
+                counters, n_occ, stop - start, OptimizationFlags.none()
             )
             return
         record_basic_traffic(
@@ -536,7 +527,7 @@ class ARAOptimizedKernel(_ARAKernelBase):
         dtype: np.dtype,
         flags: OptimizationFlags,
         chunk_events: int = 24,
-        kernel: str = "dense",
+        traffic: str = TRAFFIC_FUSED,
         stacked: StackedDirectTable | None = None,
         secondary: SecondaryUncertainty | None = None,
         secondary_stream_key: int = 0,
@@ -549,7 +540,7 @@ class ARAOptimizedKernel(_ARAKernelBase):
             layer_terms,
             out,
             dtype,
-            kernel=kernel,
+            traffic=traffic,
             stacked=stacked,
             secondary=secondary,
             secondary_stream_key=secondary_stream_key,
@@ -581,18 +572,9 @@ class ARAOptimizedKernel(_ARAKernelBase):
 
     # -- execution ----------------------------------------------------------
     def run_range(self, start: int, stop: int, counters: DeviceCounters) -> None:
-        _, n_occ = self._compute_range(start, stop)
-        if self.kernel == "ragged":
-            record_ragged_traffic(
-                counters,
-                n_occ=n_occ,
-                n_trials=stop - start,
-                n_elts=self.n_elts,
-                word=self.word_bytes,
-                flags=self.flags,
-                occ_chunk=self.occ_chunk,
-                secondary=self.secondary is not None,
-            )
+        n_occ = self._compute_range(start, stop)
+        if self.traffic == TRAFFIC_FUSED:
+            self._record_fused(counters, n_occ, stop - start, self.flags)
             return
         record_optimized_traffic(
             counters,

@@ -20,9 +20,11 @@ from repro.data.ylt import YearLossTable
 from repro.core.secondary import layer_stream_key
 from repro.engines.base import Engine
 from repro.engines.gpu_common import (
+    TRAFFIC_FUSED,
     ARAOptimizedKernel,
     OptimizationFlags,
     build_layer_tables,
+    check_traffic,
     merge_meta_occupancy,
     modeled_activity_profile,
 )
@@ -49,6 +51,11 @@ class GPUOptimizedEngine(Engine):
         keeping the memory bus saturated.
     threads_per_block:
         Block size (256 default, as for the basic engine).
+    traffic:
+        Traffic ledger the simulated device prices: ``"fused"`` (the
+        default, what the ragged kernel moves) or ``"paper"`` (the
+        paper's padded CUDA kernel, as the analytic model prices it).
+        Changes modeled seconds only, never the YLT.
     """
 
     name = "gpu-optimized"
@@ -62,7 +69,7 @@ class GPUOptimizedEngine(Engine):
         chunk_events: int = 24,
         flags: OptimizationFlags | None = None,
         batch_blocks: int = 256,
-        kernel: str | None = None,
+        traffic: str = TRAFFIC_FUSED,
         secondary=None,
         secondary_seed=None,
         backend=None,
@@ -70,11 +77,11 @@ class GPUOptimizedEngine(Engine):
         super().__init__(
             lookup_kind=lookup_kind,
             dtype=dtype,
-            kernel=kernel,
             secondary=secondary,
             secondary_seed=secondary_seed,
             backend=backend,
         )
+        self.traffic = check_traffic(traffic)
         check_positive("threads_per_block", threads_per_block)
         check_positive("chunk_events", chunk_events)
         check_positive("batch_blocks", batch_blocks)
@@ -95,7 +102,6 @@ class GPUOptimizedEngine(Engine):
         return EngineCapabilities(
             engine=self.name,
             n_slots=1,
-            kernel=self.kernel,
             slot_batching="whole",
             dtype=self.working_dtype.str,
             secondary=self.secondary is not None,
@@ -118,7 +124,7 @@ class GPUOptimizedEngine(Engine):
             "device": self.device_spec.name,
             "flags": self.flags.describe(),
             "chunk_events": self.chunk_events,
-            "kernel": self.kernel,
+            "traffic": self.traffic,
             "secondary": self.secondary is not None,
             "layers": [],
         }
@@ -134,7 +140,6 @@ class GPUOptimizedEngine(Engine):
                 catalog_size,
                 self.lookup_kind,
                 dtype,
-                self.kernel,
             )
             device.alloc(f"elt_tables_layer{layer.layer_id}", table_bytes)
             modeled_total += device.transfers.h2d(
@@ -163,7 +168,7 @@ class GPUOptimizedEngine(Engine):
                 dtype=dtype,
                 flags=self.flags,
                 chunk_events=self.chunk_events,
-                kernel=self.kernel,
+                traffic=self.traffic,
                 stacked=stacked,
                 secondary=self.secondary,
                 secondary_stream_key=layer_stream_key(

@@ -11,12 +11,11 @@ the lanes genuinely run in parallel; like the paper's CPU, the shared
 memory bus bounds the achievable speedup — random ELT lookups have no
 locality for the cache hierarchy to exploit.
 
-With ``kernel="ragged"`` (the default) lanes are cut at equal cumulative
-*occurrence* counts — the multi-GPU engine's ``balance="events"`` rule —
-so ragged YETs hand every worker a near-equal share of actual lookups;
-inside a lane, tasks stream through the executor's double-buffered fetch
-(chunk fetch overlaps reduce, matching the sequential engine).  The
-dense kernel keeps the paper's equal-trial split, one task per lane.
+Lanes are cut at equal cumulative *occurrence* counts — the multi-GPU
+engine's ``balance="events"`` rule — so ragged YETs hand every worker a
+near-equal share of actual lookups; inside a lane, tasks stream through
+the executor's double-buffered fetch (chunk fetch overlaps reduce,
+matching the sequential engine).
 """
 
 from __future__ import annotations
@@ -62,7 +61,6 @@ class MulticoreEngine(Engine):
         dtype: np.dtype | type = np.float64,
         n_cores: int | None = None,
         threads_per_core: int = 1,
-        kernel: str | None = None,
         secondary=None,
         secondary_seed=None,
         backend=None,
@@ -70,7 +68,6 @@ class MulticoreEngine(Engine):
         super().__init__(
             lookup_kind=lookup_kind,
             dtype=dtype,
-            kernel=kernel,
             secondary=secondary,
             secondary_seed=secondary_seed,
             backend=backend,
@@ -85,15 +82,11 @@ class MulticoreEngine(Engine):
         return self.n_cores * self.threads_per_core
 
     def capabilities(self) -> EngineCapabilities:
-        # Ragged lanes sub-batch (streaming double buffer); dense lanes
-        # stay whole so the dense secondary stream keeps its historical
-        # chunk-start seeds.
+        # Lanes sub-batch (streaming double buffer).
         return EngineCapabilities(
             engine=self.name,
             n_slots=self.n_logical_threads,
-            kernel=self.kernel,
-            balance="auto",
-            slot_batching="batched" if self.kernel == "ragged" else "whole",
+            slot_batching="batched",
             dtype=self.dtype.str,
             secondary=self.secondary is not None,
         )
@@ -126,7 +119,6 @@ class MulticoreEngine(Engine):
             "n_cores": self.n_cores,
             "threads_per_core": self.threads_per_core,
             "n_logical_threads": self.n_logical_threads,
-            "kernel": self.kernel,
             "balance": plan.balance,
             "secondary": self.secondary is not None,
         }

@@ -29,9 +29,11 @@ from repro.data.yet import YearEventTable
 from repro.data.ylt import YearLossTable
 from repro.engines.base import Engine
 from repro.engines.gpu_common import (
+    TRAFFIC_FUSED,
     ARAOptimizedKernel,
     OptimizationFlags,
     build_layer_tables,
+    check_traffic,
     merge_meta_occupancy,
     modeled_activity_profile,
 )
@@ -80,6 +82,11 @@ class MultiGPUEngine(Engine):
         table broadcasts are deduped across layers sharing ELTs, and
         each device streams layer ``i+1``'s tables while layer ``i``'s
         kernel runs (copy/compute overlap), never slower than serial.
+    traffic:
+        Traffic ledger the simulated device prices: ``"fused"`` (the
+        default, what the ragged kernel moves) or ``"paper"`` (the
+        paper's padded CUDA kernel, as the analytic model prices it).
+        Changes modeled seconds only, never the YLT.
     """
 
     name = "multi-gpu"
@@ -95,7 +102,7 @@ class MultiGPUEngine(Engine):
         flags: OptimizationFlags | None = None,
         batch_blocks: int = 2048,
         balance: str = "trials",
-        kernel: str | None = None,
+        traffic: str = TRAFFIC_FUSED,
         secondary=None,
         secondary_seed=None,
         backend=None,
@@ -104,11 +111,11 @@ class MultiGPUEngine(Engine):
         super().__init__(
             lookup_kind=lookup_kind,
             dtype=dtype,
-            kernel=kernel,
             secondary=secondary,
             secondary_seed=secondary_seed,
             backend=backend,
         )
+        self.traffic = check_traffic(traffic)
         check_positive("n_devices", n_devices)
         check_positive("threads_per_block", threads_per_block)
         check_positive("chunk_events", chunk_events)
@@ -134,7 +141,6 @@ class MultiGPUEngine(Engine):
         return EngineCapabilities(
             engine=self.name,
             n_slots=self.n_devices,
-            kernel=self.kernel,
             balance=self.balance,
             slot_batching="whole",
             dtype=self.working_dtype.str,
@@ -161,7 +167,7 @@ class MultiGPUEngine(Engine):
             "flags": self.flags.describe(),
             "chunk_events": self.chunk_events,
             "balance": plan.balance,
-            "kernel": self.kernel,
+            "traffic": self.traffic,
             "secondary": self.secondary is not None,
             "staging": self.staging,
             "per_device": [],
@@ -189,7 +195,6 @@ class MultiGPUEngine(Engine):
                 catalog_size,
                 self.lookup_kind,
                 dtype,
-                self.kernel,
             )
             out = np.empty(yet.n_trials, dtype=np.float64)
             fresh = schedule.is_fresh(layer.layer_id)
@@ -227,7 +232,7 @@ class MultiGPUEngine(Engine):
                     dtype=dtype,
                     flags=self.flags,
                     chunk_events=self.chunk_events,
-                    kernel=self.kernel,
+                    traffic=self.traffic,
                     stacked=stacked,
                     secondary=self.secondary,
                     secondary_stream_key=layer_stream_key(

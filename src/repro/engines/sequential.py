@@ -2,8 +2,8 @@
 
 One thread, executing a single-lane :class:`~repro.plan.plan.
 ExecutionPlan`: the shared :class:`~repro.plan.planner.Planner` cuts the
-trial space into batch tasks (a fixed depth, or the ragged autotuner's
-byte budget) and :func:`~repro.plan.execute.execute_plan_cpu` streams
+trial space into batch tasks (a fixed depth, or the autotuner's byte
+budget) and :func:`~repro.plan.execute.execute_plan_cpu` streams
 them with a double-buffered fetch.  The per-activity wall-clock profile
 directly measures the Figure 6 breakdown (the paper's finding on this
 implementation: >65% of time in loss lookup, ~31% in the numerical term
@@ -38,11 +38,8 @@ class SequentialEngine(Engine):
     ----------
     batch_trials:
         Trials per plan task (bounds the working block's memory).
-        ``None`` lets the planner's ragged autotuner size batches to its
-        byte budget (the dense path treats ``None`` as the legacy 8192).
-    kernel:
-        ``"ragged"`` (fused CSR kernel, :mod:`repro.core.kernels`, the
-        default) or ``"dense"`` (legacy padded kernel).
+        ``None`` lets the planner's autotuner size batches to its byte
+        budget.
     """
 
     name = "sequential"
@@ -52,7 +49,6 @@ class SequentialEngine(Engine):
         lookup_kind: str = "direct",
         dtype: np.dtype | type = np.float64,
         batch_trials: int | None = 8192,
-        kernel: str | None = None,
         secondary=None,
         secondary_seed=None,
         backend=None,
@@ -60,7 +56,6 @@ class SequentialEngine(Engine):
         super().__init__(
             lookup_kind=lookup_kind,
             dtype=dtype,
-            kernel=kernel,
             secondary=secondary,
             secondary_seed=secondary_seed,
             backend=backend,
@@ -73,7 +68,6 @@ class SequentialEngine(Engine):
         return EngineCapabilities(
             engine=self.name,
             n_slots=1,
-            kernel=self.kernel,
             batch_trials=self.batch_trials,
             slot_batching="batched",
             dtype=self.dtype.str,
@@ -104,7 +98,6 @@ class SequentialEngine(Engine):
         meta = {
             "batch_trials": self.batch_trials,
             "n_threads": 1,
-            "kernel": self.kernel,
             "secondary": self.secondary is not None,
         }
         return ylt, profile, None, meta
@@ -117,7 +110,7 @@ class ReferenceEngine(Engine):
     performance point.  Ignores ``lookup_kind``/``dtype`` (it always uses
     dict semantics in ``float64``, the most literal reading of the
     pseudocode).  With ``secondary`` it draws the *same* counter-based
-    multipliers as the fused ragged kernel (addressed by global
+    multipliers as the kernel (addressed by global
     occurrence index), so a seeded secondary run can be cross-checked
     end to end against any vectorised engine.
     """

@@ -82,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
             f"--{field.replace('_', '-')}", type=int, default=None
         )
     submit.add_argument("--engine", default="sequential")
-    submit.add_argument("--kernel", choices=("ragged", "dense"), default=None)
     submit.add_argument(
         "--segment-trials",
         type=int,
@@ -201,7 +200,6 @@ def _cmd_submit(args) -> int:
         secondary = SecondaryUncertainty(alpha, beta)
     engine_obj = create_engine(
         args.engine,
-        kernel=args.kernel,
         secondary=secondary,
         secondary_seed=args.secondary_seed if secondary is not None else None,
     )
@@ -217,7 +215,7 @@ def _cmd_submit(args) -> int:
         n_partitions=args.partitions,
     )
     print(f"sweep:     {ticket.sweep_id}")
-    print(f"engine:    {args.engine} (kernel={engine_obj.kernel})")
+    print(f"engine:    {args.engine}")
     print(f"workload:  {dataclasses.asdict(spec)}")
     print(f"segments:  {ticket.delta.n_segments}")
     print(f"enqueued:  {ticket.submitted}")

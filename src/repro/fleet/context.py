@@ -1,8 +1,8 @@
 """Fleet contexts: how a worker reconstructs a sweep's inputs.
 
 A sweep manifest names *what* to compute (segment keys + task
-coordinates) and *under which numeric configuration* (kernel, dtype,
-lookup kind, secondary stream); the context supplies the actual input
+coordinates) and *under which numeric configuration* (dtype, lookup
+kind, secondary stream); the context supplies the actual input
 arrays.  Two resolution paths:
 
 * **in-process** — the submitter registers its live
@@ -23,6 +23,7 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
+from repro.core.kernels import KERNEL_RAGGED
 from repro.core.secondary import SecondaryUncertainty, resolve_secondary_seed
 from repro.data.layer import Portfolio
 from repro.data.presets import WorkloadSpec
@@ -40,7 +41,6 @@ class FleetContext:
     yet: YearEventTable
     portfolio: Portfolio
     catalog_size: int
-    kernel: str = "ragged"
     dtype: str = "<f8"
     lookup_kind: str = "direct"
     secondary: Optional[SecondaryUncertainty] = None
@@ -71,7 +71,6 @@ class FleetContext:
 
 
 def fleet_config(
-    kernel: str,
     dtype,
     lookup_kind: str,
     catalog_size: int,
@@ -83,10 +82,12 @@ def fleet_config(
     Both submission paths (analysis sweeps and quote sweeps) and the
     worker-side :func:`context_from_manifest` go through this shape;
     a second copy drifting by one field would silently shift every
-    worker-derived key away from the submitter's.
+    worker-derived key away from the submitter's.  ``"kernel"`` is a
+    constant that keeps the block as it was when a second kernel
+    existed; :func:`context_from_manifest` rejects any other value.
     """
     return {
-        "kernel": str(kernel),
+        "kernel": KERNEL_RAGGED,
         "dtype": str(np.dtype(dtype).str),
         "lookup_kind": str(lookup_kind),
         "catalog_size": int(catalog_size),
@@ -102,7 +103,6 @@ def fleet_config(
 def config_from_context(ctx: FleetContext) -> Dict[str, Any]:
     """The manifest's ``config`` block for a context."""
     return fleet_config(
-        ctx.kernel,
         ctx.dtype,
         ctx.lookup_kind,
         ctx.catalog_size,
@@ -126,7 +126,19 @@ def context_from_manifest(manifest: Dict[str, Any]) -> FleetContext:
     context instead.  Workload generation is deterministic given the
     spec, so the rebuilt inputs — and every derived segment key — are
     byte-identical to the submitter's.
+
+    A ``config.kernel`` other than ``"ragged"`` (absent is fine) raises
+    ``ValueError`` before any input is built: such a sweep was submitted
+    for a kernel this code does not have, and computing it anyway would
+    store ragged losses under the other kernel's keys.
     """
+    config = manifest.get("config") or {}
+    kernel = config.get("kernel", KERNEL_RAGGED)
+    if kernel != KERNEL_RAGGED:
+        raise ValueError(
+            f"sweep {manifest.get('sweep_id')!r} was submitted for kernel "
+            f"{kernel!r}; only {KERNEL_RAGGED!r} is supported"
+        )
     workload_info = manifest.get("workload") or {}
     spec_dict = workload_info.get("spec")
     if spec_dict is None:
@@ -153,7 +165,6 @@ def context_from_manifest(manifest: Dict[str, Any]) -> FleetContext:
     stage_trials = workload_info.get("stage_trials")
     if stage_trials is not None and int(stage_trials) < yet.n_trials:
         yet = yet.slice_trials(0, int(stage_trials))
-    config = manifest.get("config") or {}
     secondary_params = config.get("secondary")
     secondary = (
         None
@@ -164,7 +175,6 @@ def context_from_manifest(manifest: Dict[str, Any]) -> FleetContext:
         yet=yet,
         portfolio=portfolio,
         catalog_size=int(config.get("catalog_size", workload.catalog.n_events)),
-        kernel=str(config.get("kernel", "ragged")),
         dtype=str(config.get("dtype", "<f8")),
         lookup_kind=str(config.get("lookup_kind", "direct")),
         secondary=secondary,

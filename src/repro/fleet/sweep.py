@@ -66,7 +66,6 @@ def context_for_engine(
         yet=yet,
         portfolio=portfolio,
         catalog_size=int(catalog_size),
-        kernel=caps.kernel,
         dtype=caps.dtype,
         lookup_kind=engine_obj.lookup_kind,
         secondary=engine_obj.secondary,

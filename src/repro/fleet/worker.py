@@ -256,7 +256,6 @@ class FleetWorker:
             ctx.portfolio,
             ctx.catalog_size,
             task,
-            kernel=ctx.kernel,
             lookup_kind=ctx.lookup_kind,
             dtype=np.dtype(ctx.dtype),
             secondary=ctx.secondary,

@@ -22,12 +22,13 @@ on top.  All constants are module-level and documented so the calibration
 is inspectable; tests assert the *shapes* (orderings, optima, saturation
 points), which are robust to the exact constants.
 
-What gets priced depends on the kernel path's ledger: with
-``kernel="dense"`` the engines record the paper's padded CUDA traffic
+What gets priced depends on the GPU engines' ``traffic`` ledger: with
+``traffic="paper"`` the engines record the paper's padded CUDA traffic
 (:func:`repro.engines.gpu_common.record_basic_traffic` /
 ``record_optimized_traffic``), which is also what the analytic perfmodel
 prices — the model↔engine consistency contract.  With
-``kernel="ragged"`` they record the fused formulation's own traffic
+``traffic="fused"`` (the default) they record the fused formulation's
+own traffic
 (``record_ragged_traffic``: coalesced CSR id + offset streams, the fused
 gather's random reads, on-chip staging instead of global intermediates,
 one strided reduction pass), so modeled GPU seconds show the same fusion

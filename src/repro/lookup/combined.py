@@ -121,8 +121,8 @@ class StackedDirectTable:
     (:meth:`gather`) pulls the loss of *every* covered ELT for a flat
     batch of event ids, and :meth:`apply_terms_inplace` applies each
     ELT's financial terms to its row of the gathered block by
-    broadcasting — replacing the dense path's per-ELT
-    gather + four-temporary term application.
+    broadcasting — instead of a per-ELT gather + four-temporary term
+    application.
 
     Like :class:`CombinedDirectTable` this is deliberately not a
     :class:`~repro.lookup.base.LossLookup` (queries return a matrix, not

@@ -204,9 +204,8 @@ def predict_gpu_ragged(
     Prices the :func:`~repro.engines.gpu_common.record_ragged_traffic`
     ledger — the coalesced CSR streams, the single fused gather per
     (event, ELT) pair, and the one-pass segment reduction — with the
-    same cost model as the dense predictions, so paper-scale projections
-    show the fusion win the measured ``KERNEL-ABLATE`` benchmark
-    demonstrates at container scale.
+    same cost model as the paper-ledger predictions, so paper-scale
+    projections show the fusion win of the fused kernel.
 
     ``optimized=False`` mirrors the basic engine running the ragged
     kernel (:class:`~repro.engines.gpu_common.ARABasicKernel`'s

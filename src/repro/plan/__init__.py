@@ -33,7 +33,6 @@ from repro.plan.execute import (
 from repro.plan.plan import ExecutionPlan, PlanTask
 from repro.plan.planner import (
     DEFAULT_SEGMENT_TRIALS,
-    DENSE_DEFAULT_BATCH_TRIALS,
     EngineCapabilities,
     Planner,
 )
@@ -54,6 +53,5 @@ __all__ = [
     "elt_fingerprint",
     "elt_set_fingerprint",
     "yet_fingerprint",
-    "DENSE_DEFAULT_BATCH_TRIALS",
     "DEFAULT_SEGMENT_TRIALS",
 ]

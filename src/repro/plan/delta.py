@@ -113,7 +113,6 @@ class DeltaPlan:
             n_occurrences=self.plan.n_occurrences,
             layer_ids=self.plan.layer_ids,
             n_slots=self.plan.n_slots,
-            kernel=self.plan.kernel,
             balance=self.plan.balance,
             tasks=tuple(r.task for r in self.missing),
             meta={

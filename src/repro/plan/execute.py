@@ -12,11 +12,13 @@ here.  Per layer the executor:
    Scheduler` (fork-join at the layer barrier);
 3. inside a slot, streams the tasks through
    :func:`~repro.utils.bufpool.stream_batches`, so task ``N + 1``'s
-   fetch (the CSR views, or the dense padded block) overlaps task
-   ``N``'s reduce on every lane — the double-buffering the sequential
-   engine had and the multicore workers previously lacked.
+   fetch (the CSR views) overlaps task ``N``'s reduce on every lane —
+   the double-buffering the sequential engine had and the multicore
+   workers previously lacked;
+4. computes each task with :func:`task_losses`, the one kernel dispatch
+   shared with the fleet worker's single-segment path.
 
-Outputs are written at each task's *global* trial range, and the ragged
+Outputs are written at each task's *global* trial range, and the
 kernels key all stochastic state by global occurrence index, so results
 are bit-for-bit identical for any scheduler concurrency.
 """
@@ -29,24 +31,17 @@ import numpy as np
 
 from repro.backends import KernelBackend, resolve_backend
 from repro.core.kernels import (
-    KERNEL_RAGGED,
     build_layer_tables,
     layer_trial_batch_ragged,
     layer_trial_batch_secondary_ragged,
 )
-from repro.core.secondary import (
-    layer_stream_key,
-    layer_trial_batch_secondary,
-    resolve_secondary_seed,
-)
-from repro.core.vectorized import layer_trial_batch
+from repro.core.secondary import layer_stream_key, resolve_secondary_seed
 from repro.data.layer import Portfolio
 from repro.data.yet import YearEventTable
 from repro.data.ylt import YearLossTable
 from repro.plan.plan import ExecutionPlan, PlanTask
 from repro.plan.scheduler import Scheduler
 from repro.utils.bufpool import ScratchBufferPool, stream_batches
-from repro.utils.rng import stable_hash_seed
 from repro.utils.timer import ACTIVITY_FETCH, ActivityProfile
 
 
@@ -113,7 +108,6 @@ def execute_plan_cpu(
     base_seed = (
         resolve_secondary_seed(secondary_seed) if secondary is not None else 0
     )
-    ragged = plan.kernel == KERNEL_RAGGED
     backend_obj = resolve_backend(backend)
 
     per_layer: Dict[int, np.ndarray] = {}
@@ -124,11 +118,9 @@ def execute_plan_cpu(
                 catalog_size,
                 lookup_kind,
                 dtype,
-                plan.kernel,
                 cache=cache,
             )
         out = np.empty(plan.n_trials, dtype=np.float64)
-        stream_key = layer_stream_key(base_seed, layer.layer_id)
         # Worker-private profiles: compute charges and (background)
         # prefetch charges must not share one profile across threads —
         # ActivityProfile.charge is a bare read-modify-write.
@@ -141,90 +133,28 @@ def execute_plan_cpu(
             compute_profiles.append(wp)
             fetch_profiles.append(fp)
             pool = slot_pools[slot % len(slot_pools)]
-            if ragged:
 
-                def fetch(i: int, _slot_pool: ScratchBufferPool):
-                    task = tasks[i]
-                    with fp.track(ACTIVITY_FETCH):
-                        ids, offs = yet.csr_block(
-                            task.trial_start, task.trial_stop
-                        )
-                    return task, ids, offs
-
-                for task, ids, offs in stream_batches(fetch, len(tasks)):
-                    if secondary is not None:
-                        out[task.trial_start : task.trial_stop] = (
-                            layer_trial_batch_secondary_ragged(
-                                ids,
-                                offs,
-                                lookups,
-                                layer.terms,
-                                secondary,
-                                stream_key,
-                                stacked=stacked,
-                                occ_base=task.occ_start,
-                                profile=wp,
-                                dtype=dtype,
-                                pool=pool,
-                                backend=backend_obj,
-                            )
-                        )
-                    else:
-                        out[task.trial_start : task.trial_stop] = (
-                            layer_trial_batch_ragged(
-                                ids,
-                                offs,
-                                lookups,
-                                layer.terms,
-                                stacked=stacked,
-                                profile=wp,
-                                dtype=dtype,
-                                pool=pool,
-                                backend=backend_obj,
-                            )
-                        )
-                return
-
-            def fetch_dense(i: int, _slot_pool: ScratchBufferPool):
+            def fetch(i: int, _slot_pool: ScratchBufferPool):
                 task = tasks[i]
                 with fp.track(ACTIVITY_FETCH):
-                    dense = yet.slice_trials(
-                        task.trial_start, task.trial_stop
-                    ).to_dense()
-                return task, dense
+                    csr = yet.csr_block(task.trial_start, task.trial_stop)
+                return task, csr
 
-            for task, dense in stream_batches(fetch_dense, len(tasks)):
-                if secondary is not None:
-                    # Dense draws are sequential-stream, keyed by the
-                    # task's global trial start: reproducible for a
-                    # fixed plan, but (unlike ragged) not invariant to
-                    # the decomposition itself.
-                    out[task.trial_start : task.trial_stop] = (
-                        layer_trial_batch_secondary(
-                            dense,
-                            lookups,
-                            layer.terms,
-                            secondary,
-                            seed=stable_hash_seed(
-                                base_seed,
-                                "dense-secondary",
-                                layer.layer_id,
-                                task.trial_start,
-                            ),
-                            profile=wp,
-                            dtype=dtype,
-                        )
-                    )
-                else:
-                    out[task.trial_start : task.trial_stop] = (
-                        layer_trial_batch(
-                            dense,
-                            lookups,
-                            layer.terms,
-                            profile=wp,
-                            dtype=dtype,
-                        )
-                    )
+            for task, csr in stream_batches(fetch, len(tasks)):
+                out[task.trial_start : task.trial_stop] = task_losses(
+                    yet,
+                    layer,
+                    lookups,
+                    stacked,
+                    task,
+                    dtype=dtype,
+                    secondary=secondary,
+                    base_seed=base_seed,
+                    pool=pool,
+                    profile=wp,
+                    backend=backend_obj,
+                    csr=csr,
+                )
 
         scheduler.run_layer(plan, layer.layer_id, run_slot)
         for wp in compute_profiles:
@@ -251,70 +181,54 @@ def task_losses(
     lookups,
     stacked,
     task: PlanTask,
-    kernel: str,
     dtype: np.dtype | type = np.float64,
     secondary=None,
     base_seed: int = 0,
     pool: ScratchBufferPool | None = None,
     profile: ActivityProfile | None = None,
     backend: KernelBackend | str | None = None,
+    csr: tuple | None = None,
 ) -> np.ndarray:
-    """Per-trial year losses of one plan task, on the CPU kernels.
+    """Per-trial year losses of one plan task, on the CPU kernel.
 
-    This is the same kernel dispatch — arguments, stream keys, seeds —
-    as :func:`execute_plan_cpu`'s inner loops, exposed at single-task
-    granularity so a fleet worker computing one segment produces bytes
-    identical to a monolithic run of the containing plan.  (The full
-    executor keeps its own loop for the double-buffered fetch; any
-    change to the dispatch — including the ``backend`` threading — must
-    land in both, and the golden-YLT and fleet bitwise tests pin the
-    equivalence.)
+    The one kernel dispatch — arguments, stream keys, seeds — behind
+    both :func:`execute_plan_cpu` and the fleet worker's
+    :func:`execute_segment_cpu`, so a worker computing one segment
+    produces bytes identical to a monolithic run of the containing
+    plan.  ``csr`` is the task's ``(event_ids, offsets)`` block when
+    the caller already fetched it (the executor's double-buffered
+    stream); otherwise it is sliced here.
     """
     profile = profile if profile is not None else ActivityProfile()
     pool = pool if pool is not None else ScratchBufferPool()
-    if kernel == KERNEL_RAGGED:
-        ids, offs = yet.csr_block(task.trial_start, task.trial_stop)
-        if secondary is not None:
-            return layer_trial_batch_secondary_ragged(
-                ids,
-                offs,
-                lookups,
-                layer.terms,
-                secondary,
-                layer_stream_key(base_seed, layer.layer_id),
-                stacked=stacked,
-                occ_base=task.occ_start,
-                profile=profile,
-                dtype=dtype,
-                pool=pool,
-                backend=backend,
-            )
-        return layer_trial_batch_ragged(
+    if csr is None:
+        csr = yet.csr_block(task.trial_start, task.trial_stop)
+    ids, offs = csr
+    if secondary is not None:
+        return layer_trial_batch_secondary_ragged(
             ids,
             offs,
             lookups,
             layer.terms,
+            secondary,
+            layer_stream_key(base_seed, layer.layer_id),
             stacked=stacked,
+            occ_base=task.occ_start,
             profile=profile,
             dtype=dtype,
             pool=pool,
             backend=backend,
         )
-    dense = yet.slice_trials(task.trial_start, task.trial_stop).to_dense()
-    if secondary is not None:
-        return layer_trial_batch_secondary(
-            dense,
-            lookups,
-            layer.terms,
-            secondary,
-            seed=stable_hash_seed(
-                base_seed, "dense-secondary", layer.layer_id, task.trial_start
-            ),
-            profile=profile,
-            dtype=dtype,
-        )
-    return layer_trial_batch(
-        dense, lookups, layer.terms, profile=profile, dtype=dtype
+    return layer_trial_batch_ragged(
+        ids,
+        offs,
+        lookups,
+        layer.terms,
+        stacked=stacked,
+        profile=profile,
+        dtype=dtype,
+        pool=pool,
+        backend=backend,
     )
 
 
@@ -323,7 +237,6 @@ def execute_segment_cpu(
     portfolio: Portfolio,
     catalog_size: int,
     task: PlanTask,
-    kernel: str,
     lookup_kind: str = "direct",
     dtype: np.dtype | type = np.float64,
     secondary=None,
@@ -352,7 +265,6 @@ def execute_segment_cpu(
             catalog_size,
             lookup_kind,
             dtype,
-            kernel,
             cache=cache,
         )
     base_seed = (
@@ -365,7 +277,6 @@ def execute_segment_cpu(
         lookups,
         stacked,
         task,
-        kernel,
         dtype=dtype,
         secondary=secondary,
         base_seed=base_seed,

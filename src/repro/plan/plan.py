@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
 
+from repro.core.kernels import KERNEL_RAGGED
 from repro.utils.rng import stable_hash_seed
 
 
@@ -84,10 +85,6 @@ class ExecutionPlan:
     n_slots:
         Worker/device lanes the planner laid tasks onto (actual used
         lanes may be fewer when the trial space is small).
-    kernel:
-        Kernel path the tasks assume (``"ragged"``/``"dense"``) — dense
-        tasks are *not* sub-batched freely because the dense secondary
-        stream is keyed by the task's trial start.
     balance:
         Resolved partitioning rule: ``"events"`` (equal cumulative
         occurrences, the multi-GPU engine's ragged rule) or
@@ -102,7 +99,6 @@ class ExecutionPlan:
     n_occurrences: int
     layer_ids: Tuple[int, ...]
     n_slots: int
-    kernel: str
     balance: str
     tasks: Tuple[PlanTask, ...]
     meta: Dict[str, Any] = field(default_factory=dict)
@@ -183,15 +179,17 @@ class ExecutionPlan:
     def fingerprint(self) -> int:
         """Stable 63-bit hash of the plan's full decomposition.
 
-        Two plans with identical task layouts (and kernel/balance) hash
+        Two plans with identical task layouts (and balance) hash
         equal; any change to a boundary changes the fingerprint.  Used
         in engine meta and as a component of plan-level cache keys.
         """
+        # The kernel name stays a constant component, so fingerprints
+        # (and every store key built on them) match older stores.
         parts: List[int | str] = [
             self.n_trials,
             self.n_occurrences,
             self.n_slots,
-            self.kernel,
+            KERNEL_RAGGED,
             self.balance,
         ]
         for task in self.tasks:
@@ -206,7 +204,6 @@ class ExecutionPlan:
             "n_tasks": self.n_tasks,
             "n_slots": self.n_slots,
             "slots_used": self.slots_used,
-            "kernel": self.kernel,
             "balance": self.balance,
             "fingerprint": self.fingerprint(),
         }
@@ -215,6 +212,6 @@ class ExecutionPlan:
         return (
             f"ExecutionPlan(n_trials={self.n_trials}, "
             f"layers={len(self.layer_ids)}, slots={self.n_slots}, "
-            f"tasks={self.n_tasks}, kernel={self.kernel!r}, "
+            f"tasks={self.n_tasks}, "
             f"balance={self.balance!r})"
         )

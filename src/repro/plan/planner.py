@@ -5,24 +5,20 @@ decisions — how to split the trial space over workers/devices
 (``balanced_chunk_ranges`` vs ``chunk_ranges``), how deep to batch within
 a worker (``autotune_batch_trials`` vs fixed constants), and whether to
 balance on trials or occurrences.  The :class:`Planner` centralises them:
-an engine declares *capabilities* (how many lanes it has, which kernel it
-runs, how it wants batches cut) and receives an
+an engine declares *capabilities* (how many lanes it has, how it wants
+batches cut) and receives an
 :class:`~repro.plan.plan.ExecutionPlan` whose tasks it executes verbatim.
 
 The policies reproduce the historical engines' decompositions exactly:
 
 * lanes: ``min(n_slots, n_trials)`` contiguous ranges, cut at equal
-  cumulative *occurrences* for ragged event-balanced plans
-  (:func:`~repro.utils.parallel.balanced_chunk_ranges`) or equal trial
-  counts otherwise (:func:`~repro.utils.parallel.chunk_ranges`);
-* batches: a fixed ``batch_trials`` when the engine pins one, the
-  memory-budget :func:`~repro.core.kernels.autotune_batch_trials` for
-  ragged plans, and the legacy 8192-trial constant for dense plans
-  (whose secondary streams are keyed by batch start and therefore must
-  not float with a byte budget);
-* dense lanes are never sub-batched unless the engine opts in
-  (``slot_batching="batched"``), preserving the dense multicore path's
-  chunk-start-seeded draws bit-for-bit.
+  cumulative *occurrences* for event-balanced plans (the default,
+  :func:`~repro.utils.parallel.balanced_chunk_ranges`) or equal trial
+  counts (:func:`~repro.utils.parallel.chunk_ranges`);
+* batches: a fixed ``batch_trials`` when the engine pins one, else the
+  memory-budget :func:`~repro.core.kernels.autotune_batch_trials`;
+* lanes are cut into batch tasks (``slot_batching="batched"``) or kept
+  whole (``"whole"``, one launch per simulated device).
 """
 
 from __future__ import annotations
@@ -32,21 +28,12 @@ from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
-from repro.core.kernels import (
-    DEFAULT_BATCH_BUDGET_BYTES,
-    DEFAULT_KERNEL,
-    KERNEL_RAGGED,
-    autotune_batch_trials,
-    check_kernel,
-)
+from repro.core.kernels import DEFAULT_BATCH_BUDGET_BYTES, autotune_batch_trials
 from repro.data.layer import Portfolio
 from repro.data.yet import YearEventTable
 from repro.plan.plan import ExecutionPlan, PlanTask
 from repro.utils.parallel import balanced_chunk_ranges, chunk_ranges
 from repro.utils.validation import check_positive
-
-#: legacy dense batch depth (the pre-plan sequential engine's default).
-DENSE_DEFAULT_BATCH_TRIALS = 8192
 
 #: default fixed stride of :meth:`Planner.plan_segments`.  A *constant*
 #: (not autotuned) on purpose: segment boundaries must depend on nothing
@@ -54,7 +41,7 @@ DENSE_DEFAULT_BATCH_TRIALS = 8192
 #: segment's trial range — and therefore its store key.
 DEFAULT_SEGMENT_TRIALS = 4096
 
-BALANCE_MODES = ("auto", "events", "trials")
+BALANCE_MODES = ("events", "trials")
 SLOT_BATCHING_MODES = ("batched", "whole")
 
 
@@ -70,23 +57,19 @@ class EngineCapabilities:
         Concurrent lanes the engine can execute: worker threads for the
         multicore engine, devices for the multi-GPU engine, 1 for
         single-stream engines.
-    kernel:
-        Kernel path the engine will run (``"ragged"``/``"dense"``).
     balance:
-        ``"auto"`` resolves to ``"events"`` for ragged kernels and
-        ``"trials"`` for dense (the historical engine rules); engines
-        with an explicit user knob (multi-GPU ``balance=``) pass it
-        through.
+        Lane cut: ``"events"`` (equal cumulative occurrences, the
+        default) or ``"trials"`` (equal trial counts); engines with an
+        explicit user knob (multi-GPU ``balance=``) pass it through.
     batch_trials:
         Fixed trials-per-task within a lane; ``None`` lets the planner
-        choose (autotune for ragged, the legacy 8192 for dense).
+        choose (the memory-budget autotuner).
     slot_batching:
         ``"batched"`` cuts each lane into batch tasks (enables the
         executors' double-buffered fetch); ``"whole"`` emits one task
-        per lane (the GPU engines' one-launch-per-device shape, and the
-        dense multicore path's chunk-start-seeded draws).
+        per lane (the GPU engines' one-launch-per-device shape).
     budget_bytes:
-        Scratch budget handed to the ragged batch autotuner.
+        Scratch budget handed to the batch autotuner.
     dtype:
         Working precision (autotune input), as a numpy dtype string.
     secondary:
@@ -96,8 +79,7 @@ class EngineCapabilities:
 
     engine: str = "generic"
     n_slots: int = 1
-    kernel: str = DEFAULT_KERNEL
-    balance: str = "auto"
+    balance: str = "events"
     batch_trials: int | None = None
     slot_batching: str = "batched"
     budget_bytes: int = DEFAULT_BATCH_BUDGET_BYTES
@@ -106,7 +88,6 @@ class EngineCapabilities:
 
     def __post_init__(self) -> None:
         check_positive("n_slots", self.n_slots)
-        check_kernel(self.kernel)
         if self.balance not in BALANCE_MODES:
             raise ValueError(
                 f"balance must be one of {BALANCE_MODES}, got {self.balance!r}"
@@ -121,12 +102,6 @@ class EngineCapabilities:
                 f"batch_trials must be >= 1, got {self.batch_trials}"
             )
         check_positive("budget_bytes", self.budget_bytes)
-
-    @property
-    def resolved_balance(self) -> str:
-        if self.balance != "auto":
-            return self.balance
-        return "events" if self.kernel == KERNEL_RAGGED else "trials"
 
 
 class Planner:
@@ -148,7 +123,7 @@ class Planner:
         n_chunks = min(caps.n_slots, n_trials)
         if n_chunks <= 1:
             return [(0, n_trials)]
-        if caps.resolved_balance == "events":
+        if caps.balance == "events":
             return balanced_chunk_ranges(yet.offsets, n_chunks)
         return chunk_ranges(n_trials, n_chunks)
 
@@ -158,16 +133,14 @@ class Planner:
         """Trials per task within a lane, for a layer of ``n_elts`` ELTs."""
         if caps.batch_trials is not None:
             return max(1, int(caps.batch_trials))
-        if caps.kernel == KERNEL_RAGGED:
-            return autotune_batch_trials(
-                yet.n_trials,
-                yet.mean_events_per_trial,
-                n_elts,
-                dtype=np.dtype(caps.dtype),
-                budget_bytes=caps.budget_bytes,
-                secondary=caps.secondary,
-            )
-        return DENSE_DEFAULT_BATCH_TRIALS
+        return autotune_batch_trials(
+            yet.n_trials,
+            yet.mean_events_per_trial,
+            n_elts,
+            dtype=np.dtype(caps.dtype),
+            budget_bytes=caps.budget_bytes,
+            secondary=caps.secondary,
+        )
 
     def plan(
         self,
@@ -216,8 +189,7 @@ class Planner:
             n_occurrences=yet.n_occurrences,
             layer_ids=tuple(layer.layer_id for layer in portfolio.layers),
             n_slots=len(ranges),
-            kernel=caps.kernel,
-            balance=caps.resolved_balance,
+            balance=caps.balance,
             tasks=tuple(tasks),
             meta=meta,
         )
@@ -250,10 +222,8 @@ class Planner:
         Each segment gets its own ``slot`` (they are mutually
         independent), so the plan also executes directly on any engine
         or scheduler, with results bit-for-bit identical to the
-        engine's native decomposition on the ragged and dense-primary
-        paths (dense *secondary* draws are keyed by task start, making
-        decomposition part of result identity — use the engine's own
-        plan when replaying those).
+        engine's native decomposition (secondary draws are keyed by
+        global occurrence index, not by task boundaries).
         """
         check_positive("segment_trials", segment_trials)
         if yet.n_trials == 0:
@@ -283,7 +253,6 @@ class Planner:
             n_occurrences=yet.n_occurrences,
             layer_ids=tuple(layer.layer_id for layer in portfolio.layers),
             n_slots=n_slots,
-            kernel=caps.kernel,
             balance="trials",
             tasks=tuple(tasks),
             meta={
@@ -339,7 +308,6 @@ class Planner:
             yet,
             portfolio,
             plan.tasks,
-            kernel=plan.kernel,
             dtype=caps.dtype,
             lookup_kind=lookup_kind,
             secondary=secondary,

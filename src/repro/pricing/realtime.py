@@ -44,7 +44,6 @@ import numpy as np
 
 from repro.core.analysis import AggregateRiskAnalysis
 from repro.core.kernels import (
-    KERNEL_RAGGED,
     build_layer_tables,
     combined_occurrence_losses,
     finish_layer_losses,
@@ -250,7 +249,7 @@ class QuoteService(_PricingSessionBase):
         Results are bit-for-bit identical for any value.
     lookup_kind, dtype:
         Lookup representation and working precision of the analysis
-        (the fused ragged kernel path; defaults match the engines').
+        (defaults match the engines').
     secondary, secondary_seed:
         Optional secondary uncertainty; draws are keyed by the candidate
         ``layer_id``'s stream and the global occurrence index, exactly
@@ -405,14 +404,12 @@ class QuoteService(_PricingSessionBase):
         self, elts: List[EventLossTable], stream_key: int
     ) -> np.ndarray:
         lookups, stacked, _ = build_layer_tables(
-            elts, self.catalog_size, self.lookup_kind, self.dtype,
-            KERNEL_RAGGED,
+            elts, self.catalog_size, self.lookup_kind, self.dtype
         )
         probe = Portfolio.single_layer(elts)
         caps = EngineCapabilities(
             engine="quote-service",
             n_slots=self.max_workers,
-            kernel=KERNEL_RAGGED,
             dtype=self.dtype.str,
             secondary=self.secondary is not None,
         )
@@ -724,7 +721,6 @@ class QuoteService(_PricingSessionBase):
             "sweep_id": sweep_id,
             "kind": "quotes",
             "config": fleet_config(
-                KERNEL_RAGGED,
                 self.dtype,
                 self.lookup_kind,
                 self.catalog_size,

@@ -32,6 +32,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.core.kernels import KERNEL_RAGGED
 from repro.data.ylt import YearLossTable
 from repro.engines.base import Engine
 from repro.engines.registry import create_engine
@@ -213,8 +214,8 @@ class ScenarioCampaign:
 
         Everything that can change a scenario's final YLT *besides* the
         scenario spec itself: baseline YET/portfolio content, the
-        engine's numeric configuration (kernel, dtype, lookup kind,
-        secondary stream), the segment stride (stage boundaries depend
+        engine's numeric configuration (dtype, lookup kind, secondary
+        stream; the kernel name is a constant component), the segment stride (stage boundaries depend
         on it), and the early-stop policy (it decides ``trials_used``).
         """
         caps = self.engine.capabilities()
@@ -223,7 +224,7 @@ class ScenarioCampaign:
             yet_fingerprint(self.workload.yet),
             portfolio_fingerprint(self.workload.portfolio),
             int(self.workload.catalog.n_events),
-            str(caps.kernel),
+            KERNEL_RAGGED,
             str(caps.dtype),
             str(self.engine.lookup_kind),
             self.engine.secondary is not None,

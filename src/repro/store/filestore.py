@@ -138,7 +138,10 @@ class FileStore(ResultStore):
         path = self.entry_dir(key)
         meta_path = path / _META_NAME
         if not meta_path.is_file():
-            if path.is_dir():
+            # Re-stat the manifest after seeing the directory: a
+            # concurrent publish may land between the two checks above,
+            # and that fresh entry must read as a miss, not as damage.
+            if path.is_dir() and not meta_path.is_file():
                 # Entry directory without its manifest: damage (the
                 # publish rename is atomic, so a live entry always has
                 # one).  Heal it *audibly* — counted and logged, never

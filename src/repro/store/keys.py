@@ -11,7 +11,7 @@ hashing with SHA-256:
   randomised per interpreter);
 * :func:`analysis_key` — the whole-analysis key combining the
   :meth:`~repro.plan.plan.ExecutionPlan.fingerprint` (task layout,
-  kernel, balance), the YET and per-layer ELT-set content fingerprints
+  balance), the YET and per-layer ELT-set content fingerprints
   of :mod:`repro.plan.cache`, the working dtype, the lookup kind, and
   the secondary-uncertainty stream identity;
 * :func:`ylt_digest` — digest of a YLT's exact bytes, used by the
@@ -31,6 +31,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.kernels import KERNEL_RAGGED
 from repro.data.layer import Layer, Portfolio
 from repro.data.yet import YearEventTable
 from repro.data.ylt import YearLossTable
@@ -139,10 +140,9 @@ def analysis_key(
     """The whole-analysis store key for one planned run.
 
     Covers everything that can change the YLT's bytes: the plan
-    fingerprint (task boundaries, kernel, balance — the dense secondary
-    path draws per-batch, so decomposition is part of result identity),
-    YET content, per-layer terms and ELT contents, working precision,
-    lookup representation, and the secondary stream.  Engine *name* is
+    fingerprint (task boundaries, balance), YET content, per-layer
+    terms and ELT contents, working precision, lookup representation,
+    and the secondary stream.  Engine *name* is
     deliberately absent: engines with identical numeric configuration
     produce bit-identical YLTs and share replays.
     """
@@ -196,7 +196,6 @@ def segment_key(
     trial_start: int,
     trial_stop: int,
     occ_start: int,
-    kernel: str,
     dtype: str,
     lookup_kind: str,
     secondary=None,
@@ -207,56 +206,48 @@ def segment_key(
     This is the fleet's unit of memoisation — one
     :class:`~repro.plan.plan.PlanTask` worth of per-trial year losses.
     The key covers the trial slice's *content* (not its position), the
-    layer's full numeric identity, and the kernel/precision/lookup
+    layer's full numeric identity, and the precision/lookup
     configuration; deterministic configurations therefore share
     segments across sweeps, across portfolio perturbations that leave a
     layer untouched, and across YET extensions that leave a trial range
     untouched.
 
-    Stochastic state re-introduces position exactly where the kernels
-    consume it: the ragged secondary path draws by *global occurrence
-    index* (``occ_start`` joins the key), the dense secondary path by
-    the task's *trial start* (``trial_start`` joins the key).  Primary
-    segments carry neither, so a repeated block of trials is recognised
-    as the same work wherever it lands.
+    Stochastic state re-introduces position exactly where the kernel
+    consumes it: secondary draws are keyed by *global occurrence index*
+    (``occ_start`` joins the key).  Primary segments carry no position,
+    so a repeated block of trials is recognised as the same work
+    wherever it lands.  The kernel name is a constant component, so
+    keys match stores written when a second kernel existed.
 
     This is the reference composition; :func:`segment_keys` derives a
     whole plan's keys byte-identically in one pass.
     """
     return fingerprint_digest(
         SEGMENT_SCHEMA,
-        str(kernel),
+        KERNEL_RAGGED,
         yet_slice_fingerprint(yet, trial_start, trial_stop),
         layer_fingerprint(portfolio, portfolio.layer(layer_id)),
         str(np.dtype(dtype).str),
         str(lookup_kind),
-        _segment_stream(
-            kernel, secondary, secondary_seed, trial_start, occ_start
-        ),
+        _segment_stream(secondary, secondary_seed, occ_start),
     )
 
 
 def _segment_stream(
-    kernel: str,
-    secondary,
-    secondary_seed: int,
-    trial_start: int,
-    occ_start: int,
+    secondary, secondary_seed: int, occ_start: int
 ) -> tuple | None:
     """The stochastic-stream component of a segment key (``None`` for
     primary segments)."""
     if secondary is None:
         return None
-    position = int(trial_start) if kernel == "dense" else int(occ_start)
     stream_fp = secondary_fingerprint(secondary, secondary_seed)
-    return (str(kernel), stream_fp, position)
+    return (KERNEL_RAGGED, stream_fp, int(occ_start))
 
 
 def segment_keys(
     yet: YearEventTable,
     portfolio: Portfolio,
     tasks,
-    kernel: str,
     dtype: str,
     lookup_kind: str,
     secondary=None,
@@ -266,7 +257,7 @@ def segment_keys(
     :class:`~repro.plan.plan.PlanTask`), in order, in one pass.
 
     Byte-identical to calling :func:`segment_key` per task, but each
-    invariant part of the key tuple (schema, kernel, dtype, lookup) is
+    invariant part of the key tuple (schema, kernel name, dtype, lookup) is
     serialised once, each layer fingerprint once, and each trial
     range's slice fingerprint once for all layers; the parts are then
     spliced into the encoding :func:`canonical_bytes` gives the whole
@@ -274,12 +265,11 @@ def segment_keys(
     distinct parts, and re-serialising the ~120-value layer fingerprint
     per segment dominated delta planning.
     """
-    kernel = str(kernel)
     head = (
         b"L"
         + struct.pack("<I", 7)
         + canonical_bytes(SEGMENT_SCHEMA)
-        + canonical_bytes(kernel)
+        + canonical_bytes(KERNEL_RAGGED)
     )
     tail = canonical_bytes(str(np.dtype(dtype).str)) + canonical_bytes(
         str(lookup_kind)
@@ -300,9 +290,7 @@ def segment_keys(
             slice_part = slice_parts[span] = canonical_bytes(
                 yet_slice_fingerprint(yet, *span)
             )
-        stream = _segment_stream(
-            kernel, secondary, secondary_seed, task.trial_start, task.occ_start
-        )
+        stream = _segment_stream(secondary, secondary_seed, task.occ_start)
         payload = b"".join(
             (head, slice_part, layer_part, tail, canonical_bytes(stream))
         )

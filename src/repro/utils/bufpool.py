@@ -1,19 +1,17 @@
 """Scratch-buffer pool: reusable working arrays for the fused kernels.
 
-The legacy dense kernel allocates fresh intermediates on every batch and
-every ELT (a gather result, several term-application temporaries, a
-combined block) — at 15 ELTs that is ~45 full-size allocations per batch,
-all garbage a few microseconds later.  The fused ragged kernel in
-:mod:`repro.core.kernels` instead borrows working arrays from a
-:class:`ScratchBufferPool` and returns them when the batch is done, so a
+The kernel in :mod:`repro.core.kernels` borrows its working arrays (the
+gathered block, the combined loss vector, multiplier scratch) from a
+:class:`ScratchBufferPool` and returns them when the batch is done,
+instead of allocating fresh intermediates per batch and per ELT, so a
 multi-batch (or multi-layer) run touches the allocator a handful of times
 total and peak intermediate memory is measurable rather than incidental.
 
 Buffers are stored flat (1-D) per dtype and handed out as reshaped views
 of the smallest free buffer with enough capacity, so one pool serves the
 last (short) batch of a run as well as the full-size ones.  The pool also
-keeps the peak number of bytes simultaneously lent out — the number the
-``KERNEL-ABLATE`` benchmark reports as peak intermediate memory.
+keeps the peak number of bytes simultaneously lent out (peak
+intermediate memory).
 
 A pool is *not* thread-safe; concurrent workers (the multicore engine's
 chunk tasks) each use their own pool.

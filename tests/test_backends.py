@@ -276,7 +276,6 @@ class TestDispatchRouting:
             tiny_workload.catalog.n_events,
             "direct",
             np.float32,
-            "ragged",
         )
         yet = tiny_workload.yet
         year = layer_trial_batch_ragged(
@@ -299,7 +298,6 @@ class TestDispatchRouting:
             tiny_workload.catalog.n_events,
             "direct",
             np.float32,
-            "ragged",
         )
         yet = tiny_workload.yet
         via_backend = layer_trial_batch_ragged(
@@ -332,7 +330,7 @@ class TestDispatchRouting:
         yet = tiny_workload.yet
         for dtype in (np.float32, np.float64):
             _, stacked, _ = build_layer_tables(
-                elts, tiny_workload.catalog.n_events, "direct", dtype, "ragged"
+                elts, tiny_workload.catalog.n_events, "direct", dtype
             )
             TracingBackend.reset()
             out = combined_occurrence_losses(
@@ -595,7 +593,7 @@ class TestNumbaParity:
         layer = small_workload.portfolio.layers[0]
         elts = small_workload.portfolio.elts_of(layer)
         _, stacked, _ = build_layer_tables(
-            elts, small_workload.catalog.n_events, "direct", dtype, "ragged"
+            elts, small_workload.catalog.n_events, "direct", dtype
         )
         yet = small_workload.yet
         backend = get_backend("numba")
@@ -622,7 +620,7 @@ class TestNumbaParity:
         layer = small_workload.portfolio.layers[0]
         elts = small_workload.portfolio.elts_of(layer)
         _, stacked, _ = build_layer_tables(
-            elts, small_workload.catalog.n_events, "direct", dtype, "ragged"
+            elts, small_workload.catalog.n_events, "direct", dtype
         )
         yet = small_workload.yet
         backend = get_backend("numba")

@@ -86,8 +86,8 @@ class TestExperiments:
     def test_registry_matches_design_doc(self):
         assert set(ALL_EXPERIMENTS) == {
             "SEQ-SCALE", "FIG-1a", "FIG-1b", "FIG-2", "FIG-3", "FIG-4",
-            "FIG-5", "FIG-6", "DS-TABLE", "OPT-ABLATE", "KERNEL-ABLATE",
-            "KERNEL-ABLATE-SECONDARY", "PLAN-ABLATE", "REPLAY-ABLATE",
+            "FIG-5", "FIG-6", "DS-TABLE", "OPT-ABLATE", "PLAN-ABLATE",
+            "REPLAY-ABLATE",
             "FLEET-ABLATE", "CHAOS-ABLATE", "SERVE-ABLATE", "NET-ABLATE",
             "SCENARIO-ABLATE", "EXT-SECONDARY",
         }
@@ -96,13 +96,10 @@ class TestExperiments:
     def test_runs_model_only(self, exp_id):
         report = ALL_EXPERIMENTS[exp_id](measured_spec=TINY, measure=False)
         assert report.exp_id == exp_id
-        # EXT-SECONDARY, the KERNEL-ABLATE pair and the plan/replay/
-        # fleet ablations are measurement-only; everything else has
-        # model rows.
+        # EXT-SECONDARY and the plan/replay/fleet ablations are
+        # measurement-only; everything else has model rows.
         if exp_id not in (
             "EXT-SECONDARY",
-            "KERNEL-ABLATE",
-            "KERNEL-ABLATE-SECONDARY",
             "PLAN-ABLATE",
             "REPLAY-ABLATE",
             "FLEET-ABLATE",

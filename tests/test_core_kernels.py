@@ -2,8 +2,7 @@
 
 The contract under test: for every lookup kind, dtype, batch size and
 trial shape (including empty trials), the fused ragged kernel
-(:mod:`repro.core.kernels`), the legacy dense kernel
-(:mod:`repro.core.vectorized`) and the line-by-line scalar reference
+(:mod:`repro.core.kernels`) and the line-by-line scalar reference
 produce the same Year Loss Tables — exactly in float64, within float32
 tolerance on the reduced-precision path.
 """
@@ -17,15 +16,12 @@ from repro.core.kernels import (
     get_l2_cache_bytes,
     max_occ_chunk,
     occ_chunk_for,
-    KERNELS,
     autotune_batch_trials,
-    check_kernel,
-    dense_intermediate_bytes,
+    build_layer_tables,
     layer_trial_batch_ragged,
     run_ragged,
     segment_sums,
 )
-from repro.core.vectorized import run_vectorized
 from repro.data.layer import LayerTerms
 from repro.data.yet import YearEventTable
 from repro.lookup.factory import (
@@ -63,7 +59,7 @@ def ragged_yet(tiny_workload):
 
 
 # ----------------------------------------------------------------------
-# Equivalence: ragged vs dense vs scalar reference
+# Equivalence: ragged kernel vs scalar reference
 # ----------------------------------------------------------------------
 class TestKernelEquivalence:
     @pytest.mark.parametrize("kind", LOOKUP_KINDS)
@@ -93,23 +89,16 @@ class TestKernelEquivalence:
         ylt = run_ragged(
             ragged_yet, w.portfolio, w.catalog.n_events, lookup_kind=kind
         )
-        dense = run_vectorized(
-            ragged_yet, w.portfolio, w.catalog.n_events, lookup_kind=kind
-        )
         assert reference.allclose(ylt)
-        assert reference.allclose(dense)
 
-    def test_float32_close_to_dense_float32(self, tiny_workload):
+    def test_float32_close_to_reference(self, tiny_workload, reference_ylt):
         w = tiny_workload
         ragged = run_ragged(
             w.yet, w.portfolio, w.catalog.n_events, dtype=np.float32
         )
-        dense = run_vectorized(
-            w.yet, w.portfolio, w.catalog.n_events, dtype=np.float32
-        )
         for layer in w.portfolio.layers:
             a = ragged.layer_losses(layer.layer_id)
-            b = dense.layer_losses(layer.layer_id)
+            b = reference_ylt.layer_losses(layer.layer_id)
             assert np.allclose(a, b, rtol=1e-4)
 
     def test_float64_tight_tolerance(self, tiny_workload, reference_ylt):
@@ -138,12 +127,9 @@ class TestKernelEquivalence:
 
         w = tiny_workload
         for engine in ("sequential", "multicore", "gpu"):
-            ara = AggregateRiskAnalysis(
-                w.portfolio, w.catalog.n_events, kernel="ragged"
-            )
+            ara = AggregateRiskAnalysis(w.portfolio, w.catalog.n_events)
             result = ara.run(w.yet, engine=engine)
             assert reference_ylt.allclose(result.ylt), engine
-            assert result.meta.get("kernel", "ragged") == "ragged"
 
 
 # ----------------------------------------------------------------------
@@ -305,15 +291,16 @@ class TestAutotuner:
         with pytest.raises(ValueError):
             autotune_batch_trials(1, 1.0, 1, budget_bytes=0)
 
-    def test_check_kernel(self):
-        for name in KERNELS:
-            assert check_kernel(name) == name
-        with pytest.raises(ValueError):
-            check_kernel("blocked")
-
-    def test_dense_estimate_scales_with_block(self):
-        assert dense_intermediate_bytes(10, 10, 8) == 100 * 36
-        assert dense_intermediate_bytes(10, 10, 4) > 0
+    def test_layer_tables_accept_only_the_ragged_kernel(self, tiny_workload):
+        w = tiny_workload
+        elts = w.portfolio.elts_of(w.portfolio.layers[0])
+        n = w.catalog.n_events
+        _, stacked, nbytes = build_layer_tables(elts, n, "direct", np.float64)
+        assert stacked is not None and nbytes == stacked.nbytes
+        legacy = build_layer_tables(elts, n, "direct", np.float64, "ragged")
+        assert legacy[1] is stacked
+        with pytest.raises(ValueError, match="only kernel"):
+            build_layer_tables(elts, n, "direct", np.float64, "dense")
 
 
 # ----------------------------------------------------------------------

@@ -46,11 +46,11 @@ class TestMaxOccurrenceLosses:
         self, tiny_identity_workload
     ):
         """With identity terms, max occurrence ≤ year aggregate."""
-        from repro.core.vectorized import run_vectorized
+        from repro.core.kernels import run_ragged
 
         w = tiny_identity_workload
         occ = max_occurrence_losses(w.yet, w.portfolio, w.catalog.n_events)
-        agg = run_vectorized(w.yet, w.portfolio, w.catalog.n_events)
+        agg = run_ragged(w.yet, w.portfolio, w.catalog.n_events)
         assert np.all(occ.losses <= agg.losses + 1e-9)
 
     def test_batching_invariant(self, tiny_workload):

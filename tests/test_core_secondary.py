@@ -4,24 +4,29 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.secondary import (
-    SecondaryUncertainty,
-    layer_trial_batch_secondary,
+from repro.core.kernels import (
+    build_layer_tables,
+    layer_trial_batch_ragged,
+    layer_trial_batch_secondary_ragged,
 )
-from repro.core.vectorized import layer_trial_batch
+from repro.core.secondary import SecondaryUncertainty, layer_stream_key
 from repro.data.layer import LayerTerms
-from repro.lookup.factory import build_layer_lookups
+
+
+def _draws(su: SecondaryUncertainty, n: int, seed: int = 0) -> np.ndarray:
+    """``n`` counter-based multipliers of one stream."""
+    return su.multipliers_for_span(seed, 0, n, 1)[0]
 
 
 class TestSecondaryUncertainty:
-    def test_multiplier_mean_is_one(self, rng):
+    def test_multiplier_mean_is_one(self):
         su = SecondaryUncertainty(4.0, 4.0)
-        draws = su.sample_multipliers((200_000,), rng)
+        draws = _draws(su, 200_000)
         assert draws.mean() == pytest.approx(1.0, abs=0.01)
 
-    def test_multipliers_nonnegative(self, rng):
+    def test_multipliers_nonnegative(self):
         su = SecondaryUncertainty(2.0, 5.0)
-        draws = su.sample_multipliers((10_000,), rng)
+        draws = _draws(su, 10_000)
         assert np.all(draws >= 0)
 
     def test_cv_decreases_with_concentration(self):
@@ -42,31 +47,51 @@ class TestSecondaryUncertainty:
     )
     def test_rescaled_mean_always_one(self, alpha, beta):
         su = SecondaryUncertainty(alpha, beta)
-        rng = np.random.default_rng(0)
-        draws = su.sample_multipliers((50_000,), rng)
+        draws = _draws(su, 50_000)
         assert abs(draws.mean() - 1.0) < 0.05
 
 
 class TestSecondaryKernel:
+    """The secondary kernel (:func:`layer_trial_batch_secondary_ragged`)
+    over a whole YET; ``seed`` is the run's base secondary seed."""
+
     def _setup(self, workload):
         layer = workload.portfolio.layers[0]
-        lookups = build_layer_lookups(
-            workload.portfolio.elts_of(layer), workload.catalog.n_events
+        lookups, stacked, _ = build_layer_tables(
+            workload.portfolio.elts_of(layer),
+            workload.catalog.n_events,
+            "direct",
+            np.float64,
         )
-        return layer, lookups, workload.yet.to_dense()
+        ids, offs = workload.yet.csr_block(0, workload.yet.n_trials)
+        return layer, (ids, offs, lookups), stacked
+
+    def _base(self, layer, inputs, stacked):
+        return layer_trial_batch_ragged(
+            *inputs, layer.terms, stacked=stacked
+        )
+
+    def _secondary(self, layer, inputs, stacked, su, seed, terms=None):
+        return layer_trial_batch_secondary_ragged(
+            *inputs,
+            layer.terms if terms is None else terms,
+            su,
+            layer_stream_key(seed, layer.layer_id),
+            stacked=stacked,
+        )
 
     def test_deterministic_given_seed(self, tiny_workload):
-        layer, lookups, dense = self._setup(tiny_workload)
+        setup = self._setup(tiny_workload)
         su = SecondaryUncertainty()
-        a = layer_trial_batch_secondary(dense, lookups, layer.terms, su, seed=1)
-        b = layer_trial_batch_secondary(dense, lookups, layer.terms, su, seed=1)
+        a = self._secondary(*setup, su, seed=1)
+        b = self._secondary(*setup, su, seed=1)
         assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self, tiny_workload):
-        layer, lookups, dense = self._setup(tiny_workload)
+        setup = self._setup(tiny_workload)
         su = SecondaryUncertainty()
-        a = layer_trial_batch_secondary(dense, lookups, layer.terms, su, seed=1)
-        b = layer_trial_batch_secondary(dense, lookups, layer.terms, su, seed=2)
+        a = self._secondary(*setup, su, seed=1)
+        b = self._secondary(*setup, su, seed=2)
         assert not np.array_equal(a, b)
 
     def test_mean_preserved_with_identity_layer_terms(
@@ -74,16 +99,14 @@ class TestSecondaryKernel:
     ):
         """With linear (identity) terms E[loss] is invariant to mean-1
         multipliers; check the sample mean lands close."""
-        w = tiny_identity_workload
-        layer, lookups, dense = self._setup(w)
-        base = layer_trial_batch(dense, lookups, layer.terms)
+        setup = self._setup(tiny_identity_workload)
+        base = self._base(*setup)
         # Average many independent secondary draws.
         totals = np.zeros_like(base)
         n_draws = 30
         for seed in range(n_draws):
-            totals += layer_trial_batch_secondary(
-                dense, lookups, layer.terms,
-                SecondaryUncertainty(8.0, 8.0), seed=seed,
+            totals += self._secondary(
+                *setup, SecondaryUncertainty(8.0, 8.0), seed=seed
             )
         mean_secondary = totals / n_draws
         # Aggregate over trials: relative error shrinks with pooling.
@@ -92,11 +115,10 @@ class TestSecondaryKernel:
         )
 
     def test_tight_uncertainty_converges_to_base(self, tiny_workload):
-        layer, lookups, dense = self._setup(tiny_workload)
-        base = layer_trial_batch(dense, lookups, layer.terms)
-        tight = layer_trial_batch_secondary(
-            dense, lookups, layer.terms,
-            SecondaryUncertainty(5000.0, 5000.0), seed=3,
+        setup = self._setup(tiny_workload)
+        base = self._base(*setup)
+        tight = self._secondary(
+            *setup, SecondaryUncertainty(5000.0, 5000.0), seed=3
         )
         # ~1% loss multipliers can be amplified by the retention clamps
         # near thresholds, so compare with a scale-based absolute
@@ -105,17 +127,25 @@ class TestSecondaryKernel:
         assert np.allclose(tight, base, rtol=0.3, atol=0.05 * scale)
         assert tight.sum() == pytest.approx(base.sum(), rel=0.02)
 
-    def test_rejects_1d_matrix(self, tiny_workload):
-        layer, lookups, _ = self._setup(tiny_workload)
+    def test_rejects_2d_event_ids(self, tiny_workload):
+        layer, (_, offs, lookups), stacked = self._setup(tiny_workload)
         with pytest.raises(ValueError):
-            layer_trial_batch_secondary(
-                np.array([1, 2]), lookups, layer.terms, SecondaryUncertainty()
+            layer_trial_batch_secondary_ragged(
+                np.array([[1, 2]]),
+                offs,
+                lookups,
+                layer.terms,
+                SecondaryUncertainty(),
+                0,
+                stacked=stacked,
             )
 
     def test_year_losses_respect_aggregate_limit(self, tiny_workload):
-        layer, lookups, dense = self._setup(tiny_workload)
-        terms = LayerTerms(agg_limit=1e7)
-        out = layer_trial_batch_secondary(
-            dense, lookups, terms, SecondaryUncertainty(2.0, 2.0), seed=5
+        setup = self._setup(tiny_workload)
+        out = self._secondary(
+            *setup,
+            SecondaryUncertainty(2.0, 2.0),
+            seed=5,
+            terms=LayerTerms(agg_limit=1e7),
         )
         assert np.all(out <= 1e7 + 1e-6)

@@ -3,12 +3,7 @@
 The headline contract — codified by :class:`TestBitwiseMatrix` — is
 that a fleet-assembled YLT is byte-identical to a monolithic
 ``Engine.run`` of the same numeric configuration, for every
-engine x kernel x secondary combination whose multiplier streams are
-engine-portable (ragged everywhere, dense primary everywhere, dense
-secondary on the CPU engines).  The three simulated-GPU dense-secondary
-configurations deliberately seed engine-*private* streams
-(``"gpu-dense-secondary"``, see :mod:`repro.engines.gpu_common`);
-for those the fleet pins the CPU-canonical bytes of the same plan.
+engine x secondary combination.
 """
 
 from __future__ import annotations
@@ -33,7 +28,6 @@ from repro.fleet import (
     run_workers,
     submit_sweep,
 )
-from repro.plan.execute import execute_plan_cpu
 from repro.store import MemoryStore, SharedFileStore, ylt_digest
 
 SECONDARY_SEED = 20130812
@@ -48,23 +42,17 @@ ENGINE_OPTIONS = {
     "multi-gpu": {"n_devices": 4},
 }
 
-#: configs whose dense-secondary streams are engine-private (simulated
-#: GPU launches); the fleet pins the same-plan CPU bytes instead.
-GPU_PRIVATE_STREAMS = {"gpu", "gpu-optimized", "multi-gpu"}
-
 CONFIGS = [
-    (engine, kernel, secondary)
+    (engine, secondary)
     for engine in ENGINE_OPTIONS
-    for kernel in ("ragged", "dense")
     for secondary in (False, True)
 ]
 
 
-def analysis_for(workload, kernel: str, secondary: bool):
+def analysis_for(workload, secondary: bool):
     return AggregateRiskAnalysis(
         workload.portfolio,
         workload.catalog.n_events,
-        kernel=kernel,
         secondary=SecondaryUncertainty(4.0, 4.0) if secondary else None,
         secondary_seed=SECONDARY_SEED if secondary else None,
     )
@@ -72,14 +60,16 @@ def analysis_for(workload, kernel: str, secondary: bool):
 
 class TestBitwiseMatrix:
     @pytest.mark.parametrize(
-        "engine,kernel,secondary",
+        "engine,secondary",
         CONFIGS,
-        ids=[f"{e}|{k}|{'sec' if s else 'pri'}" for e, k, s in CONFIGS],
+        # "ragged" keeps the ids the matrix had when it also ran a
+        # padded kernel.
+        ids=[f"{e}|ragged|{'sec' if s else 'pri'}" for e, s in CONFIGS],
     )
     def test_fleet_assembly_matches_monolithic_run(
-        self, small_workload, engine, kernel, secondary
+        self, small_workload, engine, secondary
     ):
-        ara = analysis_for(small_workload, kernel, secondary)
+        ara = analysis_for(small_workload, secondary)
         opts = ENGINE_OPTIONS[engine]
         fleet = ara.run_fleet(
             small_workload.yet,
@@ -88,41 +78,15 @@ class TestBitwiseMatrix:
             store=MemoryStore(max_entries=None),
             **opts,
         )
-        if kernel == "dense" and secondary and engine in GPU_PRIVATE_STREAMS:
-            # engine-private streams: the fleet's contract is the
-            # CPU-canonical execution of the engine's own plan
-            engine_obj = create_engine(
-                engine,
-                kernel=kernel,
-                secondary=ara.secondary,
-                secondary_seed=ara.secondary_seed,
-                dtype=ara.dtype,
-                **opts,
-            )
-            caps = engine_obj.capabilities()
-            expected = execute_plan_cpu(
-                small_workload.yet,
-                small_workload.portfolio,
-                small_workload.catalog.n_events,
-                engine_obj.plan_for(
-                    small_workload.yet, small_workload.portfolio
-                ),
-                dtype=np.dtype(caps.dtype),
-                secondary=ara.secondary,
-                secondary_seed=ara.secondary_seed,
-            )
-            assert ylt_digest(fleet.ylt) == ylt_digest(expected)
-        else:
-            mono = ara.run(small_workload.yet, engine=engine, **opts)
-            assert ylt_digest(fleet.ylt) == ylt_digest(mono.ylt)
+        mono = ara.run(small_workload.yet, engine=engine, **opts)
+        assert ylt_digest(fleet.ylt) == ylt_digest(mono.ylt)
 
     def test_fixed_stride_segments_also_assemble_exactly(
         self, small_workload
     ):
         """The delta-stable segmentation produces the same bytes as the
-        engine-native plan on the ragged path (decomposition-invariant
-        kernels)."""
-        ara = analysis_for(small_workload, "ragged", True)
+        engine-native plan (the kernel is decomposition-invariant)."""
+        ara = analysis_for(small_workload, True)
         mono = ara.run(small_workload.yet, engine="sequential")
         fleet = ara.run_fleet(
             small_workload.yet,
@@ -137,7 +101,7 @@ class TestBitwiseMatrix:
 
 class TestDeltaReuse:
     def test_resweep_executes_nothing(self, small_workload):
-        ara = analysis_for(small_workload, "ragged", False)
+        ara = analysis_for(small_workload, False)
         store = MemoryStore(max_entries=None)
         first = ara.run_fleet(
             small_workload.yet, n_workers=2, store=store, segment_trials=150
@@ -153,7 +117,7 @@ class TestDeltaReuse:
     def test_extended_yet_recomputes_only_the_tail(self, small_workload):
         """The growing-trial-database scenario: append 25% more trials
         and only the new segments are jobs."""
-        ara = analysis_for(small_workload, "ragged", False)
+        ara = analysis_for(small_workload, False)
         store = MemoryStore(max_entries=None)
         ara.run_fleet(
             small_workload.yet, n_workers=1, store=store, segment_trials=150
@@ -274,7 +238,7 @@ class TestCrashRecovery:
         assert queue.counts(ticket.sweep_id)["done"] == ticket.delta.n_missing
         assert store.puts == ticket.delta.n_missing
         ylt = gather_sweep(queue, store, ticket.sweep_id)
-        mono = analysis_for(small_workload, "ragged", False).run(
+        mono = analysis_for(small_workload, False).run(
             small_workload.yet, engine="sequential"
         )
         assert ylt_digest(ylt) == ylt_digest(mono.ylt)
@@ -286,7 +250,7 @@ class TestCrashRecovery:
         GC-collected mid-sweep) self-heals: run_fleet replans against
         the store's current state and recomputes exactly the hole."""
         store = SharedFileStore(tmp_path / "cache")
-        ara = analysis_for(small_workload, "ragged", False)
+        ara = analysis_for(small_workload, False)
         first = ara.run_fleet(
             small_workload.yet, n_workers=1, store=store, segment_trials=150
         )
@@ -312,7 +276,7 @@ class TestCrashRecovery:
         self, small_workload, tmp_path
     ):
         store = SharedFileStore(tmp_path / "cache")
-        ara = analysis_for(small_workload, "ragged", False)
+        ara = analysis_for(small_workload, False)
         result = ara.run_fleet(
             small_workload.yet, n_workers=4, store=store, segment_trials=60
         )
@@ -359,7 +323,7 @@ class TestAssembler:
 
 class TestFailurePaths:
     def test_run_fleet_without_store_raises(self, small_workload):
-        ara = analysis_for(small_workload, "ragged", False)
+        ara = analysis_for(small_workload, False)
         with pytest.raises(ValueError, match="needs a ResultStore"):
             ara.run_fleet(small_workload.yet)
 
@@ -498,3 +462,60 @@ class TestModeledMakespan:
 
     def test_empty_jobs_zero(self):
         assert modeled_makespan([], 3) == 0.0
+
+
+class TestManifestKernelCheck:
+    """A manifest's ``config.kernel`` must be absent or ``"ragged"``:
+    any other value names a kernel this code does not have, and is
+    rejected before a single input is built."""
+
+    @pytest.fixture()
+    def manifest(self, tmp_path, small_workload):
+        from tests.conftest import SMALL_SPEC
+
+        queue = JobQueue(tmp_path / "q")
+        ticket = submit_sweep(
+            queue,
+            MemoryStore(),
+            small_workload.yet,
+            small_workload.portfolio,
+            small_workload.catalog.n_events,
+            create_engine("sequential"),
+            segment_trials=200,
+            workload_spec=SMALL_SPEC,
+        )
+        return queue, ticket.sweep_id, ticket.manifest
+
+    def test_missing_or_ragged_kernel_loads(self, manifest, small_workload):
+        from repro.fleet.context import context_from_manifest
+
+        _, _, manifest = manifest
+        assert manifest["config"]["kernel"] == "ragged"
+        ctx = context_from_manifest(manifest)
+        assert ctx.yet.n_trials == small_workload.yet.n_trials
+        legacy = dict(manifest, config=dict(manifest["config"]))
+        del legacy["config"]["kernel"]
+        assert context_from_manifest(legacy).yet.n_trials == ctx.yet.n_trials
+
+    @pytest.mark.parametrize("kernel", ["bogus", "dense"])
+    def test_other_kernels_rejected_before_compute(
+        self, manifest, monkeypatch, kernel
+    ):
+        import repro.data.generator as generator
+        from repro.fleet.context import context_from_manifest
+
+        queue, sweep_id, manifest = manifest
+        manifest = dict(manifest, config=dict(manifest["config"]))
+        manifest["config"]["kernel"] = kernel
+        queue.save_sweep(sweep_id, manifest)
+
+        def no_inputs(*args, **kwargs):
+            raise AssertionError("inputs built for a rejected manifest")
+
+        monkeypatch.setattr(generator, "generate_workload", no_inputs)
+        with pytest.raises(ValueError, match=sweep_id):
+            context_from_manifest(manifest)
+        store = MemoryStore()
+        with pytest.raises(ValueError, match=kernel):
+            FleetWorker(queue, store)._context(sweep_id)
+        assert len(store) == 0

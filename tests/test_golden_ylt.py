@@ -1,7 +1,7 @@
 """Golden-YLT regression net: pinned digests for every configuration.
 
-The PR 3 hash-diff check — run every engine x kernel x secondary
-configuration on a seeded preset and compare YLT hashes against the
+The PR 3 hash-diff check — run every engine x secondary configuration
+on a seeded preset and compare YLT hashes against the
 previous revision — made permanent: the digests live in
 ``tests/golden_ylt.json`` and any future refactor that changes a single
 bit of any configuration's output fails here, even if it would slip
@@ -41,9 +41,8 @@ UPDATE_ENV = "REPRO_UPDATE_GOLDEN"
 
 SECONDARY_SEED = 20130812
 
-#: engines with machine-dependent default decompositions are pinned
-#: (dense secondary draws are keyed by chunk start, so a floating
-#: worker/device count would change result identity host-to-host).
+#: engines with machine-dependent default decompositions are pinned, so
+#: every host runs the same plans.
 ENGINE_OPTIONS = {
     "sequential": {},
     "multicore": {"n_cores": 4},
@@ -53,22 +52,22 @@ ENGINE_OPTIONS = {
 }
 
 CONFIGS = [
-    (engine, kernel, secondary)
+    (engine, secondary)
     for engine in ENGINE_OPTIONS
-    for kernel in ("ragged", "dense")
     for secondary in (False, True)
 ]
 
 
-def config_id(engine: str, kernel: str, secondary: bool) -> str:
-    return f"{engine}|{kernel}|{'secondary' if secondary else 'primary'}"
+def config_id(engine: str, secondary: bool) -> str:
+    # "ragged" is the kernel name the digest keys were first recorded
+    # under; it stays so the golden file keeps its keys.
+    return f"{engine}|ragged|{'secondary' if secondary else 'primary'}"
 
 
-def run_config(workload, engine: str, kernel: str, secondary: bool):
+def run_config(workload, engine: str, secondary: bool):
     ara = AggregateRiskAnalysis(
         workload.portfolio,
         workload.catalog.n_events,
-        kernel=kernel,
         secondary=SecondaryUncertainty(4.0, 4.0) if secondary else None,
         secondary_seed=SECONDARY_SEED if secondary else None,
     )
@@ -138,7 +137,7 @@ def test_ylt_digest_matches_golden(golden, computed_digests, config):
 
 
 def test_ragged_digests_agree_across_cpu_engines(computed_digests):
-    """Decomposition invariance, digest-strength: the ragged kernel's
+    """Decomposition invariance, digest-strength: the kernel's
     sequential and multicore YLTs are byte-identical (same dtype), with
     and without secondary uncertainty."""
     for secondary in ("primary", "secondary"):
@@ -146,3 +145,31 @@ def test_ragged_digests_agree_across_cpu_engines(computed_digests):
             computed_digests[f"sequential|ragged|{secondary}"]
             == computed_digests[f"multicore|ragged|{secondary}"]
         )
+
+
+@pytest.mark.parametrize("engine", ["gpu", "gpu-optimized", "multi-gpu"])
+def test_traffic_ledger_changes_pricing_only(golden, small_workload, engine):
+    """``traffic=`` picks the ledger the simulated device prices: the
+    paper's padded CUDA traffic and the fused kernel's traffic give the
+    same (golden) YLT bytes at different modeled seconds."""
+    if golden["numpy"] != numpy_tag():
+        pytest.skip(f"golden digests pinned under numpy {golden['numpy']}")
+    runs = {
+        traffic: AggregateRiskAnalysis(
+            small_workload.portfolio, small_workload.catalog.n_events
+        ).run(
+            small_workload.yet,
+            engine=engine,
+            traffic=traffic,
+            **ENGINE_OPTIONS[engine],
+        )
+        for traffic in ("fused", "paper")
+    }
+    digests = {ylt_digest(r.ylt) for r in runs.values()}
+    assert digests == {golden["digests"][config_id(engine, False)]}
+    assert runs["fused"].modeled_seconds != runs["paper"].modeled_seconds
+    assert runs["paper"].meta["traffic"] == "paper"
+    with pytest.raises(ValueError, match="traffic"):
+        AggregateRiskAnalysis(
+            small_workload.portfolio, small_workload.catalog.n_events
+        ).run(small_workload.yet, engine=engine, traffic="padded")

@@ -41,27 +41,27 @@ def run(engine, workload):
 
 
 class TestModelEngineAgreement:
-    """Pinned to ``kernel="dense"``: the analytic model prices the
+    """Pinned to ``traffic="paper"``: the analytic model prices the
     paper's padded CUDA kernels, so model↔engine agreement is a
-    dense-ledger contract.  The ragged ledger deliberately charges the
+    paper-ledger contract.  The fused ledger deliberately charges the
     fused formulation's (smaller) traffic — asserted separately below."""
 
     def test_gpu_basic(self, workload):
         predicted = predict_gpu_basic(SPEC).total_seconds
-        modeled = run(GPUBasicEngine(kernel="dense"), workload).modeled_seconds
+        modeled = run(GPUBasicEngine(traffic="paper"), workload).modeled_seconds
         assert modeled == pytest.approx(predicted, rel=0.05)
 
     def test_gpu_optimized(self, workload):
         predicted = predict_gpu_optimized(SPEC).total_seconds
         modeled = run(
-            GPUOptimizedEngine(kernel="dense"), workload
+            GPUOptimizedEngine(traffic="paper"), workload
         ).modeled_seconds
         assert modeled == pytest.approx(predicted, rel=0.05)
 
     def test_multi_gpu(self, workload):
         predicted = predict_multi_gpu(SPEC, n_devices=4).total_seconds
         modeled = run(
-            MultiGPUEngine(n_devices=4, kernel="dense"), workload
+            MultiGPUEngine(n_devices=4, traffic="paper"), workload
         ).modeled_seconds
         assert modeled == pytest.approx(predicted, rel=0.08)
 
@@ -71,22 +71,23 @@ class TestModelEngineAgreement:
             SPEC, threads_per_block=tpb
         ).total_seconds
         modeled = run(
-            GPUBasicEngine(threads_per_block=tpb, kernel="dense"), workload
+            GPUBasicEngine(threads_per_block=tpb, traffic="paper"), workload
         ).modeled_seconds
         assert modeled == pytest.approx(predicted, rel=0.05)
 
 
 class TestRaggedLedgerShowsFusionWin:
-    """The ragged ledger (coalesced CSR streams + fused gather, no
-    global intermediates) must price *below* the dense ledger wherever
-    the fusion actually removes traffic: the basic kernel's per-pair
-    round trips and the optimised kernel without chunking.  The fully
-    chunked optimised kernel is already on-chip, so there ragged models
-    at parity (within the small extra coalesced offsets stream)."""
+    """The fused ledger (coalesced CSR streams + fused gather, no
+    global intermediates) must price *below* the paper's padded ledger
+    wherever the fusion actually removes traffic: the basic kernel's
+    per-pair round trips and the optimised kernel without chunking.
+    The fully chunked optimised kernel is already on-chip, so there the
+    fused ledger models at parity (within the small extra coalesced
+    offsets stream).  ``dense`` names the paper's padded ledger."""
 
     def test_ragged_beats_dense_on_basic(self, workload):
-        dense = run(GPUBasicEngine(kernel="dense"), workload)
-        ragged = run(GPUBasicEngine(kernel="ragged"), workload)
+        dense = run(GPUBasicEngine(traffic="paper"), workload)
+        ragged = run(GPUBasicEngine(traffic="fused"), workload)
         assert ragged.modeled_seconds < dense.modeled_seconds
         assert ragged.ylt.allclose(dense.ylt)
 
@@ -95,16 +96,16 @@ class TestRaggedLedgerShowsFusionWin:
 
         flags = OptimizationFlags(False, True, True, True)
         dense = run(
-            GPUOptimizedEngine(kernel="dense", flags=flags), workload
+            GPUOptimizedEngine(traffic="paper", flags=flags), workload
         )
         ragged = run(
-            GPUOptimizedEngine(kernel="ragged", flags=flags), workload
+            GPUOptimizedEngine(traffic="fused", flags=flags), workload
         )
         assert ragged.modeled_seconds < dense.modeled_seconds
 
     def test_ragged_parity_on_fully_optimized(self, workload):
-        dense = run(GPUOptimizedEngine(kernel="dense"), workload)
-        ragged = run(GPUOptimizedEngine(kernel="ragged"), workload)
+        dense = run(GPUOptimizedEngine(traffic="paper"), workload)
+        ragged = run(GPUOptimizedEngine(traffic="fused"), workload)
         assert ragged.modeled_seconds <= dense.modeled_seconds * 1.02
         assert ragged.ylt.allclose(dense.ylt)
 

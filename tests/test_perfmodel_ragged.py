@@ -17,22 +17,22 @@ class TestPaperScaleProjections:
         """At paper scale the fused ragged formulation beats the padded
         basic kernel: half the strided per-pair traffic, a fraction of
         the per-event layer traffic."""
-        dense = predict_gpu_basic(PAPER)
+        paper = predict_gpu_basic(PAPER)
         ragged = predict_gpu_ragged(PAPER)
-        assert ragged.total_seconds < dense.total_seconds
+        assert ragged.total_seconds < paper.total_seconds
         # The win is substantial, not rounding: >20% modeled time.
-        assert ragged.total_seconds < 0.8 * dense.total_seconds
+        assert ragged.total_seconds < 0.8 * paper.total_seconds
 
     def test_parity_on_chunked_optimized_kernel(self):
         """The chunked-optimised kernel already keeps intermediates
         on-chip, so fusing buys little there — the ledger's documented
         behaviour (parity, not regression)."""
-        dense = predict_gpu_optimized(PAPER)
+        paper = predict_gpu_optimized(PAPER)
         ragged = predict_gpu_ragged(PAPER, optimized=True)
         assert ragged.total_seconds == pytest.approx(
-            dense.total_seconds, rel=0.1
+            paper.total_seconds, rel=0.1
         )
-        assert ragged.total_seconds <= dense.total_seconds * 1.01
+        assert ragged.total_seconds <= paper.total_seconds * 1.01
 
     def test_secondary_costs_more(self):
         base = predict_gpu_ragged(PAPER)
@@ -60,14 +60,16 @@ class TestEngineConsistency:
     """
 
     def test_basic_ragged_matches_engine(self):
-        result = measure_engine(BENCH_SMALL, "gpu", kernel="ragged")
+        result = measure_engine(BENCH_SMALL, "gpu", traffic="fused")
         prediction = predict_gpu_ragged(BENCH_SMALL)
         assert result.modeled_seconds == pytest.approx(
             prediction.total_seconds, rel=1e-6
         )
 
     def test_optimized_ragged_matches_engine(self):
-        result = measure_engine(BENCH_SMALL, "gpu-optimized", kernel="ragged")
+        result = measure_engine(
+            BENCH_SMALL, "gpu-optimized", traffic="fused"
+        )
         prediction = predict_gpu_ragged(BENCH_SMALL, optimized=True)
         assert result.modeled_seconds == pytest.approx(
             prediction.total_seconds, rel=1e-6

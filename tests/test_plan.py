@@ -78,16 +78,16 @@ class TestPlanner:
 
     def test_event_balance_uses_balanced_ranges(self):
         yet, portfolio, _ = make_workload()
-        caps = EngineCapabilities(n_slots=3, kernel="ragged")
+        caps = EngineCapabilities(n_slots=3)
         plan = Planner().plan(yet, portfolio, caps)
         assert plan.balance == "events"
         expected = balanced_chunk_ranges(yet.offsets, 3)
         assert plan.slot_ranges(portfolio.layers[0].layer_id) == expected
 
-    def test_dense_balance_uses_trial_ranges(self):
+    def test_trials_balance_uses_trial_ranges(self):
         yet, portfolio, _ = make_workload()
         caps = EngineCapabilities(
-            n_slots=3, kernel="dense", slot_batching="whole"
+            n_slots=3, balance="trials", slot_batching="whole"
         )
         plan = Planner().plan(yet, portfolio, caps)
         assert plan.balance == "trials"
@@ -153,7 +153,6 @@ class TestCoverage:
             n_occurrences=0,
             layer_ids=(0,),
             n_slots=1,
-            kernel="ragged",
             balance="events",
             tasks=(
                 PlanTask(0, 0, 0, 0, 0, 4, 0, 0),
@@ -169,7 +168,6 @@ class TestCoverage:
             n_occurrences=0,
             layer_ids=(0,),
             n_slots=1,
-            kernel="ragged",
             balance="events",
             tasks=(
                 PlanTask(0, 0, 0, 0, 0, 6, 0, 0),
@@ -185,9 +183,7 @@ class TestSchedulerInvariance:
         """The tentpole guarantee: concurrency 1/2/8 over the *same*
         plan produce bit-for-bit identical seeded YLTs."""
         yet, portfolio, catalog = make_workload(n_trials=90)
-        caps = EngineCapabilities(
-            n_slots=8, kernel="ragged", secondary=True
-        )
+        caps = EngineCapabilities(n_slots=8, secondary=True)
         plan = Planner().plan(yet, portfolio, caps)
         results = [
             execute_plan_cpu(

@@ -26,7 +26,7 @@ from repro.store import MemoryStore, StoreEntry, segment_key
 
 @pytest.fixture()
 def caps():
-    return EngineCapabilities(engine="test", kernel="ragged", dtype="<f8")
+    return EngineCapabilities(engine="test", dtype="<f8")
 
 
 def store_segments(workload, delta, store, records):
@@ -37,7 +37,6 @@ def store_segments(workload, delta, store, records):
             workload.portfolio,
             workload.catalog.n_events,
             record.task,
-            kernel=delta.plan.kernel,
         )
         store.put(record.key, StoreEntry(arrays={"losses": losses}))
 
@@ -63,7 +62,7 @@ class TestPlanSegments:
 
     def test_segment_plan_executes_bit_identically(self, small_workload):
         """A fixed-stride plan run monolithically equals the native
-        plan's result (ragged kernels are decomposition-invariant)."""
+        plan's result (the kernel is decomposition-invariant)."""
         from repro.store import ylt_digest
 
         engine = create_engine("sequential")
@@ -191,7 +190,7 @@ class TestPerturbationLocality:
         so the same trial block at a different position is *different*
         work — the key must say so."""
         caps = EngineCapabilities(
-            engine="test", kernel="ragged", dtype="<f8", secondary=True
+            engine="test", dtype="<f8", secondary=True
         )
         doubled = YearEventTable.concatenate(
             [small_workload.yet, small_workload.yet]
@@ -208,31 +207,6 @@ class TestPerturbationLocality:
         keys = delta.keys()
         assert len(keys) == 2
         assert keys[0] != keys[1]
-
-    def test_dense_secondary_keys_bound_to_trial_start(
-        self, small_workload
-    ):
-        secondary = SecondaryUncertainty(4.0, 4.0)
-        shared = dict(
-            kernel="dense",
-            dtype="<f8",
-            lookup_kind="direct",
-            secondary=secondary,
-            secondary_seed=7,
-        )
-        layer_id = small_workload.portfolio.layers[0].layer_id
-        key_a = segment_key(
-            small_workload.yet, small_workload.portfolio, layer_id,
-            0, 300, 0, **shared,
-        )
-        doubled = YearEventTable.concatenate(
-            [small_workload.yet.slice_trials(0, 300)] * 2
-        )
-        key_b = segment_key(
-            doubled, small_workload.portfolio, layer_id,
-            300, 600, int(doubled.offsets[300]), **shared,
-        )
-        assert key_a != key_b
 
     def test_changed_terms_change_only_that_layers_keys(
         self, multilayer_workload, caps
@@ -270,11 +244,10 @@ class TestPerturbationLocality:
             else:
                 assert old.key == new.key
 
-    def test_dtype_and_kernel_separate_keys(self, small_workload):
+    def test_dtype_separates_keys(self, small_workload):
         variants = [
-            EngineCapabilities(engine="t", kernel="ragged", dtype="<f8"),
-            EngineCapabilities(engine="t", kernel="ragged", dtype="<f4"),
-            EngineCapabilities(engine="t", kernel="dense", dtype="<f8"),
+            EngineCapabilities(engine="t", dtype="<f8"),
+            EngineCapabilities(engine="t", dtype="<f4"),
         ]
         keysets = []
         for caps in variants:
@@ -284,7 +257,6 @@ class TestPerturbationLocality:
             )
             keysets.append(set(delta.keys()))
         assert not (keysets[0] & keysets[1])
-        assert not (keysets[0] & keysets[2])
 
 
 class TestStoredSegmentsAreTheAnswer:
@@ -319,7 +291,6 @@ class TestSegmentKeysFastPath:
     @settings(max_examples=30, deadline=None)
     @given(
         n_trials=st.integers(1, 600),
-        kernel=st.sampled_from(["ragged", "dense"]),
         secondary=st.booleans(),
         stride=st.one_of(st.none(), st.integers(1, 700)),
         n_slots=st.integers(1, 5),
@@ -331,7 +302,6 @@ class TestSegmentKeysFastPath:
         self,
         multilayer_workload,
         n_trials,
-        kernel,
         secondary,
         stride,
         n_slots,
@@ -343,7 +313,6 @@ class TestSegmentKeysFastPath:
         book = multilayer_workload.portfolio
         caps = EngineCapabilities(
             engine="test",
-            kernel=kernel,
             n_slots=n_slots,
             batch_trials=batch_trials,
             dtype=dtype,
@@ -365,7 +334,6 @@ class TestSegmentKeysFastPath:
                 task.trial_start,
                 task.trial_stop,
                 task.occ_start,
-                kernel=delta.plan.kernel,
                 dtype=dtype,
                 **shared,
             )

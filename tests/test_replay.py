@@ -94,7 +94,6 @@ def test_different_configurations_never_replay_each_other(
     ara.run(tiny_workload.yet, engine="sequential", store=store)
     before = execution_count()
     variants = [
-        dict(engine="sequential", kernel="dense"),
         dict(engine="sequential", dtype=np.float32),
         dict(engine="multicore", n_cores=2),  # different plan layout
         dict(

@@ -2,8 +2,7 @@
 
 Covers the PR-2 tentpole guarantees:
 
-* dense-vs-ragged secondary parity (mean preservation) across dtypes and
-  batch sizes;
+* mean preservation across dtypes and batch sizes;
 * decomposition invariance of the counter-based multiplier streams —
   batch size, occurrence chunking, multicore worker count and multi-GPU
   device count must not change a seeded result bit-for-bit;
@@ -26,7 +25,6 @@ from repro.core.secondary import (
     layer_stream_key,
     resolve_secondary_seed,
 )
-from repro.core.vectorized import run_vectorized
 from repro.data.yet import YearEventTable
 from repro.engines.multicore import MulticoreEngine
 from repro.engines.multigpu import MultiGPUEngine
@@ -100,7 +98,7 @@ class TestQuantileSampler:
 
 
 # ----------------------------------------------------------------------
-# Dense vs ragged secondary parity (mean preservation)
+# Mean preservation and spread
 # ----------------------------------------------------------------------
 class TestDenseRaggedSecondaryParity:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -126,25 +124,6 @@ class TestDenseRaggedSecondaryParity:
         mean = totals / n_draws
         assert mean.sum() == pytest.approx(
             base.losses[0].sum(), rel=0.05
-        )
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_dense_and_ragged_agree_statistically(self, small_workload, dtype):
-        """Different samplers, same model: totals agree within noise."""
-        yet, portfolio, catalog = run_workload(small_workload)
-        dense = run_vectorized(
-            yet, portfolio, catalog, dtype=dtype, secondary=SU, secondary_seed=0
-        )
-        ragged = run_ragged(
-            yet, portfolio, catalog, dtype=dtype, secondary=SU, secondary_seed=0
-        )
-        assert ragged.losses[0].sum() == pytest.approx(
-            dense.losses[0].sum(), rel=0.05
-        )
-        # Both widen the distribution relative to the deterministic base.
-        base = run_ragged(yet, portfolio, catalog, dtype=dtype)
-        assert ragged.losses[0].std() != pytest.approx(
-            base.losses[0].std(), rel=1e-6
         )
 
     def test_secondary_widens_spread_with_looser_beta(self, small_workload):
@@ -208,9 +187,7 @@ class TestDecompositionInvariance:
     def test_multicore_worker_count_invariance(self, small_workload):
         yet, portfolio, catalog = run_workload(small_workload)
         results = [
-            MulticoreEngine(
-                n_cores=n, kernel="ragged", secondary=SU, secondary_seed=5
-            )
+            MulticoreEngine(n_cores=n, secondary=SU, secondary_seed=5)
             .run(yet, portfolio, catalog)
             .ylt.losses[0]
             for n in (1, 2, 5)
@@ -220,11 +197,11 @@ class TestDecompositionInvariance:
 
     def test_multicore_matches_sequential(self, small_workload):
         yet, portfolio, catalog = run_workload(small_workload)
-        seq = SequentialEngine(
-            kernel="ragged", secondary=SU, secondary_seed=5
-        ).run(yet, portfolio, catalog)
+        seq = SequentialEngine(secondary=SU, secondary_seed=5).run(
+            yet, portfolio, catalog
+        )
         multi = MulticoreEngine(
-            n_cores=4, kernel="ragged", secondary=SU, secondary_seed=5
+            n_cores=4, secondary=SU, secondary_seed=5
         ).run(yet, portfolio, catalog)
         np.testing.assert_array_equal(
             seq.ylt.losses[0], multi.ylt.losses[0]
@@ -233,12 +210,7 @@ class TestDecompositionInvariance:
     def test_multigpu_device_count_invariance(self, small_workload):
         yet, portfolio, catalog = run_workload(small_workload)
         results = [
-            MultiGPUEngine(
-                n_devices=n,
-                kernel="ragged",
-                secondary=SU,
-                secondary_seed=9,
-            )
+            MultiGPUEngine(n_devices=n, secondary=SU, secondary_seed=9)
             .run(yet, portfolio, catalog)
             .ylt.losses[0]
             for n in (1, 3)
@@ -259,14 +231,8 @@ class TestDecompositionInvariance:
 
     def test_engine_meta_reports_balance_mode(self, tiny_workload):
         yet, portfolio, catalog = run_workload(tiny_workload)
-        ragged = MulticoreEngine(n_cores=2, kernel="ragged").run(
-            yet, portfolio, catalog
-        )
-        dense = MulticoreEngine(n_cores=2, kernel="dense").run(
-            yet, portfolio, catalog
-        )
-        assert ragged.meta["balance"] == "events"
-        assert dense.meta["balance"] == "trials"
+        result = MulticoreEngine(n_cores=2).run(yet, portfolio, catalog)
+        assert result.meta["balance"] == "events"
 
 
 # ----------------------------------------------------------------------
@@ -276,22 +242,17 @@ class TestEngineSecondaryWiring:
     @pytest.mark.parametrize(
         "engine_name",
         ["sequential", "multicore", "gpu", "gpu-optimized", "multi-gpu"],
+        # ids keep the kernel name they had when a second kernel existed
+        ids=lambda name: f"ragged-{name}",
     )
-    @pytest.mark.parametrize("kernel", ["dense", "ragged"])
-    def test_every_engine_accepts_secondary(
-        self, tiny_workload, engine_name, kernel
-    ):
+    def test_every_engine_accepts_secondary(self, tiny_workload, engine_name):
         from repro.engines.registry import create_engine
 
         yet, portfolio, catalog = run_workload(tiny_workload)
-        engine = create_engine(
-            engine_name, kernel=kernel, secondary=SU, secondary_seed=1
-        )
+        engine = create_engine(engine_name, secondary=SU, secondary_seed=1)
         result = engine.run(yet, portfolio, catalog)
         assert result.meta.get("secondary") is True
-        base = create_engine(engine_name, kernel=kernel).run(
-            yet, portfolio, catalog
-        )
+        base = create_engine(engine_name).run(yet, portfolio, catalog)
         # Secondary sampling must actually perturb the losses.
         assert not np.array_equal(
             result.ylt.losses[0], base.ylt.losses[0]
@@ -304,7 +265,6 @@ class TestEngineSecondaryWiring:
         ara = AggregateRiskAnalysis(
             portfolio, catalog, secondary=SU, secondary_seed=2
         )
-        assert ara.kernel == "ragged"  # the flipped default
         a = ara.run(yet, engine="sequential")
         b = ara.run(yet, engine="multicore")
         np.testing.assert_array_equal(a.ylt.losses[0], b.ylt.losses[0])
@@ -319,9 +279,9 @@ class TestEngineSecondaryWiring:
         oracle = ReferenceEngine(secondary=SU, secondary_seed=21).run(
             yet, portfolio, catalog
         )
-        fused = SequentialEngine(
-            kernel="ragged", secondary=SU, secondary_seed=21
-        ).run(yet, portfolio, catalog)
+        fused = SequentialEngine(secondary=SU, secondary_seed=21).run(
+            yet, portfolio, catalog
+        )
         assert oracle.meta["secondary"] is True
         np.testing.assert_allclose(
             oracle.ylt.losses[0], fused.ylt.losses[0], rtol=1e-9, atol=1e-6
@@ -332,11 +292,19 @@ class TestEngineSecondaryWiring:
             oracle.ylt.losses[0], base.ylt.losses[0]
         )
 
-    def test_default_kernel_is_ragged_everywhere(self):
-        from repro.engines.registry import available_engines, create_engine
+    def test_no_engine_accepts_kernel(self):
+        """One kernel: ``kernel=`` is not an option anywhere."""
+        from repro.core.analysis import AggregateRiskAnalysis
+        from repro.engines.registry import available_engines, engine_class
+        from repro.plan.planner import EngineCapabilities
 
         for name in available_engines():
-            assert create_engine(name).kernel == "ragged", name
+            with pytest.raises(TypeError):
+                engine_class(name)(kernel="ragged")
+        with pytest.raises(TypeError):
+            AggregateRiskAnalysis(None, 10, kernel="ragged")
+        with pytest.raises(TypeError):
+            EngineCapabilities(kernel="ragged")
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ Three families, mirroring the store's contract:
 * **round-trip exactness** — random payloads survive every backend
   bit-for-bit (dtype, shape, byte pattern);
 * **key separation** — any perturbation of an analysis input (ELT
-  bytes, terms, YET, seed, dtype, kernel, secondary stream) produces a
+  bytes, terms, YET, seed, dtype, lookup kind, secondary stream) produces a
   distinct key, and canonical serialisation never conflates values that
   merely compare equal;
 * **damage tolerance** — truncated, corrupted or garbled entries are
@@ -169,15 +169,13 @@ def test_analysis_keys_separate_every_perturbation(tmp_path):
     hit-is-the-answer design rests on."""
     from repro.core.analysis import AggregateRiskAnalysis
 
-    def key_for(spec, dtype="<f8", kernel=None, secondary=None, seed=0,
+    def key_for(spec, dtype="<f8", secondary=None, seed=0,
                 lookup_kind="direct"):
         workload = generate_workload(spec)
         ara = AggregateRiskAnalysis(
-            workload.portfolio,
-            workload.catalog.n_events,
-            kernel=kernel or "ragged",
+            workload.portfolio, workload.catalog.n_events
         )
-        plan = ara.plan(workload.yet, engine="sequential", kernel=kernel or "ragged")
+        plan = ara.plan(workload.yet, engine="sequential")
         return analysis_key(
             plan,
             workload.yet,
@@ -195,7 +193,6 @@ def test_analysis_keys_separate_every_perturbation(tmp_path):
         key_for(TINY_SPEC.with_(n_trials=61)),         # different YET shape
         key_for(TINY_SPEC.with_(losses_per_elt=81)),   # different ELT bytes
         key_for(TINY_SPEC, dtype="<f4"),               # different precision
-        key_for(TINY_SPEC, kernel="dense"),            # different kernel
         key_for(TINY_SPEC, lookup_kind="sorted"),      # different lookup
         key_for(TINY_SPEC, secondary=su),              # secondary on
         key_for(TINY_SPEC, secondary=su, seed=1),      # different stream
@@ -271,6 +268,28 @@ def test_garbled_meta_json_is_a_miss(damaged_setup):
     (entry_dir / "meta.json").write_text("{not json")
     assert store.get(key) is None
     assert store.corrupt_misses == 1
+
+
+def test_entry_published_mid_read_is_not_damage(damaged_setup, monkeypatch):
+    """A reader whose manifest stat precedes a concurrent publish (and
+    whose directory stat follows it) sees a miss; it must not delete
+    the fresh entry as a directory without a manifest."""
+    from pathlib import Path
+
+    store, key, entry_dir = damaged_setup
+    real_is_file = Path.is_file
+    first = []
+
+    def is_file_before_publish(path):
+        if path == entry_dir / "meta.json" and not first:
+            first.append(path)
+            return False
+        return real_is_file(path)
+
+    monkeypatch.setattr(Path, "is_file", is_file_before_publish)
+    assert store.get(key) is None
+    assert store.corrupt_misses == 0
+    assert store.get(key) is not None
 
 
 def test_missing_array_file_is_a_miss(damaged_setup):
