@@ -9,7 +9,7 @@ import pytest
 
 from repro.bench.experiments import fig2
 from repro.data.presets import PAPER
-from repro.engines.gpu_basic import GPUBasicEngine
+from repro.engines.gpu_optimized import GPUBasicEngine
 from repro.perfmodel.gpu import predict_gpu_basic
 
 

@@ -1,15 +1,14 @@
 #!/usr/bin/env python
-"""Real-time pricing: interactive quotes and the concurrent quote service.
+"""Real-time pricing: one quote session, single quotes and a batch.
 
 The paper's motivating scenario — an underwriter adjusts eXcess-of-Loss
 terms and re-quotes against a million pre-simulated years in seconds.
-This example builds a session over a fixed YET/ELT pool, quotes three
-candidate layer structures one at a time (the classic
-``RealTimePricer`` workflow), shows the marginal tail impact of adding
-each to an existing book — then re-quotes a whole *batch* of candidate
-structures concurrently through the plan-level ``QuoteService``, which
-computes the shared gather+financial pass once per ELT set and reuses it
-for every candidate's layer-terms finish.
+This example opens one ``QuoteService`` session over a fixed YET/ELT
+pool, quotes three candidate layer structures one at a time, shows the
+marginal tail impact of adding each to an existing book — then quotes a
+whole *batch* of candidate structures concurrently in the same session.
+The service computes the shared gather+financial pass once per ELT set
+and reuses it for every candidate's layer-terms finish.
 
 Run:  python examples/portfolio_pricing.py
 """
@@ -20,12 +19,7 @@ import time
 
 import repro
 from repro.data.generator import generate_catalog, generate_elt, generate_yet
-from repro.pricing import (
-    PricingAssumptions,
-    QuoteRequest,
-    QuoteService,
-    RealTimePricer,
-)
+from repro.pricing import PricingAssumptions, QuoteRequest, QuoteService
 
 
 def main() -> None:
@@ -55,11 +49,10 @@ def main() -> None:
         )
     )
 
-    pricer = RealTimePricer(
+    service = QuoteService(
         yet=yet,
         elts=elts,
         catalog_size=catalog.n_events,
-        engine="multicore",
         book=book,
         assumptions=PricingAssumptions(
             volatility_loading=0.25,
@@ -67,6 +60,7 @@ def main() -> None:
             cost_of_capital=0.06,
             expense_ratio=0.10,
         ),
+        max_workers=4,
     )
 
     # Three candidate structures over the same exposures: a working
@@ -86,7 +80,7 @@ def main() -> None:
     print(f"{'structure':14s} {'premium':>14s} {'RoL':>8s} "
           f"{'E[loss]':>14s} {'marginal TVaR':>14s} {'quote secs':>10s}")
     for name, terms in candidates:
-        record = pricer.quote(elt_ids=(4, 5, 6, 7, 8), terms=terms)
+        record = service.quote(elt_ids=(4, 5, 6, 7, 8), terms=terms)
         q = record.quote
         print(
             f"{name:14s} {q.premium:>14,.0f} {q.rate_on_line:>8.2%} "
@@ -95,14 +89,14 @@ def main() -> None:
             f"{record.analysis_seconds:>10.2f}"
         )
 
-    print(f"\nmean quote latency: {pricer.mean_quote_seconds:.2f} s over "
-          f"{len(pricer.history)} quotes on {yet.n_trials:,} trials")
+    print(f"\nmean quote latency: {service.mean_quote_seconds:.2f} s over "
+          f"{len(service.history)} quotes on {yet.n_trials:,} trials")
     print("(the paper's multi-GPU platform reaches 1M trials in ~4.35 s — "
           "the latency that makes this workflow real-time at market scale)")
 
     # ------------------------------------------------------------------
-    # Batch quoting: sweep a grid of structures through the concurrent
-    # QuoteService.  All candidates share one ELT set, so the service
+    # Batch quoting: sweep a grid of structures through the same
+    # session.  All candidates share one ELT set, so the service
     # computes the expensive lookup+financial pass once and finishes
     # each candidate against the cached per-occurrence loss vector —
     # quotes are bit-for-bit identical to one-at-a-time engine runs.
@@ -120,14 +114,7 @@ def main() -> None:
         )
         for r in (0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 10.0)
     ]
-    with QuoteService(
-        yet=yet,
-        elts=elts,
-        catalog_size=catalog.n_events,
-        book=book,
-        assumptions=pricer.assumptions,
-        max_workers=4,
-    ) as service:
+    with service:  # closes the session's worker pool afterwards
         started = time.perf_counter()
         records = service.quote_many(requests)
         batch_seconds = time.perf_counter() - started
@@ -145,7 +132,7 @@ def main() -> None:
     print(f"base-vector cache: {stats['base']['misses']} computed "
           "(one per distinct ELT set: the candidates' and the book's), "
           f"{stats['base']['hits']} reused — a single gather+financial "
-          "pass served all 8 candidate finishes")
+          "pass served every candidate of the session")
 
 
 if __name__ == "__main__":

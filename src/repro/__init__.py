@@ -74,7 +74,6 @@ from repro.pricing import (
     PricingAssumptions,
     QuoteRequest,
     QuoteService,
-    RealTimePricer,
     price_layer,
 )
 from repro.store import (
@@ -139,7 +138,6 @@ __all__ = [
     "PricingAssumptions",
     "QuoteRequest",
     "QuoteService",
-    "RealTimePricer",
     "price_layer",
     "ResultStore",
     "StoreEntry",

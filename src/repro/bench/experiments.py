@@ -567,10 +567,10 @@ def plan_ablation(
 ) -> ExperimentReport:
     """Quote a batch of candidate layers: plan-level sharing vs re-runs.
 
-    The sequential baseline is the legacy workflow — one
-    :class:`~repro.pricing.realtime.RealTimePricer` engine analysis per
-    candidate (lookup *tables* already shared through the process-wide
-    cache).  The batched rows run the same candidates through a
+    The sequential baseline is one plain sequential-engine
+    :meth:`~repro.core.analysis.AggregateRiskAnalysis.run` of each
+    candidate's single-layer portfolio (lookup *tables* already shared
+    through the process-wide cache).  The batched rows run the same candidates through a
     :class:`~repro.pricing.realtime.QuoteService`, which additionally
     shares the combined per-occurrence loss vector across the batch: one
     gather+financial pass per ELT set, one cheap layer-terms finish per
@@ -578,7 +578,9 @@ def plan_ablation(
     is pure plan-level reuse.  Worker counts sweep the scheduler's
     concurrency — results are invariant, only latency moves.
     """
-    from repro.pricing.realtime import QuoteService, RealTimePricer
+    from repro.core.analysis import AggregateRiskAnalysis
+    from repro.data.layer import Portfolio
+    from repro.pricing.realtime import QuoteService
 
     report = ExperimentReport(
         exp_id="PLAN-ABLATE",
@@ -595,18 +597,19 @@ def plan_ablation(
     catalog_size = workload.catalog.n_events
     layer = workload.portfolio.layers[0]
     elts = workload.portfolio.elts_of(layer)
-    elt_ids = tuple(elt.elt_id for elt in elts)
     candidates = quote_candidates(workload, n_candidates)
 
+    def analyse(terms) -> None:
+        AggregateRiskAnalysis(
+            Portfolio.single_layer(elts, terms), catalog_size
+        ).run(yet, engine="sequential")
+
     # Warm the process-wide lookup cache so neither side pays the build.
-    RealTimePricer(yet, elts, catalog_size, engine="sequential").quote(
-        elt_ids=elt_ids, terms=candidates[0][1]
-    )
+    analyse(candidates[0][1])
 
     def run_sequential() -> None:
-        pricer = RealTimePricer(yet, elts, catalog_size, engine="sequential")
-        for ids, terms in candidates:
-            pricer.quote(elt_ids=ids, terms=terms)
+        for _ids, terms in candidates:
+            analyse(terms)
 
     sequential_s = min(
         _timed_seconds(run_sequential) for _ in range(max(1, repeats))
@@ -651,7 +654,7 @@ def plan_ablation(
     )
     report.note(
         f"batched quoting of {n_candidates} candidates sharing one "
-        f"{len(elt_ids)}-ELT set: best {best['speedup_vs_sequential']:.2f}x "
+        f"{len(elts)}-ELT set: best {best['speedup_vs_sequential']:.2f}x "
         f"over sequential re-quoting (at {best['workers']} workers) — one "
         "gather+financial pass reused by every candidate's layer-terms "
         "finish."

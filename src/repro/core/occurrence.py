@@ -16,18 +16,27 @@ from typing import Dict
 
 import numpy as np
 
+from repro.core.kernels import build_layer_tables, combined_occurrence_losses
 from repro.core.terms import apply_occurrence_terms
-from repro.data.layer import Portfolio
+from repro.data.layer import Layer, Portfolio
 from repro.data.yet import YearEventTable
 from repro.data.ylt import YearLossTable
-from repro.lookup.factory import build_layer_lookups
-from repro.utils.timer import (
-    ACTIVITY_FETCH,
-    ACTIVITY_FINANCIAL,
-    ACTIVITY_LAYER,
-    ACTIVITY_LOOKUP,
-    ActivityProfile,
-)
+from repro.utils.timer import ACTIVITY_FETCH, ACTIVITY_LAYER, ActivityProfile
+
+
+def _occurrence_net_losses(
+    event_ids: np.ndarray,
+    tables: tuple,
+    layer: Layer,
+    profile: ActivityProfile,
+) -> np.ndarray:
+    """Steps 1–3 of Algorithm 1: one float64 net loss per occurrence."""
+    lookups, stacked, _ = tables
+    combined = combined_occurrence_losses(
+        event_ids, lookups, stacked=stacked, dtype=np.float64, profile=profile
+    )
+    with profile.track(ACTIVITY_LAYER):
+        return apply_occurrence_terms(combined, layer.terms, out=combined)
 
 
 def max_occurrence_losses(
@@ -43,7 +52,9 @@ def max_occurrence_losses(
     Returns a :class:`~repro.data.ylt.YearLossTable`-shaped container
     whose entries are *maximum single-occurrence* losses (net of
     financial and occurrence terms) rather than aggregate year losses —
-    the input of an OEP curve.
+    the input of an OEP curve.  Trials with no occurrence get 0.0.
+    ``batch_trials`` bounds the working set to that many trials' CSR
+    block at a time.
     """
     profile = profile if profile is not None else ActivityProfile()
     n_trials = yet.n_trials
@@ -52,32 +63,23 @@ def max_occurrence_losses(
     per_layer: Dict[int, np.ndarray] = {}
     for layer in portfolio.layers:
         with profile.track(ACTIVITY_FETCH):
-            lookups = build_layer_lookups(
-                portfolio.elts_of(layer),
-                catalog_size=catalog_size,
-                kind=lookup_kind,
+            tables = build_layer_tables(
+                portfolio.elts_of(layer), catalog_size, lookup_kind, np.float64
             )
-        out = np.empty(n_trials, dtype=np.float64)
+        out = np.zeros(n_trials, dtype=np.float64)
         for start in range(0, n_trials, batch):
             stop = min(start + batch, n_trials)
-            chunk = yet.slice_trials(start, stop)
-            with profile.track(ACTIVITY_FETCH):
-                dense = chunk.to_dense()
-            combined = np.zeros(dense.shape, dtype=np.float64)
-            for lookup in lookups:
-                with profile.track(ACTIVITY_LOOKUP):
-                    gross = lookup.lookup(dense)
-                with profile.track(ACTIVITY_FINANCIAL):
-                    combined += lookup.terms.apply(gross)
+            ids, offs = yet.csr_block(start, stop)
+            occ = _occurrence_net_losses(ids, tables, layer, profile)
             with profile.track(ACTIVITY_LAYER):
-                occ = apply_occurrence_terms(
-                    combined, layer.terms, out=combined
-                )
-                # Empty trials (all padding) reduce to 0.0 — padding
-                # events carry zero loss, so a plain max is safe.
-                out[start:stop] = (
-                    occ.max(axis=1) if occ.shape[1] else 0.0
-                )
+                # reduceat over non-empty trials only: an empty trial's
+                # start index would repeat (or equal ids.size) and make
+                # reduceat return a neighbour's value instead of 0.0.
+                nonempty = np.flatnonzero(np.diff(offs))
+                if nonempty.size:
+                    out[start + nonempty] = np.maximum.reduceat(
+                        occ, offs[nonempty]
+                    )
         per_layer[layer.layer_id] = out
     return YearLossTable.from_dict(per_layer)
 
@@ -104,15 +106,12 @@ def occurrence_frequency(
         if layer_id is None
         else [portfolio.layer(layer_id)]
     )
-    dense = yet.to_dense()
+    profile = ActivityProfile()
     total = 0.0
     for layer in layers:
-        lookups = build_layer_lookups(
-            portfolio.elts_of(layer), catalog_size=catalog_size, kind=lookup_kind
+        tables = build_layer_tables(
+            portfolio.elts_of(layer), catalog_size, lookup_kind, np.float64
         )
-        combined = np.zeros(dense.shape, dtype=np.float64)
-        for lookup in lookups:
-            combined += lookup.terms.apply(lookup.lookup(dense))
-        occ = apply_occurrence_terms(combined, layer.terms)
+        occ = _occurrence_net_losses(yet.event_ids, tables, layer, profile)
         total += float((occ > threshold).sum())
     return total / yet.n_trials

@@ -11,10 +11,10 @@ Storage layout
 Trials are stored in CSR-like ragged form: one flat ``event_ids`` array,
 one flat ``timestamps`` array, and an ``offsets`` array with
 ``offsets[i]:offsets[i+1]`` delimiting trial ``i``.  This is the layout
-streamed to the (simulated) GPU and consumed directly by the kernel.  A
-rectangular view is available from :meth:`YearEventTable.to_dense` with
-null-id padding (padding events have id 0 which every lookup structure
-maps to zero loss, so padding never changes a result).
+streamed to the (simulated) GPU and consumed directly by the kernel and
+by every other numeric path: nothing pads trials to a rectangle.
+:meth:`YearEventTable.from_dense` still accepts a null-id-padded
+rectangular id matrix as input (padding ids are dropped).
 """
 
 from __future__ import annotations
@@ -233,33 +233,6 @@ class YearEventTable:
             timestamps=np.concatenate([p.timestamps for p in parts]),
             offsets=np.concatenate(offsets).astype(OFFSET_DTYPE),
         )
-
-    def to_dense(self, width: int | None = None) -> np.ndarray:
-        """Rectangular ``(n_trials, width)`` id matrix padded with 0.
-
-        ``width`` defaults to the longest trial.  Padding uses the null
-        event id, which maps to zero loss in every lookup structure, so
-        running a vectorised kernel on the dense view gives results
-        identical to the ragged form.
-        """
-        width = self.max_events_per_trial if width is None else width
-        if width < self.max_events_per_trial:
-            raise ValueError(
-                f"width {width} < longest trial {self.max_events_per_trial}"
-            )
-        dense = np.full(
-            (self.n_trials, width), NULL_EVENT_ID, dtype=EVENT_ID_DTYPE
-        )
-        counts = self.events_per_trial
-        # Scatter each trial's events into its row without a Python loop
-        # over occurrences: rows are repeated per count, columns are the
-        # within-trial ranks.
-        rows = np.repeat(np.arange(self.n_trials), counts)
-        cols = np.arange(self.n_occurrences) - np.repeat(
-            self.offsets[:-1], counts
-        )
-        dense[rows, cols] = self.event_ids
-        return dense
 
     def validate_sorted_timestamps(self) -> bool:
         """Check timestamps are non-decreasing within every trial."""

@@ -9,7 +9,9 @@ Registry name      Paper implementation
                    in the paper, provided here for validation)
 ``sequential``     (i) sequential C++ on one CPU core
 ``multicore``      (ii) C++/OpenMP on a multi-core CPU
-``gpu``            (iii) basic CUDA on a many-core GPU (simulated)
+``gpu``            (iii) basic CUDA on a many-core GPU (simulated): the
+                   ``gpu-optimized`` engine with flags none and the
+                   basic kernel's 20 registers per thread
 ``gpu-optimized``  (iv) optimised CUDA: chunking, loop unrolling,
                    reduced precision, kernel registers (simulated)
 ``multi-gpu``      (v) optimised kernel decomposed over multiple GPUs
@@ -24,8 +26,11 @@ additionally report *modeled* device seconds from the
 from repro.engines.base import Engine
 from repro.engines.sequential import ReferenceEngine, SequentialEngine
 from repro.engines.multicore import MulticoreEngine
-from repro.engines.gpu_basic import GPUBasicEngine
-from repro.engines.gpu_optimized import GPUOptimizedEngine, OptimizationFlags
+from repro.engines.gpu_optimized import (
+    GPUBasicEngine,
+    GPUOptimizedEngine,
+    OptimizationFlags,
+)
 from repro.engines.multigpu import MultiGPUEngine
 from repro.engines.registry import available_engines, create_engine
 

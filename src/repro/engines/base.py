@@ -212,7 +212,8 @@ class Engine(abc.ABC):
         ``store`` (a :class:`~repro.store.base.ResultStore`) memoises
         the whole analysis: when the run's
         :meth:`analysis_key` is present, the stored YLT is returned
-        bit-for-bit with *zero* engine task executions; otherwise the
+        bit-for-bit with *zero* engine task executions (and
+        ``modeled_seconds=None``: nothing was priced); otherwise the
         run executes normally and its YLT is persisted under that key.
         """
         check_positive("catalog_size", catalog_size)
@@ -302,18 +303,25 @@ class Engine(abc.ABC):
 
         entry = store.get_or_compute(replay_key, produce)
         if not computed:  # replay: zero engine task executions
+            # The analysis key deliberately ignores engine name, traffic
+            # ledger and device geometry, so the stored modeled seconds
+            # are the computing run's cost, not this run's: a replay
+            # reports none and records that run's figure beside it.
             return AnalysisResult(
                 ylt=ylt_from_entry(entry),
                 profile=ActivityProfile(),
                 engine=self.name,
                 wall_seconds=time.perf_counter() - started,
-                modeled_seconds=entry.meta.get("modeled_seconds"),
+                modeled_seconds=None,
                 meta={
                     "plan": plan.summary(),
                     "replay": {
                         "hit": True,
                         "key": replay_key,
                         "computed_by": entry.meta.get("engine"),
+                        "computed_modeled_seconds": entry.meta.get(
+                            "modeled_seconds"
+                        ),
                         "store": type(store).__name__,
                     },
                 },

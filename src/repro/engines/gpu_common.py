@@ -1,41 +1,41 @@
-"""ARA kernels for the simulated GPU, shared by engines (iii)–(v).
+"""The ARA kernel for the simulated GPU, shared by engines (iii)–(v).
 
-Two kernels mirror the paper's CUDA implementations:
+One kernel class, :class:`ARAKernel`, mirrors both of the paper's CUDA
+implementations: the basic kernel (iii) is the optimised kernel (iv)
+with none of the four optimisations of Section III applied.  The
+optimisations are individually toggleable through
+:class:`OptimizationFlags`, which is what the ablation benchmark sweeps:
 
-* :class:`ARABasicKernel` — implementation (iii): all intermediates
-  (per-event ``lx``/``lox`` arrays) live in global/local memory, so every
-  step of Algorithm 1 re-reads and re-writes them ("the basic parallel
-  implementation on the GPU requires high memory transactions").
-* :class:`ARAOptimizedKernel` — implementation (iv): the four
-  optimisations of Section III, individually toggleable for ablation:
+- **chunking** — events are staged through shared memory in fixed-size
+  chunks and the term computations run on the staged chunk, removing
+  the intermediate global traffic and giving each thread ``chunk``
+  independent loads in flight (the ``mlp`` the cost model rewards);
+  without it all intermediates (per-event ``lx``/``lox`` arrays) live in
+  global/local memory, so every step of Algorithm 1 re-reads and
+  re-writes them ("the basic parallel implementation on the GPU requires
+  high memory transactions");
+- **loop unrolling** — fewer dynamic instructions per (event, ELT);
+- **reduced precision** — ``float32`` tables and arithmetic;
+- **registers** — per-thread accumulators move from shared memory into
+  the register file.
 
-  - **chunking** — events are staged through shared memory in fixed-size
-    chunks and the term computations run on the staged chunk, removing
-    the intermediate global traffic and giving each thread ``chunk``
-    independent loads in flight (the ``mlp`` the cost model rewards);
-  - **loop unrolling** — fewer dynamic instructions per (event, ELT);
-  - **reduced precision** — ``float32`` tables and arithmetic;
-  - **registers** — per-thread accumulators move from shared memory into
-    the register file.
-
-Both kernels compute with the same ragged kernel as the CPU engines
-(:mod:`repro.core.kernels`), so their YLTs are exact (basic) or
-float32-accurate (optimised with reduced precision) relative to the
-scalar reference.  What differs is the *traffic ledger* the simulated
-device prices, chosen with ``traffic=``:
+The kernel computes with the same ragged kernel as the CPU engines
+(:mod:`repro.core.kernels`), so its YLTs are exact (float64) or
+float32-accurate (reduced precision) relative to the scalar reference.
+The *traffic ledger* the simulated device prices is chosen with
+``traffic=``:
 
 * ``"fused"`` (the default) — :func:`record_ragged_traffic`, what the
   fused ragged formulation moves (coalesced CSR streams, fused gather,
   no global intermediates);
-* ``"paper"`` — :func:`record_basic_traffic` /
-  :func:`record_optimized_traffic`, the paper's padded CUDA kernels,
-  which the analytic performance model prices and the paper-figure
-  experiments reproduce.
+* ``"paper"`` — :func:`record_optimized_traffic`, the paper's padded
+  CUDA kernels, which the analytic performance model prices and the
+  paper-figure experiments reproduce.
 
 The ledger is a pure function of occurrences, trials, ELTs, word size
 and flags, so switching it changes modeled seconds only, never a YLT.
 
-Paper traffic accounting per (event, ELT) pair, basic kernel:
+Paper traffic accounting per (event, ELT) pair, no optimisations:
 one RANDOM lookup + four STRIDED intermediate accesses (write/read ``lx``,
 read/write ``lox``); plus nine STRIDED accesses per event for the
 occurrence/cumulative/aggregate steps; plus coalesced YET reads and YLT
@@ -52,7 +52,6 @@ from typing import Dict, Sequence
 import numpy as np
 
 from repro.core.kernels import (
-    build_layer_tables,
     layer_trial_batch_ragged,
     layer_trial_batch_secondary_ragged,
     occ_chunk_for,
@@ -94,7 +93,8 @@ def check_traffic(traffic: str) -> str:
 INSTR_PER_ITER_ROLLED = 8.0
 INSTR_PER_ITER_UNROLLED = 3.0
 
-# Register footprints (occupancy inputs) of the two kernels.
+# Register footprints (occupancy inputs) of the basic engine's kernel
+# and of the optimised engines' kernel.
 BASIC_REGISTERS_PER_THREAD = 20
 OPTIMIZED_REGISTERS_PER_THREAD = 32
 
@@ -202,41 +202,6 @@ def max_feasible_threads_per_block(
     return best
 
 
-def record_basic_traffic(
-    counters: DeviceCounters,
-    n_occ: float,
-    n_trials: float,
-    n_elts: int,
-    word: int,
-) -> None:
-    """Ledger entries of the basic kernel for ``n_occ`` occurrences.
-
-    Shared by :class:`ARABasicKernel` (per executed range) and the
-    analytic performance model (once, with workload totals), so the two
-    can never disagree about what the kernel does.
-    """
-    per_pair = float(n_occ) * n_elts
-    # Trial events streamed from the YET (4-byte ids, coalesced).
-    counters.global_coalesced(n_occ * 4, activity=ACTIVITY_FETCH)
-    # One direct-access-table read per (event, ELT): random, uncoalesced.
-    counters.global_random(per_pair, word, activity=ACTIVITY_LOOKUP)
-    # lx written then re-read; lox read-modify-written (lines 8-13), all
-    # in global/local memory in the basic implementation.
-    counters.global_strided(4.0 * per_pair, word, activity=ACTIVITY_FINANCIAL)
-    counters.flops(
-        (FLOPS_FINANCIAL_PER_LOOKUP + FLOPS_ACCUM_PER_LOOKUP) * per_pair,
-        word,
-        activity=ACTIVITY_FINANCIAL,
-    )
-    # Occurrence clamp, cumulative sum, aggregate clamp, difference and
-    # final sum (lines 15-29): ~9 strided accesses + 9 flops per event.
-    counters.global_strided(9.0 * n_occ, word, activity=ACTIVITY_LAYER)
-    counters.flops(FLOPS_LAYER_PER_EVENT * n_occ, word, activity=ACTIVITY_LAYER)
-    # Year loss written back, coalesced (one float64 per trial/thread).
-    counters.global_coalesced(n_trials * 8, activity=ACTIVITY_OTHER)
-    counters.instruction_count(INSTR_PER_ITER_ROLLED * per_pair)
-
-
 def record_optimized_traffic(
     counters: DeviceCounters,
     n_occ: float,
@@ -246,9 +211,12 @@ def record_optimized_traffic(
     flags: OptimizationFlags,
     chunk_events: int,
 ) -> None:
-    """Ledger entries of the optimised kernel (flag-dependent).
+    """Ledger entries of the paper's padded kernel (flag-dependent).
 
-    Shared by :class:`ARAOptimizedKernel` and the performance model.
+    Shared by :class:`ARAKernel` (per executed range) and the analytic
+    performance model (once, with workload totals), so the two can never
+    disagree about what the kernel does.  ``OptimizationFlags.none()``
+    is the basic kernel (iii).
     """
     per_pair = float(n_occ) * n_elts
     counters.global_coalesced(n_occ * 4, activity=ACTIVITY_FETCH)
@@ -266,8 +234,11 @@ def record_optimized_traffic(
         n_chunks = max(1.0, n_occ / chunk_events)
         counters.constant(n_chunks * (n_elts + 1))
     else:
-        # Without chunking the intermediates stay in global memory,
-        # exactly like the basic kernel.
+        # Without chunking the intermediates stay in global memory:
+        # lx written then re-read, lox read-modify-written (lines 8-13),
+        # and ~9 strided accesses per event for the occurrence clamp,
+        # cumulative sum, aggregate clamp, difference and final sum
+        # (lines 15-29).
         counters.global_strided(
             4.0 * per_pair, word, activity=ACTIVITY_FINANCIAL
         )
@@ -314,7 +285,7 @@ def record_ragged_traffic(
     * with ``secondary``, one quantile-table read per pair (random) and
       the counter-RNG arithmetic.
 
-    Shared by both ARA kernel classes under ``traffic="fused"`` so the
+    Shared by :class:`ARAKernel` under ``traffic="fused"`` so the
     modeled GPU seconds show the same fusion win the CPU wall clock
     measures.
     """
@@ -366,20 +337,24 @@ def record_ragged_traffic(
     counters.instruction_count(instr * per_pair)
 
 
-# ``build_layer_tables`` is defined in :mod:`repro.core.kernels` (the
-# selection rule is shared with the CPU engines) and re-exported from the
-# import block above for the GPU engines.
-
-
-class _ARAKernelBase(SimKernel):
-    """Shared functional body of both ARA kernels (one thread per trial).
+class ARAKernel(SimKernel):
+    """The ARA kernel on the simulated GPU (one thread per trial).
 
     The functional compute is always the ragged kernel of
     :mod:`repro.core.kernels` (fed by ``stacked`` when the layer uses
-    direct tables).  ``traffic`` only picks the ledger the simulated
-    device prices: ``"fused"`` (:func:`record_ragged_traffic`) or
-    ``"paper"`` (the paper's padded CUDA kernels).
+    direct tables).  ``flags`` selects which of the paper's four
+    optimisations the *modeled* kernel applies: with
+    :meth:`OptimizationFlags.none` it is implementation (iii), with any
+    flags set implementation (iv).  ``traffic`` picks the ledger the
+    simulated device prices: ``"fused"`` (:func:`record_ragged_traffic`)
+    or ``"paper"`` (:func:`record_optimized_traffic`, the paper's padded
+    CUDA kernels).  ``registers_per_thread`` is the engine's register
+    footprint — it is not derivable from the flags, because OPT-ABLATE's
+    no-flags row prices the optimised kernel's 32 registers while the
+    basic engine's kernel uses 20.
     """
+
+    name = "ara"
 
     def __init__(
         self,
@@ -388,22 +363,29 @@ class _ARAKernelBase(SimKernel):
         layer_terms: LayerTerms,
         out: np.ndarray,
         dtype: np.dtype,
+        flags: OptimizationFlags,
+        chunk_events: int = 24,
         traffic: str = TRAFFIC_FUSED,
         stacked: StackedDirectTable | None = None,
         secondary: SecondaryUncertainty | None = None,
         secondary_stream_key: int = 0,
         occ_origin: int = 0,
         backend=None,
+        registers_per_thread: int = OPTIMIZED_REGISTERS_PER_THREAD,
     ) -> None:
         if out.shape != (yet.n_trials,):
             raise ValueError(
                 f"output array shape {out.shape} != ({yet.n_trials},)"
             )
+        if chunk_events < 1:
+            raise ValueError(f"chunk_events must be >= 1, got {chunk_events}")
         self.yet = yet
         self.lookups = list(lookups)
         self.layer_terms = layer_terms
         self.out = out
         self.dtype = np.dtype(dtype)
+        self.flags = flags
+        self.chunk_events = int(chunk_events)
         self.traffic = check_traffic(traffic)
         self.stacked = stacked
         self.secondary = secondary
@@ -416,8 +398,10 @@ class _ARAKernelBase(SimKernel):
         # counter-based secondary draws stay decomposition-invariant
         # across device counts.
         self.occ_origin = int(occ_origin)
+        self.registers_per_thread = int(registers_per_thread)
         self._pool = ScratchBufferPool()
 
+    # -- resource footprint ------------------------------------------------
     @property
     def word_bytes(self) -> int:
         return self.dtype.itemsize
@@ -431,8 +415,25 @@ class _ARAKernelBase(SimKernel):
         """Occurrence-chunk depth of the fused gather."""
         return occ_chunk_for(max(1, self.n_elts), self.word_bytes)
 
-    def _compute_range(self, start: int, stop: int) -> int:
-        """Functional work for trials [start, stop): returns n_occ."""
+    @property
+    def mlp(self) -> float:  # type: ignore[override]
+        # Chunked prefetch keeps a whole chunk of independent loads in
+        # flight per thread; without chunking loads serialise behind the
+        # global intermediate updates.
+        return optimized_mlp(self.flags, self.chunk_events)
+
+    @property
+    def barrier_intensity(self) -> float:  # type: ignore[override]
+        # Chunk staging requires block-wide synchronisation per chunk.
+        return optimized_barrier_intensity(self.flags)
+
+    def shared_bytes_per_block(self, threads_per_block: int) -> int:
+        return optimized_shared_bytes_per_block(
+            threads_per_block, self.chunk_events, self.word_bytes, self.flags
+        )
+
+    # -- execution ----------------------------------------------------------
+    def run_range(self, start: int, stop: int, counters: DeviceCounters) -> None:
         ids, offs = self.yet.csr_block(start, stop)
         if self.secondary is not None:
             year = layer_trial_batch_secondary_ragged(
@@ -460,125 +461,21 @@ class _ARAKernelBase(SimKernel):
                 backend=self.backend,
             )
         self.out[start:stop] = year
-        return ids.size
-
-    def _record_fused(
-        self,
-        counters: DeviceCounters,
-        n_occ: int,
-        n_trials: int,
-        flags: OptimizationFlags,
-    ) -> None:
-        record_ragged_traffic(
-            counters,
-            n_occ=n_occ,
-            n_trials=n_trials,
-            n_elts=self.n_elts,
-            word=self.word_bytes,
-            flags=flags,
-            occ_chunk=self.occ_chunk,
-            secondary=self.secondary is not None,
-        )
-
-
-class ARABasicKernel(_ARAKernelBase):
-    """Implementation (iii): intermediates in global/local memory.
-
-    Under ``traffic="fused"`` the ledger is :func:`record_ragged_traffic`
-    with no optimisation flags (the gathered block still spills to
-    global memory, but the CSR streams and the fused single-pass
-    reduction already halve the strided traffic) — so modeled seconds
-    show the fusion win even on the unoptimised engine.
-    """
-
-    name = "ara-basic"
-    registers_per_thread = BASIC_REGISTERS_PER_THREAD
-    mlp = 1.0
-    barrier_intensity = 0.0
-
-    def run_range(self, start: int, stop: int, counters: DeviceCounters) -> None:
-        n_occ = self._compute_range(start, stop)
         if self.traffic == TRAFFIC_FUSED:
-            self._record_fused(
-                counters, n_occ, stop - start, OptimizationFlags.none()
+            record_ragged_traffic(
+                counters,
+                n_occ=ids.size,
+                n_trials=stop - start,
+                n_elts=self.n_elts,
+                word=self.word_bytes,
+                flags=self.flags,
+                occ_chunk=self.occ_chunk,
+                secondary=self.secondary is not None,
             )
-            return
-        record_basic_traffic(
-            counters,
-            n_occ=n_occ,
-            n_trials=stop - start,
-            n_elts=self.n_elts,
-            word=self.word_bytes,
-        )
-
-
-class ARAOptimizedKernel(_ARAKernelBase):
-    """Implementation (iv): chunking + unrolling + float32 + registers."""
-
-    name = "ara-optimized"
-    registers_per_thread = OPTIMIZED_REGISTERS_PER_THREAD
-
-    def __init__(
-        self,
-        yet: YearEventTable,
-        lookups: Sequence[LossLookup],
-        layer_terms: LayerTerms,
-        out: np.ndarray,
-        dtype: np.dtype,
-        flags: OptimizationFlags,
-        chunk_events: int = 24,
-        traffic: str = TRAFFIC_FUSED,
-        stacked: StackedDirectTable | None = None,
-        secondary: SecondaryUncertainty | None = None,
-        secondary_stream_key: int = 0,
-        occ_origin: int = 0,
-        backend=None,
-    ) -> None:
-        super().__init__(
-            yet,
-            lookups,
-            layer_terms,
-            out,
-            dtype,
-            traffic=traffic,
-            stacked=stacked,
-            secondary=secondary,
-            secondary_stream_key=secondary_stream_key,
-            occ_origin=occ_origin,
-            backend=backend,
-        )
-        if chunk_events < 1:
-            raise ValueError(f"chunk_events must be >= 1, got {chunk_events}")
-        self.flags = flags
-        self.chunk_events = int(chunk_events)
-
-    # -- resource footprint ------------------------------------------------
-    @property
-    def mlp(self) -> float:  # type: ignore[override]
-        # Chunked prefetch keeps a whole chunk of independent loads in
-        # flight per thread; without chunking loads serialise behind the
-        # global intermediate updates.
-        return optimized_mlp(self.flags, self.chunk_events)
-
-    @property
-    def barrier_intensity(self) -> float:  # type: ignore[override]
-        # Chunk staging requires block-wide synchronisation per chunk.
-        return optimized_barrier_intensity(self.flags)
-
-    def shared_bytes_per_block(self, threads_per_block: int) -> int:
-        return optimized_shared_bytes_per_block(
-            threads_per_block, self.chunk_events, self.word_bytes, self.flags
-        )
-
-    # -- execution ----------------------------------------------------------
-    def run_range(self, start: int, stop: int, counters: DeviceCounters) -> None:
-        n_occ = self._compute_range(start, stop)
-        if self.traffic == TRAFFIC_FUSED:
-            self._record_fused(counters, n_occ, stop - start, self.flags)
             return
         record_optimized_traffic(
             counters,
-            n_occ=n_occ,
+            n_occ=ids.size,
             n_trials=stop - start,
             n_elts=self.n_elts,
             word=self.word_bytes,

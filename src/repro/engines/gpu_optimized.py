@@ -1,4 +1,4 @@
-"""(iv) Optimised GPU engine — chunking, unrolling, float32, registers.
+"""Single-GPU engines: (iv) optimised and (iii) basic CUDA.
 
 The paper's optimised CUDA implementation on one simulated Tesla C2075.
 Each of the four optimisations is independently toggleable through
@@ -6,6 +6,10 @@ Each of the four optimisations is independently toggleable through
 ablation benchmark sweeps; with all flags on, the modeled time at paper
 scale roughly halves relative to the basic engine — the paper's
 38.47 s → 20.63 s (~1.9x).
+
+The basic implementation (iii) is the same engine with no optimisation
+applied: :class:`GPUBasicEngine` is a profile that pins
+``OptimizationFlags.none()`` and the basic kernel's register footprint.
 """
 
 from __future__ import annotations
@@ -17,13 +21,15 @@ import numpy as np
 from repro.data.layer import Portfolio
 from repro.data.yet import YearEventTable
 from repro.data.ylt import YearLossTable
+from repro.core.kernels import build_layer_tables
 from repro.core.secondary import layer_stream_key
 from repro.engines.base import Engine
 from repro.engines.gpu_common import (
+    BASIC_REGISTERS_PER_THREAD,
+    OPTIMIZED_REGISTERS_PER_THREAD,
     TRAFFIC_FUSED,
-    ARAOptimizedKernel,
+    ARAKernel,
     OptimizationFlags,
-    build_layer_tables,
     check_traffic,
     merge_meta_occupancy,
     modeled_activity_profile,
@@ -59,6 +65,8 @@ class GPUOptimizedEngine(Engine):
     """
 
     name = "gpu-optimized"
+    #: register footprint of the launched kernel (occupancy input)
+    registers_per_thread = OPTIMIZED_REGISTERS_PER_THREAD
 
     def __init__(
         self,
@@ -97,8 +105,8 @@ class GPUOptimizedEngine(Engine):
         return np.dtype(np.float32) if self.flags.float32 else self.dtype
 
     def capabilities(self) -> EngineCapabilities:
-        # One device, one launch per layer (same shape as the basic
-        # engine; the four optimisations live inside the kernel).
+        # One device, one launch per layer (block-level batching and the
+        # four optimisations live inside the simulated kernel).
         return EngineCapabilities(
             engine=self.name,
             n_slots=1,
@@ -129,6 +137,8 @@ class GPUOptimizedEngine(Engine):
             "layers": [],
         }
 
+        # The YET (event ids only — timestamps are not needed once trials
+        # are time-ordered) is staged once and shared by all layers.
         yet_bytes = yet.n_occurrences * 4
         device.alloc("yet_event_ids", yet_bytes)
         modeled_total += device.transfers.h2d(yet_bytes, "yet")
@@ -148,8 +158,9 @@ class GPUOptimizedEngine(Engine):
             out_bytes = yet.n_trials * 8
             device.alloc(f"ylt_layer{layer.layer_id}", out_bytes)
             if not self.flags.chunking:
-                # Without chunking the intermediates fall back to local
-                # (global) memory, as in the basic engine.
+                # Without chunking the per-thread lx/lox intermediates
+                # live in local (= global) memory; CUDA sizes local
+                # memory by *resident* threads.
                 local_bytes = (
                     self.device_spec.n_sms
                     * self.device_spec.max_threads_per_sm
@@ -160,7 +171,7 @@ class GPUOptimizedEngine(Engine):
                 device.alloc(f"local_layer{layer.layer_id}", local_bytes)
 
             out = np.empty(yet.n_trials, dtype=np.float64)
-            kernel = ARAOptimizedKernel(
+            kernel = ARAKernel(
                 yet=yet,
                 lookups=lookups,
                 layer_terms=layer.terms,
@@ -176,6 +187,7 @@ class GPUOptimizedEngine(Engine):
                 ),
                 occ_origin=task.occ_start,
                 backend=self.backend,
+                registers_per_thread=self.registers_per_thread,
             )
             result = device.launch(
                 kernel,
@@ -203,6 +215,8 @@ class GPUOptimizedEngine(Engine):
                 device.free(f"local_layer{layer.layer_id}")
             per_layer[layer.layer_id] = out
 
+        # Whatever modeled time is not attributable to a Figure 6 activity
+        # (launch overhead, PCIe staging) lands in "other".
         leftover = modeled_total - profile.total
         if leftover > 0:
             profile.charge(ACTIVITY_OTHER, leftover)
@@ -213,4 +227,56 @@ class GPUOptimizedEngine(Engine):
             profile,
             modeled_total,
             meta,
+        )
+
+
+class GPUBasicEngine(GPUOptimizedEngine):
+    """Basic CUDA implementation on one simulated GPU.
+
+    The optimised engine with none of the four optimisations applied
+    (all intermediates in global/local memory, rolled loops, working
+    precision ``dtype``) and the basic kernel's 20 registers per thread.
+
+    Parameters
+    ----------
+    device_spec:
+        Simulated hardware (paper: Tesla C2075).
+    threads_per_block:
+        CUDA block size (the paper's Figure 2 sweeps 128–640; 256 is its
+        observed sweet spot and the default here).
+    batch_blocks:
+        Functional batching granularity (results/cost unaffected).
+    traffic:
+        Traffic ledger the simulated device prices: ``"fused"`` (the
+        default, what the ragged kernel moves) or ``"paper"`` (the
+        paper's padded CUDA kernel, as the analytic model prices it).
+        Changes modeled seconds only, never the YLT.
+    """
+
+    name = "gpu"
+    registers_per_thread = BASIC_REGISTERS_PER_THREAD
+
+    def __init__(
+        self,
+        lookup_kind: str = "direct",
+        dtype: np.dtype | type = np.float64,
+        device_spec: DeviceSpec = TESLA_C2075,
+        threads_per_block: int = 256,
+        batch_blocks: int = 256,
+        traffic: str = TRAFFIC_FUSED,
+        secondary=None,
+        secondary_seed=None,
+        backend=None,
+    ) -> None:
+        super().__init__(
+            lookup_kind=lookup_kind,
+            dtype=dtype,
+            device_spec=device_spec,
+            threads_per_block=threads_per_block,
+            flags=OptimizationFlags.none(),
+            batch_blocks=batch_blocks,
+            traffic=traffic,
+            secondary=secondary,
+            secondary_seed=secondary_seed,
+            backend=backend,
         )

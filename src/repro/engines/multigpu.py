@@ -28,11 +28,11 @@ from repro.data.layer import Portfolio
 from repro.data.yet import YearEventTable
 from repro.data.ylt import YearLossTable
 from repro.engines.base import Engine
+from repro.core.kernels import build_layer_tables
 from repro.engines.gpu_common import (
     TRAFFIC_FUSED,
-    ARAOptimizedKernel,
+    ARAKernel,
     OptimizationFlags,
-    build_layer_tables,
     check_traffic,
     merge_meta_occupancy,
     modeled_activity_profile,
@@ -224,7 +224,7 @@ class MultiGPUEngine(Engine):
                 out_bytes = sub_yet.n_trials * 8
                 device.alloc(f"ylt_{name}", out_bytes)
 
-                kernel = ARAOptimizedKernel(
+                kernel = ARAKernel(
                     yet=sub_yet,
                     lookups=lookups,
                     layer_terms=layer.terms,

@@ -3,7 +3,8 @@
 Engines accept different keyword options (``n_cores`` only makes sense
 for multicore, ``threads_per_block`` only for GPU engines...).  The
 registry filters the caller's keyword arguments down to each engine's
-constructor signature so high-level sweeps can pass a superset.
+constructor signature so high-level sweeps can pass a superset; a key
+that no registered engine accepts is a typo and raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ import inspect
 from typing import Any, Dict, Tuple, Type
 
 from repro.engines.base import Engine
-from repro.engines.gpu_basic import GPUBasicEngine
-from repro.engines.gpu_optimized import GPUOptimizedEngine
+from repro.engines.gpu_optimized import GPUBasicEngine, GPUOptimizedEngine
 from repro.engines.multicore import MulticoreEngine
 from repro.engines.multigpu import MultiGPUEngine
 from repro.engines.sequential import ReferenceEngine, SequentialEngine
@@ -43,18 +43,25 @@ def engine_class(name: str) -> Type[Engine]:
         ) from None
 
 
+def _parameters(cls: Type[Engine]) -> frozenset:
+    return frozenset(inspect.signature(cls.__init__).parameters) - {"self"}
+
+
 def create_engine(name: str, **options: Any) -> Engine:
     """Instantiate engine ``name``, keeping only options it understands.
 
-    Unknown names raise; options not in the engine's constructor are
-    silently dropped (so sweep code can pass one option superset to all
-    engines).
+    Unknown names raise ``ValueError``.  Options another registered
+    engine accepts are dropped (so sweep code can pass one option
+    superset to all engines); an option *no* registered engine accepts
+    raises ``TypeError`` naming it.
     """
     cls = engine_class(name)
-    signature = inspect.signature(cls.__init__)
-    accepted = {
-        key: value
-        for key, value in options.items()
-        if key in signature.parameters
-    }
-    return cls(**accepted)
+    known = frozenset().union(*(_parameters(c) for c in _REGISTRY.values()))
+    unknown = sorted(set(options) - known)
+    if unknown:
+        raise TypeError(
+            f"unknown engine option(s) {unknown}; no registered engine "
+            f"accepts them"
+        )
+    accepted = _parameters(cls)
+    return cls(**{k: v for k, v in options.items() if k in accepted})

@@ -24,8 +24,7 @@ points), which are robust to the exact constants.
 
 What gets priced depends on the GPU engines' ``traffic`` ledger: with
 ``traffic="paper"`` the engines record the paper's padded CUDA traffic
-(:func:`repro.engines.gpu_common.record_basic_traffic` /
-``record_optimized_traffic``), which is also what the analytic perfmodel
+(:func:`repro.engines.gpu_common.record_optimized_traffic`), which is also what the analytic perfmodel
 prices — the model↔engine consistency contract.  With
 ``traffic="fused"`` (the default) they record the fused formulation's
 own traffic

@@ -23,7 +23,6 @@ from repro.engines.gpu_common import (
     optimized_barrier_intensity,
     optimized_mlp,
     optimized_shared_bytes_per_block,
-    record_basic_traffic,
     record_optimized_traffic,
     record_ragged_traffic,
 )
@@ -70,16 +69,19 @@ def predict_gpu_basic(
 ) -> PerfPrediction:
     """Modeled time of the basic CUDA implementation (iii).
 
-    ``word_bytes=8``: the basic kernel works in double precision.
+    ``word_bytes=8``: the basic kernel works in double precision.  Its
+    ledger is the optimised kernel's with no optimisation applied.
     """
     counters = DeviceCounters(device=device)
     for _ in range(spec.n_layers):
-        record_basic_traffic(
+        record_optimized_traffic(
             counters,
             n_occ=spec.n_occurrences,
             n_trials=spec.n_trials,
             n_elts=spec.elts_per_layer,
             word=word_bytes,
+            flags=OptimizationFlags.none(),
+            chunk_events=24,  # priced only with chunking on
         )
     launch = KernelLaunch(
         n_threads_total=spec.n_trials,
@@ -208,11 +210,10 @@ def predict_gpu_ragged(
     projections show the fusion win of the fused kernel.
 
     ``optimized=False`` mirrors the basic engine running the ragged
-    kernel (:class:`~repro.engines.gpu_common.ARABasicKernel`'s
-    footprint: no shared staging, ``mlp=1``); ``optimized=True`` mirrors
-    :class:`~repro.engines.gpu_common.ARAOptimizedKernel` (``flags``
-    default all four optimisations, chunked staging with ``chunk_events``
-    loads in flight).  ``secondary`` adds the fused secondary-uncertainty
+    kernel (no shared staging, ``mlp=1``, the basic register
+    footprint); ``optimized=True`` mirrors the optimised engines
+    (``flags`` default all four optimisations, chunked staging with
+    ``chunk_events`` loads in flight).  ``secondary`` adds the fused secondary-uncertainty
     path's quantile-table reads and counter-RNG arithmetic.
     """
     if optimized:
@@ -222,7 +223,7 @@ def predict_gpu_ragged(
             raise ValueError(
                 "flags apply only to optimized=True: the basic engine "
                 "runs the ragged kernel with no optimisations "
-                "(ARABasicKernel records flags=none), so a flagged "
+                "(its kernel records flags=none), so a flagged "
                 "basic-ragged projection would model a kernel that "
                 "does not exist"
             )

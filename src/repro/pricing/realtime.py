@@ -1,35 +1,29 @@
-"""Real-time pricing: from one-at-a-time quotes to a concurrent service.
+"""Real-time pricing: one concurrent quote session over a fixed YET.
 
 This is the scenario the paper's abstract sells: with the analysis at
 seconds per million trials, an underwriter can tweak layer terms and
-re-quote live.  Two workflows live here:
+re-quote live.  :class:`QuoteService` is that session, built on the
+plan layer.  It accepts one candidate layer or many at once
+(:meth:`QuoteService.quote`, :meth:`QuoteService.quote_many`,
+:meth:`QuoteService.quote_async`), schedules quote tasks on a shared
+worker pool, and dedupes work across in-flight quotes through a
+plan-level :class:`~repro.plan.cache.PlanResultCache`:
 
-* :class:`RealTimePricer` — the original interactive session: each
-  ``quote()`` runs one full engine analysis for the candidate layer.
-  Simple, engine-agnostic, and the measured *baseline* of the
-  ``PLAN-ABLATE`` benchmark.
-* :class:`QuoteService` — the concurrent quote service built on the
-  plan layer.  It accepts many candidate layers at once
-  (:meth:`QuoteService.quote_many`, :meth:`QuoteService.quote_async`),
-  schedules quote tasks on a shared worker pool, and dedupes work
-  across in-flight quotes through a plan-level
-  :class:`~repro.plan.cache.PlanResultCache`:
+- lookup tables are shared via the process-wide
+  :class:`~repro.lookup.factory.LookupCache` (as everywhere);
+- the *combined per-occurrence loss vector* — the expensive
+  gather + financial-terms prefix of Algorithm 1, which depends on
+  the ELT set but **not** on the candidate's layer terms — is
+  computed once per (ELT set, YET, secondary stream) and reused by
+  every candidate over that set, including marginal re-quotes
+  against the book's already-computed segments;
+- finished per-candidate year-loss vectors are cached too, so
+  re-quoting an unchanged structure is a pure cache hit.
 
-  - lookup tables are shared via the process-wide
-    :class:`~repro.lookup.factory.LookupCache` (as everywhere);
-  - the *combined per-occurrence loss vector* — the expensive
-    gather + financial-terms prefix of Algorithm 1, which depends on
-    the ELT set but **not** on the candidate's layer terms — is
-    computed once per (ELT set, YET, secondary stream) and reused by
-    every candidate over that set, including marginal re-quotes
-    against the book's already-computed segments;
-  - finished per-candidate year-loss vectors are cached too, so
-    re-quoting an unchanged structure is a pure cache hit.
-
-  Quotes are **bit-for-bit identical** to a sequential-engine run of the
-  same candidate: the cached vector is decomposition-invariant (tasks
-  are keyed by global occurrence index) and the finish is exactly the
-  fused kernel's layer-terms pass.
+Quotes are **bit-for-bit identical** to a sequential-engine run of the
+same single-layer candidate portfolio: the cached vector is
+decomposition-invariant (tasks are keyed by global occurrence index)
+and the finish is exactly the fused kernel's layer-terms pass.
 """
 
 from __future__ import annotations
@@ -42,7 +36,6 @@ from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.analysis import AggregateRiskAnalysis
 from repro.core.kernels import (
     build_layer_tables,
     combined_occurrence_losses,
@@ -92,46 +85,8 @@ class QuoteRequest:
         )
 
 
-class _PricingSessionBase:
-    """Shared state of the pricing workflows: YET, ELT pool, book."""
-
-    def __init__(
-        self,
-        yet: YearEventTable,
-        elts: Sequence[EventLossTable],
-        catalog_size: int,
-        book: Portfolio | None = None,
-        assumptions: PricingAssumptions | None = None,
-    ) -> None:
-        self.yet = yet
-        self.elts = {elt.elt_id: elt for elt in elts}
-        if len(self.elts) != len(elts):
-            raise ValueError("duplicate ELT ids in pool")
-        self.catalog_size = int(catalog_size)
-        self.assumptions = assumptions or PricingAssumptions()
-        self.book = book
-        self.history: List[QuoteRecord] = []
-
-    def _resolve_elts(self, elt_ids: Sequence[int]) -> List[EventLossTable]:
-        for elt_id in elt_ids:
-            if elt_id not in self.elts:
-                raise KeyError(f"unknown ELT id {elt_id}")
-        return [self.elts[int(e)] for e in elt_ids]
-
-    @property
-    def mean_quote_seconds(self) -> float:
-        """Average quote latency over the session (real-time-ness KPI)."""
-        if not self.history:
-            return 0.0
-        return sum(r.analysis_seconds for r in self.history) / len(self.history)
-
-
-class RealTimePricer(_PricingSessionBase):
-    """Interactive layer-quoting session over a fixed YET and ELT pool.
-
-    Each quote is one full engine analysis of the candidate layer — the
-    paper's real-time quantity, and the sequential baseline the
-    ``PLAN-ABLATE`` benchmark compares :class:`QuoteService` against.
+class QuoteService:
+    """Concurrent quote service: many candidate layers, shared work.
 
     Parameters
     ----------
@@ -141,108 +96,11 @@ class RealTimePricer(_PricingSessionBase):
         The ELT pool candidate layers may reference.
     catalog_size:
         Event-id address space.
-    engine:
-        Engine used per quote (``"multicore"`` default: the fastest
-        *measured* engine in this container).
     book:
         Optional existing portfolio for marginal-impact quoting.
-    """
-
-    def __init__(
-        self,
-        yet: YearEventTable,
-        elts: Sequence[EventLossTable],
-        catalog_size: int,
-        engine: str = "multicore",
-        book: Portfolio | None = None,
-        assumptions: PricingAssumptions | None = None,
-        **engine_options: Any,
-    ) -> None:
-        super().__init__(
-            yet, elts, catalog_size, book=book, assumptions=assumptions
-        )
-        self.engine = engine
-        self.engine_options = engine_options
-        self._book_tvar: float | None = None
-        self._book_losses = None
-
-    # ------------------------------------------------------------------
-    def _book_tail(self, confidence: float) -> float:
-        """Tail capital of the existing book (computed once, cached)."""
-        if self.book is None:
-            return 0.0
-        if self._book_tvar is None:
-            self._book_tvar = tail_value_at_risk(
-                self._book_portfolio_losses(), confidence
-            )
-        return self._book_tvar
-
-    def quote(
-        self,
-        elt_ids: Sequence[int],
-        terms: LayerTerms,
-        layer_id: int = 9999,
-    ) -> QuoteRecord:
-        """Price a candidate layer; returns the quote and its latency.
-
-        The analysis runs only for the candidate layer (the book's tail is
-        cached), so quote latency is one single-layer analysis — the
-        real-time quantity the paper optimises.
-        """
-        candidate = Layer(
-            layer_id=layer_id,
-            elt_ids=tuple(int(e) for e in elt_ids),
-            terms=terms,
-        )
-        portfolio = Portfolio()
-        for elt in self._resolve_elts(candidate.elt_ids):
-            portfolio.add_elt(elt)
-        portfolio.add_layer(candidate)
-
-        started = time.perf_counter()
-        ara = AggregateRiskAnalysis(portfolio, self.catalog_size)
-        result = ara.run(self.yet, engine=self.engine, **self.engine_options)
-        elapsed = time.perf_counter() - started
-
-        losses = result.ylt.layer_losses(layer_id)
-        quote = price_layer(candidate, losses, self.assumptions)
-
-        marginal: float | None = None
-        if self.book is not None:
-            confidence = self.assumptions.capital_confidence
-            book_tail = self._book_tail(confidence)
-            combined = tail_value_at_risk(
-                losses + self._book_portfolio_losses(), confidence
-            )
-            marginal = combined - book_tail
-
-        record = QuoteRecord(
-            quote=quote,
-            analysis_seconds=elapsed,
-            engine=self.engine,
-            marginal_tvar=marginal,
-            meta={"n_trials": self.yet.n_trials, "n_elts": len(elt_ids)},
-        )
-        self.history.append(record)
-        return record
-
-    def _book_portfolio_losses(self):
-        if self.book is None:
-            raise RuntimeError("no book portfolio configured")
-        if self._book_losses is None:
-            ara = AggregateRiskAnalysis(self.book, self.catalog_size)
-            result = ara.run(self.yet, engine=self.engine, **self.engine_options)
-            self._book_losses = result.ylt.portfolio_losses()
-        return self._book_losses
-
-
-class QuoteService(_PricingSessionBase):
-    """Concurrent quote service: many candidate layers, shared work.
-
-    Parameters
-    ----------
-    yet, elts, catalog_size, book, assumptions:
-        As for :class:`RealTimePricer`.
+    assumptions:
+        Pricing loadings (:class:`~repro.pricing.pricer.PricingAssumptions`
+        defaults when omitted).
     max_workers:
         Width of the quote worker pool *and* of the plan used to compute
         base vectors (defaults to the machine's usable CPU count).
@@ -294,9 +152,14 @@ class QuoteService(_PricingSessionBase):
         cache_size: int = 16,
         store=None,
     ) -> None:
-        super().__init__(
-            yet, elts, catalog_size, book=book, assumptions=assumptions
-        )
+        self.yet = yet
+        self.elts = {elt.elt_id: elt for elt in elts}
+        if len(self.elts) != len(elts):
+            raise ValueError("duplicate ELT ids in pool")
+        self.catalog_size = int(catalog_size)
+        self.assumptions = assumptions or PricingAssumptions()
+        self.book = book
+        self.history: List[QuoteRecord] = []
         if max_workers is None:
             self.max_workers = available_cpu_count()
         else:
@@ -353,6 +216,19 @@ class QuoteService(_PricingSessionBase):
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+    def _resolve_elts(self, elt_ids: Sequence[int]) -> List[EventLossTable]:
+        for elt_id in elt_ids:
+            if elt_id not in self.elts:
+                raise KeyError(f"unknown ELT id {elt_id}")
+        return [self.elts[int(e)] for e in elt_ids]
+
+    @property
+    def mean_quote_seconds(self) -> float:
+        """Average quote latency over the session (real-time-ness KPI)."""
+        if not self.history:
+            return 0.0
+        return sum(r.analysis_seconds for r in self.history) / len(self.history)
 
     def backend_name(self) -> str:
         """Resolved kernel-backend name quotes dispatch to."""
@@ -496,10 +372,10 @@ class QuoteService(_PricingSessionBase):
             cached = self._book_losses
         if cached is not None:
             return cached
-        # Memoised like RealTimePricer's book losses: the book is fixed
-        # for the session, so the per-layer sum (and, transitively, the
-        # book's base/loss cache entries) is paid once, not per quote —
-        # and cannot be LRU-evicted out from under a many-layer book.
+        # Memoised: the book is fixed for the session, so the per-layer
+        # sum (and, transitively, the book's base/loss cache entries) is
+        # paid once, not per quote — and cannot be LRU-evicted out from
+        # under a many-layer book.
         total = np.zeros(self.yet.n_trials, dtype=np.float64)
         for layer in self.book.layers:
             total += self._losses_for(

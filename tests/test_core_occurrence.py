@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.occurrence import max_occurrence_losses, occurrence_frequency
-from repro.data.elt import EventLossTable
-from repro.data.layer import LayerTerms, Portfolio
+from repro.data.elt import ELTFinancialTerms, EventLossTable
+from repro.data.layer import Layer, LayerTerms, Portfolio
 from repro.data.yet import YearEventTable
+from repro.lookup.factory import LOOKUP_KINDS
 from repro.metrics.curves import oep_curve
 
 
@@ -102,3 +103,74 @@ class TestOccurrenceFrequency:
         yet, portfolio = simple_problem()
         with pytest.raises(ValueError):
             occurrence_frequency(yet, portfolio, 10, threshold=-1.0)
+
+
+def scalar_occurrence_losses(yet, portfolio, layer):
+    """Per-trial lists of occurrence-net losses, one event at a time."""
+    from repro.core.terms import occurrence_term_scalar
+
+    elts = portfolio.elts_of(layer)
+    return [
+        [
+            occurrence_term_scalar(
+                sum(elt.terms.apply_scalar(elt.loss_of(int(e))) for elt in elts),
+                layer.terms,
+            )
+            for e in ids
+        ]
+        for ids, _times in yet.iter_trials()
+    ]
+
+
+@pytest.mark.parametrize("kind", LOOKUP_KINDS)
+def test_edge_cases_match_scalar_loop(kind):
+    """Empty trials (leading, runs, trailing, all of them), a single-ELT
+    layer and threshold 0, against a scalar per-trial loop."""
+    elts = [
+        EventLossTable.from_dict(
+            0, {1: 10.0, 2: 30.0, 4: 7.0},
+            terms=ELTFinancialTerms(retention=1.0, share=0.5),
+        ),
+        EventLossTable.from_dict(1, {2: 4.0, 3: 5.0, 5: 60.0}),
+    ]
+    portfolio = Portfolio()
+    for elt in elts:
+        portfolio.add_elt(elt)
+    portfolio.add_layer(
+        Layer(layer_id=0, elt_ids=(0, 1), terms=LayerTerms(occ_limit=25.0))
+    )
+    portfolio.add_layer(  # single-ELT layer
+        Layer(layer_id=1, elt_ids=(1,), terms=LayerTerms(occ_retention=4.5))
+    )
+    yets = [
+        YearEventTable.from_trials(
+            [
+                [],
+                [(1, 0.1), (2, 0.5), (9, 0.6)],
+                [],
+                [],
+                [(3, 0.2)],
+                [(5, 0.3), (4, 0.4)],
+                [],
+            ]
+        ),
+        YearEventTable.from_trials([[], [], []]),  # all empty
+    ]
+    for yet in yets:
+        for batch_trials in (None, 2):
+            table = max_occurrence_losses(
+                yet, portfolio, 10, lookup_kind=kind, batch_trials=batch_trials
+            )
+            for layer in portfolio.layers:
+                per_trial = scalar_occurrence_losses(yet, portfolio, layer)
+                expected = [max(t) if t else 0.0 for t in per_trial]
+                np.testing.assert_allclose(
+                    table.layer_losses(layer.layer_id), expected, rtol=1e-12
+                )
+        for layer in portfolio.layers:
+            per_trial = scalar_occurrence_losses(yet, portfolio, layer)
+            positive = sum(loss > 0.0 for t in per_trial for loss in t)
+            assert occurrence_frequency(
+                yet, portfolio, 10, threshold=0.0,
+                layer_id=layer.layer_id, lookup_kind=kind,
+            ) == pytest.approx(positive / yet.n_trials)

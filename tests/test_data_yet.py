@@ -116,29 +116,15 @@ class TestSliceTrials:
 
 
 class TestDense:
-    def test_to_dense_pads_with_null(self):
-        yet = make_yet([[(1, 0.1), (2, 0.2)], [(3, 0.3)]])
-        dense = yet.to_dense()
-        assert dense.shape == (2, 2)
-        assert dense[1, 1] == 0  # padding
-        assert dense[0, 0] == 1
-
-    def test_to_dense_wider_than_needed(self):
-        yet = make_yet([[(1, 0.1)]])
-        dense = yet.to_dense(width=4)
-        assert dense.shape == (1, 4)
-        assert list(dense[0]) == [1, 0, 0, 0]
-
-    def test_to_dense_too_narrow_rejected(self):
-        yet = make_yet([[(1, 0.1), (2, 0.2)]])
-        with pytest.raises(ValueError):
-            yet.to_dense(width=1)
-
     def test_from_dense_roundtrip(self):
         yet = make_yet([[(1, 0.1), (2, 0.5)], [(3, 0.3)]])
-        rebuilt = YearEventTable.from_dense(yet.to_dense())
+        # Null ids (0) pad the shorter trial and are dropped.
+        rebuilt = YearEventTable.from_dense(
+            np.array([[1, 2], [3, 0]], dtype=np.int32)
+        )
         assert rebuilt.n_trials == yet.n_trials
         assert np.array_equal(rebuilt.event_ids, yet.event_ids)
+        assert np.array_equal(rebuilt.offsets, yet.offsets)
 
     def test_from_dense_rejects_bad_shape(self):
         with pytest.raises(ValueError):

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.engines.gpu_basic import GPUBasicEngine
 from repro.engines.gpu_common import OptimizationFlags
-from repro.engines.gpu_optimized import GPUOptimizedEngine
+from repro.engines.gpu_optimized import GPUBasicEngine, GPUOptimizedEngine
 from repro.engines.multigpu import MultiGPUEngine
 from repro.gpusim.device import TESLA_M2090
 from repro.utils.timer import ACTIVITY_LOOKUP

@@ -10,7 +10,6 @@ from repro.engines.gpu_common import (
     optimized_barrier_intensity,
     optimized_mlp,
     optimized_shared_bytes_per_block,
-    record_basic_traffic,
     record_optimized_traffic,
 )
 from repro.gpusim.device import TESLA_C2075
@@ -33,21 +32,26 @@ class TestOptimizationFlags:
         assert flags.describe() == "chunking+float32"
 
 
+NONE = OptimizationFlags.none()
+
+
 class TestRecordBasicTraffic:
+    """The basic kernel's ledger: the optimised one with no flags."""
+
     def test_lookup_is_random_traffic(self):
         c = counters()
-        record_basic_traffic(c, n_occ=1000, n_trials=10, n_elts=5, word=8)
+        record_optimized_traffic(c, 1000, 10, 5, 8, NONE, 24)
         random_bytes = c.global_bytes_moved[TrafficClass.RANDOM.value]
         assert random_bytes == 1000 * 5 * TESLA_C2075.transaction_bytes
 
     def test_intermediates_are_strided(self):
         c = counters()
-        record_basic_traffic(c, n_occ=1000, n_trials=10, n_elts=5, word=8)
+        record_optimized_traffic(c, 1000, 10, 5, 8, NONE, 24)
         assert c.global_bytes_moved[TrafficClass.STRIDED.value] > 0
 
     def test_activity_attribution_complete(self):
         c = counters()
-        record_basic_traffic(c, n_occ=100, n_trials=10, n_elts=3, word=8)
+        record_optimized_traffic(c, 100, 10, 3, 8, NONE, 24)
         assert set(c.activity_bytes) == {
             "fetch_events", "loss_lookup", "financial_terms",
             "layer_terms", "other",
@@ -55,8 +59,8 @@ class TestRecordBasicTraffic:
 
     def test_traffic_scales_linearly_with_occurrences(self):
         a, b = counters(), counters()
-        record_basic_traffic(a, n_occ=100, n_trials=10, n_elts=3, word=8)
-        record_basic_traffic(b, n_occ=200, n_trials=10, n_elts=3, word=8)
+        record_optimized_traffic(a, 100, 10, 3, 8, NONE, 24)
+        record_optimized_traffic(b, 200, 10, 3, 8, NONE, 24)
         assert b.global_bytes_moved[TrafficClass.RANDOM.value] == (
             2 * a.global_bytes_moved[TrafficClass.RANDOM.value]
         )

@@ -35,6 +35,22 @@ class TestRegistry:
         )
         assert engine.batch_trials == 32
 
+    def test_create_engine_rejects_misspelt_option(self):
+        # No registered engine takes ``trafic``: a typo, not a superset.
+        with pytest.raises(TypeError, match="trafic"):
+            create_engine("gpu", trafic="paper")
+
+    def test_run_rejects_option_no_engine_accepts(self, tiny_workload):
+        from repro.core.analysis import AggregateRiskAnalysis
+
+        ara = AggregateRiskAnalysis(
+            tiny_workload.portfolio, tiny_workload.catalog.n_events
+        )
+        with pytest.raises(TypeError, match="kernel"):
+            ara.run(tiny_workload.yet, engine="sequential", kernel="dense")
+        with pytest.raises(TypeError, match="trafic"):
+            ara.run(tiny_workload.yet, engine="gpu", trafic="paper")
+
     def test_create_engine_passes_known_options(self):
         engine = create_engine("multi-gpu", n_devices=2, threads_per_block=64)
         assert engine.n_devices == 2

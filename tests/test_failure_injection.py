@@ -10,7 +10,7 @@ import pytest
 from repro.data.elt import EventLossTable
 from repro.data.layer import Portfolio
 from repro.data.yet import YearEventTable
-from repro.engines.gpu_basic import GPUBasicEngine
+from repro.engines.gpu_optimized import GPUBasicEngine
 from repro.engines.multigpu import MultiGPUEngine
 from repro.gpusim.device import DeviceSpec
 

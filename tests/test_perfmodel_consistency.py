@@ -10,8 +10,7 @@ import pytest
 
 from repro.bench.runner import get_workload
 from repro.data.presets import BENCH_SMALL
-from repro.engines.gpu_basic import GPUBasicEngine
-from repro.engines.gpu_optimized import GPUOptimizedEngine
+from repro.engines.gpu_optimized import GPUBasicEngine, GPUOptimizedEngine
 from repro.engines.multigpu import MultiGPUEngine
 from repro.perfmodel.cpu import predict_sequential
 from repro.perfmodel.gpu import predict_gpu_basic, predict_gpu_optimized

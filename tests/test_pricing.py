@@ -1,4 +1,4 @@
-"""Tests for layer pricing and the real-time pricing workflow."""
+"""Tests for layer pricing and the real-time quote session."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from repro.data.elt import EventLossTable
 from repro.data.layer import Layer, LayerTerms, Portfolio
 from repro.data.yet import YearEventTable
 from repro.pricing.pricer import LayerQuote, PricingAssumptions, price_layer
-from repro.pricing.realtime import RealTimePricer
+from repro.pricing.realtime import QuoteService
 
 
 def make_layer(occ_limit=100.0):
@@ -93,7 +93,7 @@ class TestPriceLayer:
             price_layer(make_layer(), np.empty(0))
 
 
-class TestRealTimePricer:
+class TestQuoteSession:
     @pytest.fixture()
     def session(self):
         elts = [
@@ -113,13 +113,10 @@ class TestRealTimePricer:
         book = Portfolio()
         book.add_elt(elts[0])
         book.add_layer(Layer(layer_id=0, elt_ids=(0,)))
-        return RealTimePricer(
-            yet=yet,
-            elts=elts,
-            catalog_size=100,
-            engine="sequential",
-            book=book,
-        )
+        with QuoteService(
+            yet=yet, elts=elts, catalog_size=100, book=book, max_workers=1
+        ) as service:
+            yield service
 
     def test_quote_produces_record(self, session):
         record = session.quote(
@@ -127,7 +124,7 @@ class TestRealTimePricer:
         )
         assert isinstance(record.quote, LayerQuote)
         assert record.analysis_seconds > 0
-        assert record.engine == "sequential"
+        assert record.engine == "quote-service"
         assert len(session.history) == 1
 
     def test_marginal_tvar_computed_with_book(self, session):
@@ -149,10 +146,10 @@ class TestRealTimePricer:
     def test_no_book_no_marginal(self):
         elts = [EventLossTable.from_dict(0, {1: 10.0})]
         yet = YearEventTable.from_trials([[(1, 0.5)]])
-        pricer = RealTimePricer(
-            yet=yet, elts=elts, catalog_size=10, engine="sequential"
-        )
-        record = pricer.quote(elt_ids=(0,), terms=LayerTerms())
+        with QuoteService(
+            yet=yet, elts=elts, catalog_size=10, max_workers=1
+        ) as service:
+            record = service.quote(elt_ids=(0,), terms=LayerTerms())
         assert record.marginal_tvar is None
 
     def test_duplicate_elt_pool_rejected(self):
@@ -162,4 +159,4 @@ class TestRealTimePricer:
         ]
         yet = YearEventTable.from_trials([[(1, 0.5)]])
         with pytest.raises(ValueError):
-            RealTimePricer(yet=yet, elts=elts, catalog_size=10)
+            QuoteService(yet=yet, elts=elts, catalog_size=10)

@@ -7,7 +7,13 @@ from repro.core.analysis import AggregateRiskAnalysis
 from repro.core.secondary import SecondaryUncertainty
 from repro.data.generator import generate_catalog, generate_elt, generate_yet
 from repro.data.layer import Layer, LayerTerms, Portfolio
-from repro.pricing import QuoteRequest, QuoteService, RealTimePricer
+from repro.metrics.tvar import tail_value_at_risk
+from repro.pricing import (
+    PricingAssumptions,
+    QuoteRequest,
+    QuoteService,
+    price_layer,
+)
 
 SU = SecondaryUncertainty(4.0, 4.0)
 
@@ -171,11 +177,17 @@ class TestBatchAndAsync:
         ]
         with QuoteService(yet, elts, catalog.n_events, max_workers=4) as svc:
             batch = svc.quote_many(candidates)
-        pricer = RealTimePricer(yet, elts, catalog.n_events, engine="sequential")
         for record, (elt_ids, terms) in zip(batch, candidates):
-            solo = pricer.quote(elt_ids=elt_ids, terms=terms)
-            assert record.quote.premium == solo.quote.premium
-            assert record.quote.expected_loss == solo.quote.expected_loss
+            losses = single_layer_run(
+                yet, elts, elt_ids, terms, catalog.n_events
+            )
+            solo = price_layer(
+                Layer(layer_id=9999, elt_ids=elt_ids, terms=terms),
+                losses,
+                PricingAssumptions(),
+            )
+            assert record.quote.premium == solo.premium
+            assert record.quote.expected_loss == solo.expected_loss
 
     def test_quote_async_returns_future(self, session_data):
         catalog, yet, elts = session_data
@@ -217,7 +229,7 @@ class TestValidation:
         with pytest.raises(ValueError, match="max_workers"):
             QuoteService(yet, elts, catalog.n_events, max_workers=0)
 
-    def test_marginal_matches_realtime_pricer(self, session_data):
+    def test_marginal_matches_engine_runs(self, session_data):
         catalog, yet, elts = session_data
         book = Portfolio()
         for elt in elts[:2]:
@@ -228,12 +240,18 @@ class TestValidation:
             yet, elts, catalog.n_events, book=book, max_workers=2
         ) as svc:
             service_record = svc.quote(elt_ids=(2, 3), terms=terms)
-        pricer = RealTimePricer(
-            yet, elts, catalog.n_events, engine="sequential", book=book
+        confidence = PricingAssumptions().capital_confidence
+        book_losses = (
+            AggregateRiskAnalysis(book, catalog.n_events)
+            .run(yet, engine="sequential")
+            .ylt.portfolio_losses()
         )
-        legacy_record = pricer.quote(elt_ids=(2, 3), terms=terms)
+        candidate = single_layer_run(yet, elts, (2, 3), terms, catalog.n_events)
+        expected = tail_value_at_risk(
+            candidate + book_losses, confidence
+        ) - tail_value_at_risk(book_losses, confidence)
         assert service_record.marginal_tvar == pytest.approx(
-            legacy_record.marginal_tvar, rel=1e-12
+            expected, rel=1e-12
         )
 
 

@@ -52,6 +52,25 @@ def test_replay_is_bitwise_with_zero_executions(tiny_workload, store):
     assert warm.ylt.losses.tobytes() == cold.ylt.losses.tobytes()
 
 
+def test_replay_reports_no_modeled_seconds(small_workload, store):
+    """A replay priced nothing: the computing run's modeled seconds sit
+    in the replay meta, never in ``modeled_seconds``."""
+    ara = make_ara(small_workload)
+    fused = ara.run(small_workload.yet, engine="gpu", store=store)
+    paper = ara.run(
+        small_workload.yet, engine="gpu", traffic="paper", store=store
+    )
+    assert paper.meta["replay"]["hit"] is True
+    assert paper.modeled_seconds is None
+    assert paper.meta["replay"]["computed_by"] == "gpu"
+    assert (
+        paper.meta["replay"]["computed_modeled_seconds"]
+        == fused.modeled_seconds
+    )
+    priced = ara.run(small_workload.yet, engine="gpu", traffic="paper")
+    assert priced.modeled_seconds != fused.modeled_seconds
+
+
 def test_replay_survives_process_restart(tiny_workload, tmp_path):
     ara = make_ara(tiny_workload)
     cold = ara.run(
