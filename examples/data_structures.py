@@ -21,7 +21,7 @@ import numpy as np
 import repro
 from repro.data.presets import PAPER
 from repro.io.memory import estimate_workload_memory
-from repro.lookup import CombinedDirectTable, build_lookup
+from repro.lookup import StackedDirectTable, build_lookup
 from repro.lookup.factory import LOOKUP_KINDS
 
 
@@ -56,9 +56,10 @@ def main() -> None:
             f"{1e9 * elapsed / queries.size:>10.1f} {'yes' if ok else 'NO':>10s}"
         )
 
-    combined = CombinedDirectTable(elts, catalog_size)
+    combined = StackedDirectTable(elts, catalog_size)
+    combined.gather_gross(queries[:1])  # builds the gross rows
     started = time.perf_counter()
-    combined.lookup_rows(queries[:100_000])
+    combined.gather_gross(queries[:100_000])
     elapsed = time.perf_counter() - started
     print(f"\ncombined table: {combined.nbytes:,} bytes total, "
           f"{combined.row_nbytes} B/row, "

@@ -1,8 +1,8 @@
 """The kernel-backend contract and the permanent numpy oracle.
 
 A *kernel backend* is one implementation of the fused ragged hot loop of
-:mod:`repro.core.kernels` — stacked gather + in-place financial terms +
-occurrence clamp + segment reduction + aggregate clamp — selected
+:mod:`repro.core.kernels` — net row gather + ELT combine + occurrence
+clamp + segment reduction + aggregate clamp — selected
 through the registry in :mod:`repro.backends` and dispatched by the plan
 executor, so every engine (and the quote service, and every fleet
 worker) gains a compiled kernel with zero engine-code changes.
@@ -13,21 +13,21 @@ for everything else, and the dispatch sites in ``core/kernels.py`` fall
 back to the vectorised numpy path — which is therefore both the
 permanent correctness oracle and the universal fallback.  Concretely,
 compiled backends only ever see the stacked-direct, non-secondary path
-(one ``(n_elts, catalog + 1)`` table, CSR ids/offsets); non-direct
-lookup kinds and the counter-based secondary streams always run the
-oracle, so "fallback" is not an error state but the
-normal route for everything outside the hot loop.
+(one event-major ``(catalog + 1, n_elts)`` net table, CSR ids/offsets);
+non-direct lookup kinds and the counter-based secondary streams always
+run the oracle, so "fallback" is not an error state but the normal route
+for everything outside the hot loop.
 
 Numerics policy
 ---------------
 The numpy path is pinned bit-for-bit by the golden-YLT net.  Compiled
-backends replicate its exact operation order — per-occurrence terms
-rounded in the working dtype (``v*fx; v-ret; max 0; min lim; v*share``),
-sequential accumulation across ELT rows in the working dtype, float64
-segment accumulation, float64 aggregate clamp — so they *target*
-bit-for-bit equality; :meth:`KernelBackend.tolerance` declares the
-pinned tolerance parity tests hold each backend to (``(0, 0)`` for the
-oracle itself).
+backends replicate its exact operation order — sequential accumulation
+of the net row across ELTs in the working dtype (the table already holds
+each ELT's terms applied in that dtype), the occurrence clamp in the
+working dtype, float64 segment accumulation, float64 aggregate clamp —
+so they *target* bit-for-bit equality; :meth:`KernelBackend.tolerance`
+declares the pinned tolerance parity tests hold each backend to
+(``(0, 0)`` for the oracle itself).
 """
 
 from __future__ import annotations

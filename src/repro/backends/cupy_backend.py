@@ -11,7 +11,7 @@ Numerics: device reductions do not replicate numpy's sequential
 accumulation order, so unlike the Numba backend this one does *not*
 target bit-for-bit equality; its :meth:`tolerance` is correspondingly
 looser.  The implementation mirrors the oracle's operation order
-(gather → in-place terms → column sum → occurrence clamp → float64
+(net row gather → column adds in ELT order → occurrence clamp → float64
 segment sums → aggregate clamp) with segment sums via the
 cumsum-at-offsets identity (CuPy has no ``add.reduceat``).
 
@@ -74,37 +74,22 @@ class CupyBackend(KernelBackend):
 
     # ------------------------------------------------------------------
     def _device_table(self, cp, stacked):
-        """The stacked table uploaded once per (process, table) pair."""
+        """The net layer table uploaded once per (process, table) pair."""
         key = id(stacked)
-        entry = self._table_cache.get(key)
-        if entry is None:
-            table, fx, ret, lim, share, flags = stacked.broadcast_arrays()
-            entry = (
-                cp.asarray(table),
-                cp.asarray(fx)[:, None],
-                cp.asarray(ret)[:, None],
-                cp.asarray(lim)[:, None],
-                cp.asarray(share)[:, None],
-                flags,
-            )
-            self._table_cache[key] = entry
-        return entry
+        table = self._table_cache.get(key)
+        if table is None:
+            table = cp.asarray(stacked.raw_table())
+            self._table_cache[key] = table
+        return table
 
     def _combined(self, cp, event_ids, stacked):
-        table, fx, ret, lim, share, flags = self._device_table(cp, stacked)
-        use_fx, use_ret, use_lim, use_share = flags
-        ids = cp.asarray(event_ids)
-        block = cp.take(table, ids, axis=1)
-        if use_fx:
-            block *= fx
-        if use_ret:
-            block -= ret
-            cp.maximum(block, 0.0, out=block)
-        if use_lim:
-            cp.minimum(block, lim, out=block)
-        if use_share:
-            block *= share
-        return block.sum(axis=0)
+        table = self._device_table(cp, stacked)
+        rows = cp.take(table, cp.asarray(event_ids), axis=0)
+        # Columns added in ELT order, the oracle's order.
+        combined = rows[:, 0].copy()
+        for col in range(1, rows.shape[1]):
+            combined += rows[:, col]
+        return combined
 
     def layer_losses(self, event_ids, offsets, stacked, layer_terms):
         if self._broken is not None:

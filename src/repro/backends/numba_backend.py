@@ -1,38 +1,33 @@
 """Numba backend: the fused ragged hot loop as one ``@njit`` pass.
 
-The numpy oracle's stacked-direct path runs four vectorised stages per
-occurrence chunk — fused gather, broadcast financial terms, column sum,
-then (per batch) the occurrence clamp and ``reduceat`` segment sums —
-each a separate trip through the interpreter with its own scratch
-traffic.  This backend collapses all of it into **one**
-``@njit(parallel=True)`` pass over the CSR block: for each trial (a
-``prange`` lane) it walks the trial's occurrences, and per occurrence
-walks the stacked table's ELT rows applying each ELT's financial terms
-scalar-wise, clamps the combined value by the occurrence terms, and
-accumulates the float64 year total, finishing with the aggregate clamp.
-No intermediate block — not even the gathered ``(n_elts, chunk)``
-scratch — is ever materialised.
+The numpy oracle's stacked-direct path runs several vectorised stages
+per occurrence chunk — row gather, column adds, then (per batch) the
+occurrence clamp — each a separate trip through the interpreter with
+its own scratch traffic.  This backend collapses them into **one**
+``@njit(parallel=True)`` pass over the occurrences: per occurrence it
+reads the layer table's net row (``table[eid, :]``, each ELT's terms
+already folded in), adds it across ELTs and clamps the sum by the
+occurrence terms.  No gathered block is ever materialised.  The
+per-trial segment sums and the aggregate clamp then run through the
+oracle's own :func:`~repro.core.kernels.segment_sums` and
+:func:`~repro.core.terms.apply_aggregate_terms_cumulative`.
 
 Bit-for-bit parity with the oracle is a design goal, not an accident:
 
-* the combined per-occurrence loss accumulates across ELT rows
-  *sequentially in the working dtype*, matching ``np.sum(block, axis=0)``
-  over a C-contiguous block (whose outer-axis reduction is sequential,
-  not pairwise);
-* each financial term rounds in the working dtype in the oracle's
-  operation order (``v*fx; v-ret; max 0; min lim; v*share``), with the
-  same identity-skip flags, which are numeric no-ops but are mirrored
-  anyway;
+* the combined per-occurrence loss accumulates across ELT columns
+  *sequentially in the working dtype*, the order of the oracle's column
+  adds;
 * occurrence retention/limit are pre-cast to the working dtype (what
   NEP-50 weak-scalar promotion does inside the numpy ufunc calls);
-* segment sums accumulate the working-dtype values into float64
-  sequentially (``np.add.reduceat(..., dtype=np.float64)``'s loop), and
-  the aggregate clamp runs in float64.
+* the segment sums are numpy's ``reduceat`` itself, whose float64
+  accumulation is pairwise, not sequential, for segments of nine or more
+  occurrences.
 
-Parallelism is *across trials only* (independent output slots), so
-results are deterministic for any thread count.  The parity suite still
-pins the backend to a tiny tolerance (see :meth:`NumbaBackend.tolerance`)
-as policy rather than relying on the bit-exactness argument.
+Parallelism is over independent output slots only, so results are
+deterministic for any thread count.  The parity suite still pins the
+backend to a tiny tolerance (see :meth:`NumbaBackend.tolerance`) as
+policy, and the test suite, which runs without Numba, checks the kernel
+bodies as plain Python against the oracle bit for bit.
 
 The module imports cleanly without Numba installed; compilation is
 deferred to first dispatch and any failure (missing package, LLVM
@@ -50,101 +45,41 @@ import numpy as np
 
 from repro.backends.base import KernelBackend
 
-_KERNEL_SOURCE_DOC = """Compiled lazily on first dispatch; see _build_kernels."""
 
+def _build_kernels(njit=None, prange=None):
+    """Build and return the kernel pair (raises if Numba is unusable).
 
-def _build_kernels():
-    """Compile and return the njit kernels (raises if Numba is unusable)."""
-    from numba import njit, prange  # deferred: optional dependency
-
-    @njit(parallel=True, fastmath=False, cache=False)
-    def fused_layer(
-        ids,
-        offsets,
-        table,
-        fx,
-        ret,
-        lim,
-        share,
-        use_fx,
-        use_ret,
-        use_lim,
-        use_share,
-        occ_ret,
-        occ_lim,
-        use_occ_lim,
-        agg_ret,
-        agg_lim,
-        use_agg_lim,
-        zero,
-        year,
-    ):
-        n_trials = offsets.shape[0] - 1
-        n_elts = table.shape[0]
-        for t in prange(n_trials):
-            agg = 0.0
-            for k in range(offsets[t], offsets[t + 1]):
-                eid = ids[k]
-                comb = zero
-                for e in range(n_elts):
-                    v = table[e, eid]
-                    if use_fx:
-                        v = v * fx[e]
-                    if use_ret:
-                        v = v - ret[e]
-                        if v < zero:
-                            v = zero
-                    if use_lim and v > lim[e]:
-                        v = lim[e]
-                    if use_share:
-                        v = v * share[e]
-                    comb = comb + v
-                comb = comb - occ_ret
-                if comb < zero:
-                    comb = zero
-                if use_occ_lim and comb > occ_lim:
-                    comb = occ_lim
-                agg = agg + comb
-            a = agg - agg_ret
-            if a < 0.0:
-                a = 0.0
-            if use_agg_lim and a > agg_lim:
-                a = agg_lim
-            year[t] = a
-        return year
+    ``njit`` and ``prange`` default to Numba's; passing an identity
+    decorator factory and ``range`` runs the same kernel bodies as plain
+    Python, which is how the tests check their logic without Numba.
+    """
+    if njit is None or prange is None:
+        from numba import njit, prange  # deferred: optional dependency
 
     @njit(parallel=True, fastmath=False, cache=False)
-    def fill_combined(
-        ids,
-        table,
-        fx,
-        ret,
-        lim,
-        share,
-        use_fx,
-        use_ret,
-        use_lim,
-        use_share,
-        zero,
-        out,
-    ):
-        n_elts = table.shape[0]
+    def fused_layer(ids, table, occ_ret, occ_lim, use_occ_lim, zero, out):
+        n_elts = table.shape[1]
         for k in prange(ids.shape[0]):
             eid = ids[k]
             comb = zero
             for e in range(n_elts):
-                v = table[e, eid]
-                if use_fx:
-                    v = v * fx[e]
-                if use_ret:
-                    v = v - ret[e]
-                    if v < zero:
-                        v = zero
-                if use_lim and v > lim[e]:
-                    v = lim[e]
-                if use_share:
-                    v = v * share[e]
-                comb = comb + v
+                comb = comb + table[eid, e]
+            comb = comb - occ_ret
+            if comb < zero:
+                comb = zero
+            if use_occ_lim and comb > occ_lim:
+                comb = occ_lim
+            out[k] = comb
+        return out
+
+    @njit(parallel=True, fastmath=False, cache=False)
+    def fill_combined(ids, table, zero, out):
+        n_elts = table.shape[1]
+        for k in prange(ids.shape[0]):
+            eid = ids[k]
+            comb = zero
+            for e in range(n_elts):
+                comb = comb + table[eid, e]
             out[k] = comb
         return out
 
@@ -206,51 +141,25 @@ class NumbaBackend(KernelBackend):
                 return None
         return self._kernels
 
-    @staticmethod
-    def _term_args(stacked, work: np.dtype):
-        table, fx, ret, lim, share, flags = stacked.broadcast_arrays()
-        use_fx, use_ret, use_lim, use_share = flags
-        return (
-            table,
-            fx,
-            ret,
-            lim,
-            share,
-            use_fx,
-            use_ret,
-            use_lim,
-            use_share,
-        )
-
     def layer_losses(self, event_ids, offsets, stacked, layer_terms):
         kernels = self._compiled()
         if kernels is None:
             return None
         fused_layer, _ = kernels
         work = stacked.dtype
-        zero = work.type(0.0)
         # Occurrence terms round in the working dtype (the oracle's
-        # ufunc calls cast these weak scalars the same way); aggregate
-        # terms stay float64 (applied to the float64 segment sums).
-        occ_ret = work.type(layer_terms.occ_retention)
+        # ufunc calls cast these weak scalars the same way).
         use_occ_lim = math.isfinite(layer_terms.occ_limit)
-        occ_lim = work.type(layer_terms.occ_limit if use_occ_lim else 0.0)
-        use_agg_lim = math.isfinite(layer_terms.agg_limit)
-        agg_lim = float(layer_terms.agg_limit if use_agg_lim else 0.0)
-        year = np.empty(offsets.shape[0] - 1, dtype=np.float64)
+        combined = np.empty(event_ids.shape[0], dtype=work)
         try:
-            return fused_layer(
+            fused_layer(
                 np.ascontiguousarray(event_ids),
-                np.ascontiguousarray(offsets),
-                *self._term_args(stacked, work),
-                occ_ret,
-                occ_lim,
+                stacked.raw_table(),
+                work.type(layer_terms.occ_retention),
+                work.type(layer_terms.occ_limit if use_occ_lim else 0.0),
                 use_occ_lim,
-                float(layer_terms.agg_retention),
-                agg_lim,
-                use_agg_lim,
-                zero,
-                year,
+                work.type(0.0),
+                combined,
             )
         except Exception as exc:  # pragma: no cover - env specific
             self._broken = repr(exc)
@@ -261,18 +170,23 @@ class NumbaBackend(KernelBackend):
                 stacklevel=2,
             )
             return None
+        # Deferred: repro.core.kernels imports the backend registry.
+        from repro.core.kernels import segment_sums
+        from repro.core.terms import apply_aggregate_terms_cumulative
+
+        totals = segment_sums(combined, offsets)
+        return apply_aggregate_terms_cumulative(totals, layer_terms, out=totals)
 
     def fill_combined(self, event_ids, stacked, out):
         kernels = self._compiled()
         if kernels is None:
             return False
         _, fill = kernels
-        work = stacked.dtype
         try:
             fill(
                 np.ascontiguousarray(event_ids),
-                *self._term_args(stacked, work),
-                work.type(0.0),
+                stacked.raw_table(),
+                stacked.dtype.type(0.0),
                 out,
             )
         except Exception as exc:  # pragma: no cover - env specific

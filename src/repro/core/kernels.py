@@ -13,12 +13,16 @@ The kernel is built around that:
 * **no dense padding** — the kernel runs on the YET's CSR arrays
   (``event_ids``/``offsets``) directly, via zero-copy views from
   :meth:`repro.data.yet.YearEventTable.csr_block`;
-* **one fused gather per layer** — a
+* **one contiguous row per occurrence** — a
   :class:`~repro.lookup.combined.StackedDirectTable` holds all of a
-  layer's direct tables as rows of one ``(n_elts, catalog + 1)`` matrix,
-  so ``table[:, ids]`` services every ELT in a single call;
-* **in-place terms into pooled scratch** — financial terms broadcast
-  over the gathered block in place, occurrence terms clamp the combined
+  layer's direct tables as one event-major ``(catalog + 1, n_elts)``
+  matrix, the paper's combined table, so ``np.take(table, ids, axis=0)``
+  reads each occurrence's loss in every ELT as one row instead of
+  ``n_elts`` scattered words;
+* **terms folded at build** — the table holds each ELT's *net* losses,
+  so the plain path only adds the gathered block's columns in ELT order;
+  the secondary-uncertainty path scales gathered *gross* rows and then
+  applies the terms per chunk.  Occurrence terms clamp the combined
   vector in place, and all working arrays come from a
   :class:`~repro.utils.bufpool.ScratchBufferPool` (allocate once, reuse
   every batch);
@@ -26,15 +30,15 @@ The kernel is built around that:
   ``np.add.reduceat`` over the CSR offsets;
 * **occurrence chunking** — the gather runs over bounded occurrence
   chunks (the CPU mirror of the paper's shared-memory chunking), so peak
-  scratch is ``n_elts x occ_chunk`` words rather than
-  ``n_elts x n_occurrences``;
+  scratch is ``occ_chunk x n_elts`` words rather than
+  ``n_occurrences x n_elts``;
 * **a batch autotuner** — :func:`autotune_batch_trials` sizes trial
   batches to a byte budget instead of defaulting to all-trials-at-once.
 
 Non-direct lookup kinds (``sorted``/``hash``/``cuckoo``/``compressed``)
 cannot be stacked into one matrix; for them the kernel still runs —
-per-ELT lookups over the *flat* CSR id array, combined in place — it
-just forgoes the single fused gather.
+per-ELT lookups and terms over the *flat* CSR id array, combined in
+place — it just forgoes the row gather.
 """
 
 from __future__ import annotations
@@ -79,7 +83,7 @@ DEFAULT_BATCH_BUDGET_BYTES = 64 * 2**20
 #: decade).
 FALLBACK_L2_CACHE_BYTES = 1 * 2**20
 
-#: floor on the occurrence chunk (elements per ELT row): keeps each
+#: floor on the occurrence chunk (rows per gather): keeps each
 #: fused-gather NumPy call large enough to amortise dispatch overhead.
 MIN_OCC_CHUNK = 1_024
 
@@ -170,13 +174,14 @@ def occ_chunk_for(
 ) -> int:
     """Occurrences per fused-gather chunk under the L2 cache budget.
 
-    The staged block is ``n_elts x chunk`` words; it is sized to half the
-    L2 budget (the other half is left for the combined vector, the
-    multiplier block of the secondary path and the table lines the gather
-    touches), clamped to ``[MIN_OCC_CHUNK, max_occ_chunk(...)]``.  This
-    is the CPU mirror of the paper's shared-memory chunk: the reduction
-    over the staged block re-reads what the gather just wrote, so keeping
-    the block cache-resident is what makes the fusion pay.
+    The staged block is ``(chunk, n_elts)`` words, one gathered row per
+    occurrence; it is sized to half the L2 budget (the other half is left
+    for the combined vector, the multiplier block of the secondary path
+    and the table lines the gather touches), clamped to
+    ``[MIN_OCC_CHUNK, max_occ_chunk(...)]``.  This is the CPU mirror of
+    the paper's shared-memory chunk: the column adds over the staged
+    block re-read what the gather just wrote, so keeping the block
+    cache-resident is what makes the fusion pay.
     """
     l2 = get_l2_cache_bytes() if l2_bytes is None else l2_bytes
     chunk = (l2 // 2) // max(1, int(n_elts) * max(1, int(itemsize)))
@@ -198,8 +203,8 @@ def autotune_batch_trials(
     """Trials per batch such that the kernel's scratch fits ``budget_bytes``.
 
     The ragged kernel's per-batch scratch is the combined loss vector
-    (one word per occurrence), the fused gather chunk (``n_elts`` rows of
-    :func:`occ_chunk_for` occurrences — charged exactly, at the same
+    (one word per occurrence), the fused gather chunk (:func:`occ_chunk_for`
+    rows of ``n_elts`` words — charged exactly, at the same
     size the kernel will actually use, including the secondary path's
     rounding of the chunk to whole RNG tiles), the secondary path's
     multiplier block plus its per-tile uniform/index workspaces, and the
@@ -330,6 +335,19 @@ def _backend_can_dispatch(
     )
 
 
+def _sum_columns(block: np.ndarray, out: np.ndarray) -> None:
+    """``out[i] = block[i, 0] + block[i, 1] + ...``, added in ELT order.
+
+    The same sequential order as ``np.sum(axis=0)`` over the transposed,
+    ELT-major block, so the sums keep their bits; ``np.sum(axis=1)``
+    would regroup eight or more columns pairwise.  The additions run in
+    ``out``'s dtype, as that reduction's did.
+    """
+    np.copyto(out, block[:, 0])
+    for col in range(1, block.shape[1]):
+        np.add(out, block[:, col], out=out, dtype=out.dtype)
+
+
 def _fill_combined(
     ids: np.ndarray,
     lookups: Sequence[LossLookup] | None,
@@ -361,22 +379,22 @@ def _fill_combined(
             if backend.fill_combined(ids, stacked, combined):
                 return
     if stacked is not None:
-        # Fused path: chunked gather over all ELTs at once, terms
-        # broadcast in place, rows summed into the combined vector.
-        tdtype = stacked.dtype
-        chunk = occ_chunk_for(stacked.n_elts, tdtype.itemsize)
-        gross = pool.take((stacked.n_elts, min(chunk, max(n_occ, 1))), tdtype)
+        # Fused path: one net row per occurrence, its columns added into
+        # the combined vector in ELT order.
+        chunk = occ_chunk_for(stacked.n_elts, stacked.dtype.itemsize)
+        rows = pool.take(
+            (min(chunk, max(n_occ, 1)), stacked.n_elts), stacked.dtype
+        )
         try:
             for lo in range(0, n_occ, chunk):
                 hi = min(lo + chunk, n_occ)
-                block = gross[:, : hi - lo]
+                block = rows[: hi - lo]
                 with profile.track(ACTIVITY_LOOKUP):
                     stacked.gather(ids[lo:hi], out=block)
                 with profile.track(ACTIVITY_FINANCIAL):
-                    stacked.apply_terms_inplace(block)
-                    np.sum(block, axis=0, out=combined[lo:hi])
+                    _sum_columns(block, combined[lo:hi])
         finally:
-            pool.give(gross)
+            pool.give(rows)
     else:
         # Fallback combine for non-stackable lookup kinds: still no
         # padding — per-ELT lookups run over the flat id array.
@@ -406,7 +424,9 @@ def _fill_combined_secondary(
     Multipliers are sampled into pooled scratch beside the gathered
     block, addressed by *global* occurrence index (``occ_base`` +
     offset), so the filled vector is invariant to how callers batch or
-    chunk the occurrence space.
+    chunk the occurrence space.  The multiplier applies to *gross*
+    losses, before the terms, so this path gathers from the stacked
+    table's gross twin and applies the terms itself.
     """
     n_occ = ids.size
     work = combined.dtype
@@ -421,7 +441,7 @@ def _fill_combined_secondary(
     chunk = chunk_tiles * SECONDARY_TILE
     width = min(chunk, max(n_occ, 1))
     mult = pool.take((n_elts, width), tdtype)
-    gross = pool.take((n_elts, width), tdtype) if stacked is not None else None
+    rows = pool.take((width, n_elts), tdtype) if stacked is not None else None
     try:
         if combined.size and stacked is None:
             combined[:] = 0.0
@@ -441,13 +461,16 @@ def _fill_combined_secondary(
                     pool=pool,
                 )
             if stacked is not None:
-                block = gross[:, : hi - lo]
+                block = rows[: hi - lo]
                 with profile.track(ACTIVITY_LOOKUP):
-                    stacked.gather(ids[lo:hi], out=block)
+                    stacked.gather_gross(ids[lo:hi], out=block)
                 with profile.track(ACTIVITY_FINANCIAL):
-                    np.multiply(block, mblock, out=block)
-                    stacked.apply_terms_inplace(block)
-                    np.sum(block, axis=0, out=combined[lo:hi])
+                    # Scaled gross losses land ELT-major in the
+                    # multiplier block, where the terms broadcast per
+                    # ELT row and the rows sum in ELT order.
+                    np.multiply(block.T, mblock, out=mblock)
+                    stacked.apply_terms_inplace(mblock)
+                    np.sum(mblock, axis=0, out=combined[lo:hi])
             else:
                 # Fallback for non-stackable lookup kinds: per-ELT
                 # lookups over the flat chunk, each row scaled by its
@@ -461,7 +484,7 @@ def _fill_combined_secondary(
                         combined[lo:hi] += net.astype(work, copy=False)
             lo = hi
     finally:
-        pool.give(gross)
+        pool.give(rows)
         pool.give(mult)
 
 
@@ -563,8 +586,8 @@ def layer_trial_batch_ragged(
         The layer's occurrence/aggregate XL terms.
     stacked:
         The layer's :class:`~repro.lookup.combined.StackedDirectTable`;
-        when present, losses come from one fused gather per occurrence
-        chunk with terms applied in place.
+        when present, net losses come from one row gather per occurrence
+        chunk.
     dtype:
         Working precision of the accumulation.
     pool:

@@ -13,9 +13,10 @@ an Event Loss Table for fast random key lookup:
   linear-probing hash table (expected ~1/(1-α) probes at load factor α).
 * :class:`~repro.lookup.cuckoo.CuckooTable` — the constant-worst-case
   hashing scheme the paper cites (Pagh & Rodler): at most two probes.
-* :class:`~repro.lookup.combined.CombinedDirectTable` — the paper's second
-  design variant where the 15 ELTs of a layer form one combined table and
-  whole rows are fetched at a time.
+* :class:`~repro.lookup.combined.StackedDirectTable` — the paper's second
+  design variant: the 15 ELTs of a layer form one combined, event-major
+  table and whole rows are fetched at a time.  The fused kernel's layer
+  table; its rows hold net losses, with each ELT's terms folded in.
 * :class:`~repro.lookup.compressed.CompressedBlockTable` — the paper's §VI
   future work: a delta-compressed, block-indexed representation sitting
   between the direct table and binary search on both axes.
@@ -30,7 +31,7 @@ from repro.lookup.direct import DirectAccessTable
 from repro.lookup.sorted_table import SortedLookupTable
 from repro.lookup.hashtable import OpenAddressingTable
 from repro.lookup.cuckoo import CuckooTable
-from repro.lookup.combined import CombinedDirectTable, StackedDirectTable
+from repro.lookup.combined import StackedDirectTable
 from repro.lookup.compressed import CompressedBlockTable
 from repro.lookup.factory import (
     LOOKUP_KINDS,
@@ -50,7 +51,6 @@ __all__ = [
     "SortedLookupTable",
     "OpenAddressingTable",
     "CuckooTable",
-    "CombinedDirectTable",
     "StackedDirectTable",
     "CompressedBlockTable",
     "LOOKUP_KINDS",

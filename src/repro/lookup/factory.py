@@ -104,35 +104,68 @@ class LookupCache:
         # key -> (value, tuple of weakrefs keeping eviction callbacks alive)
         self._entries: "OrderedDict[Tuple, Tuple[object, tuple]]" = OrderedDict()
         self._lock = threading.Lock()
+        # (key, weakref) pairs whose ELT died, purged under the lock
+        self._dead: List[Tuple[Tuple, weakref.ref]] = []
         self.hits = 0
         self.misses = 0
 
     # ------------------------------------------------------------------
-    def _evict(self, key: Tuple) -> None:
-        with self._lock:
-            self._entries.pop(key, None)
+    def _evict(self, key: Tuple, ref: weakref.ref) -> None:
+        # A weakref callback runs at any allocation or gc point, also on
+        # a thread that holds ``_lock`` (dropping an evicted value can
+        # kill the last ELT another entry is keyed on).  So it never
+        # blocks on the lock: it records the death and purges only if
+        # the lock is free; otherwise the next locked access purges.
+        self._dead.append((key, ref))
+        if not self._lock.acquire(blocking=False):
+            return
+        dropped: list = []
+        try:
+            self._purge_locked(dropped)
+        finally:
+            self._lock.release()
+        del dropped[:]
+
+    def _purge_locked(self, dropped: list) -> None:
+        """Remove entries whose ELTs died; their values go to ``dropped``."""
+        while self._dead:
+            key, ref = self._dead.pop()
+            entry = self._entries.get(key)
+            # The key may since hold a fresh entry for a new ELT that
+            # reuses the dead one's id; only the dead ELT's entry goes.
+            if entry is not None and any(r is ref for r in entry[1]):
+                dropped.append(self._entries.pop(key))
 
     def _get(self, key: Tuple, elts: Sequence[EventLossTable], build):
+        # Values leaving the cache are released only after ``_lock`` is
+        # dropped, so the ELT deaths they cause run no callback under it.
+        dropped: list = []
         with self._lock:
+            self._purge_locked(dropped)
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
                 self.hits += 1
                 return entry[0]
+        del dropped[:]
         value = build()
         # Weak references with an eviction callback: the entry dies with
         # its ELTs, so cached ids always refer to live objects and the
         # tables are reclaimable once the workload is dropped.
         refs = tuple(
-            weakref.ref(elt, lambda _ref, key=key: self._evict(key))
+            weakref.ref(elt, lambda ref, key=key: self._evict(key, ref))
             for elt in elts
         )
         with self._lock:
+            self._purge_locked(dropped)
             self.misses += 1
+            old = self._entries.pop(key, None)
+            if old is not None:
+                dropped.append(old)
             self._entries[key] = (value, refs)
-            self._entries.move_to_end(key)
             while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
+                dropped.append(self._entries.popitem(last=False)[1])
+        del dropped[:]
         return value
 
     @staticmethod
@@ -194,11 +227,19 @@ class LookupCache:
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._entries)
+        dropped: list = []
+        with self._lock:
+            self._purge_locked(dropped)
+            size = len(self._entries)
+        del dropped[:]
+        return size
 
     def clear(self) -> None:
         with self._lock:
+            dropped = list(self._entries.values())
             self._entries.clear()
+            self._dead.clear()
+        del dropped[:]
 
     def stats(self) -> Dict[str, int]:
         return {"hits": self.hits, "misses": self.misses, "size": len(self)}

@@ -644,3 +644,56 @@ class TestNumbaParity:
         np.testing.assert_allclose(
             compiled.ylt.losses, oracle.ylt.losses, rtol=rtol, atol=atol
         )
+
+
+# ----------------------------------------------------------------------
+# The numba kernel bodies as plain Python (runs everywhere)
+# ----------------------------------------------------------------------
+class TestNumbaKernelBodies:
+    """The numba backend's kernels, built with an identity decorator and
+    ``range`` for ``prange``, against the numpy oracle bit for bit.
+    Without numba installed this is the only check of the kernel logic;
+    it does not check that numba compiles it."""
+
+    @staticmethod
+    def uncompiled_backend():
+        from repro.backends.numba_backend import _build_kernels
+
+        backend = NumbaBackend()
+        backend._kernels = _build_kernels(
+            njit=lambda **_options: (lambda fn: fn), prange=range
+        )
+        return backend
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_layer_losses_bit_equal(self, tiny_workload, dtype):
+        layer = tiny_workload.portfolio.layers[0]
+        elts = tiny_workload.portfolio.elts_of(layer)
+        _, stacked, _ = build_layer_tables(
+            elts, tiny_workload.catalog.n_events, "direct", dtype
+        )
+        yet = tiny_workload.yet
+        year = self.uncompiled_backend().layer_losses(
+            yet.event_ids, yet.offsets, stacked, layer.terms
+        )
+        oracle = layer_trial_batch_ragged(
+            yet.event_ids, yet.offsets, None, layer.terms,
+            stacked=stacked, dtype=dtype, backend="numpy",
+        )
+        assert year.dtype == np.float64
+        assert year.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_fill_combined_bit_equal(self, tiny_workload, dtype):
+        layer = tiny_workload.portfolio.layers[0]
+        elts = tiny_workload.portfolio.elts_of(layer)
+        _, stacked, _ = build_layer_tables(
+            elts, tiny_workload.catalog.n_events, "direct", dtype
+        )
+        ids = tiny_workload.yet.event_ids
+        out = np.empty(ids.size, dtype=dtype)
+        assert self.uncompiled_backend().fill_combined(ids, stacked, out)
+        oracle = combined_occurrence_losses(
+            ids, None, stacked=stacked, dtype=dtype, backend="numpy"
+        )
+        assert out.tobytes() == oracle.tobytes()

@@ -1,12 +1,18 @@
-"""Tests for the combined direct table and the lookup factory."""
+"""Tests for the layer table (the paper's combined table) and the factory."""
+
+import gc
+import threading
+import weakref
 
 import numpy as np
 import pytest
 
-from repro.data.elt import EventLossTable
-from repro.lookup.combined import CombinedDirectTable
+from repro.data.elt import ELTFinancialTerms, EventLossTable
+from repro.lookup.combined import StackedDirectTable
+from repro.lookup.direct import DirectAccessTable
 from repro.lookup.factory import (
     LOOKUP_KINDS,
+    LookupCache,
     build_layer_lookups,
     build_lookup,
     memory_report,
@@ -33,11 +39,13 @@ def make_elts(n_elts=3, n_losses=100):
 
 
 class TestCombinedDirectTable:
+    """The paper's combined-table row fetch: the layer table's gross rows."""
+
     def test_rows_match_individual_lookups(self):
         elts = make_elts()
-        combined = CombinedDirectTable(elts, CATALOG)
+        combined = StackedDirectTable(elts, CATALOG)
         queries = np.array([1, 5, 100, 1999])
-        rows = combined.lookup_rows(queries)
+        rows = combined.gather_gross(queries)
         assert rows.shape == (4, 3)
         for col, elt in enumerate(elts):
             expected = [elt.loss_of(int(q)) for q in queries]
@@ -45,40 +53,36 @@ class TestCombinedDirectTable:
 
     def test_lookup_elt_column(self):
         elts = make_elts()
-        combined = CombinedDirectTable(elts, CATALOG)
-        out = combined.lookup_elt(elts[1].event_ids, elts[1].elt_id)
-        assert np.allclose(out, elts[1].losses)
-
-    def test_lookup_unknown_elt_rejected(self):
-        combined = CombinedDirectTable(make_elts(), CATALOG)
-        with pytest.raises(KeyError):
-            combined.lookup_elt(np.array([1]), 99)
+        combined = StackedDirectTable(elts, CATALOG)
+        col = combined.elt_ids.index(elts[1].elt_id)
+        out = combined.gather_gross(elts[1].event_ids)[:, col]
+        assert np.array_equal(out, elts[1].losses)
 
     def test_row_bytes(self):
-        combined = CombinedDirectTable(make_elts(n_elts=15), CATALOG)
+        combined = StackedDirectTable(make_elts(n_elts=15), CATALOG)
         assert combined.row_nbytes == 15 * 8
 
     def test_memory_is_slots_times_elts(self):
-        combined = CombinedDirectTable(make_elts(n_elts=4), CATALOG)
+        combined = StackedDirectTable(make_elts(n_elts=4), CATALOG)
         assert combined.nbytes == (CATALOG + 1) * 4 * 8
 
     def test_empty_elt_list_rejected(self):
         with pytest.raises(ValueError):
-            CombinedDirectTable([], CATALOG)
+            StackedDirectTable([], CATALOG)
 
     def test_duplicate_elt_ids_rejected(self):
         elts = make_elts(n_elts=2)
         elts[1].elt_id = elts[0].elt_id
         with pytest.raises(ValueError):
-            CombinedDirectTable(elts, CATALOG)
+            StackedDirectTable(elts, CATALOG)
 
     def test_2d_row_queries(self):
-        elts = make_elts()
-        combined = CombinedDirectTable(elts, CATALOG)
+        combined = StackedDirectTable(make_elts(), CATALOG)
         queries = np.zeros((2, 5), dtype=np.int64)
-        rows = combined.lookup_rows(queries)
-        assert rows.shape == (2, 5, 3)
-        assert np.all(rows == 0.0)
+        with pytest.raises(ValueError):
+            combined.gather_gross(queries)
+        with pytest.raises(ValueError):
+            combined.gather(queries)
 
 
 class TestFactory:
@@ -127,49 +131,54 @@ class TestFactory:
         )
 
 
+ALL_TERMS = (
+    ELTFinancialTerms(retention=900.0, limit=4000.0, share=0.4, currency_rate=1.3),
+    ELTFinancialTerms(retention=0.0, limit=0.0, share=0.7),
+    ELTFinancialTerms(retention=2500.0, share=0.55, currency_rate=0.8),
+)
+
+
+def net_by_direct_lookup(elts, queries, dtype):
+    """Per-ELT DirectAccessTable.lookup -> terms.apply, as (n, n_elts)."""
+    columns = []
+    for elt in elts:
+        direct = DirectAccessTable(elt, CATALOG, dtype=dtype)
+        columns.append(elt.terms.apply(direct.lookup(queries)))
+    return np.stack(columns, axis=1)
+
+
 class TestStackedDirectTable:
     def test_gather_matches_individual_lookups(self):
-        from repro.lookup.combined import StackedDirectTable
-        from repro.lookup.direct import DirectAccessTable
-
         elts = make_elts()
+        for elt, terms in zip(elts, ALL_TERMS):
+            elt.terms = terms
         stacked = StackedDirectTable(elts, CATALOG)
-        queries = np.array([0, 1, 5, 100, 1999])
+        queries = np.array([0, 1, 5, 100, 1999, CATALOG])
         block = stacked.gather(queries)
-        assert block.shape == (len(elts), queries.size)
-        for row, elt in enumerate(elts):
-            direct = DirectAccessTable(elt, CATALOG)
-            assert np.array_equal(block[row], direct.lookup(queries))
+        assert block.shape == (queries.size, len(elts))
+        assert np.array_equal(block, net_by_direct_lookup(elts, queries, np.float64))
 
     def test_apply_terms_matches_scalar_terms(self):
-        from repro.data.elt import ELTFinancialTerms
-        from repro.lookup.combined import StackedDirectTable
-
+        # The secondary path's terms on transposed gross rows reproduce
+        # the net rows folded at build.
         elts = make_elts(n_elts=2)
         elts[0].terms = ELTFinancialTerms(retention=100.0, limit=5000.0, share=0.5)
         elts[1].terms = ELTFinancialTerms(currency_rate=1.3)
         stacked = StackedDirectTable(elts, CATALOG)
         queries = np.concatenate([[0], elts[0].event_ids[:10], elts[1].event_ids[:10]])
-        block = stacked.gather(queries)
-        expected = np.stack(
-            [elt.terms.apply(block[row].copy()) for row, elt in enumerate(elts)]
-        )
+        block = np.ascontiguousarray(stacked.gather_gross(queries).T)
         stacked.apply_terms_inplace(block)
-        assert np.allclose(block, expected, rtol=1e-12)
+        assert np.array_equal(block.T, stacked.gather(queries))
 
     def test_gather_into_pooled_buffer(self):
-        from repro.lookup.combined import StackedDirectTable
-
         elts = make_elts()
         stacked = StackedDirectTable(elts, CATALOG, dtype=np.float32)
-        out = np.empty((len(elts), 4), dtype=np.float32)
+        out = np.empty((4, len(elts)), dtype=np.float32)
         result = stacked.gather(np.array([1, 2, 3, 4]), out=out)
         assert result is out
         assert stacked.dtype == np.float32
 
     def test_rejects_2d_queries_and_bad_catalog(self):
-        from repro.lookup.combined import StackedDirectTable
-
         elts = make_elts()
         stacked = StackedDirectTable(elts, CATALOG)
         with pytest.raises(ValueError):
@@ -178,6 +187,95 @@ class TestStackedDirectTable:
             StackedDirectTable(elts, catalog_size=1)
         with pytest.raises(ValueError):
             StackedDirectTable([], catalog_size=CATALOG)
+
+    def test_out_of_range_ids_raise(self):
+        stacked = StackedDirectTable(make_elts(), CATALOG)
+        for bad in ([CATALOG + 1], [-1], [3, CATALOG + 7, 2]):
+            with pytest.raises(IndexError):
+                stacked.gather(np.array(bad))
+            with pytest.raises(IndexError):
+                stacked.gather_gross(np.array(bad))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("terms", ["all", "identity"])
+    def test_net_rows_equal_lookup_then_terms(self, dtype, terms):
+        elts = make_elts()
+        if terms == "all":
+            for elt, elt_terms in zip(elts, ALL_TERMS):
+                elt.terms = elt_terms
+        stacked = StackedDirectTable(elts, CATALOG, dtype=dtype)
+        queries = np.arange(CATALOG + 1)
+        net = stacked.gather(queries)
+        assert net.dtype == np.dtype(dtype)
+        expected = net_by_direct_lookup(elts, queries, dtype)
+        assert np.array_equal(net, expected)
+        # Bit for bit, not just equal values (0.0 against -0.0).
+        assert net.tobytes() == expected.tobytes()
+
+    def test_absent_events_read_exactly_zero(self):
+        elts = make_elts()
+        for elt, terms in zip(elts, ALL_TERMS):
+            elt.terms = terms
+        stacked = StackedDirectTable(elts, CATALOG)
+        present = np.zeros(CATALOG + 1, dtype=bool)
+        for elt in elts:
+            present[elt.event_ids] = True
+        absent = np.flatnonzero(~present)
+        assert 0 in absent
+        for block in (stacked.gather(absent), stacked.gather_gross(absent)):
+            assert not np.signbit(block).any()
+            assert np.all(block == 0.0)
+
+    def test_gross_twin_built_once_under_concurrent_readers(self, monkeypatch):
+        import repro.lookup.combined as combined_mod
+
+        elts = make_elts()
+        stacked = StackedDirectTable(elts, CATALOG)
+        builds = []
+        real = combined_mod._event_major
+
+        def slow_build(*args):
+            builds.append(threading.get_ident())
+            # widen the window in which other readers arrive
+            threading.Event().wait(0.05)
+            return real(*args)
+
+        monkeypatch.setattr(combined_mod, "_event_major", slow_build)
+        queries = np.arange(CATALOG + 1)
+        start = threading.Barrier(8)
+        results = [None] * 8
+
+        def reader(i):
+            start.wait()
+            results[i] = stacked.gather_gross(queries)
+
+        threads = [threading.Thread(target=reader, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert len(builds) == 1
+        raw = np.zeros((CATALOG + 1, len(elts)))
+        for col, elt in enumerate(elts):
+            raw[elt.event_ids, col] = elt.losses
+        for rows in results:
+            assert np.array_equal(rows, raw)
+
+    def test_plain_gather_builds_no_gross_twin(self):
+        stacked = StackedDirectTable(make_elts(), CATALOG)
+        stacked.gather(np.arange(10))
+        assert stacked._gross is None
+
+    def test_cached_table_evicted_when_workload_dropped(self):
+        cache = LookupCache()
+        elts = make_elts()
+        table = cache.stacked_table(elts, CATALOG)
+        table.gather_gross(np.arange(10))  # the lazy twin holds no ELT
+        table_ref = weakref.ref(table)
+        del table, elts
+        gc.collect()
+        assert len(cache) == 0
+        assert table_ref() is None
 
 
 class TestLookupCache:
@@ -260,3 +358,26 @@ class TestLookupCache:
         # stacked and per-ELT builds are distinct entries
         cache.layer_lookups(elts, CATALOG)
         assert len(cache) == 2
+
+    def test_lru_eviction_killing_an_elt_does_not_deadlock(self):
+        # Entry A's value holds the only reference to ELT ``e``; entry B
+        # is keyed on ``e``.  A third insert pushes A out of the LRU,
+        # ``e`` dies, and B's eviction callback runs on the inserting
+        # thread: it must not block on the cache lock that thread holds.
+        cache = LookupCache(maxsize=2)
+        anchor_a, anchor_c = make_elts(n_elts=2)
+        e = make_elts(n_elts=1)[0]
+        cache._get(("a",), [anchor_a], lambda: [e])
+        cache._get(("b",), [e], lambda: "b")
+        e_ref = weakref.ref(e)
+        del e
+
+        def third_insert():
+            cache._get(("c",), [anchor_c], lambda: "c")
+
+        worker = threading.Thread(target=third_insert, daemon=True)
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive(), "LookupCache deadlocked in eviction"
+        assert e_ref() is None
+        assert len(cache) == 1  # A pushed out by LRU, B evicted with e
