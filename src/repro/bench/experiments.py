@@ -753,7 +753,7 @@ def replay_ablation(
       store (the store's write-through cost is charged here);
     * **warm-memory / warm-file** — the identical analysis replayed
       from the memory tier and, with a fresh process-simulating store,
-      from the file tier (``meta.json`` parse + mmap + checksum); both
+      from the file tier (open + header parse + mmap + checksum); both
       must return the stored YLT bit-for-bit with zero engine task
       executions;
     * **quote-cold / quote-warm-xproc / quote-replay** — a batch of

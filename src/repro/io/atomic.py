@@ -8,11 +8,11 @@ here follows the same discipline: materialise the payload completely in
 a scratch location, then rename it into its final name.  Readers either
 see the old entry, the new entry, or nothing; never a torn file.
 
-Reads go through :func:`load_npy`, which can hand back a memory-mapped
-view (``numpy.lib.format`` files support zero-copy ``mmap``), so a
-multi-gigabyte cached YLT costs page-table entries, not RSS, until it is
-actually touched — and pages are shared between processes replaying the
-same analysis.
+Removal (:func:`remove_path`) takes a file or a directory tree alike:
+store entries are single files, and entries written by the older
+directory layout, and the scratch left by crashed writers, may be
+either.  :func:`load_npy` reads the per-array ``.npy`` files of that
+older layout, memory-mapped by default.
 """
 
 from __future__ import annotations
@@ -41,21 +41,6 @@ def array_crc32(array: np.ndarray) -> int:
     return zlib.crc32(np.ascontiguousarray(array).tobytes())
 
 
-def write_npy(path: PathLike, array: np.ndarray) -> int:
-    """Write ``array`` to ``path`` in ``.npy`` format; returns nbytes.
-
-    Plain (uncompressed) ``npy`` is deliberate: it is the only NumPy
-    container that memory-maps, and cached results are re-read far more
-    often than written.
-    """
-    path = Path(path)
-    with open(path, "wb") as fh:
-        np.lib.format.write_array(
-            fh, np.ascontiguousarray(array), allow_pickle=False
-        )
-    return int(np.ascontiguousarray(array).nbytes)
-
-
 def load_npy(path: PathLike, mmap: bool = True) -> np.ndarray:
     """Read a ``.npy`` file, memory-mapped read-only by default.
 
@@ -68,67 +53,28 @@ def load_npy(path: PathLike, mmap: bool = True) -> np.ndarray:
     )
 
 
-def scratch_dir(parent: PathLike, prefix: str = "tmp") -> Path:
-    """A fresh uniquely-named scratch directory under ``parent``.
+def remove_path(path: PathLike) -> None:
+    """Best-effort removal of a file or a whole directory tree.
 
-    Scratch names embed the PID and a UUID so concurrent writers (same
-    or different processes) never collide before their final rename.
+    Self-healing, ``delete``, GC and the stale-scratch sweep all go
+    through here: an entry is one file, but an entry of the older
+    directory layout (or a crashed writer's scratch) may be a tree.
     """
-    parent = Path(parent)
-    parent.mkdir(parents=True, exist_ok=True)
-    path = parent / f"{prefix}-{os.getpid()}-{uuid.uuid4().hex}"
-    path.mkdir()
-    return path
-
-
-def publish_dir(tmp: PathLike, final: PathLike) -> bool:
-    """Atomically rename the fully-written ``tmp`` directory to ``final``.
-
-    If ``final`` already exists, the old entry is renamed aside and the
-    new one renamed in *immediately* (the aside copy is deleted only
-    after the new entry is live), so a reader races at most two
-    ``rename(2)`` calls — it sees the complete old entry, the complete
-    new entry, or (in that microsecond window) a transient miss; never
-    a byte mixture.  Returns ``True`` if this call published, ``False``
-    if a same-instant race left another (byte-identical, by
-    key-addressing) writer's entry in place instead.
-    """
-    tmp, final = Path(tmp), Path(final)
-    final.parent.mkdir(parents=True, exist_ok=True)
-    for attempt in range(3):
-        try:
-            os.rename(tmp, final)
-            return True
-        except OSError:
-            # Destination occupied: retire it aside (atomic), publish,
-            # and only then clean the retired copy up.
-            aside = final.parent / f".{final.name}.old-{uuid.uuid4().hex}"
-            try:
-                os.rename(final, aside)
-            except OSError:
-                continue  # it vanished meanwhile; retry the publish
-            try:
-                os.rename(tmp, final)
-                return True
-            except OSError:
-                break  # a racing writer landed between the renames
-            finally:
-                shutil.rmtree(aside, ignore_errors=True)
-    shutil.rmtree(tmp, ignore_errors=True)
-    return False
-
-
-def remove_dir(path: PathLike) -> None:
-    """Best-effort recursive removal (corrupt-entry self-healing)."""
-    shutil.rmtree(Path(path), ignore_errors=True)
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    except OSError:  # a directory (EISDIR on Linux, EPERM elsewhere)
+        shutil.rmtree(path, ignore_errors=True)
 
 
 def touch(path: PathLike) -> bool:
     """Set ``path``'s timestamps to now (best effort; ``False`` on failure).
 
-    The file store calls this on every entry read, so a directory's
-    mtime doubles as a last-access time that ``repro-store gc``'s LRU
-    policy can trust even on ``noatime`` mounts.
+    ``path`` may also be an open file descriptor.  The file store calls
+    this on every entry read, so an entry's mtime doubles as a
+    last-access time that ``repro-store gc``'s LRU policy can trust
+    even on ``noatime`` mounts.
     """
     try:
         os.utime(path, None)

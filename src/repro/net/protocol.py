@@ -23,9 +23,10 @@ attempting a multi-terabyte allocation.
 :func:`encode_entry` / :func:`decode_entry` map a
 :class:`~repro.store.base.StoreEntry` onto this shape (meta in the
 header, one blob per array) — the network analogue of the file store's
-``meta.json`` + ``.npy`` layout.  :func:`encode_entries` carries
-a batch of them in one frame, each entry's blobs under a per-index name
-prefix (``decode_entry(slot, blobs, prefix=...)`` reads one back).
+entry file (a header with the meta, then the array bytes).
+:func:`encode_entries` carries a batch of them in one frame, each
+entry's blobs under a per-index name prefix
+(``decode_entry(slot, blobs, prefix=...)`` reads one back).
 """
 
 from __future__ import annotations

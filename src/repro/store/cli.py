@@ -116,7 +116,7 @@ def main(argv: List[str] | None = None) -> int:
         f"within budget {format_bytes(report.budget_bytes)}"
     )
     if report.stale_tmp_dirs:
-        print(f"{verb} {report.stale_tmp_dirs} stale tmp scratch dir(s)")
+        print(f"{verb} {report.stale_tmp_dirs} stale tmp scratch item(s)")
     if args.verbose:
         for key in report.removed_keys:
             print(f"{verb}: {key}")

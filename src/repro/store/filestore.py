@@ -3,50 +3,52 @@
 Layout under one cache directory::
 
     <cache_dir>/
-        objects/<k[:2]>/<key>/     # one directory per entry
-            meta.json              # format tag, per-array checksums, meta
-            <name>.npy             # one plain npy per array (mmap-able)
-        tmp/                       # scratch dirs, renamed into objects/
+        objects/<k[:2]>/<key>      # one file per entry (format v2)
+        tmp/                       # entry files being written
         locks/<key>.lock           # SharedFileStore advisory locks
 
-Writes follow the rename discipline of :mod:`repro.io.atomic`: the
-entry directory is fully materialised under ``tmp/`` and then renamed
-into ``objects/`` in one atomic step, so a reader can never observe a
-half-written entry — it sees the complete entry or a miss.  Losing a
-publish race discards the duplicate payload (content addressing makes
-both byte-identical).
+An entry file is a small header (format tag, meta, and each array's
+name, dtype, shape, offset and CRC32) followed by the 64-byte aligned
+array bytes; :mod:`repro.store.entryfile` owns the byte layout.
 
-Reads memory-map the arrays by default: replaying a cached YLT costs a
-``meta.json`` parse plus page-table setup, and the page cache is shared
-across every process replaying the same analysis.  Each array's CRC32
+A write materialises the whole file under ``tmp/`` and renames it into
+``objects/``: one file created and one rename per entry.  Renaming over
+an existing file replaces it atomically, so a reader sees the complete
+old entry, the complete new entry, or a miss; never a torn file.  A
+publish race between two writers of one key is harmless (content
+addressing makes both byte-identical).
+
+A read is one ``open`` and one ``fstat`` (which tells an entry file
+from an older directory entry and both from a miss), then one ``mmap``
+of the file and ``np.frombuffer`` views onto it — read-only, as the
+:class:`StoreEntry` contract requires, and shared through the page
+cache by every process replaying the same analysis.  Each array's CRC32
 is verified on load (``verify=False`` skips this and keeps the mapping
-fully lazy); any damage — truncated npy, bad checksum, malformed or
-missing ``meta.json`` — demotes the entry to a miss, removes it, and
-bumps ``corrupt_misses``.  A corrupt cache can slow you down; it cannot
+fully lazy).  Any damage — an empty or truncated file, a bad tag or
+header checksum, an offset past the end of the file, an array checksum
+mismatch — demotes the entry to a miss, removes it, and bumps
+``corrupt_misses``.  A corrupt cache can slow you down; it cannot
 change an answer.
+
+Entries of the older v1 layout (a directory holding ``meta.json`` and
+one ``.npy`` per array) still read, with the same damage handling, so a
+cache written before the single-file format replays unchanged; new
+writes are always single files.
 """
 
 from __future__ import annotations
 
-import json
+import mmap
 import os
+import stat
 import threading
+import uuid
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Dict, Optional, Sequence, Union
 
-import numpy as np
-
-from repro.io.atomic import (
-    array_crc32,
-    load_npy,
-    lock_file,
-    publish_dir,
-    remove_dir,
-    scratch_dir,
-    touch,
-    write_npy,
-)
+from repro.io.atomic import lock_file, remove_path, touch
+from repro.store import entryfile
 from repro.store.base import (
     MemoryStore,
     ResultStore,
@@ -58,9 +60,6 @@ from repro.utils.latency import LatencyTracker
 from repro.utils.retry import CircuitBreaker
 
 PathLike = Union[str, Path]
-
-_META_NAME = "meta.json"
-_FORMAT = "repro-store-v1"
 
 #: default cache location; overridden by the ``REPRO_CACHE_DIR``
 #: environment variable or an explicit ``cache_dir`` argument.
@@ -90,16 +89,16 @@ class FileStore(ResultStore):
         Root directory (created on first write).  ``None`` resolves via
         ``$REPRO_CACHE_DIR`` and the package default.
     mmap:
-        Memory-map arrays on read (default) instead of loading copies.
+        Memory-map entries on read (default) instead of loading copies.
     verify:
         Check each array's recorded CRC32 on read.  Costs one pass over
         the bytes; disable to keep mmap reads fully lazy when the
         filesystem is trusted.
     track_access:
-        Touch each entry directory's mtime on successful read (one
-        ``utime`` syscall), giving ``repro-store gc``'s LRU policy a
-        last-access time that survives ``noatime`` mounts.  Disable for
-        read-only cache dirs.
+        Touch each entry's mtime on successful read (one ``utime``
+        syscall), giving ``repro-store gc``'s LRU policy a last-access
+        time that survives ``noatime`` mounts.  Disable for read-only
+        cache dirs.
     """
 
     def __init__(
@@ -111,6 +110,10 @@ class FileStore(ResultStore):
     ) -> None:
         super().__init__()
         self.cache_dir = resolve_cache_dir(cache_dir)
+        # entry paths are built as strings on the hot path (pathlib's
+        # joins cost about a quarter of a small entry's read)
+        self._objects_root = str(self._objects_dir)
+        self._tmp_root = str(self._tmp_dir)
         self.mmap = bool(mmap)
         self.verify = bool(verify)
         self.track_access = bool(track_access)
@@ -128,83 +131,135 @@ class FileStore(ResultStore):
     def _locks_dir(self) -> Path:
         return self.cache_dir / "locks"
 
-    def entry_dir(self, key: str) -> Path:
-        """Final directory of one entry (two-level fan-out by prefix)."""
-        key = check_key(key)
-        return self._objects_dir / key[:2] / key
+    def entry_path(self, key: str) -> Path:
+        """Where one entry lives (two-level fan-out by prefix)."""
+        return Path(self._entry_file(check_key(key)))
+
+    def _entry_file(self, key: str) -> str:
+        return f"{self._objects_root}{os.sep}{key[:2]}{os.sep}{key}"
 
     # -- backend hooks -------------------------------------------------
     def _get(self, key: str) -> Optional[StoreEntry]:
-        path = self.entry_dir(key)
-        meta_path = path / _META_NAME
-        if not meta_path.is_file():
-            # Re-stat the manifest after seeing the directory: a
-            # concurrent publish may land between the two checks above,
-            # and that fresh entry must read as a miss, not as damage.
-            if path.is_dir() and not meta_path.is_file():
-                # Entry directory without its manifest: damage (the
-                # publish rename is atomic, so a live entry always has
-                # one).  Heal it *audibly* — counted and logged, never
-                # silently skipped — so chaos runs can assert the
-                # corruption was seen.
-                self.note_corrupt(key, "entry directory lost meta.json")
-                remove_dir(path)
+        path = self._entry_file(key)
+        try:
+            fd = os.open(path, os.O_RDONLY)
+        except (FileNotFoundError, NotADirectoryError):
             return None
         try:
-            manifest = json.loads(meta_path.read_text())
-            if manifest.get("format") != _FORMAT:
-                raise ValueError(f"bad format tag: {manifest.get('format')}")
-            arrays: Dict[str, np.ndarray] = {}
-            for name, spec in manifest["arrays"].items():
-                array = load_npy(path / f"{name}.npy", mmap=self.mmap)
-                if array.nbytes != int(spec["nbytes"]):
-                    raise ValueError(
-                        f"array {name!r}: {array.nbytes} bytes on disk, "
-                        f"manifest says {spec['nbytes']}"
-                    )
-                if self.verify and array_crc32(array) != int(spec["crc32"]):
-                    raise ValueError(f"array {name!r}: checksum mismatch")
-                arrays[name] = array
-            if self.track_access:
-                touch(path)
-            return StoreEntry(arrays=arrays, meta=manifest.get("meta", {}))
+            status = os.fstat(fd)
+            if not stat.S_ISDIR(status.st_mode):
+                return self._read_file(key, path, fd, status)
+        finally:
+            os.close(fd)
+        return self._get_v1(key, Path(path))
+
+    def _read_file(
+        self, key: str, path: str, fd: int, status: os.stat_result
+    ) -> Optional[StoreEntry]:
+        try:
+            if self.mmap:
+                buffer = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
+            else:
+                with open(fd, "rb", closefd=False) as fh:
+                    buffer = fh.read()
+            entry = entryfile.decode(buffer, verify=self.verify)
         except (OSError, ValueError, KeyError, TypeError) as exc:
-            # Truncated/garbled entries are a miss, never a wrong answer.
+            # Damaged entries are a miss, never a wrong answer.  Remove
+            # the file only if it is still the one read: a concurrent
+            # put may have renamed a good entry over it meanwhile.
             self.note_corrupt(key, repr(exc))
-            remove_dir(path)
+            try:
+                current = os.stat(path)
+            except OSError:
+                return None
+            if (current.st_dev, current.st_ino) == (
+                status.st_dev,
+                status.st_ino,
+            ):
+                remove_path(path)
             return None
+        if self.track_access:
+            touch(fd)
+        return entry
+
+    def _get_v1(self, key: str, path: Path) -> Optional[StoreEntry]:
+        """Read an entry directory of the v1 layout."""
+        meta_path = path / entryfile.V1_META
+        if not meta_path.is_file():
+            # Re-stat the manifest after seeing the directory: it may
+            # have been replaced between the two checks above, and that
+            # must read as a miss, not as damage.
+            if path.is_dir() and not meta_path.is_file():
+                # Entry directory without its manifest: damage.  Heal
+                # it *audibly* — counted and logged, never silently
+                # skipped — so chaos runs can assert it was seen.
+                self.note_corrupt(key, "entry directory lost meta.json")
+                remove_path(path)
+            return None
+        try:
+            entry = entryfile.read_v1(path, self.mmap, self.verify)
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            self.note_corrupt(key, repr(exc))
+            remove_path(path)
+            return None
+        if self.track_access:
+            touch(path)
+        return entry
 
     def _put(self, key: str, entry: StoreEntry) -> None:
-        tmp = scratch_dir(self._tmp_dir, prefix=key[:16])
+        pieces = entryfile.encode(entry)
+        tmp = os.path.join(
+            self._tmp_root, f"{key[:16]}-{os.getpid()}-{uuid.uuid4().hex}"
+        )
+        flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
         try:
-            manifest = {
-                "format": _FORMAT,
-                "arrays": {},
-                "meta": dict(entry.meta),
-            }
-            for name, array in entry.arrays.items():
-                check_key(name)  # array names become file names
-                nbytes = write_npy(tmp / f"{name}.npy", array)
-                manifest["arrays"][name] = {
-                    "nbytes": nbytes,
-                    "crc32": array_crc32(array),
-                }
-            (tmp / _META_NAME).write_text(
-                json.dumps(manifest, separators=(",", ":"))
-            )
+            fd = os.open(tmp, flags, 0o644)
+        except FileNotFoundError:  # first write, or after clear()
+            self._tmp_dir.mkdir(parents=True, exist_ok=True)
+            fd = os.open(tmp, flags, 0o644)
+        try:
+            with open(fd, "wb") as fh:
+                for piece in pieces:
+                    fh.write(piece)
         except BaseException:
-            remove_dir(tmp)
+            remove_path(tmp)
             raise
-        publish_dir(tmp, self.entry_dir(key))
+        self._publish(tmp, self._entry_file(key))
+
+    @staticmethod
+    def _publish(tmp: str, final: str) -> None:
+        """Rename the finished ``tmp`` file into place (one rename)."""
+        try:
+            os.rename(tmp, final)
+            return
+        except FileNotFoundError:  # first entry under this prefix
+            os.makedirs(os.path.dirname(final), exist_ok=True)
+        except IsADirectoryError:  # a v1 entry of this key: replace it
+            remove_path(final)
+        except OSError:
+            remove_path(tmp)
+            raise
+        try:
+            os.rename(tmp, final)
+        except OSError:
+            remove_path(tmp)
+            raise
 
     def contains(self, key: str) -> bool:
-        """Existence = a published ``meta.json`` (one stat, no read)."""
-        return (self.entry_dir(key) / _META_NAME).is_file()
+        """Existence = an entry file, or a v1 directory's ``meta.json``
+        (one stat for an entry file, no read)."""
+        path = self._entry_file(check_key(key))
+        try:
+            status = os.stat(path)
+        except OSError:
+            return False
+        if stat.S_ISDIR(status.st_mode):
+            return os.path.isfile(os.path.join(path, entryfile.V1_META))
+        return True
 
     def _delete(self, key: str) -> bool:
-        path = self.entry_dir(key)
-        existed = (path / _META_NAME).is_file()
-        remove_dir(path)
+        existed = self.contains(key)
+        remove_path(self._entry_file(key))
         return existed
 
     # -- bookkeeping ---------------------------------------------------
@@ -219,12 +274,12 @@ class FileStore(ResultStore):
             for prefix in self._objects_dir.iterdir()
             if prefix.is_dir()
             for entry in prefix.iterdir()
-            if (entry / _META_NAME).is_file()
+            if entry.is_file() or (entry / entryfile.V1_META).is_file()
         )
 
     def clear(self) -> None:
         for sub in (self._objects_dir, self._tmp_dir, self._locks_dir):
-            remove_dir(sub)
+            remove_path(sub)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -6,13 +6,15 @@ re-compute), never a wrong answer.  That makes the policy a pure
 economics question — keep the bytes most likely to be read again — and
 the classic answer is LRU by access time.
 
-:class:`~repro.store.filestore.FileStore` touches each entry
-directory's mtime on every successful read (``track_access=True``, the
-default), so the mtime is a last-access clock that works on ``noatime``
-mounts.  :func:`collect_garbage` scans ``objects/``, sorts entries by
-that clock, and removes oldest-first until the store fits a total-byte
-budget.  Stale scratch directories under ``tmp/`` (crashed writers) and
-the lock files of removed entries are swept as a side effect.
+:class:`~repro.store.filestore.FileStore` touches each entry's
+mtime on every successful read (``track_access=True``, the default),
+so the mtime is a last-access clock that works on ``noatime`` mounts.
+:func:`collect_garbage` scans ``objects/``, sorts entries by that
+clock, and removes oldest-first until the store fits a total-byte
+budget.  Entries are single files; directory entries of the older v1
+layout are scanned and collected alike.  Stale scratch under ``tmp/``
+(crashed writers' files, or directories of the v1 writer) and the lock
+files of removed entries are swept as a side effect.
 
 ``repro-store gc`` (:mod:`repro.store.cli`) is the operational wrapper.
 """
@@ -24,13 +26,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Union
 
-from repro.io.atomic import dir_nbytes, remove_dir, try_lock_file
+from repro.io.atomic import remove_path, try_lock_file
+from repro.store.entryfile import stat_entry
 from repro.store.filestore import resolve_cache_dir
 
 PathLike = Union[str, Path]
 
-#: scratch dirs older than this are considered abandoned by a crashed
-#: writer (a live writer publishes within seconds).
+#: scratch older than this is considered abandoned by a crashed writer
+#: (a live writer publishes within seconds).
 STALE_TMP_SECONDS = 3600.0
 
 
@@ -54,6 +57,7 @@ class GCReport:
     scanned_bytes: int = 0
     removed_entries: int = 0
     removed_bytes: int = 0
+    #: abandoned ``tmp/`` scratch: writers' files, or v1 directories
     stale_tmp_dirs: int = 0
     removed_keys: List[str] = field(default_factory=list)
 
@@ -69,10 +73,10 @@ class GCReport:
 def scan_entries(cache_dir: PathLike | None = None) -> List[StoreEntryInfo]:
     """All published entries under a cache dir, oldest access first.
 
-    Size is the sum of the entry directory's file sizes; access time is
-    the directory mtime (bumped on every tracked read).  Entries that
-    vanish mid-scan (a concurrent GC or self-healing removal) are
-    skipped.
+    Size is the entry file's size (for a v1 entry directory, the sum
+    of its files' sizes); access time is the entry's mtime (bumped on
+    every tracked read).  Entries that vanish mid-scan (a concurrent GC
+    or self-healing removal) are skipped.
     """
     objects = resolve_cache_dir(cache_dir) / "objects"
     entries: List[StoreEntryInfo] = []
@@ -83,18 +87,14 @@ def scan_entries(cache_dir: PathLike | None = None) -> List[StoreEntryInfo]:
             continue
         for entry in sorted(prefix.iterdir()):
             try:
-                if not (entry / "meta.json").is_file():
-                    continue
-                entries.append(
-                    StoreEntryInfo(
-                        key=entry.name,
-                        path=entry,
-                        nbytes=dir_nbytes(entry),
-                        atime=entry.stat().st_mtime,
-                    )
-                )
+                found = stat_entry(entry)
             except OSError:
                 continue
+            if found is not None:
+                nbytes, atime = found
+                entries.append(
+                    StoreEntryInfo(entry.name, entry, nbytes, atime)
+                )
     entries.sort(key=lambda info: (info.atime, info.key))
     return entries
 
@@ -109,8 +109,7 @@ def collect_garbage(
 
     Removes least-recently-accessed entries first until the remainder
     fits the budget (``max_bytes=0`` removes everything), then sweeps
-    abandoned ``tmp/`` scratch dirs and the removed entries' lock
-    files.  ``dry_run`` reports the same plan without touching disk.
+    abandoned ``tmp/`` scratch and the removed entries' lock files.  ``dry_run`` reports the same plan without touching disk.
 
     Concurrency: removal races benignly with readers (they see a miss
     and recompute) and with writers (an entry re-published after
@@ -132,7 +131,7 @@ def collect_garbage(
         if excess <= 0:
             break
         if not dry_run:
-            remove_dir(info.path)
+            remove_path(info.path)
             # Unlink the entry's lock file only while *holding* its
             # flock: a writer in get_or_compute may hold this very
             # lock right now, and unlinking under it would let a
@@ -163,5 +162,5 @@ def collect_garbage(
             if stale:
                 report.stale_tmp_dirs += 1
                 if not dry_run:
-                    remove_dir(scratch)
+                    remove_path(scratch)
     return report

@@ -66,6 +66,7 @@ from repro.utils.retry import (
     RetryPolicy,
     retry_call,
 )
+from tests.storefiles import replace_bytes, rewrite_header, write_v1_entry
 
 
 def entry_of(values) -> StoreEntry:
@@ -450,35 +451,69 @@ class TestFetchVerified:
 # FileStore self-heal: always counted, always logged
 # ----------------------------------------------------------------------
 class TestFileStoreSelfHeal:
-    def test_garbled_meta_counts_and_logs_the_key(self, tmp_path, caplog):
+    def test_garbled_header_counts_and_logs_the_key(self, tmp_path, caplog):
         store = FileStore(tmp_path)
         store.put("k1", entry_of([1.0, 2.0]))
-        (store.entry_dir("k1") / "meta.json").write_text("{not json")
+        rewrite_header(store.entry_path("k1"), b"{not json")
         with caplog.at_level("WARNING", logger="repro.store"):
             assert store.get("k1") is None
         assert store.stats()["corrupt_misses"] == 1
         assert any("k1" in record.message for record in caplog.records)
-        assert not store.entry_dir("k1").exists()  # healed away
+        assert not store.entry_path("k1").exists()  # healed away
 
-    def test_lost_meta_json_counts_and_logs(self, tmp_path, caplog):
+    def test_emptied_entry_file_counts_and_logs(self, tmp_path, caplog):
         store = FileStore(tmp_path)
         store.put("k1", entry_of([1.0]))
-        os.remove(store.entry_dir("k1") / "meta.json")
+        replace_bytes(store.entry_path("k1"), b"")
         with caplog.at_level("WARNING", logger="repro.store"):
             assert store.get("k1") is None
         assert store.stats()["corrupt_misses"] == 1
-        assert any("meta.json" in r.message for r in caplog.records)
+        assert any("k1" in r.message for r in caplog.records)
+        assert not store.entry_path("k1").exists()
 
     def test_truncated_array_counts_once_per_damaged_read(self, tmp_path):
         store = FileStore(tmp_path)
         store.put("k1", entry_of([1.0, 2.0, 3.0]))
-        npy = store.entry_dir("k1") / "losses.npy"
-        npy.write_bytes(npy.read_bytes()[:-8])
+        path = store.entry_path("k1")
+        replace_bytes(path, path.read_bytes()[:-8])
         assert store.get("k1") is None
         assert store.stats()["corrupt_misses"] == 1
         # the entry healed into a miss: the key is simply absent now
         assert store.get("k1") is None
         assert store.stats()["corrupt_misses"] == 1
+        assert not path.exists()
+
+    # -- v1 entry directories ------------------------------------------
+    def test_garbled_meta_counts_and_logs_the_key(self, tmp_path, caplog):
+        store = FileStore(tmp_path)
+        path = write_v1_entry(store, "k1", entry_of([1.0, 2.0]))
+        (path / "meta.json").write_text("{not json")
+        with caplog.at_level("WARNING", logger="repro.store"):
+            assert store.get("k1") is None
+        assert store.stats()["corrupt_misses"] == 1
+        assert any("k1" in record.message for record in caplog.records)
+        assert not path.exists()  # healed away
+
+    def test_lost_meta_json_counts_and_logs(self, tmp_path, caplog):
+        store = FileStore(tmp_path)
+        path = write_v1_entry(store, "k1", entry_of([1.0]))
+        os.remove(path / "meta.json")
+        with caplog.at_level("WARNING", logger="repro.store"):
+            assert store.get("k1") is None
+        assert store.stats()["corrupt_misses"] == 1
+        assert any("meta.json" in r.message for r in caplog.records)
+        assert not path.exists()
+
+    def test_truncated_array_counts_once_per_damaged_read_v1(self, tmp_path):
+        store = FileStore(tmp_path)
+        path = write_v1_entry(store, "k1", entry_of([1.0, 2.0, 3.0]))
+        npy = path / "losses.npy"
+        npy.write_bytes(npy.read_bytes()[:-8])
+        assert store.get("k1") is None
+        assert store.stats()["corrupt_misses"] == 1
+        assert store.get("k1") is None
+        assert store.stats()["corrupt_misses"] == 1
+        assert not path.exists()
 
 
 # ----------------------------------------------------------------------

@@ -38,6 +38,13 @@ from repro.store import (
 )
 from repro.store.base import check_key
 from tests.conftest import TINY_SPEC
+from tests.storefiles import (
+    PREFIX,
+    header_of,
+    replace_bytes,
+    rewrite_header,
+    write_v1_entry,
+)
 
 BACKENDS = ["memory", "file", "file-nommap", "shared", "tiered"]
 
@@ -235,16 +242,190 @@ def test_store_key_validation():
 # ----------------------------------------------------------------------
 # Damage tolerance
 # ----------------------------------------------------------------------
+# Every damaged entry reads as a miss, is counted once, and is removed
+# by the read that saw it, so the next compute repairs it.  Entry files
+# (the current format) come first; each v1 directory test below them
+# seeds the older layout through ``tests.storefiles.write_v1_entry``.
+VALUE = np.arange(64, dtype=np.float64)
+
+
 @pytest.fixture()
 def damaged_setup(tmp_path):
     store = SharedFileStore(tmp_path)
     key = fingerprint_digest("damage")
-    store.put(key, StoreEntry(arrays={"value": np.arange(64, dtype=np.float64)}))
-    return store, key, store.entry_dir(key)
+    store.put(key, StoreEntry(arrays={"value": VALUE}))
+    return store, key, store.entry_path(key)
 
 
-def test_truncated_npy_is_a_miss(damaged_setup):
-    store, key, entry_dir = damaged_setup
+@pytest.fixture()
+def v1_setup(tmp_path):
+    store = SharedFileStore(tmp_path)
+    key = fingerprint_digest("damage")
+    path = write_v1_entry(store, key, StoreEntry(arrays={"value": VALUE}))
+    return store, key, path
+
+
+def assert_healed_miss(store, key, path):
+    assert store.get(key) is None
+    assert store.corrupt_misses == 1
+    assert not path.exists()
+
+
+def test_entry_is_one_file(damaged_setup):
+    store, key, path = damaged_setup
+    assert path.is_file()
+    assert header_of(path)["arrays"][0]["name"] == "value"
+    assert list((store.cache_dir / "tmp").iterdir()) == []
+
+
+@pytest.mark.parametrize("cut", [40, -8])
+def test_truncated_entry_file_is_a_miss(damaged_setup, cut):
+    store, key, path = damaged_setup
+    replace_bytes(path, path.read_bytes()[:cut])
+    assert_healed_miss(store, key, path)
+
+
+def test_empty_entry_file_is_a_miss(damaged_setup):
+    store, key, path = damaged_setup
+    replace_bytes(path, b"")
+    assert_healed_miss(store, key, path)
+
+
+def test_flipped_bytes_fail_checksum(damaged_setup):
+    store, key, path = damaged_setup
+    blob = bytearray(path.read_bytes())
+    blob[-5] ^= 0xFF  # an array byte; the header stays valid
+    replace_bytes(path, bytes(blob))
+    assert_healed_miss(store, key, path)
+
+
+def test_garbled_header_is_a_miss(damaged_setup):
+    store, key, path = damaged_setup
+    rewrite_header(path, b"{not json")  # with a matching header CRC
+    assert_healed_miss(store, key, path)
+
+
+def test_header_checksum_mismatch_is_a_miss(damaged_setup):
+    store, key, path = damaged_setup
+    blob = bytearray(path.read_bytes())
+    blob[PREFIX.size + 3] ^= 0x01  # a header byte, CRC left stale
+    replace_bytes(path, bytes(blob))
+    assert_healed_miss(store, key, path)
+
+
+def test_header_offset_past_eof_is_a_miss(damaged_setup):
+    store, key, path = damaged_setup
+    header = header_of(path)
+    header["arrays"][0]["offset"] = path.stat().st_size
+    rewrite_header(path, header)
+    assert_healed_miss(store, key, path)
+
+
+def test_indented_header_still_loads(damaged_setup):
+    """The reader depends on the header's content, not its layout."""
+    store, key, path = damaged_setup
+    rewrite_header(path, header_of(path))  # re-sealed with indent=1
+    entry = store.get(key)
+    assert entry is not None
+    np.testing.assert_array_equal(entry.arrays["value"], VALUE)
+    assert not entry.arrays["value"].flags.writeable
+    assert store.corrupt_misses == 0
+
+
+def test_wrong_format_tag_is_a_miss(damaged_setup):
+    store, key, path = damaged_setup
+    blob = path.read_bytes()
+    replace_bytes(path, b"someone-elses-v9" + blob[16:])
+    assert_healed_miss(store, key, path)
+
+
+def test_entry_published_mid_read_is_not_damage(damaged_setup, monkeypatch):
+    """A put that renames a fresh file over the entry while a reader
+    holds the old one open: the reader still gets the complete old
+    entry, and nothing is counted or deleted."""
+    import os
+
+    store, key, path = damaged_setup
+    real_fstat = os.fstat
+    published = []
+
+    def fstat_racing_a_put(fd):
+        if not published:
+            published.append(fd)
+            store.put(key, StoreEntry(arrays={"value": VALUE}))
+        return real_fstat(fd)
+
+    monkeypatch.setattr(os, "fstat", fstat_racing_a_put)
+    entry = store.get(key)
+    monkeypatch.undo()
+    assert published
+    np.testing.assert_array_equal(entry.arrays["value"], VALUE)
+    assert store.corrupt_misses == 0
+    assert store.get(key) is not None
+
+
+def test_damaged_file_replaced_mid_read_keeps_the_fresh_entry(
+    damaged_setup, monkeypatch
+):
+    """Self-heal removes only the file it read: a good entry renamed
+    over the damaged one meanwhile survives."""
+    import os
+
+    store, key, path = damaged_setup
+    replace_bytes(path, b"")
+    real_fstat = os.fstat
+    published = []
+
+    def fstat_racing_a_put(fd):
+        if not published:
+            published.append(fd)
+            store.put(key, StoreEntry(arrays={"value": VALUE}))
+        return real_fstat(fd)
+
+    monkeypatch.setattr(os, "fstat", fstat_racing_a_put)
+    assert store.get(key) is None  # the damaged file it opened
+    monkeypatch.undo()
+    assert store.corrupt_misses == 1
+    np.testing.assert_array_equal(store.get(key).arrays["value"], VALUE)
+
+
+def test_corrupt_entry_is_recomputed_not_served(damaged_setup):
+    store, key, path = damaged_setup
+    blob = bytearray(path.read_bytes())
+    blob[-1] ^= 0x01
+    replace_bytes(path, bytes(blob))
+    assert_recomputed(store, key)
+
+
+def assert_recomputed(store, key):
+    fresh = np.arange(64, dtype=np.float64)
+    computes = []
+
+    def compute():
+        computes.append(1)
+        return StoreEntry(arrays={"value": fresh})
+
+    entry = store.get_or_compute(key, compute)
+    assert computes == [1]
+    np.testing.assert_array_equal(entry.arrays["value"], fresh)
+    # repaired: the next get is a clean hit
+    assert store.get(key) is not None
+    assert store.entry_path(key).is_file()
+
+
+# -- the same damage on v1 entry directories ---------------------------
+def test_v1_entry_reads_back(v1_setup):
+    store, key, entry_dir = v1_setup
+    assert store.contains(key)
+    assert len(store) == 1
+    entry = store.get(key)
+    np.testing.assert_array_equal(entry.arrays["value"], VALUE)
+    assert not entry.arrays["value"].flags.writeable
+    assert store.corrupt_misses == 0
+
+
+def test_truncated_npy_is_a_miss(v1_setup):
+    store, key, entry_dir = v1_setup
     npy = entry_dir / "value.npy"
     npy.write_bytes(npy.read_bytes()[:40])
     assert store.get(key) is None
@@ -253,30 +434,28 @@ def test_truncated_npy_is_a_miss(damaged_setup):
     assert not entry_dir.exists()
 
 
-def test_flipped_bytes_fail_checksum(damaged_setup):
-    store, key, entry_dir = damaged_setup
+def test_flipped_bytes_fail_checksum_v1(v1_setup):
+    store, key, entry_dir = v1_setup
     npy = entry_dir / "value.npy"
     blob = bytearray(npy.read_bytes())
     blob[-5] ^= 0xFF  # corrupt payload, keep the npy header valid
     npy.write_bytes(bytes(blob))
-    assert store.get(key) is None
-    assert store.corrupt_misses == 1
+    assert_healed_miss(store, key, entry_dir)
 
 
-def test_garbled_meta_json_is_a_miss(damaged_setup):
-    store, key, entry_dir = damaged_setup
+def test_garbled_meta_json_is_a_miss(v1_setup):
+    store, key, entry_dir = v1_setup
     (entry_dir / "meta.json").write_text("{not json")
-    assert store.get(key) is None
-    assert store.corrupt_misses == 1
+    assert_healed_miss(store, key, entry_dir)
 
 
-def test_entry_published_mid_read_is_not_damage(damaged_setup, monkeypatch):
-    """A reader whose manifest stat precedes a concurrent publish (and
-    whose directory stat follows it) sees a miss; it must not delete
-    the fresh entry as a directory without a manifest."""
+def test_entry_published_mid_read_is_not_damage_v1(v1_setup, monkeypatch):
+    """A reader whose manifest stat precedes the manifest's appearance
+    (and whose directory stat follows it) sees a miss; it must not
+    delete the entry as a directory without a manifest."""
     from pathlib import Path
 
-    store, key, entry_dir = damaged_setup
+    store, key, entry_dir = v1_setup
     real_is_file = Path.is_file
     first = []
 
@@ -292,52 +471,46 @@ def test_entry_published_mid_read_is_not_damage(damaged_setup, monkeypatch):
     assert store.get(key) is not None
 
 
-def test_missing_array_file_is_a_miss(damaged_setup):
-    store, key, entry_dir = damaged_setup
+def test_missing_array_file_is_a_miss(v1_setup):
+    store, key, entry_dir = v1_setup
     (entry_dir / "value.npy").unlink()
-    assert store.get(key) is None
-    assert store.corrupt_misses == 1
+    assert_healed_miss(store, key, entry_dir)
 
 
-def test_indented_meta_json_still_loads(damaged_setup):
+def test_indented_meta_json_still_loads(v1_setup):
     """Entries written with the earlier ``indent=1`` manifest layout."""
-    store, key, entry_dir = damaged_setup
+    store, key, entry_dir = v1_setup
     meta = json.loads((entry_dir / "meta.json").read_text())
     (entry_dir / "meta.json").write_text(json.dumps(meta, indent=1))
     entry = store.get(key)
     assert entry is not None
-    np.testing.assert_array_equal(
-        entry.arrays["value"], np.arange(64, dtype=np.float64)
-    )
+    np.testing.assert_array_equal(entry.arrays["value"], VALUE)
     assert store.corrupt_misses == 0
 
 
-def test_wrong_format_tag_is_a_miss(damaged_setup):
-    store, key, entry_dir = damaged_setup
+def test_wrong_format_tag_is_a_miss_v1(v1_setup):
+    store, key, entry_dir = v1_setup
     meta = json.loads((entry_dir / "meta.json").read_text())
     meta["format"] = "someone-elses-cache-v9"
     (entry_dir / "meta.json").write_text(json.dumps(meta))
-    assert store.get(key) is None
+    assert_healed_miss(store, key, entry_dir)
 
 
-def test_corrupt_entry_is_recomputed_not_served(damaged_setup):
-    store, key, entry_dir = damaged_setup
+def test_corrupt_entry_is_recomputed_not_served_v1(v1_setup):
+    store, key, entry_dir = v1_setup
     npy = entry_dir / "value.npy"
     blob = bytearray(npy.read_bytes())
     blob[-1] ^= 0x01
     npy.write_bytes(bytes(blob))
-    fresh = np.arange(64, dtype=np.float64)
-    computes = []
+    assert_recomputed(store, key)  # rewritten as an entry file
 
-    def compute():
-        computes.append(1)
-        return StoreEntry(arrays={"value": fresh})
 
-    entry = store.get_or_compute(key, compute)
-    assert computes == [1]
-    np.testing.assert_array_equal(entry.arrays["value"], fresh)
-    # repaired: the next get is a clean hit
-    assert store.get(key) is not None
+def test_put_replaces_a_v1_entry_of_the_same_key(v1_setup):
+    store, key, entry_dir = v1_setup
+    store.put(key, StoreEntry(arrays={"value": VALUE + 1}))
+    assert entry_dir.is_file()
+    np.testing.assert_array_equal(store.get(key).arrays["value"], VALUE + 1)
+    assert len(store) == 1
 
 
 # ----------------------------------------------------------------------

@@ -23,6 +23,7 @@ from repro.store import (
 )
 from repro.store.cli import main as store_cli
 from repro.store.cli import parse_size
+from tests.storefiles import replace_bytes, write_v1_entry
 
 
 def entry_of(nbytes: int) -> StoreEntry:
@@ -40,7 +41,15 @@ class TestAccessTracking:
     def test_read_touches_entry_mtime(self, tmp_path):
         store = FileStore(tmp_path)
         store.put("aged", entry_of(64))
-        path = store.entry_dir("aged")
+        path = store.entry_path("aged")
+        backdate(path, 3600)
+        before = path.stat().st_mtime
+        assert store.get("aged") is not None
+        assert path.stat().st_mtime > before
+
+    def test_read_touches_v1_entry_directory_mtime(self, tmp_path):
+        store = FileStore(tmp_path)
+        path = write_v1_entry(store, "aged", entry_of(64))
         backdate(path, 3600)
         before = path.stat().st_mtime
         assert store.get("aged") is not None
@@ -49,7 +58,7 @@ class TestAccessTracking:
     def test_tracking_can_be_disabled(self, tmp_path):
         store = FileStore(tmp_path, track_access=False)
         store.put("aged", entry_of(64))
-        path = store.entry_dir("aged")
+        path = store.entry_path("aged")
         backdate(path, 3600)
         before = path.stat().st_mtime
         assert store.get("aged") is not None
@@ -58,7 +67,7 @@ class TestAccessTracking:
     def test_contains_does_not_touch(self, tmp_path):
         store = FileStore(tmp_path)
         store.put("k", entry_of(64))
-        path = store.entry_dir("k")
+        path = store.entry_path("k")
         backdate(path, 3600)
         before = path.stat().st_mtime
         assert store.contains("k")
@@ -72,7 +81,7 @@ class TestCollectGarbage:
         store = FileStore(tmp_path)
         for i in range(4):
             store.put(f"key-{i}", entry_of(800))
-            backdate(store.entry_dir(f"key-{i}"), 1000 - i)
+            backdate(store.entry_path(f"key-{i}"), 1000 - i)
         store.get("key-0")  # oldest by insertion, freshest by access
         sizes = [info.nbytes for info in scan_entries(tmp_path)]
         keep_two = sum(sorted(sizes)[:2])  # entries are equal-sized
@@ -112,6 +121,36 @@ class TestCollectGarbage:
         assert report.removed_entries == 3
         assert len(scan_entries(tmp_path)) == 3
 
+    def test_mixed_v1_and_v2_store_collects_lru_first(self, tmp_path):
+        store = FileStore(tmp_path)
+        for i in range(4):
+            key = f"key-{i}"
+            if i % 2:
+                path = write_v1_entry(store, key, entry_of(800))
+            else:
+                store.put(key, entry_of(800))
+                path = store.entry_path(key)
+            backdate(path, 1000 - i)
+        store.get("key-1")  # a v1 entry, freshest by access
+        scanned = {info.key: info for info in scan_entries(tmp_path)}
+        assert set(scanned) == {f"key-{i}" for i in range(4)}
+        assert scanned["key-0"].path.is_file()
+        assert scanned["key-1"].path.is_dir()
+        assert scanned["key-0"].nbytes == scanned["key-0"].path.stat().st_size
+        assert all(info.nbytes >= 800 for info in scanned.values())
+        assert len(store) == 4
+        report = collect_garbage(tmp_path, max_bytes=scanned["key-1"].nbytes)
+        # oldest access first: 0 (v2), 2 (v2), 3 (v1); the read v1 stays
+        assert report.removed_keys == ["key-0", "key-2", "key-3"]
+        assert [info.key for info in scan_entries(tmp_path)] == ["key-1"]
+        report = collect_garbage(tmp_path, max_bytes=0)
+        assert report.removed_keys == ["key-1"]
+        assert scan_entries(tmp_path) == []
+        assert len(store) == 0
+        for i in range(4):
+            assert not store.entry_path(f"key-{i}").exists()
+            assert store.get(f"key-{i}") is None
+
     def test_stale_tmp_scratch_swept(self, tmp_path):
         store = FileStore(tmp_path)
         store.put("k", entry_of(64))
@@ -124,6 +163,20 @@ class TestCollectGarbage:
         assert report.stale_tmp_dirs == 1
         assert not stale.exists()
         assert fresh.exists()
+
+    def test_stale_tmp_scratch_file_swept(self, tmp_path):
+        store = FileStore(tmp_path)
+        store.put("k", entry_of(64))
+        stale = tmp_path / "tmp" / "k-999-deadbeef"
+        stale.write_bytes(b"half an entry")
+        backdate(stale, 7200)
+        fresh = tmp_path / "tmp" / "k-999-cafef00d"
+        fresh.write_bytes(b"a live writer's entry")
+        report = collect_garbage(tmp_path, max_bytes=10**9)
+        assert report.stale_tmp_dirs == 1
+        assert not stale.exists()
+        assert fresh.exists()
+        assert store.contains("k")
 
     def test_lock_files_of_removed_keys_cleaned(self, tmp_path):
         store = SharedFileStore(tmp_path)
@@ -270,7 +323,17 @@ class TestUniformStats:
         tiered.put("good", entry_of(64))
         tiered.put("bad", entry_of(64))  # evicts "good" from memory
         # corrupt the file copy of the older entry, then read through
-        (file_store.entry_dir("good") / "value.npy").write_bytes(b"junk")
+        replace_bytes(file_store.entry_path("good"), b"junk")
+        assert tiered.get("good") is None
+        stats = tiered.stats()
+        assert stats["corrupt_misses"] >= 1
+        assert stats["misses"] >= 1
+
+    def test_tiered_store_aggregates_v1_file_corruption(self, tmp_path):
+        file_store = FileStore(tmp_path)
+        tiered = TieredStore([MemoryStore(max_entries=1), file_store])
+        path = write_v1_entry(file_store, "good", entry_of(64))
+        (path / "value.npy").write_bytes(b"junk")
         assert tiered.get("good") is None
         stats = tiered.stats()
         assert stats["corrupt_misses"] >= 1
