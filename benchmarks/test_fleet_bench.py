@@ -20,7 +20,7 @@ Guards:
   to the monolithic sequential run of the same input.
 
 The gates on measured wall-clock ratios (the measured scale-out, the 5x
-delta re-sweep and the fleet overhead bound) carry the ``fleetbench``
+delta re-sweep and the fleet overhead bound) carry the ``wallclock``
 marker: they flip with machine load, so tier-1 leaves them out and
 CI's fleet-bench job runs them at the same bounds.  The digest,
 enqueue-count and modeled-makespan gates stay in tier-1.
@@ -106,7 +106,7 @@ def test_modeled_fleet_scaleout_clears_2x_floor(rows_by_mode):
     assert row["modeled_speedup"] >= MODELED_SCALEOUT_FLOOR, row
 
 
-@pytest.mark.fleetbench
+@pytest.mark.wallclock
 @pytest.mark.skipif(
     available_cpu_count() < N_WORKERS,
     reason="measured thread overlap needs >= 4 usable cores "
@@ -117,7 +117,7 @@ def test_measured_fleet_scaleout_on_multicore_hosts(rows_by_mode):
     assert row["measured_speedup_vs_1"] >= MEASURED_SCALEOUT_FLOOR, row
 
 
-@pytest.mark.fleetbench
+@pytest.mark.wallclock
 def test_delta_resweep_clears_5x_floor(rows_by_mode):
     """Hard CI gate: re-sweeping a 10%-extended input against the
     warmed store must beat a cold sweep of the same input by at least
@@ -149,7 +149,7 @@ def test_fleet_assembly_is_bit_identical(rows_by_mode):
     assert rows_by_mode["delta-cold"]["ylt_digest"] == resweep["ylt_digest"]
 
 
-@pytest.mark.fleetbench
+@pytest.mark.wallclock
 def test_fleet_overhead_is_bounded(rows_by_mode):
     """Queue + store coordination may tax a single-worker sweep, but a
     blowup over the monolithic run means something regressed (sanity

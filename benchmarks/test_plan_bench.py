@@ -13,6 +13,11 @@ expected to clear the 1.5x reuse target with margin (typically ~4-5x in
 this container — the shared gather+financial pass dominates a
 12-ELT-layer quote).  Quote *values* must match the sequential engine
 bit-for-bit: the reuse is free only because it is exact.
+
+The two speedup gates carry the ``wallclock`` marker: they flip with
+machine load, so tier-1 leaves them out and CI's plan-bench job runs
+them at the same bounds.  The cache-count and bit-identity gates stay
+in tier-1.
 """
 
 import json
@@ -56,6 +61,7 @@ def test_artifact_written(artifact_data):
     assert modes == {"sequential", "quote-service"}
 
 
+@pytest.mark.wallclock
 def test_batched_never_slower_than_sequential(plan_report):
     """Hard CI gate: plan-level sharing must never lose to re-running
     the full analysis per candidate."""
@@ -64,6 +70,7 @@ def test_batched_never_slower_than_sequential(plan_report):
             assert row["speedup_vs_sequential"] >= 1.0, row
 
 
+@pytest.mark.wallclock
 def test_batched_clears_reuse_target(plan_report):
     """The headline claim: quoting N>=8 candidates over one ELT set is
     >=1.5x faster than N sequential single-layer engine runs.  Typically

@@ -19,6 +19,11 @@ Guards:
   base pass came from another process's store entry) and never be
   slower than the storeless service; the fully-warm replay batch must
   clear a 1.5x floor.
+
+The gates on measured speedups carry the ``wallclock`` marker: they
+flip with machine load, so tier-1 leaves them out and CI's replay-bench
+job runs them at the same bounds.  The digest, execution-count and
+cache-hit gates stay in tier-1.
 """
 
 import json
@@ -74,6 +79,7 @@ def test_artifact_written(artifact_data):
     }
 
 
+@pytest.mark.wallclock
 def test_warm_replay_clears_5x_floor(rows_by_mode):
     """Hard CI gate: replaying an identical analysis from the store
     must beat re-running it by at least 5x — from the in-memory tier
@@ -98,19 +104,31 @@ def test_replay_is_bit_identical_with_zero_executions(rows_by_mode):
 def test_cross_process_quote_reuse(rows_by_mode):
     """The fleet shape: a separate process persisted the base vector;
     this process's batch must reuse it (one base-cache store hit, zero
-    base computations) and never lose to the storeless service."""
+    base computations)."""
     row = rows_by_mode["quote-warm-xproc"]
     base = row["base_cache"]
     # The single cache-level miss was satisfied by the store: compute
     # avoided entirely.
     assert base["misses"] == 1, row
     assert base["store_hits"] == 1, row
+
+
+@pytest.mark.wallclock
+def test_cross_process_quote_reuse_never_slower(rows_by_mode):
+    """The store-warmed batch never loses to the storeless service."""
+    row = rows_by_mode["quote-warm-xproc"]
     assert row["speedup_vs_cold"] >= 1.0, row
 
 
 def test_fully_warm_quote_replay(rows_by_mode):
-    """Steady-state serving: a batch whose loss vectors are all
-    persisted replays well clear of recomputation."""
+    """Steady-state serving: every loss vector of the batch comes from
+    the store."""
     row = rows_by_mode["quote-replay"]
     assert row["loss_cache"]["store_hits"] == N_CANDIDATES, row
+
+
+@pytest.mark.wallclock
+def test_fully_warm_quote_replay_clears_1_5x(rows_by_mode):
+    """A fully persisted batch replays well clear of recomputation."""
+    row = rows_by_mode["quote-replay"]
     assert row["speedup_vs_cold"] >= 1.5, row

@@ -11,7 +11,9 @@ Typical use::
 
 Engines are looked up by name in :mod:`repro.engines.registry`; the import
 is deferred so the core package has no import-time dependency on the
-engine implementations.
+engine implementations.  Every engine runs the one kernel of
+:mod:`repro.core.kernels`; the engine choice sets the schedule, the
+default precision and the modeled time.
 """
 
 from __future__ import annotations
@@ -94,14 +96,6 @@ class AggregateRiskAnalysis:
         kernel on every engine.
     secondary_seed:
         Seed of the multiplier streams (ignored without ``secondary``).
-    backend:
-        Backend the kernel dispatches through on every run
-        — a registry name (``"numpy"``/``"numba"``/``"cupy"``/
-        ``"auto"``), a backend instance, or None to follow the
-        ``REPRO_KERNEL_BACKEND``-then-numpy precedence of
-        :func:`repro.backends.resolve_backend`.  Backend choice never
-        changes results (backends are pinned to the numpy oracle) or
-        store keys; the resolved name is in ``result.meta["backend"]``.
     store:
         Optional :class:`~repro.store.base.ResultStore` memoising whole
         analyses: a run whose content-addressed
@@ -119,7 +113,6 @@ class AggregateRiskAnalysis:
         dtype: np.dtype | type = np.float64,
         secondary=None,
         secondary_seed=None,
-        backend=None,
         store=None,
     ) -> None:
         check_positive("catalog_size", catalog_size)
@@ -130,7 +123,6 @@ class AggregateRiskAnalysis:
         self.dtype = np.dtype(dtype)
         self.secondary = secondary
         self.secondary_seed = secondary_seed
-        self.backend = backend
         self.store = store
 
     def _engine(self, engine: str, **engine_options: Any):
@@ -141,7 +133,6 @@ class AggregateRiskAnalysis:
             "dtype": self.dtype,
             "secondary": self.secondary,
             "secondary_seed": self.secondary_seed,
-            "backend": self.backend,
         }
         options.update(engine_options)  # per-run overrides win
         return create_engine(engine, **options)
@@ -300,7 +291,6 @@ class AggregateRiskAnalysis:
                     contexts=contexts,
                     n_workers=n_workers,
                     sweep_id=ticket.sweep_id,
-                    backend=engine_obj.backend,
                 )
                 try:
                     ylt = gather_sweep(

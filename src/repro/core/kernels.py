@@ -3,7 +3,9 @@
 Every engine — sequential, multicore, the simulated GPUs and the fleet
 workers — computes year losses through this module; only the schedule
 around it differs, as in the paper, where one kernel body runs from
-sequential C++ to four GPUs.
+sequential C++ to four GPUs.  The numpy code below is the kernel's only
+implementation; the golden YLT digests and the scalar
+:class:`~repro.engines.sequential.ReferenceEngine` pin it.
 
 The paper's central lesson is that aggregate risk analysis is
 memory-bound: every optimisation that won (direct access tables, chunked
@@ -48,7 +50,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.backends import KernelBackend, resolve_backend
 from repro.core.secondary import SECONDARY_TILE, SecondaryUncertainty
 from repro.core.terms import (
     apply_aggregate_terms_cumulative,
@@ -315,26 +316,6 @@ def build_layer_tables(
 # ----------------------------------------------------------------------
 # The fused kernel
 # ----------------------------------------------------------------------
-def _backend_can_dispatch(
-    backend: KernelBackend,
-    stacked: StackedDirectTable | None,
-    work: np.dtype,
-) -> bool:
-    """Whether a non-oracle backend may take this call.
-
-    Compiled backends only implement the stacked-direct path, and only
-    when the working dtype *is* the table dtype — the float32 contract
-    of PR 1 (float32 tables run pure float32 arithmetic) must survive
-    dispatch, so a mismatch falls back to the oracle rather than
-    letting a backend silently promote.
-    """
-    return (
-        backend.name != "numpy"
-        and stacked is not None
-        and stacked.dtype == work
-    )
-
-
 def _sum_columns(block: np.ndarray, out: np.ndarray) -> None:
     """``out[i] = block[i, 0] + block[i, 1] + ...``, added in ELT order.
 
@@ -355,7 +336,6 @@ def _fill_combined(
     combined: np.ndarray,
     profile: ActivityProfile,
     pool: ScratchBufferPool,
-    backend: KernelBackend | None = None,
 ) -> None:
     """Fill ``combined`` with per-occurrence losses summed across ELTs.
 
@@ -363,21 +343,8 @@ def _fill_combined(
     independent prefix shared by every candidate layer over the same ELT
     set — which is exactly why it is split out: the quote service caches
     this vector and re-runs only the finish per candidate.
-
-    ``backend`` (an already-resolved :class:`KernelBackend`) may service
-    the stacked path in one compiled pass; a decline — or any
-    non-stacked/mismatched-dtype call — runs the numpy oracle below.
-    The compiled pass is charged to the lookup activity (the gather
-    dominates it, and the fused call is indivisible).
     """
     n_occ = ids.size
-    if (
-        backend is not None
-        and _backend_can_dispatch(backend, stacked, combined.dtype)
-    ):
-        with profile.track(ACTIVITY_LOOKUP):
-            if backend.fill_combined(ids, stacked, combined):
-                return
     if stacked is not None:
         # Fused path: one net row per occurrence, its columns added into
         # the combined vector in ELT order.
@@ -499,7 +466,6 @@ def combined_occurrence_losses(
     secondary: SecondaryUncertainty | None = None,
     stream_key: int = 0,
     occ_base: int = 0,
-    backend: KernelBackend | str | None = None,
 ) -> np.ndarray:
     """Per-occurrence combined losses (steps 1–2) for a flat id block.
 
@@ -509,11 +475,6 @@ def combined_occurrence_losses(
     vector (:func:`finish_layer_losses`).  ``out`` (shape ``(n_occ,)``
     in the working dtype) avoids allocating — the service passes slices
     of its cached full-YET vector, one per plan task.
-
-    ``backend`` selects the kernel backend for the stacked path (see
-    :func:`repro.backends.resolve_backend`); the secondary path always
-    runs the oracle — its counter-based Philox streams are pinned
-    bit-for-bit and are not worth re-deriving in a compiled kernel.
     """
     profile = profile if profile is not None else ActivityProfile()
     pool = pool if pool is not None else ScratchBufferPool()
@@ -531,10 +492,7 @@ def combined_occurrence_losses(
             occ_base, profile, pool,
         )
     else:
-        _fill_combined(
-            ids, lookups, stacked, out, profile, pool,
-            backend=resolve_backend(backend),
-        )
+        _fill_combined(ids, lookups, stacked, out, profile, pool)
     return out
 
 
@@ -569,7 +527,6 @@ def layer_trial_batch_ragged(
     profile: ActivityProfile | None = None,
     dtype: np.dtype | type = np.float64,
     pool: ScratchBufferPool | None = None,
-    backend: KernelBackend | str | None = None,
 ) -> np.ndarray:
     """Steps 1–4 of Algorithm 1 over a ragged CSR trial block, fused.
 
@@ -593,12 +550,6 @@ def layer_trial_batch_ragged(
     pool:
         Scratch-buffer pool for working arrays (a private throwaway pool
         is used if omitted — pass one to reuse buffers across batches).
-    backend:
-        Kernel backend for the stacked path (name, instance, or None →
-        the :func:`repro.backends.resolve_backend` precedence).  A
-        compiled backend runs all four steps in one pass over the CSR
-        block; a decline — or a non-stacked layer, or a working dtype
-        differing from the table's — runs the numpy oracle below.
 
     Returns
     -------
@@ -615,13 +566,6 @@ def layer_trial_batch_ragged(
         raise ValueError("offsets must be 1-D with at least one entry")
     work = np.dtype(dtype)
     n_occ = ids.size
-
-    backend_obj = resolve_backend(backend)
-    if _backend_can_dispatch(backend_obj, stacked, work):
-        with profile.track(ACTIVITY_LOOKUP):
-            year = backend_obj.layer_losses(ids, offs, stacked, layer_terms)
-        if year is not None:
-            return np.asarray(year, dtype=np.float64)
 
     combined = pool.take((n_occ,), work)
     try:
@@ -644,15 +588,8 @@ def layer_trial_batch_secondary_ragged(
     profile: ActivityProfile | None = None,
     dtype: np.dtype | type = np.float64,
     pool: ScratchBufferPool | None = None,
-    backend: KernelBackend | str | None = None,
 ) -> np.ndarray:
     """:func:`layer_trial_batch_ragged` with per-(occurrence, ELT) draws.
-
-    ``backend`` is accepted for call-site uniformity but the secondary
-    path always runs the numpy oracle: its counter-based Philox streams
-    are pinned bit-for-bit and decomposition-invariant, properties a
-    compiled re-derivation would have to reprove; the fallback *is* the
-    contract here.
 
     The fused secondary-uncertainty kernel: damage-ratio multipliers are
     sampled **directly into pooled scratch** beside the gathered loss
@@ -721,7 +658,6 @@ def run_ragged(
     pool: ScratchBufferPool | None = None,
     secondary: SecondaryUncertainty | None = None,
     secondary_seed: SeedLike = None,
-    backend: KernelBackend | str | None = None,
 ) -> YearLossTable:
     """Full analysis with the fused ragged kernel, batched over trials.
 
@@ -784,5 +720,4 @@ def run_ragged(
         scheduler=Scheduler(max_workers=1),
         pools=None if pool is None else [pool],
         cache=cache,
-        backend=backend,
     )

@@ -1,4 +1,10 @@
-"""Engine abstract base class and shared plumbing."""
+"""Engine abstract base class and shared plumbing.
+
+Every engine computes through the one kernel of
+:mod:`repro.core.kernels`; engines differ in how they decompose the
+trial space, their default precision and what they model, never in
+the kernel code they run.
+"""
 
 from __future__ import annotations
 
@@ -74,16 +80,6 @@ class Engine(abc.ABC):
         and invariant to engine decomposition).
     secondary_seed:
         Seed of the multiplier streams (ignored without ``secondary``).
-    backend:
-        Backend the kernel dispatches through — a registry
-        name (``"numpy"``/``"numba"``/``"cupy"``/``"auto"``), a
-        :class:`~repro.backends.base.KernelBackend` instance, or None
-        to follow the ``REPRO_KERNEL_BACKEND``-then-numpy precedence of
-        :func:`repro.backends.resolve_backend`.  Deliberately absent
-        from :meth:`capabilities`, plan fingerprints and store keys:
-        backends are held to the oracle's results, so backend choice
-        never changes what a run *is*, only how fast it gets there.
-        The resolved name is surfaced in ``result.meta["backend"]``.
     """
 
     #: registry name, overridden by subclasses
@@ -95,19 +91,11 @@ class Engine(abc.ABC):
         dtype: np.dtype | type = np.float64,
         secondary=None,
         secondary_seed=None,
-        backend=None,
     ) -> None:
         self.lookup_kind = lookup_kind
         self.dtype = np.dtype(dtype)
         self.secondary = secondary
         self.secondary_seed = secondary_seed
-        self.backend = backend
-
-    def backend_name(self) -> str:
-        """The kernel backend this engine's runs dispatch to (resolved)."""
-        from repro.backends import active_backend_name
-
-        return active_backend_name(self.backend)
 
     def _secondary_base_seed(self) -> int:
         """Resolve ``secondary_seed`` to one integer base key (or 0)."""
@@ -247,7 +235,6 @@ class Engine(abc.ABC):
         _record_execution()
         wall = time.perf_counter() - started
         meta.setdefault("plan", plan.summary())
-        meta.setdefault("backend", self.backend_name())
         return AnalysisResult(
             ylt=ylt,
             profile=profile,
@@ -329,7 +316,6 @@ class Engine(abc.ABC):
         meta = computed["meta"]
         meta.setdefault("replay", {"hit": False, "key": replay_key})
         meta.setdefault("plan", plan.summary())
-        meta.setdefault("backend", self.backend_name())
         return AnalysisResult(
             ylt=computed["ylt"],
             profile=computed["profile"],

@@ -370,7 +370,6 @@ class ARAKernel(SimKernel):
         secondary: SecondaryUncertainty | None = None,
         secondary_stream_key: int = 0,
         occ_origin: int = 0,
-        backend=None,
         registers_per_thread: int = OPTIMIZED_REGISTERS_PER_THREAD,
     ) -> None:
         if out.shape != (yet.n_trials,):
@@ -390,9 +389,6 @@ class ARAKernel(SimKernel):
         self.stacked = stacked
         self.secondary = secondary
         self.secondary_stream_key = int(secondary_stream_key)
-        # Kernel backend the host-side functional compute dispatches
-        # through (the traffic ledger never depends on it).
-        self.backend = backend
         # Global occurrence index of this (sub-)YET's first occurrence:
         # multi-device engines pass their slice's origin so the
         # counter-based secondary draws stay decomposition-invariant
@@ -447,7 +443,6 @@ class ARAKernel(SimKernel):
                 occ_base=self.occ_origin + int(self.yet.offsets[start]),
                 dtype=self.dtype,
                 pool=self._pool,
-                backend=self.backend,
             )
         else:
             year = layer_trial_batch_ragged(
@@ -458,7 +453,6 @@ class ARAKernel(SimKernel):
                 stacked=self.stacked,
                 dtype=self.dtype,
                 pool=self._pool,
-                backend=self.backend,
             )
         self.out[start:stop] = year
         if self.traffic == TRAFFIC_FUSED:

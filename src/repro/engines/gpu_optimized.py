@@ -80,14 +80,12 @@ class GPUOptimizedEngine(Engine):
         traffic: str = TRAFFIC_FUSED,
         secondary=None,
         secondary_seed=None,
-        backend=None,
     ) -> None:
         super().__init__(
             lookup_kind=lookup_kind,
             dtype=dtype,
             secondary=secondary,
             secondary_seed=secondary_seed,
-            backend=backend,
         )
         self.traffic = check_traffic(traffic)
         check_positive("threads_per_block", threads_per_block)
@@ -186,7 +184,6 @@ class GPUOptimizedEngine(Engine):
                     base_seed, layer.layer_id
                 ),
                 occ_origin=task.occ_start,
-                backend=self.backend,
                 registers_per_thread=self.registers_per_thread,
             )
             result = device.launch(
@@ -266,7 +263,6 @@ class GPUBasicEngine(GPUOptimizedEngine):
         traffic: str = TRAFFIC_FUSED,
         secondary=None,
         secondary_seed=None,
-        backend=None,
     ) -> None:
         super().__init__(
             lookup_kind=lookup_kind,
@@ -278,5 +274,4 @@ class GPUBasicEngine(GPUOptimizedEngine):
             traffic=traffic,
             secondary=secondary,
             secondary_seed=secondary_seed,
-            backend=backend,
         )

@@ -63,14 +63,12 @@ class MulticoreEngine(Engine):
         threads_per_core: int = 1,
         secondary=None,
         secondary_seed=None,
-        backend=None,
     ) -> None:
         super().__init__(
             lookup_kind=lookup_kind,
             dtype=dtype,
             secondary=secondary,
             secondary_seed=secondary_seed,
-            backend=backend,
         )
         self.n_cores = int(n_cores) if n_cores else available_cpu_count()
         check_positive("n_cores", self.n_cores)
@@ -113,7 +111,6 @@ class MulticoreEngine(Engine):
             secondary_seed=self.secondary_seed,
             profile=profile,
             scheduler=Scheduler(max_workers=self.n_cores),
-            backend=self.backend,
         )
         meta = {
             "n_cores": self.n_cores,

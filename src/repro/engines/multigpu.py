@@ -105,7 +105,6 @@ class MultiGPUEngine(Engine):
         traffic: str = TRAFFIC_FUSED,
         secondary=None,
         secondary_seed=None,
-        backend=None,
         staging: str = STAGING_SERIAL,
     ) -> None:
         super().__init__(
@@ -113,7 +112,6 @@ class MultiGPUEngine(Engine):
             dtype=dtype,
             secondary=secondary,
             secondary_seed=secondary_seed,
-            backend=backend,
         )
         self.traffic = check_traffic(traffic)
         check_positive("n_devices", n_devices)
@@ -242,7 +240,6 @@ class MultiGPUEngine(Engine):
                     # the counter-based secondary draws identical for
                     # any device count.
                     occ_origin=task.occ_start,
-                    backend=self.backend,
                 )
                 result = device.launch(
                     kernel,

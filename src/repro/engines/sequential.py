@@ -51,14 +51,12 @@ class SequentialEngine(Engine):
         batch_trials: int | None = 8192,
         secondary=None,
         secondary_seed=None,
-        backend=None,
     ) -> None:
         super().__init__(
             lookup_kind=lookup_kind,
             dtype=dtype,
             secondary=secondary,
             secondary_seed=secondary_seed,
-            backend=backend,
         )
         if batch_trials is not None and batch_trials < 1:
             raise ValueError(f"batch_trials must be >= 1, got {batch_trials}")
@@ -93,7 +91,6 @@ class SequentialEngine(Engine):
             secondary_seed=self.secondary_seed,
             profile=profile,
             scheduler=Scheduler(max_workers=1),
-            backend=self.backend,
         )
         meta = {
             "batch_trials": self.batch_trials,
@@ -146,11 +143,5 @@ class ReferenceEngine(Engine):
                         )
                     )
                 per_layer[layer.layer_id] = out
-        # The scalar oracle never dispatches through the backend
-        # registry, whatever was requested.
-        meta = {
-            "scalar": True,
-            "secondary": self.secondary is not None,
-            "backend": "numpy",
-        }
+        meta = {"scalar": True, "secondary": self.secondary is not None}
         return YearLossTable.from_dict(per_layer), profile, None, meta

@@ -108,13 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     worker = sub.add_parser("worker", help="claim and execute jobs")
     add_common(worker)
     worker.add_argument("--worker-id", default=None)
-    worker.add_argument(
-        "--backend",
-        default=None,
-        help="kernel backend for segment computes (numpy/numba/cupy/"
-        "auto; default follows $REPRO_KERNEL_BACKEND, then numpy). "
-        "Never part of store keys — fleets may mix backends freely.",
-    )
     worker.add_argument("--max-jobs", type=int, default=None)
     worker.add_argument(
         "--lease-seconds",
@@ -227,47 +220,14 @@ def _cmd_worker(args) -> int:
     from repro.fleet.worker import FleetWorker
 
     queue = _queue_for(args, lease_seconds=args.lease_seconds)
-    worker = FleetWorker(
-        queue,
-        _store_for(args),
-        worker_id=args.worker_id,
-        backend=args.backend,
-    )
+    worker = FleetWorker(queue, _store_for(args), worker_id=args.worker_id)
     stats = worker.run(max_jobs=args.max_jobs, drain=not args.no_drain)
     print(
-        f"{stats.worker_id}: backend={stats.backend} "
-        f"claimed={stats.claimed} "
+        f"{stats.worker_id}: claimed={stats.claimed} "
         f"computed={stats.computed} reused={stats.reused} "
         f"failed={stats.failed} compute_seconds={stats.compute_seconds:.3f}"
     )
     return 1 if stats.failed else 0
-
-
-def _backend_mix(store, manifest, sample: int = 32) -> str:
-    """Kernel-backend provenance of a sweep's stored segments.
-
-    Reads up to ``sample`` stored segment entries' meta (backends are
-    never part of the key, so provenance lives only there) and returns
-    e.g. ``"numpy=30 numba=2"`` — or ``""`` when nothing is readable.
-    """
-    counts: dict = {}
-    seen = 0
-    for seg in manifest.get("segments", ()):
-        if seen >= sample:
-            break
-        key = seg.get("key")
-        if not key:
-            continue
-        try:
-            entry = store.get(key)
-        except Exception:
-            continue
-        if entry is None:
-            continue
-        seen += 1
-        name = entry.meta.get("backend", "?")
-        counts[name] = counts.get(name, 0) + 1
-    return " ".join(f"{name}={n}" for name, n in sorted(counts.items()))
 
 
 def _failed_jobs(queue, sweep_id) -> List[dict]:
@@ -289,7 +249,6 @@ def _cmd_status(args) -> int:
 
     queue = _queue_for(args)
     sweep_ids = [args.sweep] if args.sweep else queue.sweep_ids()
-    store = None
     health = None
     if getattr(args, "store", None):
         # Fold the store's degradation picture — breaker states,
@@ -344,10 +303,6 @@ def _cmd_status(args) -> int:
             f"failed={counts['failed']} reused={reused} "
             f"engine={manifest.get('engine', '?')}"
         )
-        if store is not None:
-            mix = _backend_mix(store, manifest)
-            if mix:
-                line += f" backends[{mix}]"
         print(line)
         if args.failed:
             for job in queue.jobs("failed", sweep_id):

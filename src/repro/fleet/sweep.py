@@ -221,7 +221,6 @@ def run_workers(
     n_workers: int = 2,
     sweep_id: str | None = None,
     poll_seconds: float = 0.02,
-    backend=None,
 ) -> List[WorkerStats]:
     """Drain a sweep with ``n_workers`` in-process worker threads.
 
@@ -230,25 +229,11 @@ def run_workers(
     placement is fixed by global trial index and the store dedups the
     compute.  Raises when jobs exhausted their attempts — a sweep with
     ``failed/`` jobs must not silently assemble.
-
-    ``backend`` selects every worker's kernel backend (or, as a list
-    with one entry per worker, a deliberately mixed fleet — results are
-    identical either way, since backends are pinned to the oracle).
     """
     if n_workers < 1:
         raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-    if isinstance(backend, (list, tuple)):
-        if len(backend) != n_workers:
-            raise ValueError(
-                f"backend list has {len(backend)} entries for "
-                f"{n_workers} workers"
-            )
-        per_worker = list(backend)
-    else:
-        per_worker = [backend] * n_workers
     workers = [
-        FleetWorker(queue, store, contexts=contexts, backend=per_worker[i])
-        for i in range(n_workers)
+        FleetWorker(queue, store, contexts=contexts) for _ in range(n_workers)
     ]
     Scheduler(max_workers=n_workers).run_jobs(
         [

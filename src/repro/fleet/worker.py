@@ -11,7 +11,9 @@ worker just moves jobs between them:
    workload spec);
 3. run the job's result through ``store.get_or_compute`` — if another
    worker (any process in the fleet) already stored the key, this is a
-   read, not a compute;
+   read, not a compute; a compute is the one kernel, through
+   :func:`~repro.plan.execute.execute_segment_cpu`, so every worker
+   writes the bytes a monolithic run would;
 4. mark the job done.
 
 One heartbeat thread per worker touches the claimed file while the
@@ -69,7 +71,6 @@ class WorkerStats:
     """What one worker did (fleet benchmarks and ``meta`` reporting)."""
 
     worker_id: str
-    backend: str = "numpy"
     claimed: int = 0
     computed: int = 0
     reused: int = 0
@@ -83,7 +84,6 @@ class WorkerStats:
     def as_dict(self) -> Dict[str, object]:
         return {
             "worker_id": self.worker_id,
-            "backend": self.backend,
             "claimed": self.claimed,
             "computed": self.computed,
             "reused": self.reused,
@@ -180,15 +180,6 @@ class FleetWorker:
     speculate:
         Allow idle-loop speculative re-execution of straggling peers'
         segments (see :meth:`speculate_one`).
-    backend:
-        Kernel backend this worker's segment computes dispatch through
-        (a registry name, instance, or None for the
-        ``REPRO_KERNEL_BACKEND``-then-numpy default).  Deliberately
-        absent from segment store keys: a fleet may mix numpy and
-        compiled workers and still assemble digest-identical YLTs.  The
-        resolved name is recorded per worker (stats) and per computed
-        segment (entry meta), so provenance survives even when results
-        are interchangeable.
     """
 
     def __init__(
@@ -201,10 +192,7 @@ class FleetWorker:
         fault_plan=None,
         speculate: bool = True,
         speculation_age_fraction: float = 0.5,
-        backend=None,
     ) -> None:
-        from repro.backends import active_backend_name
-
         self.queue = queue
         self.store = store
         self.contexts: Dict[str, FleetContext] = dict(contexts or {})
@@ -215,13 +203,9 @@ class FleetWorker:
         self.fault_plan = fault_plan
         self.speculate = bool(speculate)
         self.speculation_age_fraction = float(speculation_age_fraction)
-        self.backend = backend
-        self.backend_name = active_backend_name(backend)
         self._speculated_ids: Set[str] = set()
         self._heartbeat = _Heartbeat(queue)
-        self.stats = WorkerStats(
-            worker_id=self.worker_id, backend=self.backend_name
-        )
+        self.stats = WorkerStats(worker_id=self.worker_id)
 
     # ------------------------------------------------------------------
     def _count_retry(self, attempt, exc, delay) -> None:
@@ -260,7 +244,6 @@ class FleetWorker:
             dtype=np.dtype(ctx.dtype),
             secondary=ctx.secondary,
             secondary_seed=ctx.secondary_seed,
-            backend=self.backend,
         )
         seconds = time.perf_counter() - started
         # End-to-end checksums in the entry *meta*: verified by the
@@ -275,7 +258,6 @@ class FleetWorker:
                     "trial_start": task.trial_start,
                     "trial_stop": task.trial_stop,
                     "computed_by": self.worker_id,
-                    "backend": self.backend_name,
                     "seconds": seconds,
                 },
             )
@@ -336,13 +318,7 @@ class FleetWorker:
                 )
             )
         partial = attach_checksums(
-            build_partial(
-                members,
-                meta={
-                    "computed_by": self.worker_id,
-                    "backend": self.backend_name,
-                },
-            )
+            build_partial(members, meta={"computed_by": self.worker_id})
         )
         self._store_call(
             lambda: self.store.get_or_compute(job.key, lambda: partial)

@@ -203,16 +203,6 @@ class StackedDirectTable:
             np.multiply(block, self._share, out=block)
         return block
 
-    def raw_table(self) -> np.ndarray:
-        """The net loss matrix itself (read-only view).
-
-        What compiled kernel backends read: row ``e`` holds event
-        ``e``'s net loss in every ELT, so they need no term arrays.
-        """
-        view = self._table.view()
-        view.flags.writeable = False
-        return view
-
     def mean_accesses_per_lookup(self) -> float:
         """Memory reads per (event, ELT) query.
 

@@ -15,8 +15,9 @@ here.  Per layer the executor:
    fetch (the CSR views) overlaps task ``N``'s reduce on every lane —
    the double-buffering the sequential engine had and the multicore
    workers previously lacked;
-4. computes each task with :func:`task_losses`, the one kernel dispatch
-   shared with the fleet worker's single-segment path.
+4. computes each task with :func:`task_losses`, the one kernel call
+   (the numpy kernel of :mod:`repro.core.kernels`) shared with the
+   fleet worker's single-segment path.
 
 Outputs are written at each task's *global* trial range, and the
 kernels key all stochastic state by global occurrence index, so results
@@ -29,7 +30,6 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.backends import KernelBackend, resolve_backend
 from repro.core.kernels import (
     build_layer_tables,
     layer_trial_batch_ragged,
@@ -58,7 +58,6 @@ def execute_plan_cpu(
     scheduler: Scheduler | None = None,
     pools: Sequence[ScratchBufferPool] | None = None,
     cache=None,
-    backend: KernelBackend | str | None = None,
 ) -> YearLossTable:
     """Execute ``plan`` on the CPU kernels; returns the YLT.
 
@@ -80,12 +79,6 @@ def execute_plan_cpu(
         Wall-clock activity profile.  Per-slot compute and fetch charges
         are accumulated in worker-private profiles and folded in after
         each layer barrier, so the sums are CPU seconds across workers.
-    backend:
-        Kernel backend the ragged tasks dispatch through (resolved once
-        here via :func:`repro.backends.resolve_backend`, then handed to
-        every kernel call).  Excluded from the plan fingerprint: a
-        backend is held to the oracle's results, not a different
-        decomposition.
     """
     if plan.n_trials != yet.n_trials or plan.n_occurrences != yet.n_occurrences:
         raise ValueError(
@@ -108,7 +101,6 @@ def execute_plan_cpu(
     base_seed = (
         resolve_secondary_seed(secondary_seed) if secondary is not None else 0
     )
-    backend_obj = resolve_backend(backend)
 
     per_layer: Dict[int, np.ndarray] = {}
     for layer in portfolio.layers:
@@ -152,7 +144,6 @@ def execute_plan_cpu(
                     base_seed=base_seed,
                     pool=pool,
                     profile=wp,
-                    backend=backend_obj,
                     csr=csr,
                 )
 
@@ -186,7 +177,6 @@ def task_losses(
     base_seed: int = 0,
     pool: ScratchBufferPool | None = None,
     profile: ActivityProfile | None = None,
-    backend: KernelBackend | str | None = None,
     csr: tuple | None = None,
 ) -> np.ndarray:
     """Per-trial year losses of one plan task, on the CPU kernel.
@@ -217,7 +207,6 @@ def task_losses(
             profile=profile,
             dtype=dtype,
             pool=pool,
-            backend=backend,
         )
     return layer_trial_batch_ragged(
         ids,
@@ -228,7 +217,6 @@ def task_losses(
         profile=profile,
         dtype=dtype,
         pool=pool,
-        backend=backend,
     )
 
 
@@ -244,18 +232,13 @@ def execute_segment_cpu(
     cache=None,
     pool: ScratchBufferPool | None = None,
     profile: ActivityProfile | None = None,
-    backend: KernelBackend | str | None = None,
 ) -> np.ndarray:
     """Self-contained segment execution: tables + :func:`task_losses`.
 
     Returns the task's per-trial losses as ``float64`` — exactly the
     bytes a monolithic executor would write into its output row for
     this trial range, and therefore exactly what the fleet stores under
-    the segment's content-addressed key.  ``backend`` selects the
-    kernel backend for *this worker only*: segment keys are
-    backend-free (backends are held to the oracle's bytes), so a fleet
-    may mix backends per worker and still assemble digest-identical
-    YLTs.
+    the segment's content-addressed key.
     """
     layer = portfolio.layer(task.layer_id)
     profile = profile if profile is not None else ActivityProfile()
@@ -282,6 +265,5 @@ def execute_segment_cpu(
         base_seed=base_seed,
         pool=pool,
         profile=profile,
-        backend=backend,
     )
     return out

@@ -21,9 +21,10 @@ plan-level :class:`~repro.plan.cache.PlanResultCache`:
   re-quoting an unchanged structure is a pure cache hit.
 
 Quotes are **bit-for-bit identical** to a sequential-engine run of the
-same single-layer candidate portfolio: the cached vector is
-decomposition-invariant (tasks are keyed by global occurrence index)
-and the finish is exactly the fused kernel's layer-terms pass.
+same single-layer candidate portfolio: the cached vector is the one
+kernel's combine step, decomposition-invariant (tasks are keyed by
+global occurrence index), and the finish is exactly the kernel's
+layer-terms pass.
 """
 
 from __future__ import annotations
@@ -114,12 +115,6 @@ class QuoteService:
         like the engines, so seeded service quotes equal seeded engine
         runs.  (Candidates with different ``layer_id`` draw independent
         streams and therefore cannot share a base vector.)
-    backend:
-        Kernel backend the base-vector gather dispatches through (a
-        registry name, instance, or None for the
-        ``REPRO_KERNEL_BACKEND``-then-numpy default).  Excluded from
-        every cache key — backends are held to the numpy oracle's
-        results, so quotes are interchangeable across backends.
     cache_size:
         LRU capacity of the base-vector cache (entries are one word per
         YET occurrence each); the finished-loss cache holds
@@ -148,7 +143,6 @@ class QuoteService:
         dtype: np.dtype | type = np.float64,
         secondary=None,
         secondary_seed=None,
-        backend=None,
         cache_size: int = 16,
         store=None,
     ) -> None:
@@ -168,9 +162,6 @@ class QuoteService:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         self.lookup_kind = lookup_kind
         self.dtype = np.dtype(dtype)
-        # Kernel backend for the base-vector gather (never part of
-        # cache keys: backends are pinned to the oracle's results).
-        self.backend = backend
         self.secondary = secondary
         self._secondary_base_seed = (
             resolve_secondary_seed(secondary_seed)
@@ -229,12 +220,6 @@ class QuoteService:
         if not self.history:
             return 0.0
         return sum(r.analysis_seconds for r in self.history) / len(self.history)
-
-    def backend_name(self) -> str:
-        """Resolved kernel-backend name quotes dispatch to."""
-        from repro.backends import active_backend_name
-
-        return active_backend_name(self.backend)
 
     def _stream_key(self, layer_id: int) -> int:
         if self.secondary is None:
@@ -308,7 +293,6 @@ class QuoteService:
                     secondary=self.secondary,
                     stream_key=stream_key,
                     occ_base=task.occ_start,
-                    backend=self.backend,
                 )
 
         self._scheduler.run_layer(plan, probe.layers[0].layer_id, run_slot)

@@ -174,7 +174,6 @@ class ScenarioCampaign:
         policy: Optional[EarlyStopPolicy] = None,
         n_workers: int = 2,
         workload_spec=None,
-        backend=None,
         drain_timeout: float = 300.0,
     ) -> None:
         self.workload = workload
@@ -206,7 +205,6 @@ class ScenarioCampaign:
             )
         self.n_workers = int(n_workers)
         self.workload_spec = workload_spec
-        self.backend = backend
         self.drain_timeout = float(drain_timeout)
 
     def campaign_fingerprint(self) -> str:
@@ -314,7 +312,6 @@ class ScenarioCampaign:
                     contexts={ticket.sweep_id: ctx},
                     n_workers=self.n_workers,
                     sweep_id=ticket.sweep_id,
-                    backend=self.backend,
                 )
             elif not wait_for_drain(
                 self.queue, ticket.sweep_id, timeout=self.drain_timeout

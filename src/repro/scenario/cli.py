@@ -175,11 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
         "drain the queue)",
     )
     run.add_argument(
-        "--backend",
-        default=None,
-        help="kernel backend for in-process workers (numpy/numba/auto)",
-    )
-    run.add_argument(
         "--early-stop",
         action="store_true",
         help="staged trials with PML/TVaR early stopping",
@@ -311,7 +306,6 @@ def _cmd_run(args) -> int:
         policy=policy,
         n_workers=args.workers,
         workload_spec=spec,
-        backend=args.backend,
     )
 
     def progress(outcome):

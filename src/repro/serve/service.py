@@ -245,7 +245,7 @@ class QuoteFrontEnd:
     def stats(self) -> Dict[str, object]:
         """The whole serving picture in one dict.
 
-        The active kernel backend, gate occupancy and sheds, brownout
+        Gate occupancy and sheds, brownout
         state and transitions, request outcomes and admitted-latency
         percentiles, the plan caches, and — when store-backed — the flattened
         store health (breaker states, degradation counters, hedged-read
@@ -253,7 +253,6 @@ class QuoteFrontEnd:
         """
         cache = self.service.cache_stats()
         out: Dict[str, object] = {
-            "backend": self.service.backend_name(),
             "gate": self.gate.stats(),
             "brownout": self.brownout.stats(),
             "requests": {

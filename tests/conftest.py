@@ -1,6 +1,10 @@
-"""Shared fixtures: canned workloads at test-friendly sizes."""
+"""Shared fixtures: canned workloads at test-friendly sizes, and a check
+that no test leaves a non-daemon thread running."""
 
 from __future__ import annotations
+
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -73,3 +77,29 @@ def reference_ylt(tiny_workload):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20130812)
+
+
+#: how long a test's leftover non-daemon threads get to finish on their own
+THREAD_JOIN_SECONDS = 5.0
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail a test that starts a non-daemon thread and leaves it alive.
+
+    Such a thread keeps the interpreter from exiting.  Threads that are
+    merely finishing get a bounded join first.
+    """
+    before = set(threading.enumerate())
+    yield
+    leaked = [
+        t
+        for t in threading.enumerate()
+        if t not in before and not t.daemon and t.is_alive()
+    ]
+    deadline = time.monotonic() + THREAD_JOIN_SECONDS
+    for thread in leaked:
+        thread.join(max(0.0, deadline - time.monotonic()))
+    alive = sorted(t.name for t in leaked if t.is_alive())
+    if alive:
+        pytest.fail(f"non-daemon threads outlived the test: {alive}")

@@ -3,7 +3,9 @@
 Every implementation of Algorithm 1 must produce the same YLT on the same
 inputs — exactly (float64 engines) or within float32 tolerance (reduced-
 precision engines).  This is checked on fixtures and, with hypothesis, on
-randomly generated portfolios/YETs.
+randomly generated portfolios/YETs.  The degenerate cases of the kernel
+differential test also run on a per-ELT lookup kind and through the
+quote service's split of the kernel (combine, then finish).
 """
 
 import numpy as np
@@ -11,10 +13,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.algorithm import aggregate_risk_analysis_reference
+from repro.core.kernels import (
+    build_layer_tables,
+    combined_occurrence_losses,
+    finish_layer_losses,
+)
+from repro.core.secondary import layer_stream_key, resolve_secondary_seed
 from repro.data.elt import ELTFinancialTerms, EventLossTable
 from repro.data.layer import Layer, LayerTerms, Portfolio
 from repro.data.yet import YearEventTable
 from repro.engines.registry import available_engines, create_engine
+from repro.engines.sequential import ReferenceEngine, SequentialEngine
+from tests.test_kernel_differential import CATALOG as DIFF_CATALOG
+from tests.test_kernel_differential import SU, random_case
 
 EXACT_ENGINES = ("sequential", "multicore", "gpu")
 FLOAT32_ENGINES = ("gpu-optimized", "multi-gpu")
@@ -138,3 +149,41 @@ def test_lookup_kind_never_changes_results(problem, kind):
         yet, portfolio, CATALOG
     )
     assert reference.allclose(result.ylt, rtol=1e-9, atol=1e-6)
+
+
+@pytest.mark.parametrize("lookup_kind", ["direct", "sorted"])
+@pytest.mark.parametrize("secondary", [False, True], ids=["primary", "secondary"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_lookup_kinds_and_quote_split_match_reference(
+    seed, dtype, secondary, lookup_kind
+):
+    """Every lookup kind, with and without secondary uncertainty, agrees
+    with the scalar reference; the quote service's combined vector keeps
+    the working dtype, and finishing it gives the engine's bytes."""
+    yet, portfolio = random_case(seed, 3)
+    options = dict(secondary=SU, secondary_seed=seed) if secondary else {}
+    expected = ReferenceEngine(**options).run(yet, portfolio, DIFF_CATALOG)
+    expected = expected.ylt.losses[0]
+    engine = SequentialEngine(lookup_kind=lookup_kind, dtype=dtype, **options)
+    losses = engine.run(yet, portfolio, DIFF_CATALOG).ylt.losses[0]
+    rtol = 1e-12 if dtype == np.float64 else 1e-5
+    scale = max(1.0, float(np.abs(expected).max()))
+    np.testing.assert_allclose(losses, expected, rtol=rtol, atol=rtol * scale)
+
+    layer = portfolio.layers[0]
+    lookups, stacked, _ = build_layer_tables(
+        portfolio.elts_of(layer), DIFF_CATALOG, lookup_kind, dtype
+    )
+    stream = {}
+    if secondary:
+        base_seed = resolve_secondary_seed(seed)
+        stream = dict(
+            secondary=SU, stream_key=layer_stream_key(base_seed, layer.layer_id)
+        )
+    combined = combined_occurrence_losses(
+        yet.event_ids, lookups, stacked, dtype=dtype, **stream
+    )
+    assert combined.dtype == np.dtype(dtype)
+    year = finish_layer_losses(combined, yet.offsets, layer.terms)
+    assert year.tobytes() == losses.tobytes()

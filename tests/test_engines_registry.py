@@ -69,3 +69,20 @@ class TestRegistry:
         for name in available_engines():
             engine = create_engine(name, **superset)
             assert isinstance(engine, Engine)
+
+
+@pytest.mark.parametrize(
+    "surface", [*available_engines(), "repro-fleet worker"]
+)
+def test_no_backend_option(surface, tmp_path, capsys):
+    """One kernel implementation: ``backend`` is an option nowhere."""
+    if surface == "repro-fleet worker":
+        from repro.fleet.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["worker", "--queue", str(tmp_path / "q"), "--backend", "numpy"])
+        assert exc.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+    else:
+        with pytest.raises(TypeError, match="backend"):
+            create_engine(surface, backend="numpy")

@@ -443,11 +443,11 @@ class TestQuoteOffload:
         queue = JobQueue(tmp_path / "q")
         store = SharedFileStore(tmp_path / "cache")
         catalog_size = small_workload.catalog.n_events
-        service = QuoteService(
+        with QuoteService(
             small_workload.yet, elts, catalog_size, max_workers=1,
             store=store,
-        )
-        ticket = service.enqueue_quotes(queue, terms_pool)
+        ) as service:
+            ticket = service.enqueue_quotes(queue, terms_pool)
         assert ticket["submitted"] == 2
         # drain with a worker that resolves the registered context
         from repro.fleet.context import FleetContext
@@ -464,16 +464,17 @@ class TestQuoteOffload:
         for key in ticket["keys"]:
             assert store.contains(key)
         # a fresh service replays every candidate from the store
-        fresh = QuoteService(
+        with QuoteService(
             small_workload.yet, elts, catalog_size, max_workers=1,
             store=store,
-        )
-        records = fresh.quote_many(terms_pool)
-        assert fresh.cache_stats()["losses"]["store_hits"] == 2
+        ) as fresh:
+            records = fresh.quote_many(terms_pool)
+            assert fresh.cache_stats()["losses"]["store_hits"] == 2
         # and the numbers equal a storeless compute
-        direct = QuoteService(
+        with QuoteService(
             small_workload.yet, elts, catalog_size, max_workers=1
-        ).quote_many(terms_pool)
+        ) as direct_service:
+            direct = direct_service.quote_many(terms_pool)
         for a, b in zip(records, direct):
             assert a.quote.expected_loss == b.quote.expected_loss
 
@@ -481,11 +482,11 @@ class TestQuoteOffload:
         from repro.pricing.realtime import QuoteService
 
         elts = list(small_workload.portfolio.elts.values())
-        service = QuoteService(
+        with QuoteService(
             small_workload.yet, elts, small_workload.catalog.n_events
-        )
-        with pytest.raises(ValueError, match="store-backed"):
-            service.enqueue_quotes(JobQueue(tmp_path / "q"), [])
+        ) as service:
+            with pytest.raises(ValueError, match="store-backed"):
+                service.enqueue_quotes(JobQueue(tmp_path / "q"), [])
 
     def test_resubmission_reuses_stored_quotes(
         self, small_workload, tmp_path
@@ -497,12 +498,12 @@ class TestQuoteOffload:
         request = [(tuple(e.elt_id for e in elts), layer.terms)]
         queue = JobQueue(tmp_path / "q")
         store = SharedFileStore(tmp_path / "cache")
-        service = QuoteService(
+        with QuoteService(
             small_workload.yet, elts, small_workload.catalog.n_events,
             max_workers=1, store=store,
-        )
-        service.quote_many(request)  # computes + persists
-        ticket = service.enqueue_quotes(queue, request)
+        ) as service:
+            service.quote_many(request)  # computes + persists
+            ticket = service.enqueue_quotes(queue, request)
         assert ticket["submitted"] == 0
         assert ticket["reused"] == 1
 
