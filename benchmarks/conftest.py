@@ -6,6 +6,9 @@ paper numbers and paper-scale model predictions to each benchmark's
 ``extra_info`` so the JSON output carries the full comparison.
 
 Set ``REPRO_BENCH_SCALE=default`` or ``large`` for heavier measured runs.
+
+The autouse ``no_leaked_threads`` check of ``tests/conftest.py`` applies
+here too: a benchmark that leaves a non-daemon thread alive fails.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import pytest
 from repro.bench.report import format_report
 from repro.bench.runner import get_workload
 from repro.data.presets import BENCH_DEFAULT, BENCH_LARGE, BENCH_SMALL
+from tests.conftest import no_leaked_threads  # noqa: F401  (autouse)
 
 _SCALES = {
     "small": BENCH_SMALL,

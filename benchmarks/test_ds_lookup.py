@@ -46,20 +46,23 @@ def test_combined_table_row_fetch(benchmark, workload, queries):
     assert out.shape == (100_000, len(elts))
 
 
-def test_ds_report_direct_is_fastest(benchmark, spec, print_report):
-    report = benchmark.pedantic(
-        lambda: data_structures(
-            measured_spec=spec, measure=True, n_queries=200_000
-        ),
-        rounds=1,
-        iterations=1,
-    )
+@pytest.fixture(scope="module")
+def ds_report(spec, print_report):
+    report = data_structures(measured_spec=spec, measure=True, n_queries=200_000)
     print_report(report)
-    rows = {r["kind"]: r for r in report.rows}
-    # The paper's trade: most memory, fewest accesses, fastest lookups.
-    assert rows["direct"]["measured_ns_per_lookup"] == min(
-        r["measured_ns_per_lookup"] for r in rows.values()
+    return {r["kind"]: r for r in report.rows}
+
+
+def test_ds_report_direct_uses_most_memory(ds_report):
+    # The paper's trade: the direct table pays the most memory ...
+    assert ds_report["direct"]["total_bytes"] == max(
+        r["total_bytes"] for r in ds_report.values()
     )
-    assert rows["direct"]["total_bytes"] == max(
-        r["total_bytes"] for r in rows.values()
+
+
+@pytest.mark.wallclock
+def test_ds_report_direct_is_fastest(ds_report):
+    # ... for the fewest accesses and the fastest lookups.
+    assert ds_report["direct"]["measured_ns_per_lookup"] == min(
+        r["measured_ns_per_lookup"] for r in ds_report.values()
     )

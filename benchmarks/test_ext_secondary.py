@@ -8,11 +8,7 @@ import numpy as np
 import pytest
 
 from repro.bench.experiments import ext_secondary
-from repro.core.kernels import (
-    build_layer_tables,
-    layer_trial_batch_ragged,
-    layer_trial_batch_secondary_ragged,
-)
+from repro.core.kernels import build_layer_tables, layer_trial_batch_ragged
 from repro.core.secondary import SecondaryUncertainty, layer_stream_key
 
 
@@ -39,11 +35,11 @@ def test_secondary_uncertainty_kernel(benchmark, kernel_inputs):
     args, stacked, layer = kernel_inputs
     su = SecondaryUncertainty(4.0, 4.0)
     year = benchmark(
-        layer_trial_batch_secondary_ragged,
+        layer_trial_batch_ragged,
         *args,
-        su,
-        layer_stream_key(42, layer.layer_id),
         stacked=stacked,
+        secondary=su,
+        stream_key=layer_stream_key(42, layer.layer_id),
     )
     benchmark.extra_info["multiplier_cv"] = su.multiplier_cv
     assert np.all(year >= 0)

@@ -24,7 +24,7 @@ Quickstart::
 
 from repro.core.analysis import AggregateRiskAnalysis, AnalysisResult
 from repro.core.algorithm import aggregate_risk_analysis_reference
-from repro.core.kernels import autotune_batch_trials, run_ragged
+from repro.core.kernels import autotune_batch_trials
 from repro.core.occurrence import max_occurrence_losses, occurrence_frequency
 from repro.core.secondary import SecondaryUncertainty
 from repro.data import (
@@ -96,7 +96,6 @@ __all__ = [
     "AnalysisResult",
     "aggregate_risk_analysis_reference",
     "autotune_batch_trials",
-    "run_ragged",
     "SecondaryUncertainty",
     "BENCH_DEFAULT",
     "BENCH_LARGE",

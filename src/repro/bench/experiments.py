@@ -1413,11 +1413,7 @@ def ext_secondary(
     measured_spec: WorkloadSpec = DEFAULT_MEASURED, measure: bool = True
 ) -> ExperimentReport:
     """Secondary uncertainty: distributional cost and statistical effect."""
-    from repro.core.kernels import (
-        build_layer_tables,
-        layer_trial_batch_ragged,
-        layer_trial_batch_secondary_ragged,
-    )
+    from repro.core.kernels import build_layer_tables, layer_trial_batch_ragged
     from repro.core.secondary import SecondaryUncertainty, layer_stream_key
 
     report = ExperimentReport(
@@ -1434,31 +1430,22 @@ def ext_secondary(
             np.float64,
         )
         ids, offsets = workload.yet.event_ids, workload.yet.offsets
-        started = time.perf_counter()
-        base = layer_trial_batch_ragged(
-            ids, offsets, lookups, layer.terms, stacked=stacked
-        )
-        base_seconds = time.perf_counter() - started
         for cv_label, su in (
             ("none", None),
             ("beta(4,4)", SecondaryUncertainty(4.0, 4.0)),
             ("beta(2,2)", SecondaryUncertainty(2.0, 2.0)),
         ):
-            if su is None:
-                year = base
-                seconds = base_seconds
-            else:
-                started = time.perf_counter()
-                year = layer_trial_batch_secondary_ragged(
-                    ids,
-                    offsets,
-                    lookups,
-                    layer.terms,
-                    su,
-                    layer_stream_key(42, layer.layer_id),
-                    stacked=stacked,
-                )
-                seconds = time.perf_counter() - started
+            started = time.perf_counter()
+            year = layer_trial_batch_ragged(
+                ids,
+                offsets,
+                lookups,
+                layer.terms,
+                stacked=stacked,
+                secondary=su,
+                stream_key=layer_stream_key(42, layer.layer_id),
+            )
+            seconds = time.perf_counter() - started
             report.add(
                 uncertainty=cv_label,
                 multiplier_cv=0.0 if su is None else su.multiplier_cv,

@@ -6,8 +6,9 @@
   Algorithm 1, the correctness oracle for every engine.
 * :mod:`repro.core.kernels` — the numeric kernel every implementation
   in :mod:`repro.engines` shares: ragged CSR execution, stacked
-  multi-ELT gathers, pooled scratch buffers, double-buffered batch
-  streaming and the L2-aware batch autotuner.
+  multi-ELT gathers, pooled scratch buffers, one trial-batch entry
+  (with or without secondary uncertainty) and the L2-aware batch
+  autotuner.
 * :mod:`repro.core.analysis` — the high-level
   :class:`~repro.core.analysis.AggregateRiskAnalysis` entry point.
 * :mod:`repro.core.secondary` — the paper's future-work extension:
@@ -25,9 +26,7 @@ from repro.core.kernels import (
     autotune_batch_trials,
     get_l2_cache_bytes,
     layer_trial_batch_ragged,
-    layer_trial_batch_secondary_ragged,
     occ_chunk_for,
-    run_ragged,
     segment_sums,
 )
 from repro.core.analysis import AggregateRiskAnalysis, AnalysisResult
@@ -44,9 +43,7 @@ __all__ = [
     "autotune_batch_trials",
     "get_l2_cache_bytes",
     "layer_trial_batch_ragged",
-    "layer_trial_batch_secondary_ragged",
     "occ_chunk_for",
-    "run_ragged",
     "segment_sums",
     "AggregateRiskAnalysis",
     "AnalysisResult",

@@ -7,6 +7,13 @@ sequential C++ to four GPUs.  The numpy code below is the kernel's only
 implementation; the golden YLT digests and the scalar
 :class:`~repro.engines.sequential.ReferenceEngine` pin it.
 
+:func:`layer_trial_batch_ragged` is the one batch entry: every engine
+calls it per trial block, with or without secondary uncertainty.  It is
+:func:`combined_occurrence_losses` (steps 1–2, where the plain or
+secondary-uncertainty fill is chosen) followed by
+:func:`finish_layer_losses` (steps 3–4), the same two halves the quote
+service calls separately to reuse the first across candidate layers.
+
 The paper's central lesson is that aggregate risk analysis is
 memory-bound: every optimisation that won (direct access tables, chunked
 shared-memory staging, reduced precision) cuts bytes moved per trial.
@@ -55,14 +62,11 @@ from repro.core.terms import (
     apply_aggregate_terms_cumulative,
     apply_occurrence_terms,
 )
-from repro.data.layer import LayerTerms, Portfolio
-from repro.data.yet import YearEventTable
-from repro.data.ylt import YearLossTable
+from repro.data.layer import LayerTerms
 from repro.lookup.base import LossLookup
 from repro.lookup.combined import StackedDirectTable
 from repro.lookup.factory import LookupCache, get_lookup_cache
 from repro.utils.bufpool import ScratchBufferPool
-from repro.utils.rng import SeedLike
 from repro.utils.timer import (
     ACTIVITY_FINANCIAL,
     ACTIVITY_LAYER,
@@ -275,7 +279,7 @@ def segment_sums(
 
 
 # ----------------------------------------------------------------------
-# Layer table selection (shared by run_ragged and every engine)
+# Layer table selection (shared by every engine)
 # ----------------------------------------------------------------------
 def build_layer_tables(
     elts,
@@ -475,6 +479,11 @@ def combined_occurrence_losses(
     vector (:func:`finish_layer_losses`).  ``out`` (shape ``(n_occ,)``
     in the working dtype) avoids allocating — the service passes slices
     of its cached full-YET vector, one per plan task.
+
+    The kernel's only plain-or-secondary choice is made here: with
+    ``secondary`` the fill draws per-(occurrence, ELT) multipliers keyed
+    by ``stream_key`` and the global occurrence index ``occ_base + i``
+    (see :func:`layer_trial_batch_ragged`).
     """
     profile = profile if profile is not None else ActivityProfile()
     pool = pool if pool is not None else ScratchBufferPool()
@@ -487,6 +496,8 @@ def combined_occurrence_losses(
     elif out.shape != (ids.size,):
         raise ValueError(f"out shape {out.shape} != ({ids.size},)")
     if secondary is not None:
+        if occ_base < 0:
+            raise ValueError(f"occ_base must be >= 0, got {occ_base}")
         _fill_combined_secondary(
             ids, lookups, stacked, out, secondary, stream_key,
             occ_base, profile, pool,
@@ -527,8 +538,16 @@ def layer_trial_batch_ragged(
     profile: ActivityProfile | None = None,
     dtype: np.dtype | type = np.float64,
     pool: ScratchBufferPool | None = None,
+    *,
+    secondary: SecondaryUncertainty | None = None,
+    stream_key: int = 0,
+    occ_base: int = 0,
 ) -> np.ndarray:
     """Steps 1–4 of Algorithm 1 over a ragged CSR trial block, fused.
+
+    :func:`combined_occurrence_losses` into a pooled vector, then
+    :func:`finish_layer_losses` over it — the one batch entry every
+    engine calls, with or without secondary uncertainty.
 
     Parameters
     ----------
@@ -550,6 +569,24 @@ def layer_trial_batch_ragged(
     pool:
         Scratch-buffer pool for working arrays (a private throwaway pool
         is used if omitted — pass one to reuse buffers across batches).
+    secondary:
+        The Beta damage-ratio model; when given, multipliers are sampled
+        **directly into pooled scratch** beside the gathered gross block
+        (one Philox-counter inverse-transform draw per (occurrence, ELT)
+        pair — see :meth:`SecondaryUncertainty.multipliers_for_span`)
+        and applied before the financial terms.  No dense
+        ``(trials, events)`` matrix — of losses *or* of multipliers — is
+        ever materialised.
+    stream_key:
+        Base key of this layer's multiplier stream
+        (:func:`~repro.core.secondary.layer_stream_key`); unused without
+        ``secondary``.
+    occ_base:
+        Global index of ``event_ids[0]`` in the full YET's flat
+        occurrence array.  Multipliers are addressed by *global*
+        occurrence index, so any decomposition of the trial space —
+        engine chunks, trial batches, occurrence chunks — reproduces
+        identical draws per (occurrence, ELT) pair.
 
     Returns
     -------
@@ -558,166 +595,24 @@ def layer_trial_batch_ragged(
     """
     profile = profile if profile is not None else ActivityProfile()
     pool = pool if pool is not None else ScratchBufferPool()
-    ids = np.asarray(event_ids)
     offs = np.asarray(offsets)
-    if ids.ndim != 1:
-        raise ValueError(f"event_ids must be 1-D, got shape {ids.shape}")
     if offs.ndim != 1 or offs.size < 1:
         raise ValueError("offsets must be 1-D with at least one entry")
-    work = np.dtype(dtype)
-    n_occ = ids.size
-
-    combined = pool.take((n_occ,), work)
+    combined = pool.take((np.size(event_ids),), dtype)
     try:
-        _fill_combined(ids, lookups, stacked, combined, profile, pool)
-        year = finish_layer_losses(combined, offs, layer_terms, profile=profile)
-    finally:
-        pool.give(combined)
-    return year
-
-
-def layer_trial_batch_secondary_ragged(
-    event_ids: np.ndarray,
-    offsets: np.ndarray,
-    lookups: Sequence[LossLookup] | None,
-    layer_terms: LayerTerms,
-    uncertainty: SecondaryUncertainty,
-    stream_key: int,
-    stacked: StackedDirectTable | None = None,
-    occ_base: int = 0,
-    profile: ActivityProfile | None = None,
-    dtype: np.dtype | type = np.float64,
-    pool: ScratchBufferPool | None = None,
-) -> np.ndarray:
-    """:func:`layer_trial_batch_ragged` with per-(occurrence, ELT) draws.
-
-    The fused secondary-uncertainty kernel: damage-ratio multipliers are
-    sampled **directly into pooled scratch** beside the gathered loss
-    block (one Philox-counter inverse-transform draw per pair — see
-    :meth:`SecondaryUncertainty.multipliers_for_span`) and applied inside
-    the stacked-gather occurrence chunk, before the in-place financial
-    terms.  No dense ``(trials, events)`` matrix — of losses *or* of
-    multipliers — is ever materialised.
-
-    Parameters beyond :func:`layer_trial_batch_ragged`'s
-    ----------------------------------------------------
-    uncertainty:
-        The Beta damage-ratio model.
-    stream_key:
-        Base key of this layer's multiplier stream
-        (:func:`~repro.core.secondary.layer_stream_key`).
-    occ_base:
-        Global index of ``event_ids[0]`` in the full YET's flat
-        occurrence array.  Multipliers are addressed by *global*
-        occurrence index, so any decomposition of the trial space — engine
-        chunks, trial batches, occurrence chunks — reproduces identical
-        draws per (occurrence, ELT) pair.
-    """
-    profile = profile if profile is not None else ActivityProfile()
-    pool = pool if pool is not None else ScratchBufferPool()
-    ids = np.asarray(event_ids)
-    offs = np.asarray(offsets)
-    if ids.ndim != 1:
-        raise ValueError(f"event_ids must be 1-D, got shape {ids.shape}")
-    if offs.ndim != 1 or offs.size < 1:
-        raise ValueError("offsets must be 1-D with at least one entry")
-    if occ_base < 0:
-        raise ValueError(f"occ_base must be >= 0, got {occ_base}")
-    work = np.dtype(dtype)
-    n_occ = ids.size
-
-    combined = pool.take((n_occ,), work)
-    try:
-        _fill_combined_secondary(
-            ids,
+        combined_occurrence_losses(
+            event_ids,
             lookups,
             stacked,
-            combined,
-            uncertainty,
-            stream_key,
-            occ_base,
-            profile,
-            pool,
+            dtype=dtype,
+            out=combined,
+            profile=profile,
+            pool=pool,
+            secondary=secondary,
+            stream_key=stream_key,
+            occ_base=occ_base,
         )
         year = finish_layer_losses(combined, offs, layer_terms, profile=profile)
     finally:
         pool.give(combined)
     return year
-
-
-def run_ragged(
-    yet: YearEventTable,
-    portfolio: Portfolio,
-    catalog_size: int,
-    lookup_kind: str = "direct",
-    dtype: np.dtype | type = np.float64,
-    batch_trials: int | None = None,
-    profile: ActivityProfile | None = None,
-    budget_bytes: int = DEFAULT_BATCH_BUDGET_BYTES,
-    cache: LookupCache | None = None,
-    pool: ScratchBufferPool | None = None,
-    secondary: SecondaryUncertainty | None = None,
-    secondary_seed: SeedLike = None,
-) -> YearLossTable:
-    """Full analysis with the fused ragged kernel, batched over trials.
-
-    ``batch_trials=None`` (the default) invokes
-    :func:`autotune_batch_trials` with ``budget_bytes`` — the default
-    is a memory policy, not all-trials-at-once.
-    Lookup builds go through ``cache`` (the process-wide
-    :func:`~repro.lookup.factory.get_lookup_cache` by default) so layers
-    sharing ELTs — and repeated runs — build each table once.
-
-    Batches are double-buffered through
-    :func:`~repro.utils.bufpool.stream_batches`: a background thread
-    fetches batch ``N + 1``'s CSR slice and gather indices while batch
-    ``N`` reduces — the paper's overlap of chunk fetch with compute, at
-    host-batch granularity.  For the in-memory YET the fetch is
-    zero-copy (no extra scratch); sources that must stage reads borrow
-    from the streamer's two slot pools.
-
-    ``secondary`` switches every batch to the fused secondary-uncertainty
-    kernel (:func:`layer_trial_batch_secondary_ragged`).  Multiplier
-    draws are keyed by ``secondary_seed`` and the *global* occurrence
-    index, so results are reproducible for a given seed and invariant to
-    batch size.
-
-    Since the plan/execute split this is a thin veneer over the shared
-    decomposition machinery: a single-slot
-    :class:`~repro.plan.planner.Planner` plan (which owns the autotune
-    policy) executed by :func:`~repro.plan.execute.execute_plan_cpu` —
-    the same path every CPU engine runs.
-    """
-    # Deferred: repro.plan imports this module for the shared policy
-    # helpers (autotune, occ_chunk_for), so the import cannot be at
-    # module scope.
-    from repro.plan.execute import execute_plan_cpu
-    from repro.plan.planner import EngineCapabilities, Planner
-    from repro.plan.scheduler import Scheduler
-
-    cache = cache if cache is not None else get_lookup_cache()
-    caps = EngineCapabilities(
-        engine="run-ragged",
-        n_slots=1,
-        batch_trials=(
-            None if batch_trials is None else max(1, int(batch_trials))
-        ),
-        budget_bytes=budget_bytes,
-        dtype=np.dtype(dtype).str,
-        secondary=secondary is not None,
-    )
-    plan = Planner().plan(yet, portfolio, caps)
-    return execute_plan_cpu(
-        yet,
-        portfolio,
-        catalog_size,
-        plan,
-        lookup_kind=lookup_kind,
-        dtype=dtype,
-        secondary=secondary,
-        secondary_seed=secondary_seed,
-        profile=profile,
-        scheduler=Scheduler(max_workers=1),
-        pools=None if pool is None else [pool],
-        cache=cache,
-    )

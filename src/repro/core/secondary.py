@@ -12,8 +12,9 @@ Each (event occurrence, ELT) pair draws an independent multiplier inside
 the kernel, which multiplies the lookup cost by a per-access RNG draw —
 exactly the "fine grain analysis" workload the paper anticipates.
 
-Sampling is **counter-based inverse-transform sampling**
-(used by :func:`repro.core.kernels.layer_trial_batch_secondary_ragged`).
+Sampling is **counter-based inverse-transform sampling** (used by
+:func:`repro.core.kernels.layer_trial_batch_ragged` when it is given
+``secondary=``).
 One Philox uniform per (occurrence, ELT) pair indexes a cached
 equiprobable-quantile table of the rescaled Beta (the GPU-friendly
 formulation — a counter-addressable RNG plus a table read, no rejection

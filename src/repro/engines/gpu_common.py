@@ -51,11 +51,7 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from repro.core.kernels import (
-    layer_trial_batch_ragged,
-    layer_trial_batch_secondary_ragged,
-    occ_chunk_for,
-)
+from repro.core.kernels import layer_trial_batch_ragged, occ_chunk_for
 from repro.core.secondary import SecondaryUncertainty
 from repro.data.layer import LayerTerms
 from repro.data.yet import YearEventTable
@@ -431,29 +427,18 @@ class ARAKernel(SimKernel):
     # -- execution ----------------------------------------------------------
     def run_range(self, start: int, stop: int, counters: DeviceCounters) -> None:
         ids, offs = self.yet.csr_block(start, stop)
-        if self.secondary is not None:
-            year = layer_trial_batch_secondary_ragged(
-                ids,
-                offs,
-                self.lookups,
-                self.layer_terms,
-                self.secondary,
-                self.secondary_stream_key,
-                stacked=self.stacked,
-                occ_base=self.occ_origin + int(self.yet.offsets[start]),
-                dtype=self.dtype,
-                pool=self._pool,
-            )
-        else:
-            year = layer_trial_batch_ragged(
-                ids,
-                offs,
-                self.lookups,
-                self.layer_terms,
-                stacked=self.stacked,
-                dtype=self.dtype,
-                pool=self._pool,
-            )
+        year = layer_trial_batch_ragged(
+            ids,
+            offs,
+            self.lookups,
+            self.layer_terms,
+            stacked=self.stacked,
+            dtype=self.dtype,
+            pool=self._pool,
+            secondary=self.secondary,
+            stream_key=self.secondary_stream_key,
+            occ_base=self.occ_origin + int(self.yet.offsets[start]),
+        )
         self.out[start:stop] = year
         if self.traffic == TRAFFIC_FUSED:
             record_ragged_traffic(

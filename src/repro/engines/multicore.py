@@ -13,9 +13,8 @@ locality for the cache hierarchy to exploit.
 
 Lanes are cut at equal cumulative *occurrence* counts — the multi-GPU
 engine's ``balance="events"`` rule — so ragged YETs hand every worker a
-near-equal share of actual lookups; inside a lane, tasks stream through
-the executor's double-buffered fetch (chunk fetch overlaps reduce,
-matching the sequential engine).
+near-equal share of actual lookups; inside a lane, tasks run in order
+on the lane's worker thread, as in the sequential engine.
 """
 
 from __future__ import annotations
@@ -80,7 +79,7 @@ class MulticoreEngine(Engine):
         return self.n_cores * self.threads_per_core
 
     def capabilities(self) -> EngineCapabilities:
-        # Lanes sub-batch (streaming double buffer).
+        # Lanes sub-batch, as in the sequential engine.
         return EngineCapabilities(
             engine=self.name,
             n_slots=self.n_logical_threads,

@@ -3,8 +3,8 @@
 One thread, executing a single-lane :class:`~repro.plan.plan.
 ExecutionPlan`: the shared :class:`~repro.plan.planner.Planner` cuts the
 trial space into batch tasks (a fixed depth, or the autotuner's byte
-budget) and :func:`~repro.plan.execute.execute_plan_cpu` streams
-them with a double-buffered fetch.  The per-activity wall-clock profile
+budget) and :func:`~repro.plan.execute.execute_plan_cpu` runs them
+in order on the calling thread.  The per-activity wall-clock profile
 directly measures the Figure 6 breakdown (the paper's finding on this
 implementation: >65% of time in loss lookup, ~31% in the numerical term
 computations).

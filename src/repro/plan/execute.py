@@ -1,20 +1,18 @@
 """CPU plan executor: run an ExecutionPlan through the shared kernels.
 
 This is the one place the CPU engines' task-execution mechanics live;
-the sequential and multicore engines (and :func:`repro.core.kernels.
-run_ragged`, the kernel-level convenience entry) all execute their plans
-here.  Per layer the executor:
+the sequential and multicore engines execute their plans here.  Per
+layer the executor:
 
 1. builds the layer's lookup tables once, through the shared
    :class:`~repro.lookup.factory.LookupCache` (layers sharing ELTs —
    and repeated runs — build once);
 2. hands each plan slot group to the :class:`~repro.plan.scheduler.
    Scheduler` (fork-join at the layer barrier);
-3. inside a slot, streams the tasks through
-   :func:`~repro.utils.bufpool.stream_batches`, so task ``N + 1``'s
-   fetch (the CSR views) overlaps task ``N``'s reduce on every lane —
-   the double-buffering the sequential engine had and the multicore
-   workers previously lacked;
+3. inside a slot, runs the tasks in order on the slot's thread: each
+   task's fetch is a zero-copy CSR view
+   (:meth:`~repro.data.yet.YearEventTable.csr_block`), so there is
+   nothing to overlap and no prefetch thread;
 4. computes each task with :func:`task_losses`, the one kernel call
    (the numpy kernel of :mod:`repro.core.kernels`) shared with the
    fleet worker's single-segment path.
@@ -26,22 +24,18 @@ are bit-for-bit identical for any scheduler concurrency.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 import numpy as np
 
-from repro.core.kernels import (
-    build_layer_tables,
-    layer_trial_batch_ragged,
-    layer_trial_batch_secondary_ragged,
-)
+from repro.core.kernels import build_layer_tables, layer_trial_batch_ragged
 from repro.core.secondary import layer_stream_key, resolve_secondary_seed
 from repro.data.layer import Portfolio
 from repro.data.yet import YearEventTable
 from repro.data.ylt import YearLossTable
 from repro.plan.plan import ExecutionPlan, PlanTask
 from repro.plan.scheduler import Scheduler
-from repro.utils.bufpool import ScratchBufferPool, stream_batches
+from repro.utils.bufpool import ScratchBufferPool
 from repro.utils.timer import ACTIVITY_FETCH, ActivityProfile
 
 
@@ -56,7 +50,6 @@ def execute_plan_cpu(
     secondary_seed=None,
     profile: ActivityProfile | None = None,
     scheduler: Scheduler | None = None,
-    pools: Sequence[ScratchBufferPool] | None = None,
     cache=None,
 ) -> YearLossTable:
     """Execute ``plan`` on the CPU kernels; returns the YLT.
@@ -69,16 +62,10 @@ def execute_plan_cpu(
     scheduler:
         Concurrency policy (default: inline, one worker).  Any value
         produces the same YLT.
-    pools:
-        Scratch pools, one per plan slot (cycled if fewer).  Passing
-        pools lets callers observe peak-scratch accounting and reuse
-        warm buffers across runs; by default one private pool per slot
-        is created (reused across layers, matching the historical
-        engines' slot-pool reuse).
     profile:
-        Wall-clock activity profile.  Per-slot compute and fetch charges
-        are accumulated in worker-private profiles and folded in after
-        each layer barrier, so the sums are CPU seconds across workers.
+        Wall-clock activity profile.  Per-slot charges are accumulated
+        in one private profile per slot and folded in after each layer
+        barrier, so the sums are CPU seconds across workers.
     """
     if plan.n_trials != yet.n_trials or plan.n_occurrences != yet.n_occurrences:
         raise ValueError(
@@ -94,10 +81,8 @@ def execute_plan_cpu(
         )
     profile = profile if profile is not None else ActivityProfile()
     scheduler = scheduler if scheduler is not None else Scheduler(max_workers=1)
-    n_pools = max(1, plan.n_slots)
-    slot_pools: List[ScratchBufferPool] = (
-        list(pools) if pools else [ScratchBufferPool() for _ in range(n_pools)]
-    )
+    # one scratch pool per slot, reused across the slot's tasks and layers
+    slot_pools = [ScratchBufferPool() for _ in range(max(1, plan.n_slots))]
     base_seed = (
         resolve_secondary_seed(secondary_seed) if secondary is not None else 0
     )
@@ -113,26 +98,15 @@ def execute_plan_cpu(
                 cache=cache,
             )
         out = np.empty(plan.n_trials, dtype=np.float64)
-        # Worker-private profiles: compute charges and (background)
-        # prefetch charges must not share one profile across threads —
-        # ActivityProfile.charge is a bare read-modify-write.
-        compute_profiles: List[ActivityProfile] = []
-        fetch_profiles: List[ActivityProfile] = []
+        # One profile per slot: ActivityProfile.charge is a bare
+        # read-modify-write, so concurrent slots must not share one.
+        slot_profiles: List[ActivityProfile] = []
 
         def run_slot(slot: int, tasks: List[PlanTask]) -> None:
             wp = ActivityProfile()
-            fp = ActivityProfile()
-            compute_profiles.append(wp)
-            fetch_profiles.append(fp)
+            slot_profiles.append(wp)
             pool = slot_pools[slot % len(slot_pools)]
-
-            def fetch(i: int, _slot_pool: ScratchBufferPool):
-                task = tasks[i]
-                with fp.track(ACTIVITY_FETCH):
-                    csr = yet.csr_block(task.trial_start, task.trial_stop)
-                return task, csr
-
-            for task, csr in stream_batches(fetch, len(tasks)):
+            for task in tasks:
                 out[task.trial_start : task.trial_stop] = task_losses(
                     yet,
                     layer,
@@ -144,14 +118,11 @@ def execute_plan_cpu(
                     base_seed=base_seed,
                     pool=pool,
                     profile=wp,
-                    csr=csr,
                 )
 
         scheduler.run_layer(plan, layer.layer_id, run_slot)
-        for wp in compute_profiles:
+        for wp in slot_profiles:
             profile_merge_into(profile, wp)
-        for fp in fetch_profiles:
-            profile_merge_into(profile, fp)
         per_layer[layer.layer_id] = out
     return YearLossTable.from_dict(per_layer)
 
@@ -177,37 +148,19 @@ def task_losses(
     base_seed: int = 0,
     pool: ScratchBufferPool | None = None,
     profile: ActivityProfile | None = None,
-    csr: tuple | None = None,
 ) -> np.ndarray:
     """Per-trial year losses of one plan task, on the CPU kernel.
 
-    The one kernel dispatch — arguments, stream keys, seeds — behind
-    both :func:`execute_plan_cpu` and the fleet worker's
+    The one kernel call — arguments, stream keys, seeds — behind both
+    :func:`execute_plan_cpu` and the fleet worker's
     :func:`execute_segment_cpu`, so a worker computing one segment
     produces bytes identical to a monolithic run of the containing
-    plan.  ``csr`` is the task's ``(event_ids, offsets)`` block when
-    the caller already fetched it (the executor's double-buffered
-    stream); otherwise it is sliced here.
+    plan.
     """
     profile = profile if profile is not None else ActivityProfile()
     pool = pool if pool is not None else ScratchBufferPool()
-    if csr is None:
-        csr = yet.csr_block(task.trial_start, task.trial_stop)
-    ids, offs = csr
-    if secondary is not None:
-        return layer_trial_batch_secondary_ragged(
-            ids,
-            offs,
-            lookups,
-            layer.terms,
-            secondary,
-            layer_stream_key(base_seed, layer.layer_id),
-            stacked=stacked,
-            occ_base=task.occ_start,
-            profile=profile,
-            dtype=dtype,
-            pool=pool,
-        )
+    with profile.track(ACTIVITY_FETCH):
+        ids, offs = yet.csr_block(task.trial_start, task.trial_stop)
     return layer_trial_batch_ragged(
         ids,
         offs,
@@ -217,6 +170,9 @@ def task_losses(
         profile=profile,
         dtype=dtype,
         pool=pool,
+        secondary=secondary,
+        stream_key=layer_stream_key(base_seed, layer.layer_id),
+        occ_base=task.occ_start,
     )
 
 

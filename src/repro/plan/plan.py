@@ -16,7 +16,7 @@ exactly the same numbers to exactly the same output slots: seeded
 results are bit-for-bit invariant to scheduler concurrency by
 construction.  Tasks carry a ``slot`` (the worker/device lane the
 planner assigned) and a ``seq`` (their order within the lane, which the
-executors' double-buffered streams preserve); tasks of different slots
+executors preserve); tasks of different slots
 have no mutual dependencies — the DAG is a forest of per-slot chains
 joined at the layer barrier.
 """
@@ -121,8 +121,8 @@ class ExecutionPlan:
         """One ``(slot, tasks-in-seq-order)`` group per used slot.
 
         This is the unit the :class:`~repro.plan.scheduler.Scheduler`
-        hands to a worker: a slot's tasks stream in order (so executors
-        can double-buffer the fetch), distinct slots run concurrently.
+        hands to a worker: a slot's tasks run in order, distinct slots
+        run concurrently.
         """
         groups: Dict[int, List[PlanTask]] = {}
         for task in self.tasks:

@@ -65,11 +65,10 @@ class EngineCapabilities:
         Fixed trials-per-task within a lane; ``None`` lets the planner
         choose (the memory-budget autotuner).
     slot_batching:
-        ``"batched"`` cuts each lane into batch tasks (enables the
-        executors' double-buffered fetch); ``"whole"`` emits one task
-        per lane (the GPU engines' one-launch-per-device shape).
-    budget_bytes:
-        Scratch budget handed to the batch autotuner.
+        ``"batched"`` cuts each lane into batch tasks (bounding each
+        kernel call's scratch to the autotuner's byte budget);
+        ``"whole"`` emits one task per lane (the GPU engines'
+        one-launch-per-device shape).
     dtype:
         Working precision (autotune input), as a numpy dtype string.
     secondary:
@@ -82,7 +81,6 @@ class EngineCapabilities:
     balance: str = "events"
     batch_trials: int | None = None
     slot_batching: str = "batched"
-    budget_bytes: int = DEFAULT_BATCH_BUDGET_BYTES
     dtype: str = "<f8"
     secondary: bool = False
 
@@ -101,7 +99,6 @@ class EngineCapabilities:
             raise ValueError(
                 f"batch_trials must be >= 1, got {self.batch_trials}"
             )
-        check_positive("budget_bytes", self.budget_bytes)
 
 
 class Planner:
@@ -138,7 +135,7 @@ class Planner:
             yet.mean_events_per_trial,
             n_elts,
             dtype=np.dtype(caps.dtype),
-            budget_bytes=caps.budget_bytes,
+            budget_bytes=DEFAULT_BATCH_BUDGET_BYTES,
             secondary=caps.secondary,
         )
 

@@ -71,7 +71,7 @@ class Scheduler:
 
         ``slot_runner(slot, tasks)`` receives the slot index and its
         tasks in ``seq`` order and runs them however the engine likes
-        (streamed with a prefetch, one device launch, ...).  Returns
+        (in order on the worker, one device launch, ...).  Returns
         ``(slot, result)`` pairs in slot order.
         """
         groups = plan.slot_groups(layer_id)

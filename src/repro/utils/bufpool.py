@@ -14,23 +14,14 @@ keeps the peak number of bytes simultaneously lent out (peak
 intermediate memory).
 
 A pool is *not* thread-safe; concurrent workers (the multicore engine's
-chunk tasks) each use their own pool.
-
-:func:`stream_batches` builds on the pool to double-buffer a batched run:
-two slot pools plus a one-deep background prefetch, so the fetch of batch
-``N + 1`` (the CSR slice and gather indices) overlaps the reduce of batch
-``N`` — the CPU mirror of the paper's chunk-prefetch scheme, which keeps
-a staging buffer filling while the previous chunk computes.
+plan slots) each use their own pool.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple, TypeVar
+from typing import Dict, List, Sequence
 
 import numpy as np
-
-T = TypeVar("T")
 
 
 def _capacity(shape: Sequence[int] | int) -> int:
@@ -125,19 +116,6 @@ class ScratchBufferPool:
         """Bytes currently retained in free buffers."""
         return sum(b.nbytes for bucket in self._free.values() for b in bucket)
 
-    def release_all(self) -> None:
-        """Return every outstanding loan to the free lists.
-
-        The double-buffer streamer uses this to retire a whole batch slot
-        at once: each slot pool serves exactly one in-flight batch, so
-        when the consumer advances past that batch every buffer the fetch
-        staged can be reclaimed without tracking individual views.
-        """
-        for base in self._lent.values():
-            self._free.setdefault(base.dtype.str, []).append(base)
-        self._lent.clear()
-        self._lent_bytes = 0
-
     def clear(self) -> None:
         """Drop all retained free buffers (outstanding loans unaffected)."""
         self._free.clear()
@@ -159,48 +137,3 @@ class ScratchBufferPool:
             f"hits={self.hits}, misses={self.misses})"
         )
 
-
-def stream_batches(
-    fetch: Callable[[int, ScratchBufferPool], T],
-    n_batches: int,
-    pools: Tuple[ScratchBufferPool, ScratchBufferPool] | None = None,
-) -> Iterator[T]:
-    """Double-buffered batch stream: fetch ``N + 1`` while ``N`` computes.
-
-    ``fetch(i, pool)`` prepares batch ``i``'s inputs (a CSR slice, staged
-    gather indices, ...), borrowing any staging arrays it needs from
-    ``pool``.  Batches alternate between the two slot pools; a slot's
-    loans are reclaimed wholesale (:meth:`ScratchBufferPool.release_all`)
-    once the consumer advances past its batch, so at most two batches of
-    staging are ever live — the "two-slot pool" of a classic double
-    buffer.
-
-    The next batch's fetch runs on one background thread and is submitted
-    *before* the current batch is yielded, so it overlaps the consumer's
-    compute.  With a single batch (or zero) no thread is spawned at all —
-    degenerate runs pay nothing for the machinery.
-
-    Exceptions from ``fetch`` propagate to the consumer at the batch they
-    belong to; abandoning the iterator (``break``/exception) drains the
-    in-flight fetch before returning, so no worker outlives the stream.
-    """
-    if n_batches < 0:
-        raise ValueError(f"n_batches must be >= 0, got {n_batches}")
-    if n_batches == 0:
-        return
-    slots = pools if pools is not None else (ScratchBufferPool(), ScratchBufferPool())
-    if n_batches == 1:
-        yield fetch(0, slots[0])
-        slots[0].release_all()
-        return
-    with ThreadPoolExecutor(max_workers=1) as executor:
-        pending = executor.submit(fetch, 0, slots[0])
-        for i in range(n_batches):
-            current = pending.result()
-            if i + 1 < n_batches:
-                # Slot (i + 1) % 2 was released when the consumer advanced
-                # past batch i - 1, so the background fetch stages into a
-                # quiescent pool while the consumer computes batch i.
-                pending = executor.submit(fetch, i + 1, slots[(i + 1) % 2])
-            yield current
-            slots[i % 2].release_all()

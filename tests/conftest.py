@@ -1,5 +1,6 @@
-"""Shared fixtures: canned workloads at test-friendly sizes, and a check
-that no test leaves a non-daemon thread running."""
+"""Shared fixtures: canned workloads at test-friendly sizes, a
+sequential-engine shorthand, and a check that no test leaves a
+non-daemon thread running."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import pytest
 
 from repro.data.generator import generate_workload
 from repro.data.presets import BENCH_SMALL
+from repro.engines.sequential import SequentialEngine
 
 # A workload small enough for the scalar reference engine (pure Python
 # loops) to stay fast, but structured enough to exercise every path:
@@ -72,6 +74,12 @@ def reference_ylt(tiny_workload):
     return aggregate_risk_analysis_reference(
         tiny_workload.yet, tiny_workload.portfolio
     )
+
+
+def run_sequential(yet, portfolio, catalog, batch_trials=None, **options):
+    """YLT of a sequential-engine run (autotuned batches by default)."""
+    engine = SequentialEngine(batch_trials=batch_trials, **options)
+    return engine.run(yet, portfolio, catalog).ylt
 
 
 @pytest.fixture()

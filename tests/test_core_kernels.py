@@ -19,7 +19,6 @@ from repro.core.kernels import (
     autotune_batch_trials,
     build_layer_tables,
     layer_trial_batch_ragged,
-    run_ragged,
     segment_sums,
 )
 from repro.data.layer import LayerTerms
@@ -36,6 +35,7 @@ from repro.utils.timer import (
     ACTIVITY_LOOKUP,
     ActivityProfile,
 )
+from tests.conftest import run_sequential
 
 LOOKUP_KINDS = ("direct", "sorted", "hash", "cuckoo", "compressed")
 
@@ -67,7 +67,7 @@ class TestKernelEquivalence:
         self, tiny_workload, reference_ylt, kind
     ):
         w = tiny_workload
-        ylt = run_ragged(
+        ylt = run_sequential(
             w.yet, w.portfolio, w.catalog.n_events, lookup_kind=kind
         )
         assert reference_ylt.allclose(ylt), kind
@@ -77,7 +77,7 @@ class TestKernelEquivalence:
         self, tiny_workload, reference_ylt, batch
     ):
         w = tiny_workload
-        ylt = run_ragged(
+        ylt = run_sequential(
             w.yet, w.portfolio, w.catalog.n_events, batch_trials=batch
         )
         assert reference_ylt.allclose(ylt), f"batch={batch}"
@@ -86,14 +86,14 @@ class TestKernelEquivalence:
     def test_ragged_trials_with_empties(self, tiny_workload, ragged_yet, kind):
         w = tiny_workload
         reference = aggregate_risk_analysis_reference(ragged_yet, w.portfolio)
-        ylt = run_ragged(
+        ylt = run_sequential(
             ragged_yet, w.portfolio, w.catalog.n_events, lookup_kind=kind
         )
         assert reference.allclose(ylt)
 
     def test_float32_close_to_reference(self, tiny_workload, reference_ylt):
         w = tiny_workload
-        ragged = run_ragged(
+        ragged = run_sequential(
             w.yet, w.portfolio, w.catalog.n_events, dtype=np.float32
         )
         for layer in w.portfolio.layers:
@@ -103,7 +103,7 @@ class TestKernelEquivalence:
 
     def test_float64_tight_tolerance(self, tiny_workload, reference_ylt):
         w = tiny_workload
-        ylt = run_ragged(w.yet, w.portfolio, w.catalog.n_events)
+        ylt = run_sequential(w.yet, w.portfolio, w.catalog.n_events)
         for layer in w.portfolio.layers:
             assert np.allclose(
                 ylt.layer_losses(layer.layer_id),
@@ -114,8 +114,14 @@ class TestKernelEquivalence:
 
     def test_multilayer_shares_cache(self, multilayer_workload):
         w = multilayer_workload
+        from repro.plan.execute import execute_plan_cpu
+        from repro.plan.planner import EngineCapabilities, Planner
+
         cache = LookupCache()
-        ylt = run_ragged(w.yet, w.portfolio, w.catalog.n_events, cache=cache)
+        plan = Planner().plan(w.yet, w.portfolio, EngineCapabilities())
+        ylt = execute_plan_cpu(
+            w.yet, w.portfolio, w.catalog.n_events, plan, cache=cache
+        )
         reference = aggregate_risk_analysis_reference(w.yet, w.portfolio)
         assert reference.allclose(ylt)
         assert ylt.n_layers == 3

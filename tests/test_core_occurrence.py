@@ -47,11 +47,11 @@ class TestMaxOccurrenceLosses:
         self, tiny_identity_workload
     ):
         """With identity terms, max occurrence ≤ year aggregate."""
-        from repro.core.kernels import run_ragged
+        from tests.conftest import run_sequential
 
         w = tiny_identity_workload
         occ = max_occurrence_losses(w.yet, w.portfolio, w.catalog.n_events)
-        agg = run_ragged(w.yet, w.portfolio, w.catalog.n_events)
+        agg = run_sequential(w.yet, w.portfolio, w.catalog.n_events)
         assert np.all(occ.losses <= agg.losses + 1e-9)
 
     def test_batching_invariant(self, tiny_workload):

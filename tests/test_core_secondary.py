@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.kernels import (
     build_layer_tables,
+    combined_occurrence_losses,
+    finish_layer_losses,
     layer_trial_batch_ragged,
-    layer_trial_batch_secondary_ragged,
 )
 from repro.core.secondary import SecondaryUncertainty, layer_stream_key
 from repro.data.layer import LayerTerms
@@ -52,7 +53,7 @@ class TestSecondaryUncertainty:
 
 
 class TestSecondaryKernel:
-    """The secondary kernel (:func:`layer_trial_batch_secondary_ragged`)
+    """The kernel with ``secondary=`` (:func:`layer_trial_batch_ragged`)
     over a whole YET; ``seed`` is the run's base secondary seed."""
 
     def _setup(self, workload):
@@ -72,12 +73,12 @@ class TestSecondaryKernel:
         )
 
     def _secondary(self, layer, inputs, stacked, su, seed, terms=None):
-        return layer_trial_batch_secondary_ragged(
+        return layer_trial_batch_ragged(
             *inputs,
             layer.terms if terms is None else terms,
-            su,
-            layer_stream_key(seed, layer.layer_id),
             stacked=stacked,
+            secondary=su,
+            stream_key=layer_stream_key(seed, layer.layer_id),
         )
 
     def test_deterministic_given_seed(self, tiny_workload):
@@ -130,15 +131,49 @@ class TestSecondaryKernel:
     def test_rejects_2d_event_ids(self, tiny_workload):
         layer, (_, offs, lookups), stacked = self._setup(tiny_workload)
         with pytest.raises(ValueError):
-            layer_trial_batch_secondary_ragged(
+            layer_trial_batch_ragged(
                 np.array([[1, 2]]),
                 offs,
                 lookups,
                 layer.terms,
-                SecondaryUncertainty(),
-                0,
                 stacked=stacked,
+                secondary=SecondaryUncertainty(),
             )
+
+    def test_rejects_negative_occ_base(self, tiny_workload):
+        layer, (ids, offs, lookups), stacked = self._setup(tiny_workload)
+        with pytest.raises(ValueError, match="occ_base"):
+            layer_trial_batch_ragged(
+                ids,
+                offs,
+                lookups,
+                layer.terms,
+                stacked=stacked,
+                secondary=SecondaryUncertainty(),
+                occ_base=-1,
+            )
+
+    def test_batch_entry_is_combine_then_finish(self, tiny_workload):
+        """The batch entry adds nothing to its two halves, bit for bit,
+        at a nonzero global occurrence origin."""
+        layer, (ids, offs, lookups), stacked = self._setup(tiny_workload)
+        su = SecondaryUncertainty(2.0, 2.0)
+        key = layer_stream_key(7, layer.layer_id)
+        fused = layer_trial_batch_ragged(
+            ids,
+            offs,
+            lookups,
+            layer.terms,
+            stacked=stacked,
+            secondary=su,
+            stream_key=key,
+            occ_base=1000,
+        )
+        combined = combined_occurrence_losses(
+            ids, lookups, stacked, secondary=su, stream_key=key, occ_base=1000
+        )
+        split = finish_layer_losses(combined, offs, layer.terms)
+        np.testing.assert_array_equal(fused, split)
 
     def test_year_losses_respect_aggregate_limit(self, tiny_workload):
         setup = self._setup(tiny_workload)

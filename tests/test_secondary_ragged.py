@@ -6,19 +6,17 @@ Covers the PR-2 tentpole guarantees:
 * decomposition invariance of the counter-based multiplier streams —
   batch size, occurrence chunking, multicore worker count and multi-GPU
   device count must not change a seeded result bit-for-bit;
-* double-buffered batch streaming correctness, including empty and
-  degenerate trials;
+* empty and degenerate trials through the kernel and the sequential
+  engine's batched lane, which runs on the calling thread alone;
 * the quantile-table sampler's statistical contract (mean exactly 1).
 """
+
+import threading
 
 import numpy as np
 import pytest
 
-from repro.core.kernels import (
-    layer_trial_batch_ragged,
-    layer_trial_batch_secondary_ragged,
-    run_ragged,
-)
+from repro.core.kernels import layer_trial_batch_ragged
 from repro.core.secondary import (
     SECONDARY_TILE,
     SecondaryUncertainty,
@@ -29,8 +27,7 @@ from repro.data.yet import YearEventTable
 from repro.engines.multicore import MulticoreEngine
 from repro.engines.multigpu import MultiGPUEngine
 from repro.engines.sequential import SequentialEngine
-from repro.lookup.factory import build_layer_lookups, build_stacked_table
-from repro.utils.bufpool import ScratchBufferPool, stream_batches
+from tests.conftest import run_sequential
 
 
 SU = SecondaryUncertainty(4.0, 4.0)
@@ -107,11 +104,11 @@ class TestDenseRaggedSecondaryParity:
         """Property: multipliers have mean 1, so with loose layer terms
         averaged year losses track the no-secondary baseline."""
         yet, portfolio, catalog = run_workload(small_workload)
-        base = run_ragged(yet, portfolio, catalog, dtype=dtype)
+        base = run_sequential(yet, portfolio, catalog, dtype=dtype)
         totals = np.zeros(yet.n_trials)
         n_draws = 8
         for seed in range(n_draws):
-            ylt = run_ragged(
+            ylt = run_sequential(
                 yet,
                 portfolio,
                 catalog,
@@ -128,8 +125,8 @@ class TestDenseRaggedSecondaryParity:
 
     def test_secondary_widens_spread_with_looser_beta(self, small_workload):
         yet, portfolio, catalog = run_workload(small_workload)
-        base = run_ragged(yet, portfolio, catalog)
-        tight = run_ragged(
+        base = run_sequential(yet, portfolio, catalog)
+        tight = run_sequential(
             yet,
             portfolio,
             catalog,
@@ -146,10 +143,10 @@ class TestDenseRaggedSecondaryParity:
     def test_non_direct_lookup_fallback(self, tiny_workload):
         """The fused secondary path also runs for non-stackable kinds."""
         yet, portfolio, catalog = run_workload(tiny_workload)
-        direct = run_ragged(
+        direct = run_sequential(
             yet, portfolio, catalog, secondary=SU, secondary_seed=3
         )
-        sorted_kind = run_ragged(
+        sorted_kind = run_sequential(
             yet,
             portfolio,
             catalog,
@@ -171,7 +168,7 @@ class TestDecompositionInvariance:
     def test_batch_size_invariance_bitwise(self, small_workload):
         yet, portfolio, catalog = run_workload(small_workload)
         results = [
-            run_ragged(
+            run_sequential(
                 yet,
                 portfolio,
                 catalog,
@@ -308,60 +305,11 @@ class TestEngineSecondaryWiring:
 
 
 # ----------------------------------------------------------------------
-# Double-buffered batch streaming
+# Empty trials and the single-thread lane
 # ----------------------------------------------------------------------
-class TestStreamBatches:
-    def test_yields_in_order_with_lookahead(self):
-        seen = []
-
-        def fetch(i, pool):
-            seen.append(i)
-            return i * 10
-
-        assert list(stream_batches(fetch, 5)) == [0, 10, 20, 30, 40]
-        assert seen == [0, 1, 2, 3, 4]
-
-    def test_zero_and_single_batch(self):
-        assert list(stream_batches(lambda i, p: i, 0)) == []
-        assert list(stream_batches(lambda i, p: i, 1)) == [0]
-
-    def test_slot_pools_alternate_and_release(self):
-        pools = (ScratchBufferPool(), ScratchBufferPool())
-        taken = []
-
-        def fetch(i, pool):
-            buf = pool.take((8,), np.float64)
-            buf[:] = i
-            taken.append((i, pool))
-            return buf
-
-        outputs = [float(buf[0]) for buf in stream_batches(fetch, 6, pools=pools)]
-        assert outputs == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
-        # Slots alternate deterministically and end fully reclaimed.
-        assert [pools.index(p) for _, p in taken] == [0, 1, 0, 1, 0, 1]
-        assert pools[0].lent_bytes == 0 and pools[1].lent_bytes == 0
-        # Each slot allocated once and recycled thereafter.
-        assert pools[0].misses == 1 and pools[0].hits == 2
-
-    def test_fetch_exception_propagates(self):
-        def fetch(i, pool):
-            if i == 2:
-                raise RuntimeError("boom")
-            return i
-
-        stream = stream_batches(fetch, 4)
-        assert next(stream) == 0
-        assert next(stream) == 1
-        with pytest.raises(RuntimeError, match="boom"):
-            next(stream)
-
-    def test_early_exit_cleans_up(self):
-        for item in stream_batches(lambda i, p: i, 10):
-            if item == 3:
-                break  # the in-flight fetch must not leak a thread
-
-    def test_run_ragged_streams_empty_trials(self):
-        """Empty and degenerate trials survive the double-buffered path."""
+class TestSequentialLane:
+    def test_sequential_engine_empty_trials(self):
+        """Empty and degenerate trials survive batched execution."""
         from repro.data.elt import ELTFinancialTerms, EventLossTable
         from repro.data.layer import Layer, LayerTerms, Portfolio
 
@@ -378,11 +326,11 @@ class TestStreamBatches:
             elts={0: elt},
         )
         for batch in (1, 2, None):
-            ylt = run_ragged(yet, portfolio, 10, batch_trials=batch)
+            ylt = run_sequential(yet, portfolio, 10, batch_trials=batch)
             np.testing.assert_allclose(
                 ylt.losses[0], [0.0, 30.0, 0.0, 30.0, 0.0, 0.0]
             )
-            with_secondary = run_ragged(
+            with_secondary = run_sequential(
                 yet,
                 portfolio,
                 10,
@@ -394,23 +342,40 @@ class TestStreamBatches:
             assert with_secondary.losses[0][0] == 0.0
             assert with_secondary.losses[0][2] == 0.0
 
+    @pytest.mark.parametrize("secondary", [None, SU], ids=["plain", "secondary"])
+    def test_multi_task_lane_starts_no_thread(
+        self, small_workload, monkeypatch, secondary
+    ):
+        """A one-slot plan of several tasks runs on the caller's thread."""
+        yet, portfolio, catalog = run_workload(small_workload)
+        engine = SequentialEngine(
+            batch_trials=100, secondary=secondary, secondary_seed=3
+        )
+        plan = engine.plan_for(yet, portfolio)
+        assert plan.n_slots == 1
+        assert len(plan.layer_tasks(portfolio.layers[0].layer_id)) >= 2
+        started = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread.name)
+            return start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        engine.run(yet, portfolio, catalog, plan=plan)
+        assert started == []
+
     def test_ragged_kernel_empty_block(self):
         """Zero-trial and zero-occurrence CSR blocks are legal."""
         from repro.data.layer import LayerTerms
 
-        year = layer_trial_batch_ragged(
-            np.array([], dtype=np.int32),
-            np.array([0], dtype=np.int64),
-            [],
-            LayerTerms(),
-        )
-        assert year.shape == (0,)
-        year = layer_trial_batch_secondary_ragged(
-            np.array([], dtype=np.int32),
-            np.array([0], dtype=np.int64),
-            [],
-            LayerTerms(),
-            SU,
-            stream_key=1,
-        )
-        assert year.shape == (0,)
+        for secondary in (None, SU):
+            year = layer_trial_batch_ragged(
+                np.array([], dtype=np.int32),
+                np.array([0], dtype=np.int64),
+                [],
+                LayerTerms(),
+                secondary=secondary,
+                stream_key=1,
+            )
+            assert year.shape == (0,)
