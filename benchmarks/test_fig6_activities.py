@@ -9,6 +9,7 @@ shares: sequential lookup >65%, multi-GPU lookup >90%.
 import pytest
 
 from repro.bench.experiments import fig6
+from repro.core.secondary import SecondaryUncertainty
 from repro.data.presets import PAPER
 from repro.engines.sequential import SequentialEngine
 from repro.perfmodel.activities import activity_breakdown_table
@@ -39,10 +40,22 @@ def test_fig6_measured_profile(benchmark, workload):
     benchmark.extra_info["measured_fractions"] = {
         k: round(v, 4) for k, v in fractions.items()
     }
-    # The measured NumPy engine spends its time in lookup + financial
-    # vector work; both must be visible in the profile.
+    # The plain path reads each occurrence's net loss, summed over the
+    # ELTs when the layer table was built: lookup and layer time show,
+    # and no per-occurrence financial-term work is left to charge.
     assert fractions["loss_lookup"] > 0.1
-    assert fractions["financial_terms"] > 0.1
+    assert fractions["layer_terms"] > 0
+    # With secondary uncertainty the terms apply per (occurrence, ELT)
+    # after the multiplier draws, so they are a visible share again.
+    secondary = SequentialEngine(
+        secondary=SecondaryUncertainty(4.0, 4.0), secondary_seed=3
+    ).run(workload.yet, workload.portfolio, workload.catalog.n_events)
+    shares = secondary.profile.fractions()
+    benchmark.extra_info["measured_fractions_secondary"] = {
+        k: round(v, 4) for k, v in shares.items()
+    }
+    assert shares["loss_lookup"] > 0
+    assert shares["financial_terms"] > 0.1
 
 
 def test_fig6_report(benchmark, spec, print_report):

@@ -218,8 +218,9 @@ class AggregateRiskAnalysis:
         requires ``workload_spec`` (the seeded
         :class:`~repro.data.presets.WorkloadSpec` these inputs were
         generated from) — without it only this call's in-process
-        workers can execute the jobs.  Omitted, a private throwaway
-        queue directory is used.
+        workers can execute the jobs.  Omitted, the queue is a private
+        :class:`~repro.fleet.jobs.MemoryJobQueue`: no other process can
+        join, so no job or manifest touches the filesystem.
 
         ``segment_trials`` switches to the fixed-stride segmentation —
         the delta-stable shape for growing trial databases.
@@ -234,11 +235,10 @@ class AggregateRiskAnalysis:
         counts, reuse, per-worker stats, and the store's cache-
         effectiveness counters.
         """
-        import tempfile
         import time as _time
 
         from repro.fleet.assemble import FleetAssemblyError
-        from repro.fleet.jobs import JobQueue
+        from repro.fleet.jobs import JobQueue, MemoryJobQueue
         from repro.fleet.sweep import (
             context_for_engine,
             gather_sweep,
@@ -255,55 +255,51 @@ class AggregateRiskAnalysis:
             )
         started = _time.perf_counter()
         engine_obj = self._engine(engine, **engine_options)
-        tmp_queue = None
-        if queue_dir is None:
-            tmp_queue = tempfile.TemporaryDirectory(prefix="repro-fleet-")
-            queue_dir = tmp_queue.name
-        try:
-            queue = JobQueue(queue_dir, lease_seconds=lease_seconds)
-            ctx = context_for_engine(
-                yet, self.portfolio, self.catalog_size, engine_obj
+        queue = (
+            MemoryJobQueue(lease_seconds=lease_seconds)
+            if queue_dir is None
+            else JobQueue(queue_dir, lease_seconds=lease_seconds)
+        )
+        ctx = context_for_engine(
+            yet, self.portfolio, self.catalog_size, engine_obj
+        )
+        contexts = {}
+        worker_stats = []
+        gather_retries = 0
+        # A segment the delta plan saw as stored can vanish before
+        # gather (a GC pass collected it, or a corrupt entry
+        # self-healed into a miss on read).  Replanning against the
+        # store's current state sees the gap as missing work, so
+        # one more submit/drain round recomputes exactly the hole.
+        for attempt in range(3):
+            ticket = submit_sweep(
+                queue,
+                effective_store,
+                yet,
+                self.portfolio,
+                self.catalog_size,
+                engine_obj,
+                segment_trials=segment_trials,
+                workload_spec=workload_spec,
+                n_partitions=n_partitions,
             )
-            contexts = {}
-            worker_stats = []
-            gather_retries = 0
-            # A segment the delta plan saw as stored can vanish before
-            # gather (a GC pass collected it, or a corrupt entry
-            # self-healed into a miss on read).  Replanning against the
-            # store's current state sees the gap as missing work, so
-            # one more submit/drain round recomputes exactly the hole.
-            for attempt in range(3):
-                ticket = submit_sweep(
-                    queue,
-                    effective_store,
-                    yet,
-                    self.portfolio,
-                    self.catalog_size,
-                    engine_obj,
-                    segment_trials=segment_trials,
-                    workload_spec=workload_spec,
-                    n_partitions=n_partitions,
+            contexts[ticket.sweep_id] = ctx
+            worker_stats = run_workers(
+                queue,
+                effective_store,
+                contexts=contexts,
+                n_workers=n_workers,
+                sweep_id=ticket.sweep_id,
+            )
+            try:
+                ylt = gather_sweep(
+                    queue, effective_store, ticket.sweep_id
                 )
-                contexts[ticket.sweep_id] = ctx
-                worker_stats = run_workers(
-                    queue,
-                    effective_store,
-                    contexts=contexts,
-                    n_workers=n_workers,
-                    sweep_id=ticket.sweep_id,
-                )
-                try:
-                    ylt = gather_sweep(
-                        queue, effective_store, ticket.sweep_id
-                    )
-                    break
-                except FleetAssemblyError:
-                    if attempt == 2:
-                        raise
-                    gather_retries += 1
-        finally:
-            if tmp_queue is not None:
-                tmp_queue.cleanup()
+                break
+            except FleetAssemblyError:
+                if attempt == 2:
+                    raise
+                gather_retries += 1
         wall = _time.perf_counter() - started
         return AnalysisResult(
             ylt=ylt,

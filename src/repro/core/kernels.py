@@ -22,24 +22,20 @@ The kernel is built around that:
 * **no dense padding** — the kernel runs on the YET's CSR arrays
   (``event_ids``/``offsets``) directly, via zero-copy views from
   :meth:`repro.data.yet.YearEventTable.csr_block`;
-* **one contiguous row per occurrence** — a
-  :class:`~repro.lookup.combined.StackedDirectTable` holds all of a
-  layer's direct tables as one event-major ``(catalog + 1, n_elts)``
-  matrix, the paper's combined table, so ``np.take(table, ids, axis=0)``
-  reads each occurrence's loss in every ELT as one row instead of
-  ``n_elts`` scattered words;
-* **terms folded at build** — the table holds each ELT's *net* losses,
-  so the plain path only adds the gathered block's columns in ELT order;
-  the secondary-uncertainty path scales gathered *gross* rows and then
-  applies the terms per chunk.  Occurrence terms clamp the combined
-  vector in place, and all working arrays come from a
-  :class:`~repro.utils.bufpool.ScratchBufferPool` (allocate once, reuse
-  every batch);
+* **one word per occurrence** — a
+  :class:`~repro.lookup.combined.StackedDirectTable`, the paper's
+  combined table, keeps each event's net loss summed over the layer's
+  ELTs (terms applied at build), so the plain path is one chunked
+  ``np.take`` from a ``(catalog + 1,)`` vector, not an ``n_elts`` row;
+  the secondary-uncertainty path, whose draws are per (occurrence,
+  ELT), scales gathered *gross* rows and applies the terms per chunk.
+  Occurrence terms clamp the combined vector in place, and the working
+  arrays come from a :class:`~repro.utils.bufpool.ScratchBufferPool`;
 * **segment reduction** — per-trial totals come from
   ``np.add.reduceat`` over the CSR offsets;
-* **occurrence chunking** — the gather runs over bounded occurrence
-  chunks (the CPU mirror of the paper's shared-memory chunking), so peak
-  scratch is ``occ_chunk x n_elts`` words rather than
+* **occurrence chunking** — both fills run over bounded occurrence
+  chunks (the CPU mirror of the paper's shared-memory chunking), so
+  peak scratch is ``occ_chunk x n_elts`` words, not
   ``n_occurrences x n_elts``;
 * **a batch autotuner** — :func:`autotune_batch_trials` sizes trial
   batches to a byte budget instead of defaulting to all-trials-at-once.
@@ -47,7 +43,7 @@ The kernel is built around that:
 Non-direct lookup kinds (``sorted``/``hash``/``cuckoo``/``compressed``)
 cannot be stacked into one matrix; for them the kernel still runs —
 per-ELT lookups and terms over the *flat* CSR id array, combined in
-place — it just forgoes the row gather.
+place — it just forgoes the per-event vector.
 """
 
 from __future__ import annotations
@@ -64,7 +60,7 @@ from repro.core.terms import (
 )
 from repro.data.layer import LayerTerms
 from repro.lookup.base import LossLookup
-from repro.lookup.combined import StackedDirectTable
+from repro.lookup.combined import StackedDirectTable, checked_take
 from repro.lookup.factory import LookupCache, get_lookup_cache
 from repro.utils.bufpool import ScratchBufferPool
 from repro.utils.timer import (
@@ -184,8 +180,8 @@ def occ_chunk_for(
     for the combined vector, the multiplier block of the secondary path
     and the table lines the gather touches), clamped to
     ``[MIN_OCC_CHUNK, max_occ_chunk(...)]``.  This is the CPU mirror of
-    the paper's shared-memory chunk: the column adds over the staged
-    block re-read what the gather just wrote, so keeping the block
+    the paper's shared-memory chunk: the secondary path's scaling and
+    term passes re-read what the gather just wrote, so keeping the block
     cache-resident is what makes the fusion pay.
     """
     l2 = get_l2_cache_bytes() if l2_bytes is None else l2_bytes
@@ -320,26 +316,12 @@ def build_layer_tables(
 # ----------------------------------------------------------------------
 # The fused kernel
 # ----------------------------------------------------------------------
-def _sum_columns(block: np.ndarray, out: np.ndarray) -> None:
-    """``out[i] = block[i, 0] + block[i, 1] + ...``, added in ELT order.
-
-    The same sequential order as ``np.sum(axis=0)`` over the transposed,
-    ELT-major block, so the sums keep their bits; ``np.sum(axis=1)``
-    would regroup eight or more columns pairwise.  The additions run in
-    ``out``'s dtype, as that reduction's did.
-    """
-    np.copyto(out, block[:, 0])
-    for col in range(1, block.shape[1]):
-        np.add(out, block[:, col], out=out, dtype=out.dtype)
-
-
 def _fill_combined(
     ids: np.ndarray,
     lookups: Sequence[LossLookup] | None,
     stacked: StackedDirectTable | None,
     combined: np.ndarray,
     profile: ActivityProfile,
-    pool: ScratchBufferPool,
 ) -> None:
     """Fill ``combined`` with per-occurrence losses summed across ELTs.
 
@@ -350,22 +332,21 @@ def _fill_combined(
     """
     n_occ = ids.size
     if stacked is not None:
-        # Fused path: one net row per occurrence, its columns added into
-        # the combined vector in ELT order.
-        chunk = occ_chunk_for(stacked.n_elts, stacked.dtype.itemsize)
-        rows = pool.take(
-            (min(chunk, max(n_occ, 1)), stacked.n_elts), stacked.dtype
-        )
-        try:
+        # Plain path: one word per occurrence from the per-event sums.
+        work = combined.dtype
+        if stacked.has_net_sums(work):
+            sums = stacked.net_sums(work)
+        else:
+            # Building the vector applies the ELT terms: this run pays.
+            with profile.track(ACTIVITY_FINANCIAL):
+                sums = stacked.net_sums(work)
+        # Chunked: np.take converts one chunk of int32 ids to intp at a
+        # time, and the range check reads them from cache.
+        chunk = occ_chunk_for(1, work.itemsize)
+        with profile.track(ACTIVITY_LOOKUP):
             for lo in range(0, n_occ, chunk):
                 hi = min(lo + chunk, n_occ)
-                block = rows[: hi - lo]
-                with profile.track(ACTIVITY_LOOKUP):
-                    stacked.gather(ids[lo:hi], out=block)
-                with profile.track(ACTIVITY_FINANCIAL):
-                    _sum_columns(block, combined[lo:hi])
-        finally:
-            pool.give(rows)
+                checked_take(sums, ids[lo:hi], combined[lo:hi])
     else:
         # Fallback combine for non-stackable lookup kinds: still no
         # padding — per-ELT lookups run over the flat id array.
@@ -503,7 +484,7 @@ def combined_occurrence_losses(
             occ_base, profile, pool,
         )
     else:
-        _fill_combined(ids, lookups, stacked, out, profile, pool)
+        _fill_combined(ids, lookups, stacked, out, profile)
     return out
 
 
@@ -562,8 +543,9 @@ def layer_trial_batch_ragged(
         The layer's occurrence/aggregate XL terms.
     stacked:
         The layer's :class:`~repro.lookup.combined.StackedDirectTable`;
-        when present, net losses come from one row gather per occurrence
-        chunk.
+        when present, the plain path reads each occurrence's net loss
+        from its per-event vector and the secondary path gathers gross
+        rows.
     dtype:
         Working precision of the accumulation.
     pool:

@@ -209,7 +209,7 @@ def generate_yet(
     # trial index as primary key preserves trial blocks.
     trial_index = np.repeat(np.arange(n_trials, dtype=np.int64), counts)
     order = np.lexsort((timestamps, trial_index))
-    return YearEventTable(
+    return YearEventTable.adopt(
         event_ids=event_ids[order],
         timestamps=timestamps[order],
         offsets=offsets,

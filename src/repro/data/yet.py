@@ -15,11 +15,17 @@ streamed to the (simulated) GPU and consumed directly by the kernel and
 by every other numeric path: nothing pads trials to a rectangle.
 :meth:`YearEventTable.from_dense` still accepts a null-id-padded
 rectangular id matrix as input (padding ids are dropped).
+
+A table is immutable: it holds read-only arrays that nothing else can
+write (a writeable source is copied; :meth:`YearEventTable.adopt` takes
+over freshly built arrays without a copy), so it hashes each trial
+range once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import zlib
+from dataclasses import dataclass, field
 from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -32,7 +38,16 @@ TIMESTAMP_DTYPE = np.float32
 OFFSET_DTYPE = np.int64
 
 
-@dataclass
+def _writeable_through(array: np.ndarray) -> bool:
+    """Can anything write ``array``'s memory: it or an array it views?"""
+    while isinstance(array, np.ndarray):
+        if array.flags.writeable:
+            return True
+        array = array.base
+    return False
+
+
+@dataclass(frozen=True)
 class YearEventTable:
     """Ragged table of pre-simulated trials.
 
@@ -51,11 +66,18 @@ class YearEventTable:
     event_ids: np.ndarray
     timestamps: np.ndarray
     offsets: np.ndarray
+    _fingerprints: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        self.event_ids = np.ascontiguousarray(self.event_ids)
-        self.timestamps = np.ascontiguousarray(self.timestamps)
-        self.offsets = np.ascontiguousarray(self.offsets)
+        for name in ("event_ids", "timestamps", "offsets"):
+            array = np.ascontiguousarray(getattr(self, name))
+            if _writeable_through(array):
+                array = array.copy()  # the source may still change
+            view = array.view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
         check_dtype("event_ids", self.event_ids, EVENT_ID_DTYPE)
         check_dtype("timestamps", self.timestamps, TIMESTAMP_DTYPE)
         check_dtype("offsets", self.offsets, OFFSET_DTYPE)
@@ -79,6 +101,24 @@ class YearEventTable:
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
+    def adopt(
+        cls,
+        event_ids: np.ndarray,
+        timestamps: np.ndarray,
+        offsets: np.ndarray,
+    ) -> "YearEventTable":
+        """Build a table that takes over freshly made arrays, uncopied.
+
+        The arrays are marked read-only in place, so the caller must
+        hold no other writeable view of them.  The library's own
+        constructors (generator, slicing, concatenation, scenario
+        compilation, loading) build through here.
+        """
+        for array in (event_ids, timestamps, offsets):
+            array.flags.writeable = False
+        return cls(event_ids, timestamps, offsets)
+
+    @classmethod
     def from_trials(
         cls, trials: Sequence[Sequence[Tuple[int, float]]]
     ) -> "YearEventTable":
@@ -96,7 +136,7 @@ class YearEventTable:
                 ids.append(event_id)
                 times.append(timestamp)
             offsets.append(len(ids))
-        return cls(
+        return cls.adopt(
             event_ids=np.asarray(ids, dtype=EVENT_ID_DTYPE),
             timestamps=np.asarray(times, dtype=TIMESTAMP_DTYPE),
             offsets=np.asarray(offsets, dtype=OFFSET_DTYPE),
@@ -126,7 +166,7 @@ class YearEventTable:
         counts = keep.sum(axis=1)
         offsets = np.zeros(n_trials + 1, dtype=OFFSET_DTYPE)
         np.cumsum(counts, out=offsets[1:])
-        return cls(
+        return cls.adopt(
             event_ids=matrix[keep].astype(EVENT_ID_DTYPE),
             timestamps=times[keep].astype(TIMESTAMP_DTYPE),
             offsets=offsets,
@@ -178,7 +218,7 @@ class YearEventTable:
                 f"invalid trial slice [{start}, {stop}) of {self.n_trials}"
             )
         lo, hi = int(self.offsets[start]), int(self.offsets[stop])
-        return YearEventTable(
+        return YearEventTable.adopt(
             event_ids=self.event_ids[lo:hi].copy(),
             timestamps=self.timestamps[lo:hi].copy(),
             offsets=(self.offsets[start : stop + 1] - lo).astype(OFFSET_DTYPE),
@@ -212,6 +252,33 @@ class YearEventTable:
             self.offsets[start : stop + 1] - lo,
         )
 
+    def __reduce__(self):
+        # unpickled arrays are fresh and writeable: seal them again, and
+        # let the copy hash its trial ranges anew
+        return (
+            YearEventTable.adopt,
+            (self.event_ids, self.timestamps, self.offsets),
+        )
+
+    def slice_fingerprint(self, start: int, stop: int) -> tuple:
+        """Content fingerprint of trials ``[start, stop)``.
+
+        ``(n_trials, n_occurrences, crc32(event_ids), crc32(offsets))``
+        of the slice, offsets rebased to it: position-free, so an
+        extended table's old trial ranges keep their segment keys (see
+        :func:`repro.store.keys.segment_key`).  Computed once per range.
+        """
+        fingerprint = self._fingerprints.get((start, stop))
+        if fingerprint is None:
+            ids, offsets = self.csr_block(start, stop)
+            fingerprint = self._fingerprints[(start, stop)] = (
+                int(stop - start),
+                int(ids.size),
+                zlib.crc32(ids),
+                zlib.crc32(offsets),
+            )
+        return fingerprint
+
     @staticmethod
     def concatenate(parts: Sequence["YearEventTable"]) -> "YearEventTable":
         """Stack trial databases end to end (trial order preserved).
@@ -228,7 +295,7 @@ class YearEventTable:
         for part in parts[1:]:
             offsets.append(part.offsets[1:] + base)
             base += int(part.offsets[-1])
-        return YearEventTable(
+        return YearEventTable.adopt(
             event_ids=np.concatenate([p.event_ids for p in parts]),
             timestamps=np.concatenate([p.timestamps for p in parts]),
             offsets=np.concatenate(offsets).astype(OFFSET_DTYPE),

@@ -9,6 +9,7 @@ that no registered engine accepts is a typo and raises ``TypeError``.
 
 from __future__ import annotations
 
+import functools
 import inspect
 from typing import Any, Dict, Tuple, Type
 
@@ -43,6 +44,7 @@ def engine_class(name: str) -> Type[Engine]:
         ) from None
 
 
+@functools.lru_cache(maxsize=None)
 def _parameters(cls: Type[Engine]) -> frozenset:
     return frozenset(inspect.signature(cls.__init__).parameters) - {"self"}
 

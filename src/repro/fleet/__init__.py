@@ -9,7 +9,9 @@ tasks and the store's once-per-fleet compute guarantee.
 
 * :class:`~repro.fleet.jobs.JobQueue` — a durable work queue under a
   directory: rename-atomic claims, mtime-heartbeat leases, flock-guarded
-  requeue of crashed workers' jobs;
+  requeue of crashed workers' jobs
+  (:class:`~repro.fleet.jobs.MemoryJobQueue`: the same contract in
+  memory, the private queue of an in-process fleet);
 * store-aware **delta planning**
   (:meth:`~repro.plan.planner.Planner.plan_missing`) — each task gets a
   content-addressed segment key; only absent segments become jobs, so a
@@ -40,6 +42,7 @@ from repro.fleet.jobs import (
     JOB_STATES,
     FleetJob,
     JobQueue,
+    MemoryJobQueue,
 )
 from repro.fleet.sweep import (
     SweepTicket,
@@ -54,6 +57,7 @@ from repro.fleet.worker import FleetWorker, WorkerStats
 
 __all__ = [
     "JobQueue",
+    "MemoryJobQueue",
     "FleetJob",
     "JOB_STATES",
     "JOB_KIND_SEGMENT",

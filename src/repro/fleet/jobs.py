@@ -32,6 +32,10 @@ stored the segment becomes a store hit, and two workers racing on one
 segment compute it once per fleet (the store's cross-process lock).
 The queue only has to guarantee that every job is eventually completed
 by *someone* — which rename-based claims plus lease expiry give.
+
+A :class:`MemoryJobQueue` keeps the same contract in one process's
+memory: the private queue of an in-process fleet, which no other
+process can join, so its jobs and manifests need no files.
 """
 
 from __future__ import annotations
@@ -144,6 +148,39 @@ def exception_chain(exc: BaseException) -> List[str]:
     return chain
 
 
+def _record_failure(
+    job: FleetJob,
+    error: str,
+    requeue: bool,
+    max_attempts: int,
+    exc: BaseException | None,
+    exc_type: str | None,
+    chain: List[str] | None,
+) -> str:
+    """Append a failure record to ``job``; the state it should move to."""
+    job.error = str(error)
+    if exc is not None:
+        exc_type = type(exc).__name__
+        chain = exception_chain(exc)
+    job.history.append(
+        {
+            "attempt": job.attempts,
+            "worker": job.owner,
+            "exc_type": exc_type,
+            "error": str(error),
+            "chain": list(chain or []),
+        }
+    )
+    return "pending" if requeue and job.attempts < max_attempts else "failed"
+
+
+def _check_queue_limits(lease_seconds: float, max_attempts: int) -> None:
+    if lease_seconds <= 0:
+        raise ValueError(f"lease_seconds must be > 0, got {lease_seconds}")
+    if max_attempts < 1:
+        raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
+
+
 class JobQueue:
     """Durable, multi-process work queue under one directory.
 
@@ -168,10 +205,7 @@ class JobQueue:
         lease_seconds: float = 60.0,
         max_attempts: int = 5,
     ) -> None:
-        if lease_seconds <= 0:
-            raise ValueError(f"lease_seconds must be > 0, got {lease_seconds}")
-        if max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
+        _check_queue_limits(lease_seconds, max_attempts)
         self.queue_dir = Path(queue_dir).expanduser()
         self.lease_seconds = float(lease_seconds)
         self.max_attempts = int(max_attempts)
@@ -397,23 +431,8 @@ class JobQueue:
         provenance pre-serialised — the network transport's path, where
         the exception object itself cannot cross the wire.
         """
-        job.error = str(error)
-        if exc is not None:
-            exc_type = type(exc).__name__
-            chain = exception_chain(exc)
-        job.history.append(
-            {
-                "attempt": job.attempts,
-                "worker": job.owner,
-                "exc_type": exc_type,
-                "error": str(error),
-                "chain": list(chain or []),
-            }
-        )
-        state = (
-            "pending"
-            if requeue and job.attempts < self.max_attempts
-            else "failed"
+        state = _record_failure(
+            job, error, requeue, self.max_attempts, exc, exc_type, chain
         )
         return state if self._move(job, "claimed", state) else "lost"
 
@@ -570,3 +589,169 @@ class JobQueue:
             f"JobQueue({str(self.queue_dir)!r}, "
             f"lease_seconds={self.lease_seconds})"
         )
+
+
+def _copy(job: FleetJob) -> FleetJob:
+    """A snapshot of ``job`` (what a file queue's read-back returns)."""
+    return FleetJob.from_json(job.to_json())
+
+
+class MemoryJobQueue:
+    """The :class:`JobQueue` contract in one process's memory.
+
+    Claims, leases (wall-clock claim times a heartbeat refreshes),
+    requeue, failure provenance and idempotent submission behave as in
+    the directory queue; callers get snapshots, never the stored job.
+    Only threads of this process can reach it, so an in-process fleet
+    that nothing outside needs to join (``run_fleet`` without a
+    ``queue_dir``) pays no file per job or sweep.
+    """
+
+    def __init__(
+        self, lease_seconds: float = 60.0, max_attempts: int = 5
+    ) -> None:
+        _check_queue_limits(lease_seconds, max_attempts)
+        self.lease_seconds = float(lease_seconds)
+        self.max_attempts = int(max_attempts)
+        self._lock = threading.Lock()
+        self._states: Dict[str, Dict[str, FleetJob]] = {
+            state: {} for state in JOB_STATES
+        }
+        self._claimed_at: Dict[str, float] = {}
+        self._sweeps: Dict[str, Dict[str, Any]] = {}
+
+    def _in(self, state: str, sweep_id: str | None) -> List[FleetJob]:
+        prefix = f"{sweep_id}." if sweep_id is not None else ""
+        return [
+            job
+            for job_id, job in self._states[state].items()
+            if job_id.startswith(prefix)
+        ]
+
+    def submit(self, jobs: List[FleetJob]) -> int:
+        added = 0
+        with self._lock:
+            for job in jobs:
+                if job.job_id in self._states["failed"]:
+                    job = self._states["failed"].pop(job.job_id)
+                    job.attempts = 0  # revived (last error kept)
+                elif any(job.job_id in held for held in self._states.values()):
+                    continue
+                self._states["pending"][job.job_id] = _copy(job)
+                added += 1
+        return added
+
+    def save_sweep(self, sweep_id: str, manifest: Dict[str, Any]) -> None:
+        with self._lock:
+            self._sweeps[sweep_id] = manifest
+
+    def load_sweep(self, sweep_id: str) -> Optional[Dict[str, Any]]:
+        with self._lock:
+            return self._sweeps.get(sweep_id)
+
+    def claim(
+        self, worker_id: str | None = None, sweep_id: str | None = None
+    ) -> Optional[FleetJob]:
+        worker_id = worker_id or f"worker-{os.getpid()}-{uuid.uuid4().hex[:6]}"
+        with self._lock:
+            pending = self._in("pending", sweep_id)
+            if not pending:
+                return None
+            job = self._states["pending"].pop(pending[0].job_id)
+            job.attempts += 1
+            job.owner = worker_id
+            self._states["claimed"][job.job_id] = job
+            self._claimed_at[job.job_id] = time.time()
+            return _copy(job)
+
+    def heartbeat(self, job: FleetJob) -> bool:
+        with self._lock:
+            if job.job_id not in self._states["claimed"]:
+                return False
+            self._claimed_at[job.job_id] = time.time()
+            return True
+
+    def complete(self, job: FleetJob) -> bool:
+        return self._move(job, "done", rewrite=False)
+
+    def fail(
+        self,
+        job: FleetJob,
+        error: str,
+        requeue: bool = True,
+        exc: BaseException | None = None,
+        exc_type: str | None = None,
+        chain: List[str] | None = None,
+    ) -> str:
+        state = _record_failure(
+            job, error, requeue, self.max_attempts, exc, exc_type, chain
+        )
+        return state if self._move(job, state) else "lost"
+
+    def _move(self, job: FleetJob, dst: str, rewrite: bool = True) -> bool:
+        """Move a claimed job to ``dst``; ``False`` if the claim was lost."""
+        with self._lock:
+            held = self._states["claimed"].pop(job.job_id, None)
+            if held is None:
+                return False
+            del self._claimed_at[job.job_id]
+            self._states[dst][job.job_id] = _copy(job) if rewrite else held
+        return True
+
+    def requeue_expired(self, now: float | None = None) -> List[str]:
+        now = time.time() if now is None else float(now)
+        with self._lock:
+            expired = [
+                job_id
+                for job_id, claimed_at in self._claimed_at.items()
+                if now - claimed_at >= self.lease_seconds
+            ]
+            for job_id in expired:
+                del self._claimed_at[job_id]
+                self._states["pending"][job_id] = self._states[
+                    "claimed"
+                ].pop(job_id)
+        return expired
+
+    def stragglers(
+        self,
+        min_age_fraction: float = 0.5,
+        sweep_id: str | None = None,
+        now: float | None = None,
+    ) -> List[FleetJob]:
+        if not 0.0 < min_age_fraction <= 1.0:
+            raise ValueError(
+                f"min_age_fraction must be in (0, 1], got {min_age_fraction}"
+            )
+        now = time.time() if now is None else float(now)
+        threshold = min_age_fraction * self.lease_seconds
+        with self._lock:
+            aged = [
+                (now - self._claimed_at[job.job_id], _copy(job))
+                for job in self._in("claimed", sweep_id)
+                if now - self._claimed_at[job.job_id] >= threshold
+            ]
+        aged.sort(key=lambda pair: -pair[0])
+        return [job for _, job in aged]
+
+    def counts(self, sweep_id: str | None = None) -> Dict[str, int]:
+        with self._lock:
+            return {
+                state: len(self._in(state, sweep_id)) for state in JOB_STATES
+            }
+
+    def active_count(self, sweep_id: str | None = None) -> int:
+        counts = self.counts(sweep_id)
+        return counts["pending"] + counts["claimed"]
+
+    def jobs(
+        self, state: str, sweep_id: str | None = None
+    ) -> Iterator[FleetJob]:
+        if state not in JOB_STATES:
+            raise ValueError(f"unknown state {state!r}; expected {JOB_STATES}")
+        with self._lock:
+            snapshot = [_copy(job) for job in self._in(state, sweep_id)]
+        return iter(snapshot)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"MemoryJobQueue(lease_seconds={self.lease_seconds})"

@@ -38,7 +38,7 @@ PathLike = Union[str, Path]
 
 def array_crc32(array: np.ndarray) -> int:
     """CRC32 of an array's raw bytes (C speed; the store's checksum)."""
-    return zlib.crc32(np.ascontiguousarray(array).tobytes())
+    return zlib.crc32(np.ascontiguousarray(array))
 
 
 def load_npy(path: PathLike, mmap: bool = True) -> np.ndarray:

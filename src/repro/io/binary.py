@@ -53,7 +53,7 @@ def load_yet(path: PathLike) -> YearEventTable:
     path = Path(path)
     with np.load(path) as data:
         _check_format(data, _YET_FORMAT, path)
-        return YearEventTable(
+        return YearEventTable.adopt(
             event_ids=data["event_ids"],
             timestamps=data["timestamps"],
             offsets=data["offsets"],

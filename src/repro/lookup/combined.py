@@ -9,20 +9,22 @@ memory-bound, so the layout decides the kernel's speed.
 ELT are one contiguous row (two cache lines for 15 float64 ELTs), where
 the independent tables cost one scattered read per ELT.
 
-Each ELT's financial terms are fixed, so the table folds them in when it
-is built: its rows hold *net* losses, and the fused kernel's plain path
-(:mod:`repro.core.kernels`) is a row gather plus an add of the gathered
-columns, with no term pass.  Absent events read exactly 0.0, because the
-terms map a zero loss to zero.
+The plain kernel path (:mod:`repro.core.kernels`) only ever adds an
+occurrence's net losses across the ELTs, in ELT order, and that sum
+depends on the event alone.  So the table keeps it per event
+(:meth:`net_sums`, built from the ELT columns with each ELT's terms
+applied) and never materialises the net matrix; ``nbytes``, ``shape``
+and ``row_nbytes`` still describe it for the simulated GPU ledgers.
+Absent events read exactly 0.0, because the terms map a zero loss to
+zero.
 
-Secondary uncertainty scales *gross* losses before the terms apply, so
-that path reads a gross twin of the same layout (:meth:`gather_gross`).
-The twin is built on first use, once, so a run without secondary
-uncertainty never pays for it.  The table keeps its own copy of each
-ELT's ``(event_ids, losses)`` for that build and never the ELT objects:
-:class:`~repro.lookup.factory.LookupCache` keys entries on weak
-references to the ELTs, and a table that held them would keep its own
-cache entry alive.
+Secondary uncertainty scales *gross* losses per (occurrence, ELT) before
+the terms apply, so that path reads rows of a gross twin
+(:meth:`gather_gross`), built on first use.  The table keeps its own
+copy of each ELT's ``(event_ids, losses)`` for these builds and never
+the ELT objects: :class:`~repro.lookup.factory.LookupCache` keys entries
+on weak references to the ELTs, and a table that held them would keep
+its own cache entry alive.
 
 On the paper's GPUs the combined table lost, because threads must first
 agree which rows to stage into shared memory; the simulated GPU engines
@@ -49,7 +51,7 @@ def _event_major(columns, catalog_size: int, dtype: np.dtype) -> np.ndarray:
     return table
 
 
-def _take_rows(table: np.ndarray, event_ids, out: np.ndarray | None):
+def checked_take(table: np.ndarray, event_ids, out: np.ndarray | None):
     """``table[event_ids]`` for a flat id batch, optionally into ``out``."""
     ids = np.asarray(event_ids)
     if ids.ndim != 1:
@@ -65,14 +67,11 @@ def _take_rows(table: np.ndarray, event_ids, out: np.ndarray | None):
 
 
 class StackedDirectTable:
-    """``(catalog_size + 1, n_elts)`` net loss matrix, one row per event.
+    """A layer's ``(catalog_size + 1, n_elts)`` combined table.
 
-    :meth:`gather` pulls every covered ELT's net loss for a flat batch
-    of event ids as one contiguous row per id.  Like every lookup
-    structure it is frozen after construction and safe for concurrent
-    readers (the lazy gross twin is built under a lock).  It is
-    deliberately not a :class:`~repro.lookup.base.LossLookup`: queries
-    return a matrix (one loss per ELT), not a vector.
+    Frozen after construction and safe for concurrent readers (the lazy
+    vectors and gross twin are built under a lock).  Deliberately not a
+    :class:`~repro.lookup.base.LossLookup`: a row holds one loss per ELT.
     """
 
     kind = "stacked"
@@ -95,19 +94,15 @@ class StackedDirectTable:
         if len(set(self.elt_ids)) != len(self.elt_ids):
             raise ValueError(f"duplicate ELT ids: {self.elt_ids}")
         dt = np.dtype(dtype)
+        self._dtype = dt
         self.terms = tuple(elt.terms for elt in elts)
         self._gross_columns = tuple(
             (elt.event_ids.copy(), elt.losses.astype(dt)) for elt in elts
         )
-        # Terms round in the table dtype, the arithmetic of
-        # ELTFinancialTerms.apply on a float32 or float64 lookup.
-        net_columns = [
-            (ids, terms.apply(gross))
-            for (ids, gross), terms in zip(self._gross_columns, self.terms)
-        ]
-        self._table = _event_major(net_columns, self.catalog_size, dt)
         self._gross: np.ndarray | None = None
-        self._gross_lock = threading.Lock()
+        self._lock = threading.Lock()
+        # working dtype -> net_sums(); the table's own is built with it
+        self._net_sums = {dt: self._build_net_sums(dt)}
         # Per-ELT terms as (n_elts, 1) columns for the secondary path,
         # which applies them to an ELT-major (n_elts, chunk) block.
         # Stored in the table's dtype so a float32 block runs pure
@@ -128,20 +123,20 @@ class StackedDirectTable:
     # ------------------------------------------------------------------
     @property
     def n_elts(self) -> int:
-        return self._table.shape[1]
+        return len(self.elt_ids)
 
     @property
     def dtype(self) -> np.dtype:
-        return self._table.dtype
+        return self._dtype
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the net table: what an engine stages to a device."""
-        return int(self._table.nbytes)
+        """Bytes of the combined table: what an engine stages to a device."""
+        return (self.catalog_size + 1) * self.row_nbytes
 
     @property
     def shape(self) -> Tuple[int, int]:
-        return self._table.shape
+        return (self.catalog_size + 1, self.n_elts)
 
     @property
     def row_nbytes(self) -> int:
@@ -149,15 +144,35 @@ class StackedDirectTable:
         return int(self.n_elts * self.dtype.itemsize)
 
     # ------------------------------------------------------------------
-    def gather(
-        self, event_ids: np.ndarray, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Net rows: ``(n_ids, n_elts)`` losses after each ELT's terms.
+    def net_sums(self, dtype: np.dtype | type) -> np.ndarray:
+        """Read-only ``(catalog_size + 1,)`` net losses per event.
 
-        Pass a pooled ``out`` buffer of that shape and the table's dtype
-        to avoid allocating.
+        Each ELT's loss after its terms, added in ELT order in ``dtype``:
+        bit for bit the sum of the event's net row.  Built once per
+        dtype.
         """
-        return _take_rows(self._table, event_ids, out)
+        dt = np.dtype(dtype)
+        sums = self._net_sums.get(dt)
+        if sums is None:
+            with self._lock:
+                sums = self._net_sums.get(dt)
+                if sums is None:
+                    sums = self._net_sums[dt] = self._build_net_sums(dt)
+        return sums
+
+    def has_net_sums(self, dtype: np.dtype | type) -> bool:
+        """Whether :meth:`net_sums` of ``dtype`` is already built."""
+        return np.dtype(dtype) in self._net_sums
+
+    def _build_net_sums(self, work: np.dtype) -> np.ndarray:
+        # Terms round in the table dtype, as on a float32 or float64
+        # lookup; the sums run in ``work``.  Of duplicate ids in one ELT,
+        # ``sums[ids] += net`` keeps the last, as a column assignment.
+        sums = np.zeros(self.catalog_size + 1, dtype=work)
+        for (ids, gross), terms in zip(self._gross_columns, self.terms):
+            sums[ids] += terms.apply(gross).astype(work, copy=False)
+        sums.flags.writeable = False
+        return sums
 
     def gather_gross(
         self, event_ids: np.ndarray, out: np.ndarray | None = None
@@ -168,12 +183,12 @@ class StackedDirectTable:
         gross twin of the table (once, whatever the number of concurrent
         callers).
         """
-        return _take_rows(self._gross_table(), event_ids, out)
+        return checked_take(self._gross_table(), event_ids, out)
 
     def _gross_table(self) -> np.ndarray:
         gross = self._gross
         if gross is None:
-            with self._gross_lock:
+            with self._lock:
                 if self._gross is None:
                     self._gross = _event_major(
                         self._gross_columns, self.catalog_size, self.dtype

@@ -44,17 +44,11 @@ class _Unstorable(Exception):
 def yet_fingerprint(yet: YearEventTable) -> Tuple[int, int, int, int]:
     """Content fingerprint of a YET (shape + CRCs of the CSR arrays).
 
-    CRC32 over the raw event-id and offset bytes runs at memory speed
-    (C implementation) and changes whenever any occurrence moves —
-    collisions would need equal-length tables with colliding CRCs on
-    *both* arrays.
+    The whole table's slice fingerprint: CRC32 over the raw event-id and
+    offset bytes changes whenever any occurrence moves — collisions
+    would need equal-length tables with colliding CRCs on *both* arrays.
     """
-    return (
-        yet.n_trials,
-        yet.n_occurrences,
-        zlib.crc32(yet.event_ids.tobytes()),
-        zlib.crc32(np.ascontiguousarray(yet.offsets).tobytes()),
-    )
+    return yet.slice_fingerprint(0, yet.n_trials)
 
 
 def elt_fingerprint(elt: EventLossTable) -> Tuple:
@@ -62,8 +56,8 @@ def elt_fingerprint(elt: EventLossTable) -> Tuple:
     return (
         int(elt.elt_id),
         int(elt.n_losses),
-        zlib.crc32(np.ascontiguousarray(elt.event_ids).tobytes()),
-        zlib.crc32(np.ascontiguousarray(elt.losses).tobytes()),
+        zlib.crc32(np.ascontiguousarray(elt.event_ids)),
+        zlib.crc32(np.ascontiguousarray(elt.losses)),
         elt.terms.as_tuple(),
     )
 

@@ -128,15 +128,19 @@ class DeltaPlan:
         Two delta plans fingerprint equal iff they decompose the same
         way, derive the same segment keys, and found the same segments
         stored — the determinism contract the fleet's resubmit
-        idempotence rests on.
+        idempotence rests on.  Computed once (the plan is frozen).
         """
+        if "_fingerprint" in self.__dict__:
+            return self._fingerprint
         from repro.store.keys import fingerprint_digest  # deferred import
 
-        return fingerprint_digest(
+        fingerprint = fingerprint_digest(
             "delta-plan",
             self.plan.fingerprint(),
             tuple((r.key, r.stored) for r in self.segments),
         )
+        object.__setattr__(self, "_fingerprint", fingerprint)
+        return fingerprint
 
     def summary(self) -> Dict[str, Any]:
         return {

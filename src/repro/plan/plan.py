@@ -182,7 +182,10 @@ class ExecutionPlan:
         Two plans with identical task layouts (and balance) hash
         equal; any change to a boundary changes the fingerprint.  Used
         in engine meta and as a component of plan-level cache keys.
+        Computed once per plan (the plan is frozen).
         """
+        if "_fingerprint" in self.__dict__:
+            return self._fingerprint
         # The kernel name stays a constant component, so fingerprints
         # (and every store key built on them) match older stores.
         parts: List[int | str] = [
@@ -196,7 +199,8 @@ class ExecutionPlan:
             parts.extend(
                 (task.layer_id, task.slot, task.trial_start, task.trial_stop)
             )
-        return stable_hash_seed(*parts)
+        object.__setattr__(self, "_fingerprint", stable_hash_seed(*parts))
+        return self._fingerprint
 
     def summary(self) -> Dict[str, Any]:
         """Compact description for engine ``meta`` dictionaries."""

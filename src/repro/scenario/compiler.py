@@ -9,7 +9,7 @@ compile step is where the delta-planning payoff is engineered:
 * transforms that perturb a *trial window* rebuild only that window's
   occurrence arrays — every trial outside it keeps its exact bytes, so
   the position-free slice fingerprints of
-  :func:`repro.store.keys.yet_slice_fingerprint` (and hence the
+  :meth:`~repro.data.yet.YearEventTable.slice_fingerprint` (and hence the
   content-addressed segment keys) of untouched segments equal the
   baseline's, and a re-sweep recomputes only the window;
 * portfolio-side transforms (severity overlays) change layer
@@ -175,7 +175,7 @@ def resample_occurrences(
     delta = int(offsets[trial_stop]) - hi
     offsets[trial_stop + 1 :] = yet.offsets[trial_stop + 1 :] + delta
 
-    return YearEventTable(
+    return YearEventTable.adopt(
         event_ids=np.concatenate(
             [yet.event_ids[:lo], new_ids, yet.event_ids[hi:]]
         ),
@@ -279,7 +279,7 @@ def select_tail_trials(
     )
     offsets = np.zeros(k + 1, dtype=OFFSET_DTYPE)
     np.cumsum(counts, out=offsets[1:])
-    return YearEventTable(
+    return YearEventTable.adopt(
         event_ids=yet.event_ids[idx],
         timestamps=yet.timestamps[idx],
         offsets=offsets,

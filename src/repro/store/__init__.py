@@ -58,7 +58,6 @@ from repro.store.keys import (
     portfolio_fingerprint,
     secondary_fingerprint,
     segment_key,
-    yet_slice_fingerprint,
     ylt_digest,
 )
 
@@ -85,7 +84,6 @@ __all__ = [
     "secondary_fingerprint",
     "segment_key",
     "layer_fingerprint",
-    "yet_slice_fingerprint",
     "ylt_digest",
     "KEY_SCHEMA",
     "SEGMENT_SCHEMA",

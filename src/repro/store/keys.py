@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import hashlib
 import struct
-import zlib
 from typing import Any
 
 import numpy as np
@@ -157,29 +156,6 @@ def analysis_key(
     )
 
 
-def yet_slice_fingerprint(
-    yet: YearEventTable, start: int, stop: int
-) -> tuple:
-    """Content fingerprint of trials ``[start, stop)`` of a YET.
-
-    Deliberately *position-free*: the offsets are rebased to the slice,
-    so an identical run of trials fingerprints the same wherever it
-    sits in the table.  That is what makes segment keys stable when a
-    trial database is extended — the old trials' segments keep their
-    keys and a delta plan re-computes only the new tail.  (Stream
-    position *is* part of result identity for stochastic kernels; the
-    secondary-uncertainty components of :func:`segment_key` add it back
-    exactly where the draws depend on it.)
-    """
-    ids, offsets = yet.csr_block(start, stop)
-    return (
-        int(stop - start),
-        int(ids.size),
-        zlib.crc32(np.ascontiguousarray(ids).tobytes()),
-        zlib.crc32(np.ascontiguousarray(offsets).tobytes()),
-    )
-
-
 def layer_fingerprint(portfolio: Portfolio, layer: Layer) -> tuple:
     """Content fingerprint of one layer: id, terms, and ELT contents."""
     return (
@@ -225,7 +201,7 @@ def segment_key(
     return fingerprint_digest(
         SEGMENT_SCHEMA,
         KERNEL_RAGGED,
-        yet_slice_fingerprint(yet, trial_start, trial_stop),
+        yet.slice_fingerprint(trial_start, trial_stop),
         layer_fingerprint(portfolio, portfolio.layer(layer_id)),
         str(np.dtype(dtype).str),
         str(lookup_kind),
@@ -288,7 +264,7 @@ def segment_keys(
         slice_part = slice_parts.get(span)
         if slice_part is None:
             slice_part = slice_parts[span] = canonical_bytes(
-                yet_slice_fingerprint(yet, *span)
+                yet.slice_fingerprint(*span)
             )
         stream = _segment_stream(secondary, secondary_seed, task.occ_start)
         payload = b"".join(

@@ -8,7 +8,7 @@ independent child streams for parallel workers.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Union
+from typing import List, Union
 
 import numpy as np
 
@@ -48,17 +48,15 @@ def stable_hash_seed(*parts: Union[int, str]) -> int:
     """Deterministically derive a 63-bit seed from mixed int/str parts.
 
     Used by generators to give every (trial chunk, ELT id, ...) a
-    reproducible stream independent of generation order.
+    reproducible stream independent of generation order.  64-bit FNV-1a,
+    on Python ints masked to 64 bits.
     """
-    acc = np.uint64(1469598103934665603)  # FNV-1a offset basis
-    prime = np.uint64(1099511628211)
-    with np.errstate(over="ignore"):
-        for part in parts:
-            data: Sequence[int]
-            if isinstance(part, str):
-                data = part.encode("utf-8")
-            else:
-                data = int(part).to_bytes(8, "little", signed=True)
-            for byte in data:
-                acc = np.uint64(acc ^ np.uint64(byte)) * prime
-    return int(acc & np.uint64(0x7FFF_FFFF_FFFF_FFFF))
+    acc = 1469598103934665603  # FNV-1a offset basis
+    for part in parts:
+        if isinstance(part, str):
+            data = part.encode("utf-8")
+        else:
+            data = int(part).to_bytes(8, "little", signed=True)
+        for byte in data:
+            acc = ((acc ^ byte) * 1099511628211) & 0xFFFF_FFFF_FFFF_FFFF
+    return acc & 0x7FFF_FFFF_FFFF_FFFF

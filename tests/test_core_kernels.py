@@ -21,6 +21,7 @@ from repro.core.kernels import (
     layer_trial_batch_ragged,
     segment_sums,
 )
+from repro.core.secondary import SecondaryUncertainty
 from repro.data.layer import LayerTerms
 from repro.data.yet import YearEventTable
 from repro.lookup.factory import (
@@ -162,13 +163,32 @@ class TestLayerTrialBatchRagged:
             w.portfolio.elts_of(layer), w.catalog.n_events
         )
         ids, offs = w.yet.csr_block(0, w.yet.n_trials)
-        profile = ActivityProfile()
-        layer_trial_batch_ragged(
-            ids, offs, None, layer.terms, stacked=stacked, profile=profile
-        )
-        assert profile.seconds[ACTIVITY_LOOKUP] > 0
-        assert profile.seconds[ACTIVITY_FINANCIAL] > 0
-        assert profile.seconds[ACTIVITY_LAYER] > 0
+
+        def profile_of(**kwargs):
+            profile = ActivityProfile()
+            layer_trial_batch_ragged(
+                ids, offs, None, layer.terms, stacked=stacked,
+                profile=profile, **kwargs,
+            )
+            return profile.seconds
+
+        # A plain run over the table's built vector reads one word per
+        # occurrence: lookup and layer time, no per-occurrence term work.
+        plain = profile_of()
+        assert plain[ACTIVITY_LOOKUP] > 0
+        assert plain[ACTIVITY_LAYER] > 0
+        assert plain.get(ACTIVITY_FINANCIAL, 0.0) == 0.0
+        # The run that builds a vector (here a float32 one) applies the
+        # ELT terms, and is charged for it.
+        assert not stacked.has_net_sums(np.float32)
+        building = profile_of(dtype=np.float32)
+        assert building[ACTIVITY_FINANCIAL] > 0
+        assert building[ACTIVITY_LOOKUP] > 0
+        assert profile_of(dtype=np.float32).get(ACTIVITY_FINANCIAL, 0.0) == 0.0
+        # Secondary uncertainty draws and applies terms per occurrence.
+        secondary = profile_of(secondary=SecondaryUncertainty(4.0, 4.0))
+        for activity in (ACTIVITY_LOOKUP, ACTIVITY_FINANCIAL, ACTIVITY_LAYER):
+            assert secondary[activity] > 0
 
     def test_no_lookups_gives_zero_losses(self, tiny_workload):
         w = tiny_workload
@@ -202,7 +222,41 @@ class TestLayerTrialBatchRagged:
         # After the first batch every later take() is served from the pool.
         assert pool.hits > 0
         assert pool.lent_bytes == 0  # everything returned
-        assert pool.misses <= 2  # one gather + one combined buffer
+        assert pool.misses <= 1  # the combined buffer; no gathered rows
+
+    def test_plain_run_never_allocates_the_net_matrix(self):
+        # 10 ELTs over a 400k-event catalogue: the (catalog + 1, n_elts)
+        # float64 matrix would be 32 MB, its per-event vector 3.2 MB.
+        import tracemalloc
+
+        from repro.data.elt import EventLossTable
+        from repro.data.layer import Portfolio
+        from repro.engines.sequential import SequentialEngine
+
+        catalog = 400_000
+        rng = np.random.default_rng(11)
+        elts = []
+        for elt_id in range(10):
+            ids = np.unique(rng.integers(1, catalog + 1, size=2_000))
+            elts.append(
+                EventLossTable(elt_id, ids, rng.lognormal(6, 1, ids.size))
+            )
+        portfolio = Portfolio.single_layer(elts, LayerTerms())
+        yet = YearEventTable.from_trials(
+            [
+                [(int(e), 0.5) for e in rng.integers(0, catalog + 1, size=40)]
+                for _ in range(200)
+            ]
+        )
+        matrix_bytes = (catalog + 1) * len(elts) * 8
+        tracemalloc.start()
+        try:
+            result = SequentialEngine().run(yet, portfolio, catalog)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.ylt.losses[0].any()
+        assert peak < matrix_bytes / 4, (peak, matrix_bytes)
 
 
 # ----------------------------------------------------------------------

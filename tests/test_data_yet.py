@@ -1,7 +1,11 @@
 """Tests for repro.data.yet (Year Event Table)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+
+import repro.data.yet as yet_module
 
 from repro.data.yet import (
     EVENT_ID_DTYPE,
@@ -13,6 +17,80 @@ from repro.data.yet import (
 
 def make_yet(trials):
     return YearEventTable.from_trials(trials)
+
+
+def csr_arrays():
+    return (
+        np.array([4, 5, 6, 7], dtype=EVENT_ID_DTYPE),
+        np.array([0.1, 0.2, 0.3, 0.4], dtype=TIMESTAMP_DTYPE),
+        np.array([0, 1, 3, 4], dtype=OFFSET_DTYPE),
+    )
+
+
+class TestImmutability:
+    def test_table_arrays_and_fields_are_read_only(self):
+        yet = YearEventTable(*csr_arrays())
+        with pytest.raises(ValueError):
+            yet.event_ids[0] = 9
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            yet.event_ids = np.zeros(4, dtype=EVENT_ID_DTYPE)
+
+    def test_editing_a_writeable_source_leaves_table_and_fingerprint(self):
+        ids, times, offsets = csr_arrays()
+        yet = YearEventTable(ids, times, offsets)
+        before = yet.slice_fingerprint(0, 3)
+        ids[1] = 99  # the caller keeps writing its own array
+        assert not np.shares_memory(yet.event_ids, ids)
+        assert list(yet.event_ids) == [4, 5, 6, 7]
+        assert yet.slice_fingerprint(0, 3) == before
+        edited = YearEventTable(ids, times, offsets)
+        assert edited.slice_fingerprint(0, 3) != before
+
+    def test_read_only_view_of_writeable_memory_is_copied(self):
+        ids, times, offsets = csr_arrays()
+        view = ids[:]
+        view.flags.writeable = False
+        yet = YearEventTable(view, times, offsets)
+        assert not np.shares_memory(yet.event_ids, ids)
+
+    def test_adopt_seals_fresh_arrays_without_copying(self):
+        ids, times, offsets = csr_arrays()
+        yet = YearEventTable.adopt(ids, times, offsets)
+        assert np.shares_memory(yet.event_ids, ids)
+        with pytest.raises(ValueError):
+            ids[0] = 1  # the adopted source can no longer change
+
+    def test_library_tables_share_their_parent_memory_only_read_only(self):
+        yet = make_yet([[(1, 0.1)], [(2, 0.2), (3, 0.3)], []])
+        for table in (yet, yet.slice_trials(0, 2),
+                      YearEventTable.concatenate([yet, yet])):
+            assert not yet_module._writeable_through(table.event_ids)
+
+    def test_pickled_copy_is_sealed_and_hashes_anew(self):
+        import pickle
+
+        yet = YearEventTable(*csr_arrays())
+        fingerprint = yet.slice_fingerprint(0, 3)
+        copy = pickle.loads(pickle.dumps(yet))
+        assert copy._fingerprints == {}
+        with pytest.raises(ValueError):
+            copy.event_ids[0] = 9
+        assert copy.slice_fingerprint(0, 3) == fingerprint
+
+    def test_slice_fingerprint_is_computed_once(self, monkeypatch):
+        yet = make_yet([[(1, 0.1)], [(2, 0.2), (3, 0.3)], [(4, 0.4)]])
+        calls = []
+        real = yet_module.zlib.crc32
+        monkeypatch.setattr(
+            yet_module.zlib, "crc32", lambda b: calls.append(1) or real(b)
+        )
+        first = yet.slice_fingerprint(1, 3)
+        assert len(calls) == 2  # ids and offsets
+        assert yet.slice_fingerprint(1, 3) is first
+        assert len(calls) == 2
+        # position-free: the same trials elsewhere fingerprint the same
+        moved = YearEventTable.concatenate([yet.slice_trials(1, 3), yet])
+        assert moved.slice_fingerprint(0, 2) == first
 
 
 class TestConstruction:

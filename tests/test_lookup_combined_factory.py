@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.data.elt import ELTFinancialTerms, EventLossTable
-from repro.lookup.combined import StackedDirectTable
+from repro.lookup.combined import StackedDirectTable, checked_take
 from repro.lookup.direct import DirectAccessTable
 from repro.lookup.factory import (
     LOOKUP_KINDS,
@@ -82,7 +82,7 @@ class TestCombinedDirectTable:
         with pytest.raises(ValueError):
             combined.gather_gross(queries)
         with pytest.raises(ValueError):
-            combined.gather(queries)
+            checked_take(combined.net_sums(np.float64), queries, None)
 
 
 class TestFactory:
@@ -147,6 +147,15 @@ def net_by_direct_lookup(elts, queries, dtype):
     return np.stack(columns, axis=1)
 
 
+def sum_in_elt_order(rows, work):
+    """``rows[:, 0] + rows[:, 1] + ...`` in ``work``: the net-row sum the
+    plain kernel computed per occurrence before the per-event vector."""
+    out = rows[:, 0].astype(work)
+    for col in range(1, rows.shape[1]):
+        np.add(out, rows[:, col], out=out, dtype=work)
+    return out
+
+
 class TestStackedDirectTable:
     def test_gather_matches_individual_lookups(self):
         elts = make_elts()
@@ -154,9 +163,10 @@ class TestStackedDirectTable:
             elt.terms = terms
         stacked = StackedDirectTable(elts, CATALOG)
         queries = np.array([0, 1, 5, 100, 1999, CATALOG])
-        block = stacked.gather(queries)
-        assert block.shape == (queries.size, len(elts))
-        assert np.array_equal(block, net_by_direct_lookup(elts, queries, np.float64))
+        sums = checked_take(stacked.net_sums(stacked.dtype), queries, None)
+        assert sums.shape == (queries.size,)
+        expected = net_by_direct_lookup(elts, queries, np.float64)
+        assert np.array_equal(sums, sum_in_elt_order(expected, np.float64))
 
     def test_apply_terms_matches_scalar_terms(self):
         # The secondary path's terms on transposed gross rows reproduce
@@ -168,21 +178,29 @@ class TestStackedDirectTable:
         queries = np.concatenate([[0], elts[0].event_ids[:10], elts[1].event_ids[:10]])
         block = np.ascontiguousarray(stacked.gather_gross(queries).T)
         stacked.apply_terms_inplace(block)
-        assert np.array_equal(block.T, stacked.gather(queries))
+        expected = net_by_direct_lookup(elts, queries, np.float64)
+        assert np.array_equal(block.T, expected)
+        assert np.array_equal(
+            sum_in_elt_order(block.T, np.float64), stacked.net_sums(stacked.dtype)[queries]
+        )
 
     def test_gather_into_pooled_buffer(self):
         elts = make_elts()
         stacked = StackedDirectTable(elts, CATALOG, dtype=np.float32)
         out = np.empty((4, len(elts)), dtype=np.float32)
-        result = stacked.gather(np.array([1, 2, 3, 4]), out=out)
+        result = stacked.gather_gross(np.array([1, 2, 3, 4]), out=out)
         assert result is out
         assert stacked.dtype == np.float32
+        sums = stacked.net_sums(stacked.dtype)
+        vec_out = np.empty(4, dtype=np.float32)
+        assert checked_take(sums, np.array([1, 2, 3, 4]), vec_out) is vec_out
+        assert sums.dtype == np.float32
 
     def test_rejects_2d_queries_and_bad_catalog(self):
         elts = make_elts()
         stacked = StackedDirectTable(elts, CATALOG)
         with pytest.raises(ValueError):
-            stacked.gather(np.zeros((2, 2), dtype=np.int64))
+            stacked.gather_gross(np.zeros((2, 2), dtype=np.int64))
         with pytest.raises(ValueError):
             StackedDirectTable(elts, catalog_size=1)
         with pytest.raises(ValueError):
@@ -192,7 +210,7 @@ class TestStackedDirectTable:
         stacked = StackedDirectTable(make_elts(), CATALOG)
         for bad in ([CATALOG + 1], [-1], [3, CATALOG + 7, 2]):
             with pytest.raises(IndexError):
-                stacked.gather(np.array(bad))
+                checked_take(stacked.net_sums(stacked.dtype), np.array(bad), None)
             with pytest.raises(IndexError):
                 stacked.gather_gross(np.array(bad))
 
@@ -205,12 +223,15 @@ class TestStackedDirectTable:
                 elt.terms = elt_terms
         stacked = StackedDirectTable(elts, CATALOG, dtype=dtype)
         queries = np.arange(CATALOG + 1)
-        net = stacked.gather(queries)
-        assert net.dtype == np.dtype(dtype)
-        expected = net_by_direct_lookup(elts, queries, dtype)
-        assert np.array_equal(net, expected)
-        # Bit for bit, not just equal values (0.0 against -0.0).
-        assert net.tobytes() == expected.tobytes()
+        rows = net_by_direct_lookup(elts, queries, dtype)
+        # In the table's dtype and in each other working dtype: bit for
+        # bit the ELT-order sum of the net rows (0.0 against -0.0 too).
+        for work in (dtype, np.float32, np.float64):
+            sums = stacked.net_sums(work)
+            assert sums.dtype == np.dtype(work)
+            assert sums.shape == (CATALOG + 1,)
+            assert sums.tobytes() == sum_in_elt_order(rows, work).tobytes()
+            assert not sums.flags.writeable
 
     def test_absent_events_read_exactly_zero(self):
         elts = make_elts()
@@ -222,7 +243,7 @@ class TestStackedDirectTable:
             present[elt.event_ids] = True
         absent = np.flatnonzero(~present)
         assert 0 in absent
-        for block in (stacked.gather(absent), stacked.gather_gross(absent)):
+        for block in (stacked.net_sums(stacked.dtype)[absent], stacked.gather_gross(absent)):
             assert not np.signbit(block).any()
             assert np.all(block == 0.0)
 
@@ -263,8 +284,58 @@ class TestStackedDirectTable:
 
     def test_plain_gather_builds_no_gross_twin(self):
         stacked = StackedDirectTable(make_elts(), CATALOG)
-        stacked.gather(np.arange(10))
+        assert stacked.has_net_sums(np.float64)
+        assert not stacked.has_net_sums(np.float32)
+        stacked.net_sums(np.float32)
+        assert stacked.has_net_sums(np.float32)
         assert stacked._gross is None
+
+    def test_net_sums_built_once_per_dtype_under_concurrent_readers(
+        self, monkeypatch
+    ):
+        stacked = StackedDirectTable(make_elts(), CATALOG)
+        builds = []
+        real = stacked._build_net_sums
+
+        def slow_build(work):
+            builds.append(work)
+            threading.Event().wait(0.05)
+            return real(work)
+
+        monkeypatch.setattr(stacked, "_build_net_sums", slow_build)
+        start = threading.Barrier(8)
+        results = [None] * 8
+
+        def reader(i):
+            start.wait()
+            results[i] = stacked.net_sums(np.float32)
+
+        threads = [threading.Thread(target=reader, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert builds == [np.dtype(np.float32)]
+        assert all(r is results[0] for r in results)
+
+    def test_duplicate_ids_keep_the_last_loss(self):
+        # The constructor rejects them; a reassigned array is not checked.
+        elts = make_elts(n_elts=2)
+        elts[1].event_ids = np.array([3, 5, 5, 9], dtype=np.int32)
+        elts[1].losses = np.array([10.0, 20.0, 30.0, 40.0])
+        stacked = StackedDirectTable(elts, CATALOG)
+        expected = np.zeros(CATALOG + 1)
+        expected[elts[0].event_ids] = elts[0].losses
+        expected[[3, 5, 9]] += [10.0, 30.0, 40.0]
+        assert np.array_equal(stacked.net_sums(stacked.dtype), expected)
+        assert stacked.gather_gross(np.array([5]))[0, 1] == 30.0
+
+    def test_matrix_is_never_materialised(self):
+        stacked = StackedDirectTable(make_elts(n_elts=4), CATALOG)
+        assert stacked.shape == (CATALOG + 1, 4)
+        assert stacked.nbytes == (CATALOG + 1) * 4 * 8
+        arrays = [v for v in vars(stacked).values() if isinstance(v, np.ndarray)]
+        assert all(a.ndim < 2 or a.shape[0] < CATALOG for a in arrays)
 
     def test_cached_table_evicted_when_workload_dropped(self):
         cache = LookupCache()

@@ -70,6 +70,16 @@ class TestPlanner:
         assert a.tasks == b.tasks
         assert a.fingerprint() == b.fingerprint()
 
+    def test_fingerprint_is_computed_once(self, monkeypatch):
+        import repro.plan.plan as plan_mod
+
+        yet, portfolio, _ = make_workload()
+        plan = Planner().plan(yet, portfolio, EngineCapabilities(n_slots=4))
+        first = plan.fingerprint()
+        monkeypatch.setattr(plan_mod, "stable_hash_seed", None)
+        assert plan.fingerprint() == first
+        assert plan.summary()["fingerprint"] == first
+
     def test_fingerprint_tracks_decomposition(self):
         yet, portfolio, _ = make_workload()
         a = Planner().plan(yet, portfolio, EngineCapabilities(n_slots=4))

@@ -97,6 +97,20 @@ class TestDeterminism:
         assert a.fingerprint() == b.fingerprint()
         assert a.keys() == b.keys()
 
+    def test_fingerprint_is_computed_once(
+        self, small_workload, caps, monkeypatch
+    ):
+        import repro.store.keys as keys_mod
+
+        delta = Planner().plan_missing(
+            small_workload.yet, small_workload.portfolio, caps,
+            MemoryStore(), segment_trials=200,
+        )
+        first = delta.fingerprint()
+        monkeypatch.setattr(keys_mod, "fingerprint_digest", None)
+        assert delta.fingerprint() == first
+        assert delta.summary()["fingerprint"] == first
+
     def test_store_state_is_part_of_the_fingerprint(
         self, small_workload, caps
     ):

@@ -136,8 +136,6 @@ class TestUntouchedBytes:
         )
 
     def test_overlay_preserves_segment_keys_outside_its_window(self, workload):
-        from repro.store.keys import yet_slice_fingerprint
-
         scenario = Scenario(
             name="surge",
             transforms=(
@@ -149,12 +147,12 @@ class TestUntouchedBytes:
         )
         compiled = compile_scenario(scenario, workload)
         for start, stop in [(0, 100), (200, 300), (300, 400)]:
-            assert yet_slice_fingerprint(
-                compiled.yet, start, stop
-            ) == yet_slice_fingerprint(workload.yet, start, stop)
-        assert yet_slice_fingerprint(
-            compiled.yet, 100, 200
-        ) != yet_slice_fingerprint(workload.yet, 100, 200)
+            assert compiled.yet.slice_fingerprint(
+                start, stop
+            ) == workload.yet.slice_fingerprint(start, stop)
+        assert compiled.yet.slice_fingerprint(
+            100, 200
+        ) != workload.yet.slice_fingerprint(100, 200)
 
 
 class TestFrequencyResampling:

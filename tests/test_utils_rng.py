@@ -66,3 +66,19 @@ class TestStableHashSeed:
 
     def test_order_sensitive(self):
         assert stable_hash_seed(1, 2) != stable_hash_seed(2, 1)
+
+    @pytest.mark.parametrize(
+        "parts, seed",
+        [
+            ((), 1469598103934665603),
+            ((0,), 5187598658539770339),
+            ((1, "elt"), 4422564010918039149),
+            ((-1, "x"), 6881446254168385401),
+            (("ünïcödé", np.int64(-7), 2**62), 4901827841233345138),
+            ((2**63 - 1, -(2**63)), 8114806633640365499),
+        ],
+    )
+    def test_pinned_values(self, parts, seed):
+        # Seeds feed every generator stream and store key: the literal
+        # FNV-1a outputs must never move.
+        assert stable_hash_seed(*parts) == seed
