@@ -7,8 +7,8 @@
 * :mod:`repro.core.kernels` — the numeric kernel every implementation
   in :mod:`repro.engines` shares: ragged CSR execution, stacked
   multi-ELT gathers, pooled scratch buffers, one trial-batch entry
-  (with or without secondary uncertainty) and the L2-aware batch
-  autotuner.
+  (with or without secondary uncertainty), a fixed-size occurrence
+  chunk and the memory-budget batch autotuner.
 * :mod:`repro.core.analysis` — the high-level
   :class:`~repro.core.analysis.AggregateRiskAnalysis` entry point.
 * :mod:`repro.core.secondary` — the paper's future-work extension:
@@ -24,7 +24,6 @@ from repro.core.terms import (
 from repro.core.algorithm import aggregate_risk_analysis_reference
 from repro.core.kernels import (
     autotune_batch_trials,
-    get_l2_cache_bytes,
     layer_trial_batch_ragged,
     occ_chunk_for,
     segment_sums,
@@ -41,7 +40,6 @@ __all__ = [
     "trial_loss_from_occurrence_losses",
     "aggregate_risk_analysis_reference",
     "autotune_batch_trials",
-    "get_l2_cache_bytes",
     "layer_trial_batch_ragged",
     "occ_chunk_for",
     "segment_sums",

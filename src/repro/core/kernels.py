@@ -48,7 +48,6 @@ place — it just forgoes the per-event vector.
 
 from __future__ import annotations
 
-import os
 from typing import Sequence
 
 import numpy as np
@@ -79,114 +78,39 @@ KERNEL_RAGGED = "ragged"
 #: default scratch budget of the batch autotuner (bytes)
 DEFAULT_BATCH_BUDGET_BYTES = 64 * 2**20
 
-#: fallback L2 budget when the cache hierarchy cannot be detected (1 MiB
-#: — the ballpark per-core L2 of every x86/ARM server part of the last
-#: decade).
-FALLBACK_L2_CACHE_BYTES = 1 * 2**20
+#: the occurrence chunk's byte budget: every fill stages at most this
+#: many bytes per chunk (``chunk x n_elts`` words).  A constant of the
+#: kernel, as the paper's shared-memory chunk is, so plans and store keys
+#: are the same on every host.
+OCC_CHUNK_BYTES = 2**19
 
 #: floor on the occurrence chunk (rows per gather): keeps each
 #: fused-gather NumPy call large enough to amortise dispatch overhead.
 MIN_OCC_CHUNK = 1_024
 
-_DETECTED_L2: int | None = None
 
-
-def get_l2_cache_bytes() -> int:
-    """The occurrence-chunk byte budget: detected L2 size, overridable.
-
-    Resolution order: the ``REPRO_L2_CACHE_BYTES`` environment variable
-    (read every call, so tests and deployments can steer the autotuner
-    without touching code; plain bytes or a ``K``/``M`` suffix, the same
-    format sysfs uses — a malformed value raises rather than being
-    silently ignored), then the per-core L2 data/unified cache size from
-    sysfs (detected once and memoised), then
-    :data:`FALLBACK_L2_CACHE_BYTES`.
-    """
-    override = os.environ.get("REPRO_L2_CACHE_BYTES")
-    if override:
-        nbytes = _parse_cache_size(override)
-        if nbytes is None:
-            raise ValueError(
-                f"REPRO_L2_CACHE_BYTES={override!r} is not a byte count "
-                "(expected an integer, optionally suffixed with K or M)"
-            )
-        return max(64 * 1024, nbytes)
-    global _DETECTED_L2
-    if _DETECTED_L2 is None:
-        _DETECTED_L2 = _detect_l2_cache_bytes()
-    return _DETECTED_L2
-
-
-def _parse_cache_size(text: str) -> int | None:
-    """Parse ``1048576`` / ``512K`` / ``1M`` into bytes (None if invalid)."""
-    text = text.strip().upper()
-    scale = 1
-    if text.endswith("K"):
-        scale, text = 1024, text[:-1]
-    elif text.endswith("M"):
-        scale, text = 1024 * 1024, text[:-1]
-    try:
-        nbytes = int(text) * scale
-    except ValueError:
-        return None
-    return nbytes if nbytes > 0 else None
-
-
-def _detect_l2_cache_bytes() -> int:
-    """Read cpu0's level-2 data/unified cache size from sysfs."""
-    base = "/sys/devices/system/cpu/cpu0/cache"
-    try:
-        for entry in sorted(os.listdir(base)):
-            if not entry.startswith("index"):
-                continue
-            index = os.path.join(base, entry)
-            try:
-                with open(os.path.join(index, "level")) as f:
-                    level = f.read().strip()
-                with open(os.path.join(index, "type")) as f:
-                    kind = f.read().strip()
-                if level != "2" or kind not in ("Data", "Unified"):
-                    continue
-                with open(os.path.join(index, "size")) as f:
-                    nbytes = _parse_cache_size(f.read())
-            except OSError:
-                continue
-            if nbytes:
-                return nbytes
-    except OSError:
-        pass
-    return FALLBACK_L2_CACHE_BYTES
-
-
-def max_occ_chunk(itemsize: int, l2_bytes: int | None = None) -> int:
-    """Upper bound on the occurrence chunk for a working ``itemsize``.
-
-    Half the L2 budget in words of ``itemsize`` — the single-ELT limit of
-    :func:`occ_chunk_for`, and the derived replacement for the old fixed
-    16K cap: a machine with a bigger L2 gets proportionally deeper
-    chunks, a smaller one stays cache-resident.
-    """
-    l2 = get_l2_cache_bytes() if l2_bytes is None else l2_bytes
-    return max(MIN_OCC_CHUNK, l2 // (2 * max(1, int(itemsize))))
-
-
-def occ_chunk_for(
-    n_elts: int, itemsize: int, l2_bytes: int | None = None
-) -> int:
-    """Occurrences per fused-gather chunk under the L2 cache budget.
+def occ_chunk_for(n_elts: int, itemsize: int) -> int:
+    """Occurrences per fill chunk: :data:`OCC_CHUNK_BYTES` of rows.
 
     The staged block is ``(chunk, n_elts)`` words, one gathered row per
-    occurrence; it is sized to half the L2 budget (the other half is left
-    for the combined vector, the multiplier block of the secondary path
-    and the table lines the gather touches), clamped to
-    ``[MIN_OCC_CHUNK, max_occ_chunk(...)]``.  This is the CPU mirror of
-    the paper's shared-memory chunk: the secondary path's scaling and
-    term passes re-read what the gather just wrote, so keeping the block
-    cache-resident is what makes the fusion pay.
+    occurrence, floored at :data:`MIN_OCC_CHUNK` rows.  This is the CPU
+    mirror of the paper's shared-memory chunk: the secondary path's
+    scaling and term passes re-read what the gather just wrote, so
+    keeping the block small enough to stay cache-resident is what makes
+    the fusion pay; the plain path's chunk bounds the temporaries of its
+    one-word-per-occurrence ``np.take``.
     """
-    l2 = get_l2_cache_bytes() if l2_bytes is None else l2_bytes
-    chunk = (l2 // 2) // max(1, int(n_elts) * max(1, int(itemsize)))
-    return max(MIN_OCC_CHUNK, min(max_occ_chunk(itemsize, l2), chunk))
+    row_bytes = max(1, int(n_elts)) * max(1, int(itemsize))
+    return max(MIN_OCC_CHUNK, OCC_CHUNK_BYTES // row_bytes)
+
+
+def _secondary_chunk_tiles(n_elts: int, itemsize: int) -> int:
+    """Whole :data:`SECONDARY_TILE` tiles per secondary-path chunk.
+
+    :func:`occ_chunk_for` rounded down to whole RNG tiles, never below
+    one: the chunk the secondary fill stages and the autotuner charges.
+    """
+    return max(1, occ_chunk_for(n_elts, itemsize) // SECONDARY_TILE)
 
 
 # ----------------------------------------------------------------------
@@ -199,7 +123,6 @@ def autotune_batch_trials(
     dtype: np.dtype | type = np.float64,
     budget_bytes: int = DEFAULT_BATCH_BUDGET_BYTES,
     secondary: bool = False,
-    l2_bytes: int | None = None,
 ) -> int:
     """Trials per batch such that the kernel's scratch fits ``budget_bytes``.
 
@@ -219,19 +142,17 @@ def autotune_batch_trials(
         raise ValueError(f"budget_bytes must be >= 1, got {budget_bytes}")
     itemsize = np.dtype(dtype).itemsize
     events = max(1.0, float(events_per_trial))
-    chunk = occ_chunk_for(n_elts, itemsize, l2_bytes=l2_bytes)
     if secondary:
-        # The secondary kernel aligns its chunk to whole SECONDARY_TILEs
-        # (never below one tile) and stages a multiplier block beside
-        # the gather chunk, plus one float64 uniform and one intp index
+        # The secondary kernel stages a multiplier block beside the
+        # gather chunk, plus one float64 uniform and one intp index
         # workspace of a full tile per ELT row.
-        chunk = max(1, chunk // SECONDARY_TILE) * SECONDARY_TILE
+        chunk = _secondary_chunk_tiles(n_elts, itemsize) * SECONDARY_TILE
         fixed = n_elts * (
             chunk * itemsize * 2
             + SECONDARY_TILE * (8 + np.dtype(np.intp).itemsize)
         )
     else:
-        fixed = n_elts * chunk * itemsize
+        fixed = n_elts * occ_chunk_for(n_elts, itemsize) * itemsize
     # Per trial: combined vector words + totals/year accumulators.
     per_trial = events * itemsize + 16
     batch = int(max(0, budget_bytes - fixed) / per_trial)
@@ -388,8 +309,7 @@ def _fill_combined_secondary(
     # Round the occurrence chunk to whole RNG tiles and align chunk
     # boundaries to *global* tile edges: every tile is then regenerated
     # at most once per batch instead of once per straddling chunk.
-    chunk = occ_chunk_for(n_elts, tdtype.itemsize)
-    chunk_tiles = max(1, chunk // SECONDARY_TILE)
+    chunk_tiles = _secondary_chunk_tiles(n_elts, tdtype.itemsize)
     chunk = chunk_tiles * SECONDARY_TILE
     width = min(chunk, max(n_occ, 1))
     mult = pool.take((n_elts, width), tdtype)

@@ -620,13 +620,19 @@ class MemoryJobQueue:
         self._claimed_at: Dict[str, float] = {}
         self._sweeps: Dict[str, Dict[str, Any]] = {}
 
-    def _in(self, state: str, sweep_id: str | None) -> List[FleetJob]:
+    def _in(self, state: str, sweep_id: str | None) -> Iterator[FleetJob]:
+        """The jobs in ``state`` (of one sweep), in insertion order."""
         prefix = f"{sweep_id}." if sweep_id is not None else ""
-        return [
+        return (
             job
             for job_id, job in self._states[state].items()
             if job_id.startswith(prefix)
-        ]
+        )
+
+    def _count(self, state: str, sweep_id: str | None) -> int:
+        if sweep_id is None:
+            return len(self._states[state])
+        return sum(1 for _ in self._in(state, sweep_id))
 
     def submit(self, jobs: List[FleetJob]) -> int:
         added = 0
@@ -654,10 +660,10 @@ class MemoryJobQueue:
     ) -> Optional[FleetJob]:
         worker_id = worker_id or f"worker-{os.getpid()}-{uuid.uuid4().hex[:6]}"
         with self._lock:
-            pending = self._in("pending", sweep_id)
-            if not pending:
+            first = next(self._in("pending", sweep_id), None)
+            if first is None:
                 return None
-            job = self._states["pending"].pop(pending[0].job_id)
+            job = self._states["pending"].pop(first.job_id)
             job.attempts += 1
             job.owner = worker_id
             self._states["claimed"][job.job_id] = job
@@ -736,13 +742,13 @@ class MemoryJobQueue:
 
     def counts(self, sweep_id: str | None = None) -> Dict[str, int]:
         with self._lock:
-            return {
-                state: len(self._in(state, sweep_id)) for state in JOB_STATES
-            }
+            return {state: self._count(state, sweep_id) for state in JOB_STATES}
 
     def active_count(self, sweep_id: str | None = None) -> int:
-        counts = self.counts(sweep_id)
-        return counts["pending"] + counts["claimed"]
+        with self._lock:
+            return self._count("pending", sweep_id) + self._count(
+                "claimed", sweep_id
+            )
 
     def jobs(
         self, state: str, sweep_id: str | None = None

@@ -13,8 +13,6 @@ import pytest
 from repro.core.algorithm import aggregate_risk_analysis_reference
 from repro.core.kernels import (
     MIN_OCC_CHUNK,
-    get_l2_cache_bytes,
-    max_occ_chunk,
     occ_chunk_for,
     autotune_batch_trials,
     build_layer_tables,
@@ -304,7 +302,7 @@ class TestAutotuner:
             budget_bytes=64 * 2**20,
         )
         # scratch(batch) = combined vector + totals + the staged gather
-        # chunk at its actual L2-derived size.
+        # chunk at the size the kernel stages.
         chunk_block = 15 * occ_chunk_for(15, 8) * 8
         assert 1 <= batch <= 1_000_000
         assert batch * (1_000 * 8 + 16) + chunk_block <= 64 * 2**20
@@ -316,29 +314,35 @@ class TestAutotuner:
         # trial batch can only shrink (or stay equal).
         assert with_secondary <= plain
 
-    def test_l2_budget_steers_occ_chunk(self):
-        small = occ_chunk_for(15, 8, l2_bytes=256 * 1024)
-        large = occ_chunk_for(15, 8, l2_bytes=8 * 2**20)
-        assert MIN_OCC_CHUNK <= small < large
-        assert large <= max_occ_chunk(8, l2_bytes=8 * 2**20)
-        # Detected (or fallback) budget is sane and feeds the default.
-        assert get_l2_cache_bytes() >= 64 * 1024
-
-    def test_l2_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_L2_CACHE_BYTES", str(512 * 1024))
-        assert get_l2_cache_bytes() == 512 * 1024
-        assert occ_chunk_for(1, 8) == min(
-            max_occ_chunk(8), (512 * 1024 // 2) // 8
-        )
-        # Suffixed values use the same format as sysfs.
-        monkeypatch.setenv("REPRO_L2_CACHE_BYTES", "512K")
-        assert get_l2_cache_bytes() == 512 * 1024
-        monkeypatch.setenv("REPRO_L2_CACHE_BYTES", "2M")
-        assert get_l2_cache_bytes() == 2 * 2**20
-        # Malformed overrides fail loudly instead of being ignored.
-        monkeypatch.setenv("REPRO_L2_CACHE_BYTES", "lots")
-        with pytest.raises(ValueError, match="REPRO_L2_CACHE_BYTES"):
-            get_l2_cache_bytes()
+    def test_chunk_rule_is_a_kernel_constant(self, monkeypatch):
+        # The chunk is a constant of the kernel: neither the host's
+        # cache nor the environment (a variable that once overrode the
+        # budget) moves it, so plans and store keys match across hosts.
+        expected = {
+            (0, 4): 131072, (0, 8): 65536,
+            (1, 4): 131072, (1, 8): 65536,
+            (2, 4): 65536, (2, 8): 32768,
+            (15, 4): 8738, (15, 8): 4369,
+            (64, 4): 2048, (64, 8): 1024,
+        }
+        for env in (None, "64K", "64M"):
+            if env is None:
+                monkeypatch.delenv("REPRO_L2_CACHE_BYTES", raising=False)
+            else:
+                monkeypatch.setenv("REPRO_L2_CACHE_BYTES", env)
+            got = {key: occ_chunk_for(*key) for key in expected}
+            assert got == expected, env
+            assert autotune_batch_trials(1_000_000, 1000, 15) == 8306
+            assert (
+                autotune_batch_trials(1_000_000, 1000, 15, secondary=True)
+                == 8126
+            )
+            assert (
+                autotune_batch_trials(1_000_000, 1000, 15, dtype=np.float32)
+                == 16579
+            )
+            # Wide layers stage at least the floor's rows per chunk.
+            assert occ_chunk_for(1_000, 8) == MIN_OCC_CHUNK
 
     def test_small_workload_runs_in_one_batch(self):
         assert autotune_batch_trials(100, 10.0, 5) == 100

@@ -77,6 +77,31 @@ def test_claim_filters_by_sweep(queue):
     assert queue.claim("w1", sweep_id="sweep-c") is None
 
 
+def test_claims_follow_submission_order(queue):
+    a, b = make_jobs(3, "sweep-a"), make_jobs(3, "sweep-b")
+    queue.submit([a[0], b[0], a[1], b[1], a[2], b[2]])
+    first = queue.claim("w1")
+    assert first.job_id == a[0].job_id
+    # A failed (requeued) job goes behind everything already pending.
+    assert queue.fail(first, "boom") == "pending"
+    # A sweep filter skips the other sweep without reordering it.
+    other = queue.claim("w1", sweep_id="sweep-b")
+    assert other.job_id == b[0].job_id
+    assert queue.complete(other)
+    expired = queue.claim("w1")
+    assert expired.job_id == a[1].job_id
+    # A lease that expires also puts its job at the back.
+    assert queue.requeue_expired(now=time.time() + 31.0) == [expired.job_id]
+    order = []
+    while (job := queue.claim("w2")) is not None:
+        order.append(job.job_id)
+    assert order == [
+        b[1].job_id, a[2].job_id, b[2].job_id, a[0].job_id, a[1].job_id,
+    ]
+    assert queue.active_count() == 5
+    assert queue.active_count("sweep-b") == 2
+
+
 def test_fail_requeues_until_max_attempts_then_revives(queue):
     queue.submit(make_jobs(1))
     states = []
