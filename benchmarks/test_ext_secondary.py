@@ -15,14 +15,11 @@ from repro.core.secondary import SecondaryUncertainty, layer_stream_key
 @pytest.fixture(scope="module")
 def kernel_inputs(workload):
     layer = workload.portfolio.layers[0]
-    lookups, stacked, _ = build_layer_tables(
-        workload.portfolio.elts_of(layer),
-        workload.catalog.n_events,
-        "direct",
-        np.float64,
+    stacked = build_layer_tables(
+        workload.portfolio.elts_of(layer), workload.catalog.n_events
     )
     yet = workload.yet
-    return (yet.event_ids, yet.offsets, lookups, layer.terms), stacked, layer
+    return (yet.event_ids, yet.offsets, layer.terms), stacked, layer
 
 
 def test_deterministic_kernel(benchmark, kernel_inputs):

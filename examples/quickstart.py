@@ -31,7 +31,6 @@ def main() -> None:
     ara = repro.AggregateRiskAnalysis(
         workload.portfolio,
         catalog_size=workload.catalog.n_events,
-        lookup_kind="direct",  # the paper's choice of ELT representation
     )
     seq = ara.run(workload.yet, engine="sequential")
     multi = ara.run(workload.yet, engine="multicore")

@@ -1423,11 +1423,8 @@ def ext_secondary(
     if measure:
         workload = get_workload(measured_spec)
         layer = workload.portfolio.layers[0]
-        lookups, stacked, _ = build_layer_tables(
-            workload.portfolio.elts_of(layer),
-            workload.catalog.n_events,
-            "direct",
-            np.float64,
+        stacked = build_layer_tables(
+            workload.portfolio.elts_of(layer), workload.catalog.n_events
         )
         ids, offsets = workload.yet.event_ids, workload.yet.offsets
         for cv_label, su in (
@@ -1439,7 +1436,6 @@ def ext_secondary(
             year = layer_trial_batch_ragged(
                 ids,
                 offsets,
-                lookups,
                 layer.terms,
                 stacked=stacked,
                 secondary=su,

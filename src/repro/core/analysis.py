@@ -83,10 +83,8 @@ class AggregateRiskAnalysis:
     portfolio:
         Layers and their ELTs.
     catalog_size:
-        Event-id address space (sizes the direct access tables).
-    lookup_kind:
-        ELT representation: ``"direct"`` (the paper's choice), ``"sorted"``,
-        ``"hash"`` or ``"cuckoo"``.
+        Event-id address space (sizes each layer's direct access table,
+        the paper's ELT representation and the kernel's only one).
     dtype:
         Working precision; ``numpy.float32`` reproduces the paper's
         reduced-precision optimisation.
@@ -109,7 +107,6 @@ class AggregateRiskAnalysis:
         self,
         portfolio: Portfolio,
         catalog_size: int,
-        lookup_kind: str = "direct",
         dtype: np.dtype | type = np.float64,
         secondary=None,
         secondary_seed=None,
@@ -119,7 +116,6 @@ class AggregateRiskAnalysis:
         portfolio.validate()
         self.portfolio = portfolio
         self.catalog_size = int(catalog_size)
-        self.lookup_kind = lookup_kind
         self.dtype = np.dtype(dtype)
         self.secondary = secondary
         self.secondary_seed = secondary_seed
@@ -129,7 +125,6 @@ class AggregateRiskAnalysis:
         from repro.engines.registry import create_engine  # deferred import
 
         options: Dict[str, Any] = {
-            "lookup_kind": self.lookup_kind,
             "dtype": self.dtype,
             "secondary": self.secondary,
             "secondary_seed": self.secondary_seed,

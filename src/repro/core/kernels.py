@@ -34,21 +34,21 @@ The kernel is built around that:
 * **segment reduction** — per-trial totals come from
   ``np.add.reduceat`` over the CSR offsets;
 * **occurrence chunking** — both fills run over bounded occurrence
-  chunks (the CPU mirror of the paper's shared-memory chunking), so
-  peak scratch is ``occ_chunk x n_elts`` words, not
-  ``n_occurrences x n_elts``;
+  chunks (the CPU mirror of the paper's shared-memory chunking): the
+  plain path's ``np.take`` converts one chunk of ids at a time, and the
+  secondary path stages ``occ_chunk x n_elts`` gross words and
+  multipliers per chunk, never ``n_occurrences x n_elts``;
 * **a batch autotuner** — :func:`autotune_batch_trials` sizes trial
   batches to a byte budget instead of defaulting to all-trials-at-once.
 
-Non-direct lookup kinds (``sorted``/``hash``/``cuckoo``/``compressed``)
-cannot be stacked into one matrix; for them the kernel still runs —
-per-ELT lookups and terms over the *flat* CSR id array, combined in
-place — it just forgoes the per-event vector.
+The stacked direct table is the kernel's only layer table, as direct
+access tables are the paper's: one access per lookup.  The compact ELT
+structures of :mod:`repro.lookup` (``sorted``/``hash``/``cuckoo``/
+``compressed``) are compared on their own by DS-TABLE and never reach
+the kernel.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -58,7 +58,6 @@ from repro.core.terms import (
     apply_occurrence_terms,
 )
 from repro.data.layer import LayerTerms
-from repro.lookup.base import LossLookup
 from repro.lookup.combined import StackedDirectTable, checked_take
 from repro.lookup.factory import LookupCache, get_lookup_cache
 from repro.utils.bufpool import ScratchBufferPool
@@ -74,6 +73,14 @@ from repro.utils.timer import (
 #: keys carry it as a constant, so stores written while a second
 #: (padded) kernel existed still replay.
 KERNEL_RAGGED = "ragged"
+
+#: the layer table's name in key formats.  The stacked direct table is
+#: the only one; analysis and segment keys, quote-service base keys,
+#: fleet manifest ``config`` blocks and scenario campaign keys carry its
+#: name as a constant, so stores written while the kernel also took
+#: per-ELT ``sorted``/``hash``/``cuckoo``/``compressed`` tables still
+#: replay.
+LOOKUP_DIRECT = "direct"
 
 #: default scratch budget of the batch autotuner (bytes)
 DEFAULT_BATCH_BUDGET_BYTES = 64 * 2**20
@@ -127,14 +134,19 @@ def autotune_batch_trials(
     """Trials per batch such that the kernel's scratch fits ``budget_bytes``.
 
     The ragged kernel's per-batch scratch is the combined loss vector
-    (one word per occurrence), the fused gather chunk (:func:`occ_chunk_for`
-    rows of ``n_elts`` words — charged exactly, at the same
-    size the kernel will actually use, including the secondary path's
-    rounding of the chunk to whole RNG tiles), the secondary path's
-    multiplier block plus its per-tile uniform/index workspaces, and the
-    per-trial totals.  Solving ``scratch(batch) <= budget`` gives an
-    explicit memory policy instead of all-trials-at-once; the result is
-    clamped to ``[1, n_trials]``.
+    (one word per occurrence) and the per-trial totals, plus a fixed
+    chunk charge.  On the secondary path that charge is exact: the
+    gathered gross block (:func:`occ_chunk_for` rows of ``n_elts``
+    words, rounded to whole RNG tiles), the multiplier block beside it
+    and the per-tile uniform/index workspaces.  The plain path charges
+    an ``(occ_chunk_for(n_elts), n_elts)`` block too, although its fill
+    stages none (it reads one word per occurrence through short
+    ``np.take`` chunks), so its batches sit a little under the budget.
+    The charge stays because the batch size it yields is part of every
+    plan fingerprint and store key: changing it would orphan stored
+    segments and analyses.  Solving ``scratch(batch) <= budget`` gives
+    an explicit memory policy instead of all-trials-at-once; the result
+    is clamped to ``[1, n_trials]``.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
@@ -152,6 +164,8 @@ def autotune_batch_trials(
             + SECONDARY_TILE * (8 + np.dtype(np.intp).itemsize)
         )
     else:
+        # Not staged since the plain fill became a 1-D gather; kept so
+        # plans and keys stay as they were (see the docstring).
         fixed = n_elts * occ_chunk_for(n_elts, itemsize) * itemsize
     # Per trial: combined vector words + totals/year accumulators.
     per_trial = events * itemsize + 16
@@ -201,37 +215,35 @@ def segment_sums(
 def build_layer_tables(
     elts,
     catalog_size: int,
-    lookup_kind: str,
-    dtype: np.dtype | type,
+    lookup_kind: str = LOOKUP_DIRECT,
+    dtype: np.dtype | type = np.float64,
     legacy_kernel: str = KERNEL_RAGGED,
     cache: LookupCache | None = None,
-) -> tuple[list, StackedDirectTable | None, int]:
-    """Cached lookup structures for one layer.
+) -> StackedDirectTable:
+    """The layer's :class:`StackedDirectTable`, the kernel's only table.
 
-    Returns ``(lookups, stacked, table_bytes)``: direct tables are
-    stacked into one matrix (``lookups`` empty), every other lookup kind
-    uses the per-ELT structures.  ``table_bytes`` is what an engine
-    stages to a (simulated) device.  Builds go through ``cache`` (the
-    process-wide lookup cache by default) so layers sharing ELTs — and
-    repeated runs — build once.
+    Builds go through ``cache`` (the process-wide lookup cache by
+    default), so layers sharing ELTs — and repeated runs — build once.
+    The table's ``nbytes`` is what an engine stages to a (simulated)
+    device.
 
-    ``legacy_kernel`` keeps the fifth positional slot of the old
-    per-kernel signature, which ``perfbench/harness.py`` still fills
-    with :data:`KERNEL_RAGGED`; any other value raises ``ValueError``.
+    ``lookup_kind`` and ``legacy_kernel`` keep the third and fifth
+    positional slots of the old signature, which ``perfbench/harness.py``
+    still fills with ``"direct"`` and :data:`KERNEL_RAGGED`; any other
+    value raises ``ValueError``.
     """
+    if lookup_kind != LOOKUP_DIRECT:
+        raise ValueError(
+            f"unknown layer table {lookup_kind!r}: the stacked "
+            f"{LOOKUP_DIRECT!r} table is the only one"
+        )
     if legacy_kernel != KERNEL_RAGGED:
         raise ValueError(
             f"unknown kernel {legacy_kernel!r}: {KERNEL_RAGGED!r} is the "
             "only kernel"
         )
     cache = cache if cache is not None else get_lookup_cache()
-    if lookup_kind == "direct":
-        stacked = cache.stacked_table(elts, catalog_size, dtype=dtype)
-        return [], stacked, stacked.nbytes
-    lookups = cache.layer_lookups(
-        elts, catalog_size=catalog_size, kind=lookup_kind, dtype=dtype
-    )
-    return lookups, None, sum(lk.nbytes for lk in lookups)
+    return cache.stacked_table(elts, catalog_size, dtype=dtype)
 
 
 # ----------------------------------------------------------------------
@@ -239,8 +251,7 @@ def build_layer_tables(
 # ----------------------------------------------------------------------
 def _fill_combined(
     ids: np.ndarray,
-    lookups: Sequence[LossLookup] | None,
-    stacked: StackedDirectTable | None,
+    stacked: StackedDirectTable,
     combined: np.ndarray,
     profile: ActivityProfile,
 ) -> None:
@@ -252,39 +263,26 @@ def _fill_combined(
     this vector and re-runs only the finish per candidate.
     """
     n_occ = ids.size
-    if stacked is not None:
-        # Plain path: one word per occurrence from the per-event sums.
-        work = combined.dtype
-        if stacked.has_net_sums(work):
-            sums = stacked.net_sums(work)
-        else:
-            # Building the vector applies the ELT terms: this run pays.
-            with profile.track(ACTIVITY_FINANCIAL):
-                sums = stacked.net_sums(work)
-        # Chunked: np.take converts one chunk of int32 ids to intp at a
-        # time, and the range check reads them from cache.
-        chunk = occ_chunk_for(1, work.itemsize)
-        with profile.track(ACTIVITY_LOOKUP):
-            for lo in range(0, n_occ, chunk):
-                hi = min(lo + chunk, n_occ)
-                checked_take(sums, ids[lo:hi], combined[lo:hi])
+    # One word per occurrence from the per-event sums.
+    work = combined.dtype
+    if stacked.has_net_sums(work):
+        sums = stacked.net_sums(work)
     else:
-        # Fallback combine for non-stackable lookup kinds: still no
-        # padding — per-ELT lookups run over the flat id array.
-        combined[:] = 0.0
-        work = combined.dtype
-        for lookup in lookups or ():
-            with profile.track(ACTIVITY_LOOKUP):
-                gross_flat = lookup.lookup(ids)
-            with profile.track(ACTIVITY_FINANCIAL):
-                net = lookup.terms.apply(gross_flat)
-                combined += net.astype(work, copy=False)
+        # Building the vector applies the ELT terms: this run pays.
+        with profile.track(ACTIVITY_FINANCIAL):
+            sums = stacked.net_sums(work)
+    # Chunked: np.take converts one chunk of int32 ids to intp at a
+    # time, and the range check reads them from cache.
+    chunk = occ_chunk_for(1, work.itemsize)
+    with profile.track(ACTIVITY_LOOKUP):
+        for lo in range(0, n_occ, chunk):
+            hi = min(lo + chunk, n_occ)
+            checked_take(sums, ids[lo:hi], combined[lo:hi])
 
 
 def _fill_combined_secondary(
     ids: np.ndarray,
-    lookups: Sequence[LossLookup] | None,
-    stacked: StackedDirectTable | None,
+    stacked: StackedDirectTable,
     combined: np.ndarray,
     uncertainty: SecondaryUncertainty,
     stream_key: int,
@@ -302,9 +300,8 @@ def _fill_combined_secondary(
     table's gross twin and applies the terms itself.
     """
     n_occ = ids.size
-    work = combined.dtype
-    n_elts = stacked.n_elts if stacked is not None else len(lookups or ())
-    tdtype = stacked.dtype if stacked is not None else work
+    n_elts = stacked.n_elts
+    tdtype = stacked.dtype
     table = uncertainty.quantile_table(dtype=tdtype)
     # Round the occurrence chunk to whole RNG tiles and align chunk
     # boundaries to *global* tile edges: every tile is then regenerated
@@ -313,10 +310,8 @@ def _fill_combined_secondary(
     chunk = chunk_tiles * SECONDARY_TILE
     width = min(chunk, max(n_occ, 1))
     mult = pool.take((n_elts, width), tdtype)
-    rows = pool.take((width, n_elts), tdtype) if stacked is not None else None
+    rows = pool.take((width, n_elts), tdtype)
     try:
-        if combined.size and stacked is None:
-            combined[:] = 0.0
         lo = 0
         while lo < n_occ:
             g = occ_base + lo
@@ -332,28 +327,16 @@ def _fill_combined_secondary(
                     table=table,
                     pool=pool,
                 )
-            if stacked is not None:
-                block = rows[: hi - lo]
-                with profile.track(ACTIVITY_LOOKUP):
-                    stacked.gather_gross(ids[lo:hi], out=block)
-                with profile.track(ACTIVITY_FINANCIAL):
-                    # Scaled gross losses land ELT-major in the
-                    # multiplier block, where the terms broadcast per
-                    # ELT row and the rows sum in ELT order.
-                    np.multiply(block.T, mblock, out=mblock)
-                    stacked.apply_terms_inplace(mblock)
-                    np.sum(mblock, axis=0, out=combined[lo:hi])
-            else:
-                # Fallback for non-stackable lookup kinds: per-ELT
-                # lookups over the flat chunk, each row scaled by its
-                # multiplier stream before the ELT's terms apply.
-                for row, lookup in enumerate(lookups or ()):
-                    with profile.track(ACTIVITY_LOOKUP):
-                        gross_flat = lookup.lookup(ids[lo:hi])
-                    with profile.track(ACTIVITY_FINANCIAL):
-                        scaled = gross_flat * mblock[row]
-                        net = lookup.terms.apply(scaled)
-                        combined[lo:hi] += net.astype(work, copy=False)
+            block = rows[: hi - lo]
+            with profile.track(ACTIVITY_LOOKUP):
+                stacked.gather_gross(ids[lo:hi], out=block)
+            with profile.track(ACTIVITY_FINANCIAL):
+                # Scaled gross losses land ELT-major in the multiplier
+                # block, where the terms broadcast per ELT row and the
+                # rows sum in ELT order.
+                np.multiply(block.T, mblock, out=mblock)
+                stacked.apply_terms_inplace(mblock)
+                np.sum(mblock, axis=0, out=combined[lo:hi])
             lo = hi
     finally:
         pool.give(rows)
@@ -362,8 +345,7 @@ def _fill_combined_secondary(
 
 def combined_occurrence_losses(
     event_ids: np.ndarray,
-    lookups: Sequence[LossLookup] | None,
-    stacked: StackedDirectTable | None = None,
+    stacked: StackedDirectTable,
     dtype: np.dtype | type = np.float64,
     out: np.ndarray | None = None,
     profile: ActivityProfile | None = None,
@@ -400,11 +382,10 @@ def combined_occurrence_losses(
         if occ_base < 0:
             raise ValueError(f"occ_base must be >= 0, got {occ_base}")
         _fill_combined_secondary(
-            ids, lookups, stacked, out, secondary, stream_key,
-            occ_base, profile, pool,
+            ids, stacked, out, secondary, stream_key, occ_base, profile, pool
         )
     else:
-        _fill_combined(ids, lookups, stacked, out, profile)
+        _fill_combined(ids, stacked, out, profile)
     return out
 
 
@@ -433,13 +414,12 @@ def finish_layer_losses(
 def layer_trial_batch_ragged(
     event_ids: np.ndarray,
     offsets: np.ndarray,
-    lookups: Sequence[LossLookup] | None,
     layer_terms: LayerTerms,
-    stacked: StackedDirectTable | None = None,
     profile: ActivityProfile | None = None,
     dtype: np.dtype | type = np.float64,
     pool: ScratchBufferPool | None = None,
     *,
+    stacked: StackedDirectTable,
     secondary: SecondaryUncertainty | None = None,
     stream_key: int = 0,
     occ_base: int = 0,
@@ -456,14 +436,11 @@ def layer_trial_batch_ragged(
         CSR arrays of the trial block (``offsets[i]:offsets[i+1]``
         delimits trial ``i``); typically views from
         :meth:`~repro.data.yet.YearEventTable.csr_block`.
-    lookups:
-        Per-ELT lookup structures — the fallback combine path for
-        non-direct kinds.  Ignored when ``stacked`` is given.
     layer_terms:
         The layer's occurrence/aggregate XL terms.
     stacked:
-        The layer's :class:`~repro.lookup.combined.StackedDirectTable`;
-        when present, the plain path reads each occurrence's net loss
+        The layer's :class:`~repro.lookup.combined.StackedDirectTable`
+        (keyword-only): the plain path reads each occurrence's net loss
         from its per-event vector and the secondary path gathers gross
         rows.
     dtype:
@@ -504,7 +481,6 @@ def layer_trial_batch_ragged(
     try:
         combined_occurrence_losses(
             event_ids,
-            lookups,
             stacked,
             dtype=dtype,
             out=combined,

@@ -21,19 +21,19 @@ from repro.core.terms import apply_occurrence_terms
 from repro.data.layer import Layer, Portfolio
 from repro.data.yet import YearEventTable
 from repro.data.ylt import YearLossTable
+from repro.lookup.combined import StackedDirectTable
 from repro.utils.timer import ACTIVITY_FETCH, ACTIVITY_LAYER, ActivityProfile
 
 
 def _occurrence_net_losses(
     event_ids: np.ndarray,
-    tables: tuple,
+    stacked: StackedDirectTable,
     layer: Layer,
     profile: ActivityProfile,
 ) -> np.ndarray:
     """Steps 1–3 of Algorithm 1: one float64 net loss per occurrence."""
-    lookups, stacked, _ = tables
     combined = combined_occurrence_losses(
-        event_ids, lookups, stacked=stacked, dtype=np.float64, profile=profile
+        event_ids, stacked, dtype=np.float64, profile=profile
     )
     with profile.track(ACTIVITY_LAYER):
         return apply_occurrence_terms(combined, layer.terms, out=combined)
@@ -43,7 +43,6 @@ def max_occurrence_losses(
     yet: YearEventTable,
     portfolio: Portfolio,
     catalog_size: int,
-    lookup_kind: str = "direct",
     batch_trials: int | None = None,
     profile: ActivityProfile | None = None,
 ) -> YearLossTable:
@@ -63,14 +62,12 @@ def max_occurrence_losses(
     per_layer: Dict[int, np.ndarray] = {}
     for layer in portfolio.layers:
         with profile.track(ACTIVITY_FETCH):
-            tables = build_layer_tables(
-                portfolio.elts_of(layer), catalog_size, lookup_kind, np.float64
-            )
+            stacked = build_layer_tables(portfolio.elts_of(layer), catalog_size)
         out = np.zeros(n_trials, dtype=np.float64)
         for start in range(0, n_trials, batch):
             stop = min(start + batch, n_trials)
             ids, offs = yet.csr_block(start, stop)
-            occ = _occurrence_net_losses(ids, tables, layer, profile)
+            occ = _occurrence_net_losses(ids, stacked, layer, profile)
             with profile.track(ACTIVITY_LAYER):
                 # reduceat over non-empty trials only: an empty trial's
                 # start index would repeat (or equal ids.size) and make
@@ -90,7 +87,6 @@ def occurrence_frequency(
     catalog_size: int,
     threshold: float,
     layer_id: int | None = None,
-    lookup_kind: str = "direct",
 ) -> float:
     """Expected occurrences per year with loss above ``threshold``.
 
@@ -109,9 +105,7 @@ def occurrence_frequency(
     profile = ActivityProfile()
     total = 0.0
     for layer in layers:
-        tables = build_layer_tables(
-            portfolio.elts_of(layer), catalog_size, lookup_kind, np.float64
-        )
-        occ = _occurrence_net_losses(yet.event_ids, tables, layer, profile)
+        stacked = build_layer_tables(portfolio.elts_of(layer), catalog_size)
+        occ = _occurrence_net_losses(yet.event_ids, stacked, layer, profile)
         total += float((occ > threshold).sum())
     return total / yet.n_trials

@@ -63,11 +63,12 @@ class Engine(abc.ABC):
     returns a uniformly shaped
     :class:`~repro.core.analysis.AnalysisResult`.
 
+    Every engine reads a layer's ELT losses from its
+    :class:`~repro.lookup.combined.StackedDirectTable`, the paper's
+    direct access table.
+
     Parameters
     ----------
-    lookup_kind:
-        ELT representation (``"direct"`` is the paper's choice and the
-        default everywhere).
     dtype:
         Working precision of the loss accumulation.  The optimised GPU
         engines override the default to ``float32`` (the paper's
@@ -87,12 +88,10 @@ class Engine(abc.ABC):
 
     def __init__(
         self,
-        lookup_kind: str = "direct",
         dtype: np.dtype | type = np.float64,
         secondary=None,
         secondary_seed=None,
     ) -> None:
-        self.lookup_kind = lookup_kind
         self.dtype = np.dtype(dtype)
         self.secondary = secondary
         self.secondary_seed = secondary_seed
@@ -150,7 +149,6 @@ class Engine(abc.ABC):
             portfolio,
             self.capabilities(),
             store,
-            lookup_kind=self.lookup_kind,
             secondary=self.secondary,
             secondary_seed=self._secondary_base_seed(),
             segment_trials=segment_trials,
@@ -178,7 +176,6 @@ class Engine(abc.ABC):
             yet,
             portfolio,
             dtype=self.capabilities().dtype,
-            lookup_kind=self.lookup_kind,
             secondary=self.secondary,
             secondary_seed=self._secondary_base_seed(),
         )
@@ -336,7 +333,4 @@ class Engine(abc.ABC):
         """Execute ``plan``; produce (ylt, profile, modeled seconds, meta)."""
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"{type(self).__name__}(lookup_kind={self.lookup_kind!r}, "
-            f"dtype={self.dtype})"
-        )
+        return f"{type(self).__name__}(dtype={self.dtype})"

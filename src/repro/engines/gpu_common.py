@@ -47,7 +47,7 @@ measures it ~2x faster (38.47 s → 20.63 s).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict
 
 import numpy as np
 
@@ -57,7 +57,6 @@ from repro.data.layer import LayerTerms
 from repro.data.yet import YearEventTable
 from repro.gpusim.kernel import SimKernel
 from repro.gpusim.memory import DeviceCounters
-from repro.lookup.base import LossLookup
 from repro.lookup.combined import StackedDirectTable
 from repro.utils.bufpool import ScratchBufferPool
 from repro.utils.timer import (
@@ -337,11 +336,10 @@ class ARAKernel(SimKernel):
     """The ARA kernel on the simulated GPU (one thread per trial).
 
     The functional compute is always the ragged kernel of
-    :mod:`repro.core.kernels` (fed by ``stacked`` when the layer uses
-    direct tables).  ``flags`` selects which of the paper's four
-    optimisations the *modeled* kernel applies: with
-    :meth:`OptimizationFlags.none` it is implementation (iii), with any
-    flags set implementation (iv).  ``traffic`` picks the ledger the
+    :mod:`repro.core.kernels` over the layer's ``stacked`` table.
+    ``flags`` selects which of the paper's four optimisations the
+    *modeled* kernel applies: with :meth:`OptimizationFlags.none` it is
+    implementation (iii), with any flags set implementation (iv).  ``traffic`` picks the ledger the
     simulated device prices: ``"fused"`` (:func:`record_ragged_traffic`)
     or ``"paper"`` (:func:`record_optimized_traffic`, the paper's padded
     CUDA kernels).  ``registers_per_thread`` is the engine's register
@@ -355,14 +353,13 @@ class ARAKernel(SimKernel):
     def __init__(
         self,
         yet: YearEventTable,
-        lookups: Sequence[LossLookup],
+        stacked: StackedDirectTable,
         layer_terms: LayerTerms,
         out: np.ndarray,
         dtype: np.dtype,
         flags: OptimizationFlags,
         chunk_events: int = 24,
         traffic: str = TRAFFIC_FUSED,
-        stacked: StackedDirectTable | None = None,
         secondary: SecondaryUncertainty | None = None,
         secondary_stream_key: int = 0,
         occ_origin: int = 0,
@@ -375,14 +372,13 @@ class ARAKernel(SimKernel):
         if chunk_events < 1:
             raise ValueError(f"chunk_events must be >= 1, got {chunk_events}")
         self.yet = yet
-        self.lookups = list(lookups)
+        self.stacked = stacked
         self.layer_terms = layer_terms
         self.out = out
         self.dtype = np.dtype(dtype)
         self.flags = flags
         self.chunk_events = int(chunk_events)
         self.traffic = check_traffic(traffic)
-        self.stacked = stacked
         self.secondary = secondary
         self.secondary_stream_key = int(secondary_stream_key)
         # Global occurrence index of this (sub-)YET's first occurrence:
@@ -400,7 +396,7 @@ class ARAKernel(SimKernel):
 
     @property
     def n_elts(self) -> int:
-        return self.stacked.n_elts if self.stacked is not None else len(self.lookups)
+        return self.stacked.n_elts
 
     @property
     def occ_chunk(self) -> int:
@@ -430,7 +426,6 @@ class ARAKernel(SimKernel):
         year = layer_trial_batch_ragged(
             ids,
             offs,
-            self.lookups,
             self.layer_terms,
             stacked=self.stacked,
             dtype=self.dtype,

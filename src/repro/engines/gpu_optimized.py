@@ -70,7 +70,6 @@ class GPUOptimizedEngine(Engine):
 
     def __init__(
         self,
-        lookup_kind: str = "direct",
         dtype: np.dtype | type = np.float64,
         device_spec: DeviceSpec = TESLA_C2075,
         threads_per_block: int = 256,
@@ -82,7 +81,6 @@ class GPUOptimizedEngine(Engine):
         secondary_seed=None,
     ) -> None:
         super().__init__(
-            lookup_kind=lookup_kind,
             dtype=dtype,
             secondary=secondary,
             secondary_seed=secondary_seed,
@@ -143,12 +141,10 @@ class GPUOptimizedEngine(Engine):
 
         for layer in portfolio.layers:
             (task,) = plan.layer_tasks(layer.layer_id)
-            lookups, stacked, table_bytes = build_layer_tables(
-                portfolio.elts_of(layer),
-                catalog_size,
-                self.lookup_kind,
-                dtype,
+            stacked = build_layer_tables(
+                portfolio.elts_of(layer), catalog_size, dtype=dtype
             )
+            table_bytes = stacked.nbytes
             device.alloc(f"elt_tables_layer{layer.layer_id}", table_bytes)
             modeled_total += device.transfers.h2d(
                 table_bytes, f"elt_tables_layer{layer.layer_id}"
@@ -171,14 +167,13 @@ class GPUOptimizedEngine(Engine):
             out = np.empty(yet.n_trials, dtype=np.float64)
             kernel = ARAKernel(
                 yet=yet,
-                lookups=lookups,
+                stacked=stacked,
                 layer_terms=layer.terms,
                 out=out,
                 dtype=dtype,
                 flags=self.flags,
                 chunk_events=self.chunk_events,
                 traffic=self.traffic,
-                stacked=stacked,
                 secondary=self.secondary,
                 secondary_stream_key=layer_stream_key(
                     base_seed, layer.layer_id
@@ -255,7 +250,6 @@ class GPUBasicEngine(GPUOptimizedEngine):
 
     def __init__(
         self,
-        lookup_kind: str = "direct",
         dtype: np.dtype | type = np.float64,
         device_spec: DeviceSpec = TESLA_C2075,
         threads_per_block: int = 256,
@@ -265,7 +259,6 @@ class GPUBasicEngine(GPUOptimizedEngine):
         secondary_seed=None,
     ) -> None:
         super().__init__(
-            lookup_kind=lookup_kind,
             dtype=dtype,
             device_spec=device_spec,
             threads_per_block=threads_per_block,

@@ -56,7 +56,6 @@ class MulticoreEngine(Engine):
 
     def __init__(
         self,
-        lookup_kind: str = "direct",
         dtype: np.dtype | type = np.float64,
         n_cores: int | None = None,
         threads_per_core: int = 1,
@@ -64,7 +63,6 @@ class MulticoreEngine(Engine):
         secondary_seed=None,
     ) -> None:
         super().__init__(
-            lookup_kind=lookup_kind,
             dtype=dtype,
             secondary=secondary,
             secondary_seed=secondary_seed,
@@ -104,7 +102,6 @@ class MulticoreEngine(Engine):
             portfolio,
             catalog_size,
             plan,
-            lookup_kind=self.lookup_kind,
             dtype=self.dtype,
             secondary=self.secondary,
             secondary_seed=self.secondary_seed,

@@ -93,7 +93,6 @@ class MultiGPUEngine(Engine):
 
     def __init__(
         self,
-        lookup_kind: str = "direct",
         dtype: np.dtype | type = np.float64,
         device_spec: DeviceSpec = TESLA_M2090,
         n_devices: int = 4,
@@ -108,7 +107,6 @@ class MultiGPUEngine(Engine):
         staging: str = STAGING_SERIAL,
     ) -> None:
         super().__init__(
-            lookup_kind=lookup_kind,
             dtype=dtype,
             secondary=secondary,
             secondary_seed=secondary_seed,
@@ -188,12 +186,10 @@ class MultiGPUEngine(Engine):
             # partitionable by trial); tables are built once on the host
             # (through the shared cache) and conceptually broadcast to
             # each device.
-            lookups, stacked, table_bytes = build_layer_tables(
-                portfolio.elts_of(layer),
-                catalog_size,
-                self.lookup_kind,
-                dtype,
+            stacked = build_layer_tables(
+                portfolio.elts_of(layer), catalog_size, dtype=dtype
             )
+            table_bytes = stacked.nbytes
             out = np.empty(yet.n_trials, dtype=np.float64)
             fresh = schedule.is_fresh(layer.layer_id)
             table_key = (tuple(sorted(layer.elt_ids)), dtype.str)
@@ -224,14 +220,13 @@ class MultiGPUEngine(Engine):
 
                 kernel = ARAKernel(
                     yet=sub_yet,
-                    lookups=lookups,
+                    stacked=stacked,
                     layer_terms=layer.terms,
                     out=out[task.trial_start : task.trial_stop],
                     dtype=dtype,
                     flags=self.flags,
                     chunk_events=self.chunk_events,
                     traffic=self.traffic,
-                    stacked=stacked,
                     secondary=self.secondary,
                     secondary_stream_key=layer_stream_key(
                         base_seed, layer.layer_id

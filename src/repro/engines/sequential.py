@@ -46,14 +46,12 @@ class SequentialEngine(Engine):
 
     def __init__(
         self,
-        lookup_kind: str = "direct",
         dtype: np.dtype | type = np.float64,
         batch_trials: int | None = 8192,
         secondary=None,
         secondary_seed=None,
     ) -> None:
         super().__init__(
-            lookup_kind=lookup_kind,
             dtype=dtype,
             secondary=secondary,
             secondary_seed=secondary_seed,
@@ -85,7 +83,6 @@ class SequentialEngine(Engine):
             portfolio,
             catalog_size,
             plan,
-            lookup_kind=self.lookup_kind,
             dtype=self.dtype,
             secondary=self.secondary,
             secondary_seed=self.secondary_seed,
@@ -104,11 +101,11 @@ class ReferenceEngine(Engine):
     """Algorithm 1 verbatim (scalar loops) behind the engine interface.
 
     Pure-Python and extremely slow — the correctness oracle, not a
-    performance point.  Ignores ``lookup_kind``/``dtype`` (it always uses
-    dict semantics in ``float64``, the most literal reading of the
-    pseudocode).  With ``secondary`` it draws the *same* counter-based
-    multipliers as the kernel (addressed by global
-    occurrence index), so a seeded secondary run can be cross-checked
+    performance point.  It reads the ELTs themselves, not the layer
+    table, and ignores ``dtype`` (it always uses dict semantics in
+    ``float64``, the most literal reading of the pseudocode).  With
+    ``secondary`` it draws the *same* counter-based multipliers as the
+    kernel (addressed by global occurrence index), so a seeded secondary run can be cross-checked
     end to end against any vectorised engine.
     """
 

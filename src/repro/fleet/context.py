@@ -1,8 +1,8 @@
 """Fleet contexts: how a worker reconstructs a sweep's inputs.
 
 A sweep manifest names *what* to compute (segment keys + task
-coordinates) and *under which numeric configuration* (dtype, lookup
-kind, secondary stream); the context supplies the actual input
+coordinates) and *under which numeric configuration* (dtype,
+secondary stream); the context supplies the actual input
 arrays.  Two resolution paths:
 
 * **in-process** — the submitter registers its live
@@ -23,7 +23,7 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
-from repro.core.kernels import KERNEL_RAGGED
+from repro.core.kernels import KERNEL_RAGGED, LOOKUP_DIRECT
 from repro.core.secondary import SecondaryUncertainty, resolve_secondary_seed
 from repro.data.layer import Portfolio
 from repro.data.presets import WorkloadSpec
@@ -42,7 +42,6 @@ class FleetContext:
     portfolio: Portfolio
     catalog_size: int
     dtype: str = "<f8"
-    lookup_kind: str = "direct"
     secondary: Optional[SecondaryUncertainty] = None
     secondary_seed: int = 0
     #: lazily built per-context QuoteService for "quote" jobs
@@ -59,7 +58,6 @@ class FleetContext:
                 elts,
                 self.catalog_size,
                 max_workers=1,
-                lookup_kind=self.lookup_kind,
                 dtype=np.dtype(self.dtype),
                 secondary=self.secondary,
                 secondary_seed=(
@@ -72,7 +70,6 @@ class FleetContext:
 
 def fleet_config(
     dtype,
-    lookup_kind: str,
     catalog_size: int,
     secondary: Optional[SecondaryUncertainty],
     secondary_seed: int,
@@ -82,14 +79,15 @@ def fleet_config(
     Both submission paths (analysis sweeps and quote sweeps) and the
     worker-side :func:`context_from_manifest` go through this shape;
     a second copy drifting by one field would silently shift every
-    worker-derived key away from the submitter's.  ``"kernel"`` is a
-    constant that keeps the block as it was when a second kernel
-    existed; :func:`context_from_manifest` rejects any other value.
+    worker-derived key away from the submitter's.  ``"kernel"`` and
+    ``"lookup_kind"`` are constants that keep the block as it was when a
+    second kernel and other layer tables existed;
+    :func:`context_from_manifest` rejects any other value.
     """
     return {
         "kernel": KERNEL_RAGGED,
         "dtype": str(np.dtype(dtype).str),
-        "lookup_kind": str(lookup_kind),
+        "lookup_kind": LOOKUP_DIRECT,
         "catalog_size": int(catalog_size),
         "secondary": (
             None
@@ -104,7 +102,6 @@ def config_from_context(ctx: FleetContext) -> Dict[str, Any]:
     """The manifest's ``config`` block for a context."""
     return fleet_config(
         ctx.dtype,
-        ctx.lookup_kind,
         ctx.catalog_size,
         ctx.secondary,
         ctx.secondary_seed,
@@ -127,18 +124,21 @@ def context_from_manifest(manifest: Dict[str, Any]) -> FleetContext:
     spec, so the rebuilt inputs — and every derived segment key — are
     byte-identical to the submitter's.
 
-    A ``config.kernel`` other than ``"ragged"`` (absent is fine) raises
-    ``ValueError`` before any input is built: such a sweep was submitted
-    for a kernel this code does not have, and computing it anyway would
-    store ragged losses under the other kernel's keys.
+    A ``config.kernel`` other than ``"ragged"`` or a
+    ``config.lookup_kind`` other than ``"direct"`` (absent is fine)
+    raises ``ValueError`` before any input is built: such a sweep was
+    submitted for a kernel or layer table this code does not have, and
+    computing it anyway would store these losses under the other's keys.
     """
     config = manifest.get("config") or {}
-    kernel = config.get("kernel", KERNEL_RAGGED)
-    if kernel != KERNEL_RAGGED:
-        raise ValueError(
-            f"sweep {manifest.get('sweep_id')!r} was submitted for kernel "
-            f"{kernel!r}; only {KERNEL_RAGGED!r} is supported"
-        )
+    only_values = (("kernel", KERNEL_RAGGED), ("lookup_kind", LOOKUP_DIRECT))
+    for name, only in only_values:
+        value = config.get(name, only)
+        if value != only:
+            raise ValueError(
+                f"sweep {manifest.get('sweep_id')!r} was submitted for "
+                f"{name} {value!r}; only {only!r} is supported"
+            )
     workload_info = manifest.get("workload") or {}
     spec_dict = workload_info.get("spec")
     if spec_dict is None:
@@ -176,7 +176,6 @@ def context_from_manifest(manifest: Dict[str, Any]) -> FleetContext:
         portfolio=portfolio,
         catalog_size=int(config.get("catalog_size", workload.catalog.n_events)),
         dtype=str(config.get("dtype", "<f8")),
-        lookup_kind=str(config.get("lookup_kind", "direct")),
         secondary=secondary,
         secondary_seed=resolve_secondary_seed(
             int(config.get("secondary_seed", 0))

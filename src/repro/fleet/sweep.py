@@ -67,7 +67,6 @@ def context_for_engine(
         portfolio=portfolio,
         catalog_size=int(catalog_size),
         dtype=caps.dtype,
-        lookup_kind=engine_obj.lookup_kind,
         secondary=engine_obj.secondary,
         secondary_seed=engine_obj._secondary_base_seed(),
     )

@@ -240,7 +240,6 @@ class FleetWorker:
             ctx.portfolio,
             ctx.catalog_size,
             task,
-            lookup_kind=ctx.lookup_kind,
             dtype=np.dtype(ctx.dtype),
             secondary=ctx.secondary,
             secondary_seed=ctx.secondary_seed,

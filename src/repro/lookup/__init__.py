@@ -15,8 +15,10 @@ an Event Loss Table for fast random key lookup:
   hashing scheme the paper cites (Pagh & Rodler): at most two probes.
 * :class:`~repro.lookup.combined.StackedDirectTable` — the paper's second
   design variant: the 15 ELTs of a layer form one combined, event-major
-  table and whole rows are fetched at a time.  The fused kernel's layer
-  table; its rows hold net losses, with each ELT's terms folded in.
+  table and whole rows are fetched at a time.  The kernel's only layer
+  table: it keeps each event's net loss summed over the ELTs, with each
+  ELT's terms applied.  The other structures are compared on their own
+  (DS-TABLE) and never reach the kernel.
 * :class:`~repro.lookup.compressed.CompressedBlockTable` — the paper's §VI
   future work: a delta-compressed, block-indexed representation sitting
   between the direct table and binary search on both axes.
@@ -39,7 +41,6 @@ from repro.lookup.factory import (
     build_lookup,
     build_layer_lookups,
     build_stacked_table,
-    cached_layer_lookups,
     clear_lookup_cache,
     get_lookup_cache,
     memory_report,
@@ -58,7 +59,6 @@ __all__ = [
     "build_lookup",
     "build_layer_lookups",
     "build_stacked_table",
-    "cached_layer_lookups",
     "clear_lookup_cache",
     "get_lookup_cache",
     "memory_report",

@@ -72,9 +72,9 @@ def build_stacked_table(
 
 
 class LookupCache:
-    """LRU cache of built layer lookup structures.
+    """LRU cache of built layer tables (:class:`StackedDirectTable`).
 
-    Lookup structures are frozen after construction and safe for
+    Layer tables are frozen after construction and safe for
     concurrent readers, so portfolios whose layers share ELTs — and
     repeated engine runs over the same portfolio (benchmark sweeps,
     pricing loops) — can share one build instead of rebuilding per layer
@@ -83,7 +83,7 @@ class LookupCache:
     Entries are keyed by the *identity* of the ELT objects (plus their
     terms and the identity of their data buffers, so reassigning
     ``elt.terms``/``elt.losses`` misses the cache) and
-    ``(catalog_size, kind, dtype)``.  Each entry holds only *weak*
+    ``(catalog_size, dtype)``.  Each entry holds only *weak*
     references to its ELTs: dropping a workload evicts its entries —
     the cache never pins hundreds of MB of tables past the data's
     lifetime — and eviction-on-death also guarantees a recycled ``id()``
@@ -92,8 +92,8 @@ class LookupCache:
     per 15-ELT layer).
 
     The one mutation the key cannot see is *in-place* edits of a live
-    ELT's loss values (``elt.losses *= 2``); lookup structures have
-    always been build-time snapshots, so after such an edit call
+    ELT's loss values (``elt.losses *= 2``); layer tables are
+    build-time snapshots, so after such an edit call
     :func:`clear_lookup_cache` (or use a fresh :class:`LookupCache`).
     """
 
@@ -170,14 +170,11 @@ class LookupCache:
 
     @staticmethod
     def _key(
-        tag: str,
         elts: Sequence[EventLossTable],
         catalog_size: int,
-        kind: str,
         dtype: np.dtype | type,
     ) -> Tuple:
         return (
-            tag,
             tuple(
                 (
                     id(elt),
@@ -189,28 +186,10 @@ class LookupCache:
                 for elt in elts
             ),
             int(catalog_size),
-            kind,
             np.dtype(dtype).str,
         )
 
     # ------------------------------------------------------------------
-    def layer_lookups(
-        self,
-        elts: Sequence[EventLossTable],
-        catalog_size: int,
-        kind: str = "direct",
-        dtype: np.dtype | type = np.float64,
-    ) -> List[LossLookup]:
-        """Cached :func:`build_layer_lookups`."""
-        key = self._key("lookups", elts, catalog_size, kind, dtype)
-        return self._get(
-            key,
-            elts,
-            lambda: build_layer_lookups(
-                elts, catalog_size=catalog_size, kind=kind, dtype=dtype
-            ),
-        )
-
     def stacked_table(
         self,
         elts: Sequence[EventLossTable],
@@ -218,7 +197,7 @@ class LookupCache:
         dtype: np.dtype | type = np.float64,
     ) -> StackedDirectTable:
         """Cached :func:`build_stacked_table`."""
-        key = self._key("stacked", elts, catalog_size, "stacked", dtype)
+        key = self._key(elts, catalog_size, dtype)
         return self._get(
             key,
             elts,
@@ -256,18 +235,6 @@ def get_lookup_cache() -> LookupCache:
 def clear_lookup_cache() -> None:
     """Drop every cached lookup build (benchmark hygiene)."""
     _DEFAULT_CACHE.clear()
-
-
-def cached_layer_lookups(
-    elts: Sequence[EventLossTable],
-    catalog_size: int,
-    kind: str = "direct",
-    dtype: np.dtype | type = np.float64,
-) -> List[LossLookup]:
-    """:func:`build_layer_lookups` through the shared process-wide cache."""
-    return _DEFAULT_CACHE.layer_lookups(
-        elts, catalog_size=catalog_size, kind=kind, dtype=dtype
-    )
 
 
 def memory_report(

@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 from repro.metrics.pml import pml
 from repro.metrics.tvar import tail_value_at_risk
@@ -38,7 +37,12 @@ def pml_confidence_interval(
     ``n`` i.i.d. trials, the number of losses at or below the true
     quantile is Binomial(n, q); inverting it gives order-statistic ranks
     whose values bracket the quantile with the requested coverage.
+
+    Needs scipy, imported here so that ``import repro`` does not: the
+    package's only runtime dependency is numpy.
     """
+    from scipy import stats
+
     check_positive("return_period_years", return_period_years)
     if return_period_years <= 1.0:
         raise ValueError("return period must exceed 1 year")

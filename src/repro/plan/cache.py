@@ -5,7 +5,7 @@ same YET, most sharing ELT sets and differing only in contract terms.
 Algorithm 1 splits cleanly at the layer-terms boundary: everything
 upstream — the fused gather and per-ELT financial terms, i.e. the
 combined per-occurrence loss vector — depends only on
-``(ELT set, YET, dtype, lookup kind, secondary stream)``, not on the
+``(ELT set, YET, dtype, secondary stream)``, not on the
 layer's occurrence/aggregate terms.  Caching at that boundary lets a
 batch of N candidate quotes (or a marginal re-quote against a book) pay
 for the expensive lookup+financial pass once and re-run only the cheap

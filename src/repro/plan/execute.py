@@ -4,7 +4,7 @@ This is the one place the CPU engines' task-execution mechanics live;
 the sequential and multicore engines execute their plans here.  Per
 layer the executor:
 
-1. builds the layer's lookup tables once, through the shared
+1. builds the layer's table once, through the shared
    :class:`~repro.lookup.factory.LookupCache` (layers sharing ELTs —
    and repeated runs — build once);
 2. hands each plan slot group to the :class:`~repro.plan.scheduler.
@@ -44,7 +44,6 @@ def execute_plan_cpu(
     portfolio: Portfolio,
     catalog_size: int,
     plan: ExecutionPlan,
-    lookup_kind: str = "direct",
     dtype: np.dtype | type = np.float64,
     secondary=None,
     secondary_seed=None,
@@ -90,12 +89,8 @@ def execute_plan_cpu(
     per_layer: Dict[int, np.ndarray] = {}
     for layer in portfolio.layers:
         with profile.track(ACTIVITY_FETCH):
-            lookups, stacked, _ = build_layer_tables(
-                portfolio.elts_of(layer),
-                catalog_size,
-                lookup_kind,
-                dtype,
-                cache=cache,
+            stacked = build_layer_tables(
+                portfolio.elts_of(layer), catalog_size, dtype=dtype, cache=cache
             )
         out = np.empty(plan.n_trials, dtype=np.float64)
         # One profile per slot: ActivityProfile.charge is a bare
@@ -110,7 +105,6 @@ def execute_plan_cpu(
                 out[task.trial_start : task.trial_stop] = task_losses(
                     yet,
                     layer,
-                    lookups,
                     stacked,
                     task,
                     dtype=dtype,
@@ -140,7 +134,6 @@ def profile_merge_into(target: ActivityProfile, source: ActivityProfile) -> None
 def task_losses(
     yet: YearEventTable,
     layer,
-    lookups,
     stacked,
     task: PlanTask,
     dtype: np.dtype | type = np.float64,
@@ -164,7 +157,6 @@ def task_losses(
     return layer_trial_batch_ragged(
         ids,
         offs,
-        lookups,
         layer.terms,
         stacked=stacked,
         profile=profile,
@@ -181,7 +173,6 @@ def execute_segment_cpu(
     portfolio: Portfolio,
     catalog_size: int,
     task: PlanTask,
-    lookup_kind: str = "direct",
     dtype: np.dtype | type = np.float64,
     secondary=None,
     secondary_seed=None,
@@ -199,12 +190,8 @@ def execute_segment_cpu(
     layer = portfolio.layer(task.layer_id)
     profile = profile if profile is not None else ActivityProfile()
     with profile.track(ACTIVITY_FETCH):
-        lookups, stacked, _ = build_layer_tables(
-            portfolio.elts_of(layer),
-            catalog_size,
-            lookup_kind,
-            dtype,
-            cache=cache,
+        stacked = build_layer_tables(
+            portfolio.elts_of(layer), catalog_size, dtype=dtype, cache=cache
         )
     base_seed = (
         resolve_secondary_seed(secondary_seed) if secondary is not None else 0
@@ -213,7 +200,6 @@ def execute_segment_cpu(
     out[:] = task_losses(
         yet,
         layer,
-        lookups,
         stacked,
         task,
         dtype=dtype,

@@ -268,7 +268,6 @@ class Planner:
         portfolio: Portfolio,
         caps: EngineCapabilities,
         store,
-        lookup_kind: str = "direct",
         secondary=None,
         secondary_seed: int = 0,
         segment_trials: int | None = None,
@@ -306,7 +305,6 @@ class Planner:
             portfolio,
             plan.tasks,
             dtype=caps.dtype,
-            lookup_kind=lookup_kind,
             secondary=secondary,
             secondary_seed=secondary_seed,
         )

@@ -38,6 +38,7 @@ from typing import Any, Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from repro.core.kernels import (
+    LOOKUP_DIRECT,
     build_layer_tables,
     combined_occurrence_losses,
     finish_layer_losses,
@@ -106,9 +107,9 @@ class QuoteService:
         Width of the quote worker pool *and* of the plan used to compute
         base vectors (defaults to the machine's usable CPU count).
         Results are bit-for-bit identical for any value.
-    lookup_kind, dtype:
-        Lookup representation and working precision of the analysis
-        (defaults match the engines').
+    dtype:
+        Working precision of the analysis (the default matches the
+        engines').
     secondary, secondary_seed:
         Optional secondary uncertainty; draws are keyed by the candidate
         ``layer_id``'s stream and the global occurrence index, exactly
@@ -139,7 +140,6 @@ class QuoteService:
         book: Portfolio | None = None,
         assumptions: PricingAssumptions | None = None,
         max_workers: int | None = None,
-        lookup_kind: str = "direct",
         dtype: np.dtype | type = np.float64,
         secondary=None,
         secondary_seed=None,
@@ -160,7 +160,6 @@ class QuoteService:
             self.max_workers = int(max_workers)
         if self.max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        self.lookup_kind = lookup_kind
         self.dtype = np.dtype(dtype)
         self.secondary = secondary
         self._secondary_base_seed = (
@@ -232,7 +231,7 @@ class QuoteService:
             elt_set_fingerprint(elts),
             self._yet_fp,
             self.dtype.str,
-            self.lookup_kind,
+            LOOKUP_DIRECT,
             stream_key if self.secondary is not None else None,
         )
 
@@ -264,9 +263,7 @@ class QuoteService:
     def _compute_base(
         self, elts: List[EventLossTable], stream_key: int
     ) -> np.ndarray:
-        lookups, stacked, _ = build_layer_tables(
-            elts, self.catalog_size, self.lookup_kind, self.dtype
-        )
+        stacked = build_layer_tables(elts, self.catalog_size, dtype=self.dtype)
         probe = Portfolio.single_layer(elts)
         caps = EngineCapabilities(
             engine="quote-service",
@@ -285,8 +282,7 @@ class QuoteService:
                 )
                 combined_occurrence_losses(
                     ids,
-                    lookups,
-                    stacked=stacked,
+                    stacked,
                     dtype=self.dtype,
                     out=base[task.occ_start : task.occ_stop],
                     pool=pool,
@@ -582,7 +578,6 @@ class QuoteService:
             "kind": "quotes",
             "config": fleet_config(
                 self.dtype,
-                self.lookup_kind,
                 self.catalog_size,
                 self.secondary,
                 self._secondary_base_seed,

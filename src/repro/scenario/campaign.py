@@ -32,7 +32,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.kernels import KERNEL_RAGGED
+from repro.core.kernels import KERNEL_RAGGED, LOOKUP_DIRECT
 from repro.data.ylt import YearLossTable
 from repro.engines.base import Engine
 from repro.engines.registry import create_engine
@@ -212,9 +212,10 @@ class ScenarioCampaign:
 
         Everything that can change a scenario's final YLT *besides* the
         scenario spec itself: baseline YET/portfolio content, the
-        engine's numeric configuration (dtype, lookup kind, secondary
-        stream; the kernel name is a constant component), the segment stride (stage boundaries depend
-        on it), and the early-stop policy (it decides ``trials_used``).
+        engine's numeric configuration (dtype, secondary stream; the
+        kernel and layer-table names are constant components), the
+        segment stride (stage boundaries depend on it), and the
+        early-stop policy (it decides ``trials_used``).
         """
         caps = self.engine.capabilities()
         return fingerprint_digest(
@@ -224,7 +225,7 @@ class ScenarioCampaign:
             int(self.workload.catalog.n_events),
             KERNEL_RAGGED,
             str(caps.dtype),
-            str(self.engine.lookup_kind),
+            LOOKUP_DIRECT,
             self.engine.secondary is not None,
             int(self.segment_trials),
             None if self.policy is None else self.policy.as_config(),

@@ -12,8 +12,8 @@ hashing with SHA-256:
 * :func:`analysis_key` — the whole-analysis key combining the
   :meth:`~repro.plan.plan.ExecutionPlan.fingerprint` (task layout,
   balance), the YET and per-layer ELT-set content fingerprints
-  of :mod:`repro.plan.cache`, the working dtype, the lookup kind, and
-  the secondary-uncertainty stream identity;
+  of :mod:`repro.plan.cache`, the working dtype, and the
+  secondary-uncertainty stream identity;
 * :func:`ylt_digest` — digest of a YLT's exact bytes, used by the
   golden-YLT regression net and the replay benchmark's bit-for-bit
   assertions.
@@ -30,7 +30,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.kernels import KERNEL_RAGGED
+from repro.core.kernels import KERNEL_RAGGED, LOOKUP_DIRECT
 from repro.data.layer import Layer, Portfolio
 from repro.data.yet import YearEventTable
 from repro.data.ylt import YearLossTable
@@ -132,7 +132,6 @@ def analysis_key(
     yet: YearEventTable,
     portfolio: Portfolio,
     dtype: str,
-    lookup_kind: str,
     secondary=None,
     secondary_seed: int = 0,
 ) -> str:
@@ -140,8 +139,9 @@ def analysis_key(
 
     Covers everything that can change the YLT's bytes: the plan
     fingerprint (task boundaries, balance), YET content, per-layer
-    terms and ELT contents, working precision, lookup representation,
-    and the secondary stream.  Engine *name* is
+    terms and ELT contents, working precision and the secondary stream.
+    The layer table's name is a constant component, so keys match
+    stores written when the kernel took other tables.  Engine *name* is
     deliberately absent: engines with identical numeric configuration
     produce bit-identical YLTs and share replays.
     """
@@ -151,7 +151,7 @@ def analysis_key(
         yet_fingerprint(yet),
         portfolio_fingerprint(portfolio),
         str(np.dtype(dtype).str),
-        str(lookup_kind),
+        LOOKUP_DIRECT,
         secondary_fingerprint(secondary, secondary_seed),
     )
 
@@ -173,7 +173,6 @@ def segment_key(
     trial_stop: int,
     occ_start: int,
     dtype: str,
-    lookup_kind: str,
     secondary=None,
     secondary_seed: int = 0,
 ) -> str:
@@ -182,8 +181,8 @@ def segment_key(
     This is the fleet's unit of memoisation — one
     :class:`~repro.plan.plan.PlanTask` worth of per-trial year losses.
     The key covers the trial slice's *content* (not its position), the
-    layer's full numeric identity, and the precision/lookup
-    configuration; deterministic configurations therefore share
+    layer's full numeric identity, and the working precision;
+    deterministic configurations therefore share
     segments across sweeps, across portfolio perturbations that leave a
     layer untouched, and across YET extensions that leave a trial range
     untouched.
@@ -192,8 +191,9 @@ def segment_key(
     consumes it: secondary draws are keyed by *global occurrence index*
     (``occ_start`` joins the key).  Primary segments carry no position,
     so a repeated block of trials is recognised as the same work
-    wherever it lands.  The kernel name is a constant component, so
-    keys match stores written when a second kernel existed.
+    wherever it lands.  The kernel and layer-table names are constant
+    components, so keys match stores written when a second kernel, or
+    other layer tables, existed.
 
     This is the reference composition; :func:`segment_keys` derives a
     whole plan's keys byte-identically in one pass.
@@ -204,7 +204,7 @@ def segment_key(
         yet.slice_fingerprint(trial_start, trial_stop),
         layer_fingerprint(portfolio, portfolio.layer(layer_id)),
         str(np.dtype(dtype).str),
-        str(lookup_kind),
+        LOOKUP_DIRECT,
         _segment_stream(secondary, secondary_seed, occ_start),
     )
 
@@ -225,7 +225,6 @@ def segment_keys(
     portfolio: Portfolio,
     tasks,
     dtype: str,
-    lookup_kind: str,
     secondary=None,
     secondary_seed: int = 0,
 ) -> list:
@@ -233,7 +232,7 @@ def segment_keys(
     :class:`~repro.plan.plan.PlanTask`), in order, in one pass.
 
     Byte-identical to calling :func:`segment_key` per task, but each
-    invariant part of the key tuple (schema, kernel name, dtype, lookup) is
+    invariant part of the key tuple (schema, kernel name, dtype, table) is
     serialised once, each layer fingerprint once, and each trial
     range's slice fingerprint once for all layers; the parts are then
     spliced into the encoding :func:`canonical_bytes` gives the whole
@@ -248,7 +247,7 @@ def segment_keys(
         + canonical_bytes(KERNEL_RAGGED)
     )
     tail = canonical_bytes(str(np.dtype(dtype).str)) + canonical_bytes(
-        str(lookup_kind)
+        LOOKUP_DIRECT
     )
     layer_parts: dict = {}
     slice_parts: dict = {}

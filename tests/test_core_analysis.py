@@ -33,15 +33,6 @@ class TestAggregateRiskAnalysis:
         result = ara.run(tiny_workload.yet, engine="multicore", n_cores=2)
         assert result.meta["n_cores"] == 2
 
-    def test_lookup_kind_respected(self, tiny_workload, reference_ylt):
-        ara = AggregateRiskAnalysis(
-            tiny_workload.portfolio,
-            tiny_workload.catalog.n_events,
-            lookup_kind="cuckoo",
-        )
-        result = ara.run(tiny_workload.yet, engine="sequential")
-        assert reference_ylt.allclose(result.ylt)
-
     def test_run_all_covers_all_engines(self, tiny_workload):
         ara = AggregateRiskAnalysis(
             tiny_workload.portfolio, tiny_workload.catalog.n_events

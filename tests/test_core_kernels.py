@@ -1,7 +1,7 @@
 """Equivalence and unit tests for the fused ragged CSR kernel path.
 
-The contract under test: for every lookup kind, dtype, batch size and
-trial shape (including empty trials), the fused ragged kernel
+The contract under test: for every dtype, batch size and trial shape
+(including empty trials), the fused ragged kernel
 (:mod:`repro.core.kernels`) and the line-by-line scalar reference
 produce the same Year Loss Tables — exactly in float64, within float32
 tolerance on the reduced-precision path.
@@ -20,6 +20,7 @@ from repro.core.kernels import (
     segment_sums,
 )
 from repro.core.secondary import SecondaryUncertainty
+from repro.data.elt import EventLossTable
 from repro.data.layer import LayerTerms
 from repro.data.yet import YearEventTable
 from repro.lookup.factory import (
@@ -35,8 +36,6 @@ from repro.utils.timer import (
     ActivityProfile,
 )
 from tests.conftest import run_sequential
-
-LOOKUP_KINDS = ("direct", "sorted", "hash", "cuckoo", "compressed")
 
 
 @pytest.fixture(scope="module")
@@ -61,15 +60,10 @@ def ragged_yet(tiny_workload):
 # Equivalence: ragged kernel vs scalar reference
 # ----------------------------------------------------------------------
 class TestKernelEquivalence:
-    @pytest.mark.parametrize("kind", LOOKUP_KINDS)
-    def test_matches_reference_all_kinds(
-        self, tiny_workload, reference_ylt, kind
-    ):
+    def test_matches_reference(self, tiny_workload, reference_ylt):
         w = tiny_workload
-        ylt = run_sequential(
-            w.yet, w.portfolio, w.catalog.n_events, lookup_kind=kind
-        )
-        assert reference_ylt.allclose(ylt), kind
+        ylt = run_sequential(w.yet, w.portfolio, w.catalog.n_events)
+        assert reference_ylt.allclose(ylt)
 
     @pytest.mark.parametrize("batch", [None, 1, 7, 16, 1000])
     def test_batching_does_not_change_results(
@@ -81,13 +75,10 @@ class TestKernelEquivalence:
         )
         assert reference_ylt.allclose(ylt), f"batch={batch}"
 
-    @pytest.mark.parametrize("kind", ("direct", "sorted"))
-    def test_ragged_trials_with_empties(self, tiny_workload, ragged_yet, kind):
+    def test_ragged_trials_with_empties(self, tiny_workload, ragged_yet):
         w = tiny_workload
         reference = aggregate_risk_analysis_reference(ragged_yet, w.portfolio)
-        ylt = run_sequential(
-            ragged_yet, w.portfolio, w.catalog.n_events, lookup_kind=kind
-        )
+        ylt = run_sequential(ragged_yet, w.portfolio, w.catalog.n_events)
         assert reference.allclose(ylt)
 
     def test_float32_close_to_reference(self, tiny_workload, reference_ylt):
@@ -141,19 +132,6 @@ class TestKernelEquivalence:
 # The batch kernel itself
 # ----------------------------------------------------------------------
 class TestLayerTrialBatchRagged:
-    def test_fused_and_fallback_paths_agree(self, tiny_workload):
-        w = tiny_workload
-        layer = w.portfolio.layers[0]
-        elts = w.portfolio.elts_of(layer)
-        ids, offs = w.yet.csr_block(0, w.yet.n_trials)
-        stacked = build_stacked_table(elts, w.catalog.n_events)
-        lookups = get_lookup_cache().layer_lookups(elts, w.catalog.n_events)
-        fused = layer_trial_batch_ragged(
-            ids, offs, None, layer.terms, stacked=stacked
-        )
-        fallback = layer_trial_batch_ragged(ids, offs, lookups, layer.terms)
-        assert np.allclose(fused, fallback, rtol=1e-12)
-
     def test_profile_charges_every_phase(self, tiny_workload):
         w = tiny_workload
         layer = w.portfolio.layers[0]
@@ -165,8 +143,8 @@ class TestLayerTrialBatchRagged:
         def profile_of(**kwargs):
             profile = ActivityProfile()
             layer_trial_batch_ragged(
-                ids, offs, None, layer.terms, stacked=stacked,
-                profile=profile, **kwargs,
+                ids, offs, layer.terms, profile=profile, stacked=stacked,
+                **kwargs,
             )
             return profile.seconds
 
@@ -189,20 +167,34 @@ class TestLayerTrialBatchRagged:
             assert secondary[activity] > 0
 
     def test_no_lookups_gives_zero_losses(self, tiny_workload):
+        """A table with no losses to look up gives exact zeros."""
         w = tiny_workload
         ids, offs = w.yet.csr_block(0, w.yet.n_trials)
-        year = layer_trial_batch_ragged(ids, offs, [], LayerTerms())
+        empty = EventLossTable(1, np.array([], dtype=np.int64), np.array([]))
+        stacked = build_stacked_table([empty], w.catalog.n_events)
+        year = layer_trial_batch_ragged(
+            ids, offs, LayerTerms(), stacked=stacked
+        )
         assert year.shape == (w.yet.n_trials,)
         assert np.all(year == 0.0)
 
     def test_rejects_2d_ids(self, tiny_workload):
+        w = tiny_workload
+        stacked = build_stacked_table(
+            w.portfolio.elts_of(w.portfolio.layers[0]), w.catalog.n_events
+        )
         with pytest.raises(ValueError):
             layer_trial_batch_ragged(
                 np.zeros((2, 3), dtype=np.int32),
                 np.array([0, 3, 6]),
-                [],
                 LayerTerms(),
+                stacked=stacked,
             )
+
+    def test_table_is_required(self, tiny_workload):
+        ids, offs = tiny_workload.yet.csr_block(0, 4)
+        with pytest.raises(TypeError, match="stacked"):
+            layer_trial_batch_ragged(ids, offs, LayerTerms())
 
     def test_pool_reuse_across_batches(self, tiny_workload):
         w = tiny_workload
@@ -215,7 +207,7 @@ class TestLayerTrialBatchRagged:
             stop = min(start + 16, w.yet.n_trials)
             ids, offs = w.yet.csr_block(start, stop)
             layer_trial_batch_ragged(
-                ids, offs, None, layer.terms, stacked=stacked, pool=pool
+                ids, offs, layer.terms, pool=pool, stacked=stacked
             )
         # After the first batch every later take() is served from the pool.
         assert pool.hits > 0
@@ -227,7 +219,6 @@ class TestLayerTrialBatchRagged:
         # float64 matrix would be 32 MB, its per-event vector 3.2 MB.
         import tracemalloc
 
-        from repro.data.elt import EventLossTable
         from repro.data.layer import Portfolio
         from repro.engines.sequential import SequentialEngine
 
@@ -359,12 +350,16 @@ class TestAutotuner:
         w = tiny_workload
         elts = w.portfolio.elts_of(w.portfolio.layers[0])
         n = w.catalog.n_events
-        _, stacked, nbytes = build_layer_tables(elts, n, "direct", np.float64)
-        assert stacked is not None and nbytes == stacked.nbytes
+        stacked = build_layer_tables(elts, n)
+        assert stacked is get_lookup_cache().stacked_table(elts, n)
+        # The positional call perfbench makes: both slots are constants.
         legacy = build_layer_tables(elts, n, "direct", np.float64, "ragged")
-        assert legacy[1] is stacked
+        assert legacy is stacked
         with pytest.raises(ValueError, match="only kernel"):
             build_layer_tables(elts, n, "direct", np.float64, "dense")
+        for kind in ("sorted", "hash", "cuckoo", "compressed"):
+            with pytest.raises(ValueError, match="only one"):
+                build_layer_tables(elts, n, kind, np.float64, "ragged")
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,6 @@ from repro.core.occurrence import max_occurrence_losses, occurrence_frequency
 from repro.data.elt import ELTFinancialTerms, EventLossTable
 from repro.data.layer import Layer, LayerTerms, Portfolio
 from repro.data.yet import YearEventTable
-from repro.lookup.factory import LOOKUP_KINDS
 from repro.metrics.curves import oep_curve
 
 
@@ -122,8 +121,7 @@ def scalar_occurrence_losses(yet, portfolio, layer):
     ]
 
 
-@pytest.mark.parametrize("kind", LOOKUP_KINDS)
-def test_edge_cases_match_scalar_loop(kind):
+def test_edge_cases_match_scalar_loop():
     """Empty trials (leading, runs, trailing, all of them), a single-ELT
     layer and threshold 0, against a scalar per-trial loop."""
     elts = [
@@ -159,7 +157,7 @@ def test_edge_cases_match_scalar_loop(kind):
     for yet in yets:
         for batch_trials in (None, 2):
             table = max_occurrence_losses(
-                yet, portfolio, 10, lookup_kind=kind, batch_trials=batch_trials
+                yet, portfolio, 10, batch_trials=batch_trials
             )
             for layer in portfolio.layers:
                 per_trial = scalar_occurrence_losses(yet, portfolio, layer)
@@ -172,5 +170,5 @@ def test_edge_cases_match_scalar_loop(kind):
             positive = sum(loss > 0.0 for t in per_trial for loss in t)
             assert occurrence_frequency(
                 yet, portfolio, 10, threshold=0.0,
-                layer_id=layer.layer_id, lookup_kind=kind,
+                layer_id=layer.layer_id,
             ) == pytest.approx(positive / yet.n_trials)

@@ -58,14 +58,11 @@ class TestSecondaryKernel:
 
     def _setup(self, workload):
         layer = workload.portfolio.layers[0]
-        lookups, stacked, _ = build_layer_tables(
-            workload.portfolio.elts_of(layer),
-            workload.catalog.n_events,
-            "direct",
-            np.float64,
+        stacked = build_layer_tables(
+            workload.portfolio.elts_of(layer), workload.catalog.n_events
         )
         ids, offs = workload.yet.csr_block(0, workload.yet.n_trials)
-        return layer, (ids, offs, lookups), stacked
+        return layer, (ids, offs), stacked
 
     def _base(self, layer, inputs, stacked):
         return layer_trial_batch_ragged(
@@ -129,24 +126,22 @@ class TestSecondaryKernel:
         assert tight.sum() == pytest.approx(base.sum(), rel=0.02)
 
     def test_rejects_2d_event_ids(self, tiny_workload):
-        layer, (_, offs, lookups), stacked = self._setup(tiny_workload)
+        layer, (_, offs), stacked = self._setup(tiny_workload)
         with pytest.raises(ValueError):
             layer_trial_batch_ragged(
                 np.array([[1, 2]]),
                 offs,
-                lookups,
                 layer.terms,
                 stacked=stacked,
                 secondary=SecondaryUncertainty(),
             )
 
     def test_rejects_negative_occ_base(self, tiny_workload):
-        layer, (ids, offs, lookups), stacked = self._setup(tiny_workload)
+        layer, (ids, offs), stacked = self._setup(tiny_workload)
         with pytest.raises(ValueError, match="occ_base"):
             layer_trial_batch_ragged(
                 ids,
                 offs,
-                lookups,
                 layer.terms,
                 stacked=stacked,
                 secondary=SecondaryUncertainty(),
@@ -156,13 +151,12 @@ class TestSecondaryKernel:
     def test_batch_entry_is_combine_then_finish(self, tiny_workload):
         """The batch entry adds nothing to its two halves, bit for bit,
         at a nonzero global occurrence origin."""
-        layer, (ids, offs, lookups), stacked = self._setup(tiny_workload)
+        layer, (ids, offs), stacked = self._setup(tiny_workload)
         su = SecondaryUncertainty(2.0, 2.0)
         key = layer_stream_key(7, layer.layer_id)
         fused = layer_trial_batch_ragged(
             ids,
             offs,
-            lookups,
             layer.terms,
             stacked=stacked,
             secondary=su,
@@ -170,7 +164,7 @@ class TestSecondaryKernel:
             occ_base=1000,
         )
         combined = combined_occurrence_losses(
-            ids, lookups, stacked, secondary=su, stream_key=key, occ_base=1000
+            ids, stacked, secondary=su, stream_key=key, occ_base=1000
         )
         split = finish_layer_losses(combined, offs, layer.terms)
         np.testing.assert_array_equal(fused, split)

@@ -4,8 +4,8 @@ Every implementation of Algorithm 1 must produce the same YLT on the same
 inputs — exactly (float64 engines) or within float32 tolerance (reduced-
 precision engines).  This is checked on fixtures and, with hypothesis, on
 randomly generated portfolios/YETs.  The degenerate cases of the kernel
-differential test also run on a per-ELT lookup kind and through the
-quote service's split of the kernel (combine, then finish).
+differential test also run through the quote service's split of the
+kernel (combine, then finish).
 """
 
 import numpy as np
@@ -138,42 +138,27 @@ def test_engines_agree_on_random_problems(problem):
         ), engine
 
 
-@settings(max_examples=10, deadline=None)
-@given(problem=random_problem(), kind=st.sampled_from(
-    ["direct", "sorted", "hash", "cuckoo", "compressed"]
-))
-def test_lookup_kind_never_changes_results(problem, kind):
-    yet, portfolio = problem
-    reference = aggregate_risk_analysis_reference(yet, portfolio)
-    result = create_engine("sequential", lookup_kind=kind).run(
-        yet, portfolio, CATALOG
-    )
-    assert reference.allclose(result.ylt, rtol=1e-9, atol=1e-6)
-
-
-@pytest.mark.parametrize("lookup_kind", ["direct", "sorted"])
 @pytest.mark.parametrize("secondary", [False, True], ids=["primary", "secondary"])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("seed", [0, 1])
-def test_lookup_kinds_and_quote_split_match_reference(
-    seed, dtype, secondary, lookup_kind
-):
-    """Every lookup kind, with and without secondary uncertainty, agrees
-    with the scalar reference; the quote service's combined vector keeps
-    the working dtype, and finishing it gives the engine's bytes."""
+def test_lookup_kinds_and_quote_split_match_reference(seed, dtype, secondary):
+    """The kernel's layer table (the only lookup kind it reads), with and
+    without secondary uncertainty, agrees with the scalar reference; the
+    quote service's combined vector keeps the working dtype, and
+    finishing it gives the engine's bytes."""
     yet, portfolio = random_case(seed, 3)
     options = dict(secondary=SU, secondary_seed=seed) if secondary else {}
     expected = ReferenceEngine(**options).run(yet, portfolio, DIFF_CATALOG)
     expected = expected.ylt.losses[0]
-    engine = SequentialEngine(lookup_kind=lookup_kind, dtype=dtype, **options)
+    engine = SequentialEngine(dtype=dtype, **options)
     losses = engine.run(yet, portfolio, DIFF_CATALOG).ylt.losses[0]
     rtol = 1e-12 if dtype == np.float64 else 1e-5
     scale = max(1.0, float(np.abs(expected).max()))
     np.testing.assert_allclose(losses, expected, rtol=rtol, atol=rtol * scale)
 
     layer = portfolio.layers[0]
-    lookups, stacked, _ = build_layer_tables(
-        portfolio.elts_of(layer), DIFF_CATALOG, lookup_kind, dtype
+    stacked = build_layer_tables(
+        portfolio.elts_of(layer), DIFF_CATALOG, dtype=dtype
     )
     stream = {}
     if secondary:
@@ -182,7 +167,7 @@ def test_lookup_kinds_and_quote_split_match_reference(
             secondary=SU, stream_key=layer_stream_key(base_seed, layer.layer_id)
         )
     combined = combined_occurrence_losses(
-        yet.event_ids, lookups, stacked, dtype=dtype, **stream
+        yet.event_ids, stacked, dtype=dtype, **stream
     )
     assert combined.dtype == np.dtype(dtype)
     year = finish_layer_losses(combined, yet.offsets, layer.terms)

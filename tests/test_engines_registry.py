@@ -64,7 +64,6 @@ class TestRegistry:
             threads_per_block=64,
             chunk_events=16,
             batch_trials=100,
-            lookup_kind="direct",
         )
         for name in available_engines():
             engine = create_engine(name, **superset)
@@ -86,3 +85,11 @@ def test_no_backend_option(surface, tmp_path, capsys):
     else:
         with pytest.raises(TypeError, match="backend"):
             create_engine(surface, backend="numpy")
+
+
+@pytest.mark.parametrize("engine", available_engines())
+def test_no_lookup_kind_option(engine):
+    """One layer table: ``lookup_kind`` is an option of no engine, not
+    even at its old default."""
+    with pytest.raises(TypeError, match="lookup_kind"):
+        create_engine(engine, lookup_kind="direct")

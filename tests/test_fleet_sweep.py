@@ -577,3 +577,36 @@ class TestManifestKernelCheck:
         with pytest.raises(ValueError, match=kernel):
             FleetWorker(queue, store)._context(sweep_id)
         assert len(store) == 0
+
+    def test_direct_or_missing_lookup_kind_loads(self, manifest, small_workload):
+        from repro.fleet.context import context_from_manifest
+
+        _, _, manifest = manifest
+        assert manifest["config"]["lookup_kind"] == "direct"
+        ctx = context_from_manifest(manifest)
+        assert ctx.yet.n_trials == small_workload.yet.n_trials
+        legacy = dict(manifest, config=dict(manifest["config"]))
+        del legacy["config"]["lookup_kind"]
+        assert context_from_manifest(legacy).yet.n_trials == ctx.yet.n_trials
+
+    def test_other_lookup_kinds_rejected_before_compute(
+        self, manifest, monkeypatch
+    ):
+        import repro.data.generator as generator
+        from repro.fleet.context import context_from_manifest
+
+        queue, sweep_id, manifest = manifest
+        manifest = dict(manifest, config=dict(manifest["config"]))
+        manifest["config"]["lookup_kind"] = "sorted"
+        queue.save_sweep(sweep_id, manifest)
+
+        def no_inputs(*args, **kwargs):
+            raise AssertionError("inputs built for a rejected manifest")
+
+        monkeypatch.setattr(generator, "generate_workload", no_inputs)
+        with pytest.raises(ValueError, match=sweep_id):
+            context_from_manifest(manifest)
+        store = MemoryStore()
+        with pytest.raises(ValueError, match="sorted"):
+            FleetWorker(queue, store)._context(sweep_id)
+        assert len(store) == 0

@@ -24,7 +24,6 @@ class TestReadmeQuickstart:
         ara = repro.AggregateRiskAnalysis(
             workload.portfolio,
             catalog_size=workload.catalog.n_events,
-            lookup_kind="direct",
         )
         result = ara.run(workload.yet, engine="multicore")
         summary = repro.ylt_summary(result.ylt, layer_id=0)

@@ -102,7 +102,7 @@ def vector_path(yet, portfolio, table_dtype, work_dtype):
     )
     ids, offsets = yet.csr_block(0, yet.n_trials)
     losses = layer_trial_batch_ragged(
-        ids, offsets, None, layer.terms, stacked=stacked, dtype=work_dtype
+        ids, offsets, layer.terms, dtype=work_dtype, stacked=stacked
     )
     return stacked, losses
 

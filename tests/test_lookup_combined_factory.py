@@ -355,20 +355,22 @@ class TestLookupCache:
 
         cache = LookupCache()
         elts = make_elts()
-        first = cache.layer_lookups(elts, CATALOG)
-        second = cache.layer_lookups(elts, CATALOG)
+        first = cache.stacked_table(elts, CATALOG)
+        second = cache.stacked_table(elts, CATALOG)
         assert first is second
         assert cache.stats() == {"hits": 1, "misses": 1, "size": 1}
 
-    def test_distinct_kind_dtype_catalog_miss(self):
+    def test_distinct_dtype_catalog_miss(self):
         from repro.lookup.factory import LookupCache
 
         cache = LookupCache()
         elts = make_elts()
-        cache.layer_lookups(elts, CATALOG, kind="direct")
-        cache.layer_lookups(elts, CATALOG, kind="sorted")
-        cache.layer_lookups(elts, CATALOG, kind="direct", dtype=np.float32)
-        cache.layer_lookups(elts, CATALOG + 1, kind="direct")
+        cache.stacked_table(elts, CATALOG)
+        cache.stacked_table(elts, CATALOG, dtype=np.float32)
+        cache.stacked_table(elts, CATALOG + 1)
+        assert cache.misses == 3 and cache.hits == 0
+        # A subset of the same ELTs is a different layer table.
+        cache.stacked_table(elts[:1], CATALOG)
         assert cache.misses == 4 and cache.hits == 0
 
     def test_terms_reassignment_misses(self):
@@ -377,23 +379,23 @@ class TestLookupCache:
 
         cache = LookupCache()
         elts = make_elts()
-        first = cache.layer_lookups(elts, CATALOG)
+        first = cache.stacked_table(elts, CATALOG)
         elts[0].terms = ELTFinancialTerms(retention=42.0)
-        second = cache.layer_lookups(elts, CATALOG)
+        second = cache.stacked_table(elts, CATALOG)
         assert second is not first
-        assert second[0].terms.retention == 42.0
+        assert second.terms[0].retention == 42.0
 
     def test_losses_reassignment_misses(self):
         from repro.lookup.factory import LookupCache
 
         cache = LookupCache()
         elts = make_elts()
-        first = cache.layer_lookups(elts, CATALOG)
+        first = cache.stacked_table(elts, CATALOG)
         elts[0].losses = elts[0].losses * 2.0
-        second = cache.layer_lookups(elts, CATALOG)
+        second = cache.stacked_table(elts, CATALOG)
         assert second is not first
         assert np.allclose(
-            second[0].lookup(elts[0].event_ids), elts[0].losses
+            second.gather_gross(elts[0].event_ids)[:, 0], elts[0].losses
         )
 
     def test_entries_evicted_when_elts_die(self):
@@ -403,7 +405,7 @@ class TestLookupCache:
 
         cache = LookupCache()
         elts = make_elts()
-        cache.layer_lookups(elts, CATALOG)
+        cache.stacked_table(elts, CATALOG)
         assert len(cache) == 1
         del elts
         gc.collect()
@@ -415,20 +417,20 @@ class TestLookupCache:
         cache = LookupCache(maxsize=2)
         keep = [make_elts(n_elts=1) for _ in range(4)]
         for elts in keep:
-            cache.layer_lookups(elts, CATALOG)
+            cache.stacked_table(elts, CATALOG)
         assert len(cache) == 2
 
     def test_stacked_table_cached(self):
+        from repro.core.kernels import build_layer_tables
         from repro.lookup.factory import LookupCache
 
+        # The kernel's table builds go through the given cache.
         cache = LookupCache()
         elts = make_elts()
-        a = cache.stacked_table(elts, CATALOG)
+        a = build_layer_tables(elts, CATALOG, cache=cache)
         b = cache.stacked_table(elts, CATALOG)
         assert a is b
-        # stacked and per-ELT builds are distinct entries
-        cache.layer_lookups(elts, CATALOG)
-        assert len(cache) == 2
+        assert cache.stats() == {"hits": 1, "misses": 1, "size": 1}
 
     def test_lru_eviction_killing_an_elt_does_not_deadlock(self):
         # Entry A's value holds the only reference to ELT ``e``; entry B

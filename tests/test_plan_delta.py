@@ -332,7 +332,6 @@ class TestSegmentKeysFastPath:
             dtype=dtype,
         )
         shared = dict(
-            lookup_kind="direct",
             secondary=SecondaryUncertainty(4.0, 4.0) if secondary else None,
             secondary_seed=seed,
         )

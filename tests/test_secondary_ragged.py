@@ -140,25 +140,6 @@ class TestDenseRaggedSecondaryParity:
             base.losses[0].sum(), rel=0.01
         )
 
-    def test_non_direct_lookup_fallback(self, tiny_workload):
-        """The fused secondary path also runs for non-stackable kinds."""
-        yet, portfolio, catalog = run_workload(tiny_workload)
-        direct = run_sequential(
-            yet, portfolio, catalog, secondary=SU, secondary_seed=3
-        )
-        sorted_kind = run_sequential(
-            yet,
-            portfolio,
-            catalog,
-            lookup_kind="sorted",
-            secondary=SU,
-            secondary_seed=3,
-        )
-        # Same multiplier streams, same losses: paths agree to float
-        # accumulation order.
-        np.testing.assert_allclose(
-            direct.losses[0], sorted_kind.losses[0], rtol=1e-9
-        )
 
 
 # ----------------------------------------------------------------------
@@ -365,16 +346,21 @@ class TestSequentialLane:
         engine.run(yet, portfolio, catalog, plan=plan)
         assert started == []
 
-    def test_ragged_kernel_empty_block(self):
+    def test_ragged_kernel_empty_block(self, tiny_workload):
         """Zero-trial and zero-occurrence CSR blocks are legal."""
         from repro.data.layer import LayerTerms
+        from repro.lookup.factory import build_stacked_table
 
+        stacked = build_stacked_table(
+            tiny_workload.portfolio.elts_of(tiny_workload.portfolio.layers[0]),
+            tiny_workload.catalog.n_events,
+        )
         for secondary in (None, SU):
             year = layer_trial_batch_ragged(
                 np.array([], dtype=np.int32),
                 np.array([0], dtype=np.int64),
-                [],
                 LayerTerms(),
+                stacked=stacked,
                 secondary=secondary,
                 stream_key=1,
             )

@@ -176,8 +176,7 @@ def test_analysis_keys_separate_every_perturbation(tmp_path):
     hit-is-the-answer design rests on."""
     from repro.core.analysis import AggregateRiskAnalysis
 
-    def key_for(spec, dtype="<f8", secondary=None, seed=0,
-                lookup_kind="direct"):
+    def key_for(spec, dtype="<f8", secondary=None, seed=0):
         workload = generate_workload(spec)
         ara = AggregateRiskAnalysis(
             workload.portfolio, workload.catalog.n_events
@@ -188,7 +187,6 @@ def test_analysis_keys_separate_every_perturbation(tmp_path):
             workload.yet,
             workload.portfolio,
             dtype=dtype,
-            lookup_kind=lookup_kind,
             secondary=secondary,
             secondary_seed=seed,
         )
@@ -200,7 +198,6 @@ def test_analysis_keys_separate_every_perturbation(tmp_path):
         key_for(TINY_SPEC.with_(n_trials=61)),         # different YET shape
         key_for(TINY_SPEC.with_(losses_per_elt=81)),   # different ELT bytes
         key_for(TINY_SPEC, dtype="<f4"),               # different precision
-        key_for(TINY_SPEC, lookup_kind="sorted"),      # different lookup
         key_for(TINY_SPEC, secondary=su),              # secondary on
         key_for(TINY_SPEC, secondary=su, seed=1),      # different stream
         key_for(TINY_SPEC, secondary=SecondaryUncertainty(2.0, 2.0)),
@@ -226,7 +223,7 @@ def test_analysis_key_separates_layer_terms(tiny_workload):
         keys.add(
             analysis_key(
                 plan, tiny_workload.yet, portfolio,
-                dtype="<f8", lookup_kind="direct",
+                dtype="<f8",
             )
         )
     assert len(keys) == 2
