@@ -170,9 +170,10 @@ class AggregateRiskAnalysis:
         plan is scheduled, so sharing plans across runs is always safe.
 
         ``store`` (default: the analysis' configured store) memoises the
-        whole run: a plan-fingerprint hit replays the persisted YLT
-        bit-for-bit without executing a single engine task —
-        ``result.meta["replay"]`` records the outcome.
+        whole run: a result-key hit (same inputs, working dtype and
+        secondary stream, whatever the engine or plan) replays the
+        persisted YLT bit-for-bit without executing a single engine
+        task — ``result.meta["replay"]`` records the outcome.
         """
         engine_obj = self._engine(engine, **engine_options)
         return engine_obj.run(

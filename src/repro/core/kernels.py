@@ -140,13 +140,14 @@ def autotune_batch_trials(
     words, rounded to whole RNG tiles), the multiplier block beside it
     and the per-tile uniform/index workspaces.  The plain path charges
     an ``(occ_chunk_for(n_elts), n_elts)`` block too, although its fill
-    stages none (it reads one word per occurrence through short
-    ``np.take`` chunks), so its batches sit a little under the budget.
-    The charge stays because the batch size it yields is part of every
-    plan fingerprint and store key: changing it would orphan stored
-    segments and analyses.  Solving ``scratch(batch) <= budget`` gives
-    an explicit memory policy instead of all-trials-at-once; the result
-    is clamped to ``[1, n_trials]``.
+    stages only one intp copy of an ``occ_chunk_for(1, itemsize)`` id
+    chunk inside ``np.take``, so its batches sit a little under the
+    budget.  The charge stays because the batch size it yields sets the
+    task boundaries of batched plans, so it is part of their plan
+    fingerprints (and the segment ranges an engine-native delta plan
+    probes); no store key hashes it.  Solving ``scratch(batch) <=
+    budget`` gives an explicit memory policy instead of
+    all-trials-at-once; the result is clamped to ``[1, n_trials]``.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
@@ -165,7 +166,7 @@ def autotune_batch_trials(
         )
     else:
         # Not staged since the plain fill became a 1-D gather; kept so
-        # plans and keys stay as they were (see the docstring).
+        # plan fingerprints stay as they were (see the docstring).
         fixed = n_elts * occ_chunk_for(n_elts, itemsize) * itemsize
     # Per trial: combined vector words + totals/year accumulators.
     per_trial = events * itemsize + 16

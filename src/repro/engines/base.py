@@ -158,21 +158,20 @@ class Engine(abc.ABC):
     # ------------------------------------------------------------------
     def analysis_key(
         self,
-        plan: ExecutionPlan,
         yet: YearEventTable,
         portfolio: Portfolio,
     ) -> str:
-        """Whole-analysis store key of running ``plan`` on these inputs.
+        """Whole-analysis store key of this engine's result on these inputs.
 
-        Built from the plan fingerprint plus content fingerprints of
-        every numeric input (see :func:`repro.store.keys.analysis_key`);
-        two runs share a key exactly when their YLTs are interchangeable
-        bit-for-bit.
+        Built from content fingerprints of every numeric input and this
+        engine's working dtype and secondary stream (see
+        :func:`repro.store.keys.analysis_key`); two runs share a key
+        exactly when their YLTs are interchangeable bit-for-bit, whatever
+        plan each would execute.
         """
         from repro.store.keys import analysis_key  # deferred import
 
         return analysis_key(
-            plan,
             yet,
             portfolio,
             dtype=self.capabilities().dtype,
@@ -263,7 +262,7 @@ class Engine(abc.ABC):
             ylt_from_entry,
         )
 
-        replay_key = self.analysis_key(plan, yet, portfolio)
+        replay_key = self.analysis_key(yet, portfolio)
         computed: Dict[str, Any] = {}
 
         def produce():
@@ -287,10 +286,10 @@ class Engine(abc.ABC):
 
         entry = store.get_or_compute(replay_key, produce)
         if not computed:  # replay: zero engine task executions
-            # The analysis key deliberately ignores engine name, traffic
-            # ledger and device geometry, so the stored modeled seconds
-            # are the computing run's cost, not this run's: a replay
-            # reports none and records that run's figure beside it.
+            # The analysis key deliberately ignores engine name, plan,
+            # traffic ledger and device geometry, so the stored modeled
+            # seconds are the computing run's cost, not this run's: a
+            # replay reports none and records that run's figure beside it.
             return AnalysisResult(
                 ylt=ylt_from_entry(entry),
                 profile=ActivityProfile(),

@@ -7,7 +7,7 @@ plus the memory-footprint estimator behind the Section III direct-access
 table arithmetic.
 """
 
-from repro.io.atomic import array_crc32, load_npy
+from repro.io.atomic import array_crc32
 from repro.io.binary import (
     load_elt,
     load_portfolio,
@@ -23,7 +23,6 @@ from repro.io.memory import MemoryEstimate, estimate_workload_memory
 
 __all__ = [
     "array_crc32",
-    "load_npy",
     "load_elt",
     "load_portfolio",
     "load_yet",

@@ -9,10 +9,8 @@ a scratch location, then rename it into its final name.  Readers either
 see the old entry, the new entry, or nothing; never a torn file.
 
 Removal (:func:`remove_path`) takes a file or a directory tree alike:
-store entries are single files, and entries written by the older
-directory layout, and the scratch left by crashed writers, may be
-either.  :func:`load_npy` reads the per-array ``.npy`` files of that
-older layout, memory-mapped by default.
+store entries are single files, but damage at an entry's path, or the
+scratch left by a crashed writer, may be a tree.
 """
 
 from __future__ import annotations
@@ -41,24 +39,12 @@ def array_crc32(array: np.ndarray) -> int:
     return zlib.crc32(np.ascontiguousarray(array))
 
 
-def load_npy(path: PathLike, mmap: bool = True) -> np.ndarray:
-    """Read a ``.npy`` file, memory-mapped read-only by default.
-
-    Raises whatever ``numpy.load`` raises on truncated or malformed
-    files — callers in :mod:`repro.store` convert that into a cache
-    miss rather than a wrong answer.
-    """
-    return np.load(
-        Path(path), mmap_mode="r" if mmap else None, allow_pickle=False
-    )
-
-
 def remove_path(path: PathLike) -> None:
     """Best-effort removal of a file or a whole directory tree.
 
     Self-healing, ``delete``, GC and the stale-scratch sweep all go
-    through here: an entry is one file, but an entry of the older
-    directory layout (or a crashed writer's scratch) may be a tree.
+    through here: an entry is one file, but damage at an entry's path
+    (or a crashed writer's scratch) may be a tree.
     """
     try:
         os.unlink(path)
@@ -184,14 +170,3 @@ def try_lock_file(path: PathLike):
         finally:
             os.close(fd)
 
-
-def dir_nbytes(path: PathLike) -> int:
-    """Total size in bytes of the regular files under ``path``."""
-    total = 0
-    for root, _dirs, files in os.walk(path):
-        for name in files:
-            try:
-                total += os.stat(os.path.join(root, name)).st_size
-            except OSError:
-                continue
-    return total

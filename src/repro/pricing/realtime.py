@@ -56,6 +56,7 @@ from repro.plan.cache import (
 from repro.plan.planner import EngineCapabilities, Planner
 from repro.plan.scheduler import Scheduler
 from repro.pricing.pricer import LayerQuote, PricingAssumptions, price_layer
+from repro.store.keys import secondary_fingerprint
 from repro.utils.bufpool import ScratchBufferPool
 from repro.utils.parallel import available_cpu_count
 from repro.utils.retry import Deadline
@@ -226,13 +227,21 @@ class QuoteService:
         return layer_stream_key(self._secondary_base_seed, int(layer_id))
 
     def _base_key(self, elts: Sequence[EventLossTable], stream_key: int):
+        stream = None
+        if self.secondary is not None:
+            stream = (
+                stream_key,
+                secondary_fingerprint(
+                    self.secondary, self._secondary_base_seed
+                ),
+            )
         return (
             "base",
             elt_set_fingerprint(elts),
             self._yet_fp,
             self.dtype.str,
             LOOKUP_DIRECT,
-            stream_key if self.secondary is not None else None,
+            stream,
         )
 
     # ------------------------------------------------------------------

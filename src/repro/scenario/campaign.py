@@ -55,11 +55,12 @@ from repro.store.keys import (
     fingerprint_digest,
     portfolio_fingerprint,
     scenario_result_key,
+    secondary_fingerprint,
     ylt_digest,
 )
 
 #: campaign-fingerprint schema (bump when the identity composition changes).
-CAMPAIGN_SCHEMA = "repro-scenario-campaign-v1"
+CAMPAIGN_SCHEMA = "repro-scenario-campaign-v2"
 
 
 @dataclass
@@ -212,8 +213,9 @@ class ScenarioCampaign:
 
         Everything that can change a scenario's final YLT *besides* the
         scenario spec itself: baseline YET/portfolio content, the
-        engine's numeric configuration (dtype, secondary stream; the
-        kernel and layer-table names are constant components), the
+        engine's numeric configuration (dtype, and the secondary
+        stream's Beta shape and resolved seed; the kernel and
+        layer-table names are constant components), the
         segment stride (stage boundaries depend on it), and the
         early-stop policy (it decides ``trials_used``).
         """
@@ -226,7 +228,9 @@ class ScenarioCampaign:
             KERNEL_RAGGED,
             str(caps.dtype),
             LOOKUP_DIRECT,
-            self.engine.secondary is not None,
+            secondary_fingerprint(
+                self.engine.secondary, self.engine._secondary_base_seed()
+            ),
             int(self.segment_trials),
             None if self.policy is None else self.policy.as_config(),
         )

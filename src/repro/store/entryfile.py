@@ -11,51 +11,25 @@ An entry is one file (format v2)::
 
 :func:`encode` turns a :class:`~repro.store.base.StoreEntry` into the
 file's pieces and :func:`decode` parses one back from an ``mmap`` (or
-bytes), raising on any damage.  Entries of the older v1 layout — a
-directory holding ``meta.json`` and one ``.npy`` per array — are read
-by :func:`read_v1`; nothing writes them any more.
+bytes), raising on any damage.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-import stat
 import struct
 import zlib
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List
 
 import numpy as np
 
-from repro.io.atomic import array_crc32, dir_nbytes, load_npy
 from repro.store.base import StoreEntry, check_key
-
-PathLike = Union[str, Path]
 
 _TAG = b"repro-store-v2".ljust(16, b"\0")
 #: file prefix: format tag, header length, header CRC32
 _PREFIX = struct.Struct("<16sII")
 _ALIGN = 64
-
-_V1_FORMAT = "repro-store-v1"
-V1_META = "meta.json"
-
-
-def stat_entry(path: PathLike) -> Optional[Tuple[int, float]]:
-    """``(nbytes, mtime)`` of the entry stored at ``path``, else ``None``.
-
-    An entry is a file, or a v1 directory holding ``meta.json`` (sized
-    by the sum of its files); its mtime is its last access.  Raises
-    ``OSError`` when nothing is at ``path``.
-    """
-    status = os.stat(path)
-    if not stat.S_ISDIR(status.st_mode):
-        return status.st_size, status.st_mtime
-    if os.path.isfile(os.path.join(path, V1_META)):
-        return dir_nbytes(path), status.st_mtime
-    return None
 
 
 def _aligned(offset: int) -> int:
@@ -148,22 +122,3 @@ def decode(buffer, verify: bool = True) -> StoreEntry:
         arrays[name] = array
     return StoreEntry(arrays=arrays, meta=manifest["meta"])
 
-
-def read_v1(path: Path, mmap: bool, verify: bool) -> StoreEntry:
-    """Read the v1 entry directory at ``path`` (raises on any damage)."""
-    manifest = json.loads((path / V1_META).read_text())
-    if manifest.get("format") != _V1_FORMAT:
-        raise ValueError(f"bad format tag: {manifest.get('format')}")
-    arrays: Dict[str, np.ndarray] = {}
-    for name, spec in manifest["arrays"].items():
-        array = load_npy(path / f"{name}.npy", mmap=mmap)
-        if array.nbytes != int(spec["nbytes"]):
-            raise ValueError(
-                f"array {name!r}: {array.nbytes} bytes on disk, "
-                f"manifest says {spec['nbytes']}"
-            )
-        if verify and array_crc32(array) != int(spec["crc32"]):
-            raise ValueError(f"array {name!r}: checksum mismatch")
-        array.flags.writeable = False
-        arrays[name] = array
-    return StoreEntry(arrays=arrays, meta=manifest.get("meta", {}))

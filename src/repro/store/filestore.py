@@ -18,22 +18,17 @@ old entry, the complete new entry, or a miss; never a torn file.  A
 publish race between two writers of one key is harmless (content
 addressing makes both byte-identical).
 
-A read is one ``open`` and one ``fstat`` (which tells an entry file
-from an older directory entry and both from a miss), then one ``mmap``
-of the file and ``np.frombuffer`` views onto it — read-only, as the
+A read is one ``open`` and one ``fstat``, then one ``mmap`` of the
+file and ``np.frombuffer`` views onto it — read-only, as the
 :class:`StoreEntry` contract requires, and shared through the page
 cache by every process replaying the same analysis.  Each array's CRC32
 is verified on load (``verify=False`` skips this and keeps the mapping
 fully lazy).  Any damage — an empty or truncated file, a bad tag or
 header checksum, an offset past the end of the file, an array checksum
-mismatch — demotes the entry to a miss, removes it, and bumps
-``corrupt_misses``.  A corrupt cache can slow you down; it cannot
-change an answer.
-
-Entries of the older v1 layout (a directory holding ``meta.json`` and
-one ``.npy`` per array) still read, with the same damage handling, so a
-cache written before the single-file format replays unchanged; new
-writes are always single files.
+mismatch, or anything but a file at the entry's path (such as an entry
+directory of the retired v1 layout) — demotes the entry to a miss,
+removes it, and bumps ``corrupt_misses``.  A corrupt cache can slow
+you down; it cannot change an answer.
 """
 
 from __future__ import annotations
@@ -146,12 +141,9 @@ class FileStore(ResultStore):
         except (FileNotFoundError, NotADirectoryError):
             return None
         try:
-            status = os.fstat(fd)
-            if not stat.S_ISDIR(status.st_mode):
-                return self._read_file(key, path, fd, status)
+            return self._read_file(key, path, fd, os.fstat(fd))
         finally:
             os.close(fd)
-        return self._get_v1(key, Path(path))
 
     def _read_file(
         self, key: str, path: str, fd: int, status: os.stat_result
@@ -165,7 +157,7 @@ class FileStore(ResultStore):
             entry = entryfile.decode(buffer, verify=self.verify)
         except (OSError, ValueError, KeyError, TypeError) as exc:
             # Damaged entries are a miss, never a wrong answer.  Remove
-            # the file only if it is still the one read: a concurrent
+            # the entry only if it is still the one read: a concurrent
             # put may have renamed a good entry over it meanwhile.
             self.note_corrupt(key, repr(exc))
             try:
@@ -180,30 +172,6 @@ class FileStore(ResultStore):
             return None
         if self.track_access:
             touch(fd)
-        return entry
-
-    def _get_v1(self, key: str, path: Path) -> Optional[StoreEntry]:
-        """Read an entry directory of the v1 layout."""
-        meta_path = path / entryfile.V1_META
-        if not meta_path.is_file():
-            # Re-stat the manifest after seeing the directory: it may
-            # have been replaced between the two checks above, and that
-            # must read as a miss, not as damage.
-            if path.is_dir() and not meta_path.is_file():
-                # Entry directory without its manifest: damage.  Heal
-                # it *audibly* — counted and logged, never silently
-                # skipped — so chaos runs can assert it was seen.
-                self.note_corrupt(key, "entry directory lost meta.json")
-                remove_path(path)
-            return None
-        try:
-            entry = entryfile.read_v1(path, self.mmap, self.verify)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            self.note_corrupt(key, repr(exc))
-            remove_path(path)
-            return None
-        if self.track_access:
-            touch(path)
         return entry
 
     def _put(self, key: str, entry: StoreEntry) -> None:
@@ -234,7 +202,7 @@ class FileStore(ResultStore):
             return
         except FileNotFoundError:  # first entry under this prefix
             os.makedirs(os.path.dirname(final), exist_ok=True)
-        except IsADirectoryError:  # a v1 entry of this key: replace it
+        except IsADirectoryError:  # damage at this key: replace it
             remove_path(final)
         except OSError:
             remove_path(tmp)
@@ -246,16 +214,13 @@ class FileStore(ResultStore):
             raise
 
     def contains(self, key: str) -> bool:
-        """Existence = an entry file, or a v1 directory's ``meta.json``
-        (one stat for an entry file, no read)."""
-        path = self._entry_file(check_key(key))
+        """Existence = an entry file at the key's path (one stat, no
+        read)."""
         try:
-            status = os.stat(path)
+            status = os.stat(self._entry_file(check_key(key)))
         except OSError:
             return False
-        if stat.S_ISDIR(status.st_mode):
-            return os.path.isfile(os.path.join(path, entryfile.V1_META))
-        return True
+        return stat.S_ISREG(status.st_mode)
 
     def _delete(self, key: str) -> bool:
         existed = self.contains(key)
@@ -274,7 +239,7 @@ class FileStore(ResultStore):
             for prefix in self._objects_dir.iterdir()
             if prefix.is_dir()
             for entry in prefix.iterdir()
-            if entry.is_file() or (entry / entryfile.V1_META).is_file()
+            if entry.is_file()
         )
 
     def clear(self) -> None:

@@ -11,10 +11,10 @@ mtime on every successful read (``track_access=True``, the default),
 so the mtime is a last-access clock that works on ``noatime`` mounts.
 :func:`collect_garbage` scans ``objects/``, sorts entries by that
 clock, and removes oldest-first until the store fits a total-byte
-budget.  Entries are single files; directory entries of the older v1
-layout are scanned and collected alike.  Stale scratch under ``tmp/``
-(crashed writers' files, or directories of the v1 writer) and the lock
-files of removed entries are swept as a side effect.
+budget.  Every path under ``objects/`` counts as an entry, sized by its
+own ``stat``, so damage such as a stray directory is collected like
+any entry.  Stale scratch under ``tmp/`` (crashed writers' files) and
+the lock files of removed entries are swept as a side effect.
 
 ``repro-store gc`` (:mod:`repro.store.cli`) is the operational wrapper.
 """
@@ -27,7 +27,6 @@ from pathlib import Path
 from typing import List, Union
 
 from repro.io.atomic import remove_path, try_lock_file
-from repro.store.entryfile import stat_entry
 from repro.store.filestore import resolve_cache_dir
 
 PathLike = Union[str, Path]
@@ -57,7 +56,7 @@ class GCReport:
     scanned_bytes: int = 0
     removed_entries: int = 0
     removed_bytes: int = 0
-    #: abandoned ``tmp/`` scratch: writers' files, or v1 directories
+    #: abandoned ``tmp/`` scratch left by crashed writers
     stale_tmp_dirs: int = 0
     removed_keys: List[str] = field(default_factory=list)
 
@@ -73,10 +72,9 @@ class GCReport:
 def scan_entries(cache_dir: PathLike | None = None) -> List[StoreEntryInfo]:
     """All published entries under a cache dir, oldest access first.
 
-    Size is the entry file's size (for a v1 entry directory, the sum
-    of its files' sizes); access time is the entry's mtime (bumped on
-    every tracked read).  Entries that vanish mid-scan (a concurrent GC
-    or self-healing removal) are skipped.
+    Size is the entry file's size; access time is the entry's mtime
+    (bumped on every tracked read).  Entries that vanish mid-scan (a
+    concurrent GC or self-healing removal) are skipped.
     """
     objects = resolve_cache_dir(cache_dir) / "objects"
     entries: List[StoreEntryInfo] = []
@@ -87,14 +85,14 @@ def scan_entries(cache_dir: PathLike | None = None) -> List[StoreEntryInfo]:
             continue
         for entry in sorted(prefix.iterdir()):
             try:
-                found = stat_entry(entry)
+                status = entry.stat()
             except OSError:
                 continue
-            if found is not None:
-                nbytes, atime = found
-                entries.append(
-                    StoreEntryInfo(entry.name, entry, nbytes, atime)
+            entries.append(
+                StoreEntryInfo(
+                    entry.name, entry, status.st_size, status.st_mtime
                 )
+            )
     entries.sort(key=lambda info: (info.atime, info.key))
     return entries
 

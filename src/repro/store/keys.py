@@ -9,11 +9,11 @@ hashing with SHA-256:
   values (ints, floats by bit pattern, strings, tuples, dicts, ...),
   stable across processes and sessions (unlike ``hash()``, which is
   randomised per interpreter);
-* :func:`analysis_key` — the whole-analysis key combining the
-  :meth:`~repro.plan.plan.ExecutionPlan.fingerprint` (task layout,
-  balance), the YET and per-layer ELT-set content fingerprints
-  of :mod:`repro.plan.cache`, the working dtype, and the
-  secondary-uncertainty stream identity;
+* :func:`analysis_key` — the whole-analysis key combining the YET and
+  per-layer ELT-set content fingerprints of :mod:`repro.plan.cache`,
+  the working dtype and the secondary-uncertainty stream identity.  It
+  names a *result*, not a schedule: every decomposition of the same
+  inputs yields the same YLT bytes, so the plan is not part of it;
 * :func:`ylt_digest` — digest of a YLT's exact bytes, used by the
   golden-YLT regression net and the replay benchmark's bit-for-bit
   assertions.
@@ -35,11 +35,10 @@ from repro.data.layer import Layer, Portfolio
 from repro.data.yet import YearEventTable
 from repro.data.ylt import YearLossTable
 from repro.plan.cache import elt_set_fingerprint, yet_fingerprint
-from repro.plan.plan import ExecutionPlan
 
 #: bump when key composition changes (old entries become unreachable,
 #: which is the only invalidation this design ever needs).
-KEY_SCHEMA = "repro-analysis-v1"
+KEY_SCHEMA = "repro-analysis-v2"
 
 #: schema of per-segment keys (the fleet's unit of stored work).
 SEGMENT_SCHEMA = "repro-segment-v1"
@@ -128,30 +127,27 @@ def portfolio_fingerprint(portfolio: Portfolio) -> tuple:
 
 
 def analysis_key(
-    plan: ExecutionPlan,
     yet: YearEventTable,
     portfolio: Portfolio,
     dtype: str,
     secondary=None,
     secondary_seed: int = 0,
 ) -> str:
-    """The whole-analysis store key for one planned run.
+    """The whole-analysis store key of one result.
 
-    Covers everything that can change the YLT's bytes: the plan
-    fingerprint (task boundaries, balance), YET content, per-layer
-    terms and ELT contents, working precision and the secondary stream.
-    The layer table's name is a constant component, so keys match
-    stores written when the kernel took other tables.  Engine *name* is
-    deliberately absent: engines with identical numeric configuration
-    produce bit-identical YLTs and share replays.
+    Covers exactly what can change the YLT's bytes: YET content,
+    per-layer terms and ELT contents, working precision and the
+    secondary stream.  The plan is deliberately absent: the kernel keys
+    every draw by global occurrence index and sums each trial in one
+    order, so any split of the trials across cores or devices yields
+    the same bytes.  So is the engine *name*: engines with identical
+    numeric configuration produce bit-identical YLTs and share replays.
     """
     return fingerprint_digest(
         KEY_SCHEMA,
-        plan.fingerprint(),
         yet_fingerprint(yet),
         portfolio_fingerprint(portfolio),
         str(np.dtype(dtype).str),
-        LOOKUP_DIRECT,
         secondary_fingerprint(secondary, secondary_seed),
     )
 

@@ -3,9 +3,6 @@
 Stated independently of :mod:`repro.store.filestore`, so the tests pin
 the on-disk formats rather than reuse the code under test:
 
-* :func:`write_v1_entry` seeds an entry in the v1 directory layout
-  (``meta.json`` plus one ``.npy`` per array), which the store no
-  longer writes but must still read;
 * :func:`header_of` / :func:`rewrite_header` read and replace the JSON
   header of a single-file (v2) entry, re-sealing its checksum, so a
   test can damage one field and nothing else;
@@ -22,10 +19,6 @@ import struct
 import zlib
 from pathlib import Path
 
-import numpy as np
-
-from repro.io.atomic import array_crc32
-
 #: v2 prefix: 16-byte format tag, header length, header CRC32
 PREFIX = struct.Struct("<16sII")
 TAG = b"repro-store-v2".ljust(16, b"\0")
@@ -40,20 +33,6 @@ def replace_bytes(path: Path, data: bytes) -> None:
     tmp = path.with_name(path.name + ".damaged")
     tmp.write_bytes(data)
     os.replace(tmp, path)
-
-
-def write_v1_entry(store, key: str, entry) -> Path:
-    """Seed ``entry`` under ``key`` as a v1 entry directory."""
-    path = store.entry_path(key)
-    path.mkdir(parents=True)
-    arrays = {}
-    for name, array in entry.arrays.items():
-        array = np.ascontiguousarray(array)
-        np.save(path / f"{name}.npy", array, allow_pickle=False)
-        arrays[name] = {"nbytes": int(array.nbytes), "crc32": array_crc32(array)}
-    manifest = {"format": "repro-store-v1", "arrays": arrays, "meta": dict(entry.meta)}
-    (path / "meta.json").write_text(json.dumps(manifest, separators=(",", ":")))
-    return path
 
 
 def header_of(path: Path) -> dict:

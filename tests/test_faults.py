@@ -66,7 +66,7 @@ from repro.utils.retry import (
     RetryPolicy,
     retry_call,
 )
-from tests.storefiles import replace_bytes, rewrite_header, write_v1_entry
+from tests.storefiles import replace_bytes, rewrite_header
 
 
 def entry_of(values) -> StoreEntry:
@@ -479,38 +479,6 @@ class TestFileStoreSelfHeal:
         assert store.get("k1") is None
         assert store.stats()["corrupt_misses"] == 1
         # the entry healed into a miss: the key is simply absent now
-        assert store.get("k1") is None
-        assert store.stats()["corrupt_misses"] == 1
-        assert not path.exists()
-
-    # -- v1 entry directories ------------------------------------------
-    def test_garbled_meta_counts_and_logs_the_key(self, tmp_path, caplog):
-        store = FileStore(tmp_path)
-        path = write_v1_entry(store, "k1", entry_of([1.0, 2.0]))
-        (path / "meta.json").write_text("{not json")
-        with caplog.at_level("WARNING", logger="repro.store"):
-            assert store.get("k1") is None
-        assert store.stats()["corrupt_misses"] == 1
-        assert any("k1" in record.message for record in caplog.records)
-        assert not path.exists()  # healed away
-
-    def test_lost_meta_json_counts_and_logs(self, tmp_path, caplog):
-        store = FileStore(tmp_path)
-        path = write_v1_entry(store, "k1", entry_of([1.0]))
-        os.remove(path / "meta.json")
-        with caplog.at_level("WARNING", logger="repro.store"):
-            assert store.get("k1") is None
-        assert store.stats()["corrupt_misses"] == 1
-        assert any("meta.json" in r.message for r in caplog.records)
-        assert not path.exists()
-
-    def test_truncated_array_counts_once_per_damaged_read_v1(self, tmp_path):
-        store = FileStore(tmp_path)
-        path = write_v1_entry(store, "k1", entry_of([1.0, 2.0, 3.0]))
-        npy = path / "losses.npy"
-        npy.write_bytes(npy.read_bytes()[:-8])
-        assert store.get("k1") is None
-        assert store.stats()["corrupt_misses"] == 1
         assert store.get("k1") is None
         assert store.stats()["corrupt_misses"] == 1
         assert not path.exists()

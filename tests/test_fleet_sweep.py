@@ -29,7 +29,7 @@ from repro.fleet import (
     submit_sweep,
 )
 from repro.store import MemoryStore, SharedFileStore, ylt_digest
-from tests.storefiles import replace_bytes, write_v1_entry
+from tests.storefiles import replace_bytes
 
 SECONDARY_SEED = 20130812
 
@@ -48,18 +48,6 @@ CONFIGS = [
     for engine in ENGINE_OPTIONS
     for secondary in (False, True)
 ]
-
-
-def v1_store_of(workload, tmp_path, segment_trials: int) -> SharedFileStore:
-    """A file store holding every segment of a sweep as v1 directories."""
-    memory = MemoryStore(max_entries=None)
-    analysis_for(workload, False).run_fleet(
-        workload.yet, n_workers=1, store=memory, segment_trials=segment_trials
-    )
-    store = SharedFileStore(tmp_path / "v1-cache")
-    for key, entry in memory._entries.items():
-        write_v1_entry(store, key, entry)
-    return store
 
 
 def analysis_for(workload, secondary: bool):
@@ -285,49 +273,6 @@ class TestCrashRecovery:
         assert ylt_digest(result.ylt) == ylt_digest(first.ylt)
         assert store.contains(victim)  # recomputed and re-stored
         assert store.stats()["corrupt_misses"] == 1
-
-    def test_segment_lost_from_a_v1_entry_is_recomputed(
-        self, small_workload, tmp_path
-    ):
-        """The same hole in a store of v1 entry directories."""
-        store = v1_store_of(small_workload, tmp_path, segment_trials=150)
-        ara = analysis_for(small_workload, False)
-        delta = create_engine("sequential").plan_missing(
-            small_workload.yet,
-            small_workload.portfolio,
-            None,
-            segment_trials=150,
-        )
-        victim = delta.segments[1].key
-        (store.entry_path(victim) / "losses.npy").write_bytes(b"garbage")
-        result = ara.run_fleet(
-            small_workload.yet, n_workers=1, store=store, segment_trials=150
-        )
-        assert result.meta["fleet"]["gather_retries"] == 1
-        mono = ara.run(small_workload.yet, engine="sequential")
-        assert ylt_digest(result.ylt) == ylt_digest(mono.ylt)
-        assert store.entry_path(victim).is_file()  # re-stored as a file
-        assert store.stats()["corrupt_misses"] == 1
-
-    def test_v1_store_replays_with_zero_recomputes(
-        self, small_workload, tmp_path
-    ):
-        """A store written in the v1 directory layout still serves a
-        whole sweep: every segment is reused, none is recomputed."""
-        store = v1_store_of(small_workload, tmp_path, segment_trials=150)
-        entries = list((store.cache_dir / "objects").glob("*/*"))
-        assert entries and all(path.is_dir() for path in entries)
-        ara = analysis_for(small_workload, False)
-        result = ara.run_fleet(
-            small_workload.yet, n_workers=1, store=store, segment_trials=150
-        )
-        fleet = result.meta["fleet"]
-        assert fleet["jobs_submitted"] == 0
-        assert fleet["gather_retries"] == 0
-        assert store.puts == 0
-        assert store.stats()["corrupt_misses"] == 0
-        mono = ara.run(small_workload.yet, engine="sequential")
-        assert ylt_digest(result.ylt) == ylt_digest(mono.ylt)
 
     def test_racing_workers_store_each_segment_once(
         self, small_workload, tmp_path

@@ -1,10 +1,13 @@
 """Literal pins of the store's key formats on ``SMALL_SPEC``.
 
-Stores written by older code must keep replaying: a plan fingerprint,
-segment key, analysis key or fleet manifest ``config`` block that moves
-by one bit orphans every entry already persisted under the old value.
-The values below are literals, not recomputed expectations, so any
-change to key composition fails here even when it is self-consistent.
+Stores written by older code must keep replaying: a segment key,
+analysis key or fleet manifest ``config`` block that moves by one bit
+orphans every entry already persisted under the old value, and a plan
+fingerprint that moves renames sweeps and plan-cache entries.  The
+analysis key names a result, not a plan, so one literal per (dtype,
+secondary) row serves every engine.  The values below are literals,
+not recomputed expectations, so any change to key composition fails
+here even when it is self-consistent.
 
 Every value goes through the public engine API (``plan_for``,
 ``plan_missing``, ``analysis_key``, the fleet context helpers), so the
@@ -18,9 +21,11 @@ import pytest
 
 from repro.core.secondary import SecondaryUncertainty
 from repro.data.generator import generate_workload
+from repro.data.layer import LayerTerms
 from repro.engines.registry import create_engine
 from repro.fleet.context import config_from_context
 from repro.fleet.sweep import context_for_engine
+from repro.pricing import QuoteService
 from tests.conftest import SMALL_SPEC
 
 #: stride of the fixed segmentation the segment keys are pinned on
@@ -32,6 +37,11 @@ WHOLE_FINGERPRINT = 8683890594511307251
 #: plan fingerprint of the 250-trial fixed segmentation
 SEGMENT_FINGERPRINT = 7974242925530977342
 
+#: ``QuoteService.loss_store_key`` of a primary candidate over ELTs 0-2
+PRIMARY_QUOTE_KEY = (
+    "8852c81d3168f7b4073d4ca87a9dc4f62d879e5e7cc46886e86ab0a2955a84c7"
+)
+
 PINS = {
     ("<f8", False): (
         [
@@ -39,7 +49,7 @@ PINS = {
             "ee1b6910b622e29b507473e235d705d9da22656301e2709262980acc845c547b",
             "517b843e167952c28a3eb4d828d407a76e1856231e5b9443974db82045eb8dc6",
         ],
-        "481f23f77ca81288e86c7ab5f1022c07c2c5bb0d6b58f49ca66fe31b75df3658",
+        "f3cabbd72efb0348f6847644d257138770dffd6eda811bad122efacb95ea9a52",
     ),
     ("<f8", True): (
         [
@@ -47,7 +57,7 @@ PINS = {
             "7da9c47ef03b051519666d258f570a637cadba9da41409e91d8372ae69705033",
             "4d2785de701cb873958ac93c48ef21cb0b70981e3ad0e62b8f33c5df552657ca",
         ],
-        "1e03fb3b7fcd435806b83fdd59665615c3dbe2eb263e71dcbee2001796e0725a",
+        "3cf9ef20ceab3b05c307959ba71aedd4938b2b753d128ff85ce9b13850d6db71",
     ),
     ("<f4", False): (
         [
@@ -55,7 +65,7 @@ PINS = {
             "0a264b76e59fba592fdaa23ef248cbe1d8b33512004eb23aad6955c170105a1e",
             "7dacea18a470ab8c98e8edcf304a249107f2cad2fcd516a59c1add31265eba63",
         ],
-        "f2a78aa9c27fe51f3ecd9cfc44be35573bee12bdb63c91c2c06f2ff4c72268c8",
+        "610f503f94a849981c156a8de325ee771ee11a880da18170d7969eb4b75875ec",
     ),
     ("<f4", True): (
         [
@@ -63,7 +73,7 @@ PINS = {
             "f5eef2a0d9aefffb9666900893718615f35b885a7cb8af19378530da4b1b1ae5",
             "aec9d906c1561d1c2379867b481cde77d9d47c7a7b17fa6f339555cea181ce4e",
         ],
-        "b7ee044f76f214d0b0ba83a1266fb1fff87b842fc74d88aca14ecbfa1736d88a",
+        "6da00544cce030d48c5c0c76a43442706f0809d43f8f315b4cc738b221d5f104",
     ),
 }
 
@@ -95,13 +105,10 @@ def test_segment_and_analysis_keys(workload, dtype, secondary):
     assert [r.key for r in delta.segments] == keys
     plan = engine.plan_for(workload.yet, workload.portfolio)
     assert plan.fingerprint() == WHOLE_FINGERPRINT
-    assert engine.analysis_key(plan, workload.yet, workload.portfolio) == analysis
+    assert engine.analysis_key(workload.yet, workload.portfolio) == analysis
 
 
-def test_engine_plan_fingerprints(workload, monkeypatch):
-    # The multicore plan's batch depth comes from the L2-budget
-    # autotuner: pin the budget so the fingerprint is host-independent.
-    monkeypatch.setenv("REPRO_L2_CACHE_BYTES", str(2**20))
+def test_engine_plan_fingerprints(workload):
     expected = {
         "multicore": (dict(n_cores=2), 2537012023618769757),
         "gpu": ({}, WHOLE_FINGERPRINT),
@@ -112,6 +119,17 @@ def test_engine_plan_fingerprints(workload, monkeypatch):
             workload.yet, workload.portfolio
         )
         assert plan.fingerprint() == fingerprint, name
+
+
+def test_primary_quote_key(workload):
+    """A primary quote service's store key of a candidate's losses."""
+    elts = list(workload.portfolio.elts.values())
+    terms = LayerTerms(occ_retention=100.0, occ_limit=5_000.0)
+    with QuoteService(
+        workload.yet, elts, workload.catalog.n_events, max_workers=1
+    ) as service:
+        key = service.loss_store_key((0, 1, 2), terms)
+    assert key == PRIMARY_QUOTE_KEY
 
 
 @pytest.mark.parametrize("secondary", [False, True])

@@ -283,6 +283,29 @@ class TestPersistentStore:
         # the loss vector hit means the base pass never even ran
         assert stats["base"]["misses"] == 0
 
+    def test_beta_shapes_never_share_stored_losses(self, session_data):
+        """A service on a store warmed under another Beta shape (same
+        seed, same layer) computes its own losses."""
+        from repro.store import MemoryStore
+
+        catalog, yet, elts = session_data
+        terms = LayerTerms(occ_retention=100.0)
+        store = MemoryStore()
+        quoted = {}
+        for shape in (4.0, 2.0):
+            with QuoteService(
+                yet, elts, catalog.n_events, max_workers=2, store=store,
+                secondary=SecondaryUncertainty(shape, shape),
+                secondary_seed=7,
+            ) as svc:
+                quoted[shape] = svc.candidate_losses((0, 1, 2), terms)
+        expected = single_layer_run(
+            yet, elts, (0, 1, 2), terms, catalog.n_events,
+            secondary=SecondaryUncertainty(2.0, 2.0), secondary_seed=7,
+        )
+        np.testing.assert_array_equal(quoted[2.0], expected)
+        assert not np.array_equal(quoted[2.0], quoted[4.0])
+
     def test_store_backed_quotes_match_storeless(self, session_data, tmp_path):
         from repro.store import SharedFileStore
 

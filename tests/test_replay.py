@@ -1,8 +1,9 @@
-"""Whole-analysis memoisation: plan-fingerprint replay through the store.
+"""Whole-analysis memoisation: result-key replay through the store.
 
-The acceptance contract of the persistence layer: replaying an
-identical plan fingerprint returns a **bit-identical** YLT with **zero**
-engine task executions — measured here with the process-wide execution
+The acceptance contract of the persistence layer: a run whose result
+key (inputs, working dtype, secondary stream) is stored returns a
+**bit-identical** YLT with **zero** engine task executions, whatever
+engine or plan asked — measured here with the process-wide execution
 counter of :mod:`repro.engines.base`, not with timing.
 """
 
@@ -14,6 +15,7 @@ import pytest
 from repro.core.analysis import AggregateRiskAnalysis
 from repro.core.secondary import SecondaryUncertainty
 from repro.engines.base import execution_count
+from repro.engines.registry import create_engine
 from repro.store import (
     MemoryStore,
     SharedFileStore,
@@ -87,23 +89,75 @@ def test_replay_survives_process_restart(tiny_workload, tmp_path):
     assert ylt_digest(warm.ylt) == ylt_digest(cold.ylt)
 
 
-def test_replay_shares_across_engines_with_identical_plans(
-    tiny_workload, store
+@pytest.mark.parametrize("n_cores", [1, 2, 4])
+def test_replay_shares_across_engines_and_plans(
+    small_workload, store, n_cores
 ):
-    """Engine names are not part of the key: a single-lane multicore
-    run plans exactly like the sequential engine, so it replays the
-    sequential engine's stored YLT without executing."""
-    ara = make_ara(tiny_workload)
-    cold = ara.run(tiny_workload.yet, engine="sequential", store=store)
+    """Neither the engine name nor the plan is part of the key: a
+    multicore run of any lane count replays the sequential engine's
+    stored YLT without executing."""
+    ara = make_ara(small_workload)
+    cold = ara.run(small_workload.yet, engine="sequential", store=store)
     before = execution_count()
     warm = ara.run(
-        tiny_workload.yet, engine="multicore", n_cores=1, store=store
+        small_workload.yet, engine="multicore", n_cores=n_cores, store=store
     )
     assert execution_count() == before
     assert warm.meta["replay"]["hit"] is True
     assert warm.meta["replay"]["computed_by"] == "sequential"
     assert warm.engine == "multicore"
+    if n_cores > 1:  # a different plan, the same result
+        assert warm.meta["plan"] != cold.meta["plan"]
     assert warm.ylt.losses.tobytes() == cold.ylt.losses.tobytes()
+
+
+MATRIX_ENGINES = [
+    ("sequential", {}),
+    ("multicore", {"n_cores": 1}),
+    ("multicore", {"n_cores": 2}),
+    ("multicore", {"n_cores": 4}),
+    ("gpu", {}),
+    ("gpu-optimized", {}),
+    ("multi-gpu", {"n_devices": 2}),
+    ("multi-gpu", {"n_devices": 4}),
+]
+
+
+def test_equal_result_keys_mean_equal_ylts(small_workload):
+    """The key matrix guard: over every engine at each requested dtype
+    and secondary setting, equal capability dtype and secondary give
+    equal keys, and equal keys give equal YLT digests."""
+    ara = make_ara(small_workload)
+    by_config = {}
+    by_key = {}
+    for dtype in (np.float64, np.float32):
+        for secondary in (False, True):
+            options = {"dtype": dtype}
+            if secondary:
+                options.update(
+                    secondary=SecondaryUncertainty(4.0, 4.0),
+                    secondary_seed=7,
+                )
+            for name, engine_options in MATRIX_ENGINES:
+                engine = create_engine(name, **engine_options, **options)
+                key = engine.analysis_key(
+                    small_workload.yet, small_workload.portfolio
+                )
+                config = (engine.capabilities().dtype, secondary)
+                by_config.setdefault(config, set()).add(key)
+                result = ara.run(
+                    small_workload.yet, engine=name, **engine_options,
+                    **options,
+                )
+                by_key.setdefault(key, set()).add(ylt_digest(result.ylt))
+    assert set(by_config) == {
+        (dtype, secondary)
+        for dtype in ("<f8", "<f4")
+        for secondary in (False, True)
+    }
+    assert all(len(keys) == 1 for keys in by_config.values())
+    assert len(by_key) == len(by_config)
+    assert all(len(digests) == 1 for digests in by_key.values())
 
 
 def test_different_configurations_never_replay_each_other(
@@ -114,7 +168,6 @@ def test_different_configurations_never_replay_each_other(
     before = execution_count()
     variants = [
         dict(engine="sequential", dtype=np.float32),
-        dict(engine="multicore", n_cores=2),  # different plan layout
         dict(
             engine="sequential",
             secondary=SecondaryUncertainty(4.0, 4.0),

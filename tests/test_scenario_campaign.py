@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.secondary import SecondaryUncertainty
 from repro.data.generator import generate_workload
 from repro.data.presets import SCENARIO_SMALL
 from repro.engines import SequentialEngine
@@ -111,21 +112,47 @@ class TestDeltaReuse:
             assert b.metrics == pytest.approx(a.metrics)
 
 
+def _secondary(alpha: float = 4.0, seed: int = 1):
+    return {
+        "secondary": SecondaryUncertainty(alpha, alpha),
+        "secondary_seed": seed,
+    }
+
+
+#: secondary streams that differ in seed or in Beta shape only
+STREAMS = [_secondary(), _secondary(seed=2), _secondary(alpha=2.0)]
+
+
 class TestCampaignFingerprint:
     def test_sensitive_to_stride_and_policy(self, workload):
-        base = _campaign(workload, MemoryStore())
-        other_stride = _campaign(
-            workload, MemoryStore(), segment_trials=SEGMENT_TRIALS * 2
-        )
-        with_policy = _campaign(
-            workload, MemoryStore(), policy=EarlyStopPolicy()
-        )
-        fps = {
-            base.campaign_fingerprint(),
-            other_stride.campaign_fingerprint(),
-            with_policy.campaign_fingerprint(),
-        }
-        assert len(fps) == 3
+        variants = [
+            _campaign(workload, MemoryStore()),
+            _campaign(
+                workload, MemoryStore(), segment_trials=SEGMENT_TRIALS * 2
+            ),
+            _campaign(workload, MemoryStore(), policy=EarlyStopPolicy()),
+        ] + [
+            _campaign(workload, MemoryStore(), engine_options=options)
+            for options in STREAMS
+        ]
+        fps = {campaign.campaign_fingerprint() for campaign in variants}
+        assert len(fps) == len(variants)
+
+    def test_secondary_streams_never_replay_each_other(self, workload):
+        """Campaigns over one store that differ only in their secondary
+        stream each serve their own ``Engine.run`` digest."""
+        store = MemoryStore()
+        scenarios = ScenarioSet("one", (Scenario.baseline(),))
+        compiled = compile_scenario(Scenario.baseline(), workload)
+        for options in STREAMS:
+            outcome = _campaign(
+                workload, store, engine_options=options
+            ).run(scenarios).outcome("baseline")
+            mono = SequentialEngine(**options).run(
+                compiled.yet, compiled.portfolio, workload.catalog.n_events
+            )
+            assert outcome.digest == ylt_digest(mono.ylt)
+            assert not outcome.replayed
 
     def test_stable_across_instances(self, workload):
         a = _campaign(workload, MemoryStore())

@@ -5,7 +5,7 @@ Three families, mirroring the store's contract:
 * **round-trip exactness** — random payloads survive every backend
   bit-for-bit (dtype, shape, byte pattern);
 * **key separation** — any perturbation of an analysis input (ELT
-  bytes, terms, YET, seed, dtype, lookup kind, secondary stream) produces a
+  bytes, terms, YET, seed, dtype, secondary stream) produces a
   distinct key, and canonical serialisation never conflates values that
   merely compare equal;
 * **damage tolerance** — truncated, corrupted or garbled entries are
@@ -13,8 +13,6 @@ Three families, mirroring the store's contract:
 """
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 import pytest
@@ -43,7 +41,6 @@ from tests.storefiles import (
     header_of,
     replace_bytes,
     rewrite_header,
-    write_v1_entry,
 )
 
 BACKENDS = ["memory", "file", "file-nommap", "shared", "tiered"]
@@ -174,16 +171,10 @@ def test_analysis_keys_separate_every_perturbation(tmp_path):
     """Distinct fingerprints on every (ELT set, YET, seed, dtype,
     secondary) perturbation: the no-collision property the store's
     hit-is-the-answer design rests on."""
-    from repro.core.analysis import AggregateRiskAnalysis
 
     def key_for(spec, dtype="<f8", secondary=None, seed=0):
         workload = generate_workload(spec)
-        ara = AggregateRiskAnalysis(
-            workload.portfolio, workload.catalog.n_events
-        )
-        plan = ara.plan(workload.yet, engine="sequential")
         return analysis_key(
-            plan,
             workload.yet,
             workload.portfolio,
             dtype=dtype,
@@ -206,7 +197,6 @@ def test_analysis_keys_separate_every_perturbation(tmp_path):
 
 
 def test_analysis_key_separates_layer_terms(tiny_workload):
-    from repro.core.analysis import AggregateRiskAnalysis
     from repro.data.layer import Portfolio
 
     base = tiny_workload.portfolio
@@ -215,17 +205,10 @@ def test_analysis_key_separates_layer_terms(tiny_workload):
     tweaked = Portfolio.single_layer(
         elts, terms=LayerTerms(occ_retention=1.0)
     )
-    keys = set()
-    for portfolio in (plain, tweaked):
-        plan = AggregateRiskAnalysis(
-            portfolio, tiny_workload.catalog.n_events
-        ).plan(tiny_workload.yet, engine="sequential")
-        keys.add(
-            analysis_key(
-                plan, tiny_workload.yet, portfolio,
-                dtype="<f8",
-            )
-        )
+    keys = {
+        analysis_key(tiny_workload.yet, portfolio, dtype="<f8")
+        for portfolio in (plain, tweaked)
+    }
     assert len(keys) == 2
 
 
@@ -240,9 +223,7 @@ def test_store_key_validation():
 # Damage tolerance
 # ----------------------------------------------------------------------
 # Every damaged entry reads as a miss, is counted once, and is removed
-# by the read that saw it, so the next compute repairs it.  Entry files
-# (the current format) come first; each v1 directory test below them
-# seeds the older layout through ``tests.storefiles.write_v1_entry``.
+# by the read that saw it, so the next compute repairs it.
 VALUE = np.arange(64, dtype=np.float64)
 
 
@@ -252,14 +233,6 @@ def damaged_setup(tmp_path):
     key = fingerprint_digest("damage")
     store.put(key, StoreEntry(arrays={"value": VALUE}))
     return store, key, store.entry_path(key)
-
-
-@pytest.fixture()
-def v1_setup(tmp_path):
-    store = SharedFileStore(tmp_path)
-    key = fingerprint_digest("damage")
-    path = write_v1_entry(store, key, StoreEntry(arrays={"value": VALUE}))
-    return store, key, path
 
 
 def assert_healed_miss(store, key, path):
@@ -410,102 +383,40 @@ def assert_recomputed(store, key):
     assert store.entry_path(key).is_file()
 
 
-# -- the same damage on v1 entry directories ---------------------------
-def test_v1_entry_reads_back(v1_setup):
-    store, key, entry_dir = v1_setup
-    assert store.contains(key)
-    assert len(store) == 1
-    entry = store.get(key)
-    np.testing.assert_array_equal(entry.arrays["value"], VALUE)
-    assert not entry.arrays["value"].flags.writeable
-    assert store.corrupt_misses == 0
+@pytest.mark.parametrize("mmap", [True, False])
+def test_directory_at_an_entry_path_is_damage(tmp_path, mmap):
+    """Anything but a file at an entry's path (an entry directory of the
+    retired v1 layout, say) is damage: not contained, a counted miss
+    that removes it, replaced by a put, and sized and collected by GC
+    like any entry."""
+    from repro.store.gc import collect_garbage, scan_entries
 
+    store = SharedFileStore(tmp_path, mmap=mmap)
+    key = fingerprint_digest("damage")
+    path = store.entry_path(key)
 
-def test_truncated_npy_is_a_miss(v1_setup):
-    store, key, entry_dir = v1_setup
-    npy = entry_dir / "value.npy"
-    npy.write_bytes(npy.read_bytes()[:40])
-    assert store.get(key) is None
-    assert store.corrupt_misses == 1
-    # and the bad entry was removed so the next compute repairs it
-    assert not entry_dir.exists()
+    def seed():
+        path.mkdir(parents=True)
+        (path / "meta.json").write_text("{}")
 
+    seed()
+    assert not store.contains(key)
+    assert len(store) == 0
+    assert [info.key for info in scan_entries(tmp_path)] == [key]
+    assert collect_garbage(tmp_path, max_bytes=0).removed_keys == [key]
+    assert not path.exists()
 
-def test_flipped_bytes_fail_checksum_v1(v1_setup):
-    store, key, entry_dir = v1_setup
-    npy = entry_dir / "value.npy"
-    blob = bytearray(npy.read_bytes())
-    blob[-5] ^= 0xFF  # corrupt payload, keep the npy header valid
-    npy.write_bytes(bytes(blob))
-    assert_healed_miss(store, key, entry_dir)
+    seed()
+    assert_healed_miss(store, key, path)
 
+    seed()
+    assert_recomputed(store, key)
+    assert store.corrupt_misses == 2
 
-def test_garbled_meta_json_is_a_miss(v1_setup):
-    store, key, entry_dir = v1_setup
-    (entry_dir / "meta.json").write_text("{not json")
-    assert_healed_miss(store, key, entry_dir)
-
-
-def test_entry_published_mid_read_is_not_damage_v1(v1_setup, monkeypatch):
-    """A reader whose manifest stat precedes the manifest's appearance
-    (and whose directory stat follows it) sees a miss; it must not
-    delete the entry as a directory without a manifest."""
-    from pathlib import Path
-
-    store, key, entry_dir = v1_setup
-    real_is_file = Path.is_file
-    first = []
-
-    def is_file_before_publish(path):
-        if path == entry_dir / "meta.json" and not first:
-            first.append(path)
-            return False
-        return real_is_file(path)
-
-    monkeypatch.setattr(Path, "is_file", is_file_before_publish)
-    assert store.get(key) is None
-    assert store.corrupt_misses == 0
-    assert store.get(key) is not None
-
-
-def test_missing_array_file_is_a_miss(v1_setup):
-    store, key, entry_dir = v1_setup
-    (entry_dir / "value.npy").unlink()
-    assert_healed_miss(store, key, entry_dir)
-
-
-def test_indented_meta_json_still_loads(v1_setup):
-    """Entries written with the earlier ``indent=1`` manifest layout."""
-    store, key, entry_dir = v1_setup
-    meta = json.loads((entry_dir / "meta.json").read_text())
-    (entry_dir / "meta.json").write_text(json.dumps(meta, indent=1))
-    entry = store.get(key)
-    assert entry is not None
-    np.testing.assert_array_equal(entry.arrays["value"], VALUE)
-    assert store.corrupt_misses == 0
-
-
-def test_wrong_format_tag_is_a_miss_v1(v1_setup):
-    store, key, entry_dir = v1_setup
-    meta = json.loads((entry_dir / "meta.json").read_text())
-    meta["format"] = "someone-elses-cache-v9"
-    (entry_dir / "meta.json").write_text(json.dumps(meta))
-    assert_healed_miss(store, key, entry_dir)
-
-
-def test_corrupt_entry_is_recomputed_not_served_v1(v1_setup):
-    store, key, entry_dir = v1_setup
-    npy = entry_dir / "value.npy"
-    blob = bytearray(npy.read_bytes())
-    blob[-1] ^= 0x01
-    npy.write_bytes(bytes(blob))
-    assert_recomputed(store, key)  # rewritten as an entry file
-
-
-def test_put_replaces_a_v1_entry_of_the_same_key(v1_setup):
-    store, key, entry_dir = v1_setup
+    store.delete(key)
+    seed()
     store.put(key, StoreEntry(arrays={"value": VALUE + 1}))
-    assert entry_dir.is_file()
+    assert path.is_file()
     np.testing.assert_array_equal(store.get(key).arrays["value"], VALUE + 1)
     assert len(store) == 1
 

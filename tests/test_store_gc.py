@@ -23,7 +23,7 @@ from repro.store import (
 )
 from repro.store.cli import main as store_cli
 from repro.store.cli import parse_size
-from tests.storefiles import replace_bytes, write_v1_entry
+from tests.storefiles import replace_bytes
 
 
 def entry_of(nbytes: int) -> StoreEntry:
@@ -42,14 +42,6 @@ class TestAccessTracking:
         store = FileStore(tmp_path)
         store.put("aged", entry_of(64))
         path = store.entry_path("aged")
-        backdate(path, 3600)
-        before = path.stat().st_mtime
-        assert store.get("aged") is not None
-        assert path.stat().st_mtime > before
-
-    def test_read_touches_v1_entry_directory_mtime(self, tmp_path):
-        store = FileStore(tmp_path)
-        path = write_v1_entry(store, "aged", entry_of(64))
         backdate(path, 3600)
         before = path.stat().st_mtime
         assert store.get("aged") is not None
@@ -120,36 +112,6 @@ class TestCollectGarbage:
         report = collect_garbage(tmp_path, max_bytes=0, dry_run=True)
         assert report.removed_entries == 3
         assert len(scan_entries(tmp_path)) == 3
-
-    def test_mixed_v1_and_v2_store_collects_lru_first(self, tmp_path):
-        store = FileStore(tmp_path)
-        for i in range(4):
-            key = f"key-{i}"
-            if i % 2:
-                path = write_v1_entry(store, key, entry_of(800))
-            else:
-                store.put(key, entry_of(800))
-                path = store.entry_path(key)
-            backdate(path, 1000 - i)
-        store.get("key-1")  # a v1 entry, freshest by access
-        scanned = {info.key: info for info in scan_entries(tmp_path)}
-        assert set(scanned) == {f"key-{i}" for i in range(4)}
-        assert scanned["key-0"].path.is_file()
-        assert scanned["key-1"].path.is_dir()
-        assert scanned["key-0"].nbytes == scanned["key-0"].path.stat().st_size
-        assert all(info.nbytes >= 800 for info in scanned.values())
-        assert len(store) == 4
-        report = collect_garbage(tmp_path, max_bytes=scanned["key-1"].nbytes)
-        # oldest access first: 0 (v2), 2 (v2), 3 (v1); the read v1 stays
-        assert report.removed_keys == ["key-0", "key-2", "key-3"]
-        assert [info.key for info in scan_entries(tmp_path)] == ["key-1"]
-        report = collect_garbage(tmp_path, max_bytes=0)
-        assert report.removed_keys == ["key-1"]
-        assert scan_entries(tmp_path) == []
-        assert len(store) == 0
-        for i in range(4):
-            assert not store.entry_path(f"key-{i}").exists()
-            assert store.get(f"key-{i}") is None
 
     def test_stale_tmp_scratch_swept(self, tmp_path):
         store = FileStore(tmp_path)
@@ -324,16 +286,6 @@ class TestUniformStats:
         tiered.put("bad", entry_of(64))  # evicts "good" from memory
         # corrupt the file copy of the older entry, then read through
         replace_bytes(file_store.entry_path("good"), b"junk")
-        assert tiered.get("good") is None
-        stats = tiered.stats()
-        assert stats["corrupt_misses"] >= 1
-        assert stats["misses"] >= 1
-
-    def test_tiered_store_aggregates_v1_file_corruption(self, tmp_path):
-        file_store = FileStore(tmp_path)
-        tiered = TieredStore([MemoryStore(max_entries=1), file_store])
-        path = write_v1_entry(file_store, "good", entry_of(64))
-        (path / "value.npy").write_bytes(b"junk")
         assert tiered.get("good") is None
         stats = tiered.stats()
         assert stats["corrupt_misses"] >= 1
