@@ -196,18 +196,17 @@ class Engine(abc.ABC):
         ``store`` (a :class:`~repro.store.base.ResultStore`) memoises
         the whole analysis: when the run's
         :meth:`analysis_key` is present, the stored YLT is returned
-        bit-for-bit with *zero* engine task executions (and
-        ``modeled_seconds=None``: nothing was priced); otherwise the
-        run executes normally and its YLT is persisted under that key.
+        bit-for-bit with *zero* engine task executions and no planning
+        (``modeled_seconds=None``: nothing was priced; ``meta`` carries
+        ``replay`` and no ``plan``); otherwise the run plans, executes
+        normally and persists its YLT under that key.
         """
         check_positive("catalog_size", catalog_size)
         portfolio.validate()
         if yet.n_trials == 0:
             raise ValueError("YET has no trials")
         started = time.perf_counter()
-        if plan is None:
-            plan = self.plan_for(yet, portfolio)
-        else:
+        if plan is not None:
             if plan.n_trials != yet.n_trials:
                 raise ValueError(
                     f"plan was built for {plan.n_trials} trials, "
@@ -225,6 +224,8 @@ class Engine(abc.ABC):
             return self._run_stored(
                 yet, portfolio, int(catalog_size), plan, store, started
             )
+        if plan is None:
+            plan = self.plan_for(yet, portfolio)
         ylt, profile, modeled_seconds, meta = self._execute(
             yet, portfolio, int(catalog_size), plan
         )
@@ -245,11 +246,11 @@ class Engine(abc.ABC):
         yet: YearEventTable,
         portfolio: Portfolio,
         catalog_size: int,
-        plan: ExecutionPlan,
+        plan: ExecutionPlan | None,
         store: "ResultStore",
         started: float,
     ) -> AnalysisResult:
-        """The memoised execution path: replay or compute-and-persist.
+        """The memoised execution path: replay or plan-compute-and-persist.
 
         Runs through :meth:`~repro.store.base.ResultStore.get_or_compute`,
         so concurrent identical runs — other threads *and*, on a
@@ -266,11 +267,16 @@ class Engine(abc.ABC):
         computed: Dict[str, Any] = {}
 
         def produce():
+            # The key does not depend on the plan, so only a miss plans.
+            run_plan = (
+                plan if plan is not None else self.plan_for(yet, portfolio)
+            )
             ylt, profile, modeled_seconds, meta = self._execute(
-                yet, portfolio, catalog_size, plan
+                yet, portfolio, catalog_size, run_plan
             )
             _record_execution()
             computed.update(
+                plan=run_plan,
                 ylt=ylt,
                 profile=profile,
                 modeled_seconds=modeled_seconds,
@@ -297,7 +303,6 @@ class Engine(abc.ABC):
                 wall_seconds=time.perf_counter() - started,
                 modeled_seconds=None,
                 meta={
-                    "plan": plan.summary(),
                     "replay": {
                         "hit": True,
                         "key": replay_key,
@@ -311,7 +316,7 @@ class Engine(abc.ABC):
             )
         meta = computed["meta"]
         meta.setdefault("replay", {"hit": False, "key": replay_key})
-        meta.setdefault("plan", plan.summary())
+        meta.setdefault("plan", computed["plan"].summary())
         return AnalysisResult(
             ylt=computed["ylt"],
             profile=computed["profile"],

@@ -7,8 +7,11 @@ rule, or equal occurrence counts with ``balance="events"``), each device
 receives the full ELT tables plus its YET slice, and the
 :class:`~repro.plan.scheduler.Scheduler` drives one *real* host thread
 per device — the paper's "a thread on the CPU invokes and manages a GPU"
-architecture.  Modeled time is the fork-join makespan: the slowest
-device's staging + kernel + copy-back.
+architecture.  Each layer is staged, then computed: every device copies
+in that layer's tables and its YET slice, runs the kernel and copies its
+YLT slice back (the paper's order; no copy overlaps a kernel).  Modeled
+time sums, over layers, the fork-join makespan: the slowest device's
+staging + kernel + copy-back.
 
 The default block size is 32 — the warp size — which the paper's Figure 4
 finds optimal for this kernel: its deep chunking (``chunk_events=96``,
@@ -43,13 +46,6 @@ from repro.gpusim.multi import MultiGPU
 from repro.plan.plan import ExecutionPlan, PlanTask
 from repro.plan.planner import EngineCapabilities
 from repro.plan.scheduler import Scheduler
-from repro.plan.staging import (
-    STAGING_OVERLAP,
-    STAGING_SERIAL,
-    TransferSchedule,
-    check_staging,
-    overlap_pipeline_seconds,
-)
 from repro.utils.timer import ACTIVITY_OTHER, ActivityProfile
 from repro.utils.validation import check_positive
 
@@ -73,15 +69,6 @@ class MultiGPUEngine(Engine):
         extension that load-balances ragged YETs).  Resolved by the
         shared planner, the same rule the multicore engine's ragged
         path uses.
-    staging:
-        Table-broadcast schedule (modeled time only; functional results
-        are identical either way).  ``"serial"`` (default) stages each
-        layer's tables before its kernel, the paper's behaviour and the
-        historically pinned modeled numbers.  ``"overlap"`` prices the
-        :class:`~repro.plan.staging.TransferSchedule`: byte-identical
-        table broadcasts are deduped across layers sharing ELTs, and
-        each device streams layer ``i+1``'s tables while layer ``i``'s
-        kernel runs (copy/compute overlap), never slower than serial.
     traffic:
         Traffic ledger the simulated device prices: ``"fused"`` (the
         default, what the ragged kernel moves) or ``"paper"`` (the
@@ -104,7 +91,6 @@ class MultiGPUEngine(Engine):
         traffic: str = TRAFFIC_FUSED,
         secondary=None,
         secondary_seed=None,
-        staging: str = STAGING_SERIAL,
     ) -> None:
         super().__init__(
             dtype=dtype,
@@ -126,7 +112,6 @@ class MultiGPUEngine(Engine):
         self.flags = flags if flags is not None else OptimizationFlags.all()
         self.batch_blocks = int(batch_blocks)
         self.balance = balance
-        self.staging = check_staging(staging)
 
     @property
     def working_dtype(self) -> np.dtype:
@@ -165,21 +150,9 @@ class MultiGPUEngine(Engine):
             "balance": plan.balance,
             "traffic": self.traffic,
             "secondary": self.secondary is not None,
-            "staging": self.staging,
             "per_device": [],
         }
         modeled_total = 0.0
-        overlap = self.staging == STAGING_OVERLAP
-        schedule = TransferSchedule.for_portfolio(portfolio, dtype)
-        if overlap:
-            meta["transfer_schedule"] = schedule.summary()
-        # Alloc name of the device-resident copy of each unique table
-        # block (the first layer staging a key owns the allocation).
-        table_names: Dict[Any, str] = {}
-        # Per-device (stage, compute) legs per layer, for the pipelined
-        # makespan under ``staging="overlap"``.
-        stage_legs: List[List[float]] = [[] for _ in range(self.n_devices)]
-        compute_legs: List[List[float]] = [[] for _ in range(self.n_devices)]
 
         for layer in portfolio.layers:
             # Every device needs the full ELT tables (lookups are not
@@ -191,11 +164,6 @@ class MultiGPUEngine(Engine):
             )
             table_bytes = stacked.nbytes
             out = np.empty(yet.n_trials, dtype=np.float64)
-            fresh = schedule.is_fresh(layer.layer_id)
-            table_key = (tuple(sorted(layer.elt_ids)), dtype.str)
-            if fresh:
-                table_names[table_key] = f"tables_layer{layer.layer_id}"
-            table_name = table_names[table_key]
 
             def run_device(
                 slot: int, tasks: List[PlanTask]
@@ -208,13 +176,9 @@ class MultiGPUEngine(Engine):
                 name = f"layer{layer.layer_id}"
                 device.alloc(f"yet_{name}", yet_bytes)
                 stage_in += device.transfers.h2d(yet_bytes, f"yet_{name}")
-                alloc_name = table_name if overlap else f"tables_{name}"
-                if not overlap or fresh:
-                    # Serial mode restages every layer (the paper's
-                    # behaviour); overlap mode broadcasts each unique
-                    # table block once and keeps it device-resident.
-                    device.alloc(alloc_name, table_bytes)
-                    stage_in += device.transfers.h2d(table_bytes, alloc_name)
+                # Every layer restages its tables (the paper's behaviour).
+                device.alloc(f"tables_{name}", table_bytes)
+                stage_in += device.transfers.h2d(table_bytes, f"tables_{name}")
                 out_bytes = sub_yet.n_trials * 8
                 device.alloc(f"ylt_{name}", out_bytes)
 
@@ -244,8 +208,7 @@ class MultiGPUEngine(Engine):
                 )
                 copy_back = device.transfers.d2h(out_bytes, f"ylt_{name}")
                 device.free(f"yet_{name}")
-                if not overlap:
-                    device.free(alloc_name)
+                device.free(f"tables_{name}")
                 device.free(f"ylt_{name}")
                 return result, stage_in, copy_back, task
 
@@ -257,8 +220,6 @@ class MultiGPUEngine(Engine):
                 staging = stage_in + copy_back
                 device_seconds = result.modeled_seconds + staging
                 per_device_seconds.append(device_seconds)
-                stage_legs[slot].append(stage_in)
-                compute_legs[slot].append(result.modeled_seconds + copy_back)
                 profile = profile.merged(
                     modeled_activity_profile(
                         result.counters,
@@ -276,20 +237,8 @@ class MultiGPUEngine(Engine):
                 meta["per_device"].append(
                     merge_meta_occupancy(device_meta, result)
                 )
-            if not overlap:
-                modeled_total += pool.modeled_makespan(per_device_seconds)
+            modeled_total += pool.modeled_makespan(per_device_seconds)
             per_layer[layer.layer_id] = out
-
-        if overlap:
-            # The pipelined makespan prices the whole layer sequence at
-            # once per device (copy/compute overlap spans layer
-            # boundaries), then the slowest device dominates.
-            modeled_total = pool.modeled_makespan(
-                [
-                    overlap_pipeline_seconds(stage_legs[s], compute_legs[s])
-                    for s in range(self.n_devices)
-                ]
-            )
 
         # Devices ran concurrently: the merged per-activity profile summed
         # device-seconds, so normalise it to the makespan for Figure 6.

@@ -29,15 +29,13 @@ tasks and the store's once-per-fleet compute guarantee.
   jobs, and the whole stack chaos-tested by :mod:`repro.faults`;
 * ``repro-fleet`` (:mod:`repro.fleet.cli`) — ``submit`` / ``worker`` /
   ``status`` / ``gather`` for shell-driven fleets, and
-  :meth:`repro.core.analysis.AggregateRiskAnalysis.run_fleet` /
-  :meth:`repro.pricing.realtime.QuoteService.enqueue_quotes` for the
+  :meth:`repro.core.analysis.AggregateRiskAnalysis.run_fleet` for the
   API-driven ones.
 """
 
 from repro.fleet.assemble import FleetAssemblyError, ResultAssembler
 from repro.fleet.context import FleetContext, context_from_manifest
 from repro.fleet.jobs import (
-    JOB_KIND_QUOTE,
     JOB_KIND_SEGMENT,
     JOB_STATES,
     FleetJob,
@@ -61,7 +59,6 @@ __all__ = [
     "FleetJob",
     "JOB_STATES",
     "JOB_KIND_SEGMENT",
-    "JOB_KIND_QUOTE",
     "FleetWorker",
     "WorkerStats",
     "FleetContext",

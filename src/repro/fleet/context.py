@@ -18,7 +18,7 @@ arrays.  Two resolution paths:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 import numpy as np
@@ -32,11 +32,7 @@ from repro.data.yet import YearEventTable
 
 @dataclass
 class FleetContext:
-    """Everything a worker needs to execute one sweep's jobs.
-
-    ``elts`` (the quote pool) is derived from the portfolio and only
-    used by ``"quote"`` jobs.
-    """
+    """Everything a worker needs to execute one sweep's jobs."""
 
     yet: YearEventTable
     portfolio: Portfolio
@@ -44,68 +40,30 @@ class FleetContext:
     dtype: str = "<f8"
     secondary: Optional[SecondaryUncertainty] = None
     secondary_seed: int = 0
-    #: lazily built per-context QuoteService for "quote" jobs
-    _quote_service: Any = field(default=None, repr=False)
-
-    def quote_service(self, store):
-        """The context's store-backed QuoteService (built once)."""
-        from repro.pricing.realtime import QuoteService  # deferred import
-
-        if self._quote_service is None:
-            elts = list(self.portfolio.elts.values())
-            self._quote_service = QuoteService(
-                self.yet,
-                elts,
-                self.catalog_size,
-                max_workers=1,
-                dtype=np.dtype(self.dtype),
-                secondary=self.secondary,
-                secondary_seed=(
-                    self.secondary_seed if self.secondary is not None else None
-                ),
-                store=store,
-            )
-        return self._quote_service
 
 
-def fleet_config(
-    dtype,
-    catalog_size: int,
-    secondary: Optional[SecondaryUncertainty],
-    secondary_seed: int,
-) -> Dict[str, Any]:
-    """The manifest's ``config`` block — the ONE serialisation.
+def config_from_context(ctx: FleetContext) -> Dict[str, Any]:
+    """The manifest's ``config`` block for a context — the ONE serialisation.
 
-    Both submission paths (analysis sweeps and quote sweeps) and the
-    worker-side :func:`context_from_manifest` go through this shape;
-    a second copy drifting by one field would silently shift every
-    worker-derived key away from the submitter's.  ``"kernel"`` and
-    ``"lookup_kind"`` are constants that keep the block as it was when a
-    second kernel and other layer tables existed;
+    Sweep submission and the worker-side :func:`context_from_manifest`
+    go through this shape; a second copy drifting by one field would
+    silently shift every worker-derived key away from the submitter's.
+    ``"kernel"`` and ``"lookup_kind"`` are constants that keep the block
+    as it was when a second kernel and other layer tables existed;
     :func:`context_from_manifest` rejects any other value.
     """
     return {
         "kernel": KERNEL_RAGGED,
-        "dtype": str(np.dtype(dtype).str),
+        "dtype": str(np.dtype(ctx.dtype).str),
         "lookup_kind": LOOKUP_DIRECT,
-        "catalog_size": int(catalog_size),
+        "catalog_size": int(ctx.catalog_size),
         "secondary": (
             None
-            if secondary is None
-            else [float(secondary.alpha), float(secondary.beta)]
+            if ctx.secondary is None
+            else [float(ctx.secondary.alpha), float(ctx.secondary.beta)]
         ),
-        "secondary_seed": int(secondary_seed),
+        "secondary_seed": int(ctx.secondary_seed),
     }
-
-
-def config_from_context(ctx: FleetContext) -> Dict[str, Any]:
-    """The manifest's ``config`` block for a context."""
-    return fleet_config(
-        ctx.dtype,
-        ctx.catalog_size,
-        ctx.secondary,
-        ctx.secondary_seed,
-    )
 
 
 def spec_dict(spec) -> Dict[str, Any]:

@@ -58,7 +58,6 @@ JOB_STATES = ("pending", "claimed", "done", "failed")
 
 #: job kinds the fleet worker knows how to execute.
 JOB_KIND_SEGMENT = "segment"
-JOB_KIND_QUOTE = "quote"
 JOB_KIND_REDUCE = "reduce"
 
 
@@ -74,12 +73,12 @@ class FleetJob:
     sweep_id:
         The sweep manifest this job belongs to.
     kind:
-        ``"segment"`` (one plan task) or ``"quote"`` (one candidate
-        layer's finished year-loss vector).
+        ``"segment"`` (one plan task) or ``"reduce"`` (one partition of
+        segments folded into a partial YLT).
     key:
         Content-addressed store key the result must land under.
     payload:
-        Kind-specific work description (task coordinates, quote terms).
+        Kind-specific work description (task coordinates, member segments).
     attempts:
         Times a worker has claimed this job (requeue increments).
     owner:

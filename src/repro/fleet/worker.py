@@ -47,13 +47,12 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.fleet.context import FleetContext, context_from_manifest
 from repro.fleet.jobs import (
-    JOB_KIND_QUOTE,
     JOB_KIND_REDUCE,
     JOB_KIND_SEGMENT,
     FleetJob,
@@ -262,9 +261,15 @@ class FleetWorker:
             )
         )
 
-    def _ensure_segment(self, ctx: FleetContext, key: str, task: PlanTask) -> StoreEntry:
-        """``get_or_compute`` one segment, counting computed vs reused."""
-        computed = {}
+    def _segment_entry(
+        self, ctx: FleetContext, key: str, task: PlanTask
+    ) -> Tuple[StoreEntry, Optional[float]]:
+        """``get_or_compute`` one segment under the retry policy.
+
+        Returns the entry and the compute seconds, or ``None`` when the
+        store already held the segment.
+        """
+        computed: Dict[str, float] = {}
 
         def produce() -> StoreEntry:
             entry = self._compute_segment(ctx, task)
@@ -274,9 +279,14 @@ class FleetWorker:
         entry = self._store_call(
             lambda: self.store.get_or_compute(key, produce)
         )
-        if computed:
+        return entry, computed.get("seconds")
+
+    def _ensure_segment(self, ctx: FleetContext, key: str, task: PlanTask) -> StoreEntry:
+        """``get_or_compute`` one segment, counting computed vs reused."""
+        entry, seconds = self._segment_entry(ctx, key, task)
+        if seconds is not None:
             self.stats.computed += 1
-            self.stats.compute_seconds += computed["seconds"]
+            self.stats.compute_seconds += seconds
         else:
             self.stats.reused += 1
         return entry
@@ -352,33 +362,6 @@ class FleetWorker:
             )
         elif job.kind == JOB_KIND_REDUCE:
             self._run_reduce(ctx, job)
-        elif job.kind == JOB_KIND_QUOTE:
-            from repro.data.layer import LayerTerms  # deferred import
-
-            service = ctx.quote_service(self.store)
-            elt_ids = [int(e) for e in job.payload["elt_ids"]]
-            terms = LayerTerms(*[float(t) for t in job.payload["terms"]])
-            layer_id = int(job.payload.get("layer_id", 9999))
-            derived = service.loss_store_key(elt_ids, terms, layer_id)
-            if derived != job.key:
-                # Submitter/worker config drift: computing would store
-                # under the wrong address and the submitter's promised
-                # replay would silently never happen.  Fail loudly.
-                raise ValueError(
-                    f"quote job {job.job_id}: worker-derived store key "
-                    f"{derived[:16]}… != submitted {job.key[:16]}… — the "
-                    "manifest's workload/config does not reproduce the "
-                    "submitting service's inputs"
-                )
-            started = time.perf_counter()
-            before = service.cache_stats()["losses"]["store_hits"]
-            service.candidate_losses(elt_ids, terms, layer_id=layer_id)
-            after = service.cache_stats()["losses"]["store_hits"]
-            if after > before:
-                self.stats.reused += 1
-            else:
-                self.stats.computed += 1
-                self.stats.compute_seconds += time.perf_counter() - started
         else:
             raise ValueError(f"unknown job kind {job.kind!r}")
 
@@ -440,24 +423,16 @@ class FleetWorker:
             self._speculated_ids.add(job.job_id)
             try:
                 ctx = self._context(job.sweep_id)
-                task = self._task_from(job.payload["task"])
-                computed = {}
-
-                def produce() -> StoreEntry:
-                    entry = self._compute_segment(ctx, task)
-                    computed["seconds"] = float(entry.meta["seconds"])
-                    return entry
-
-                self._store_call(
-                    lambda: self.store.get_or_compute(job.key, produce)
+                _, seconds = self._segment_entry(
+                    ctx, job.key, self._task_from(job.payload["task"])
                 )
             except Exception:
                 return False  # speculation is best-effort by definition
-            if computed:
+            if seconds is not None:
                 # Counted separately from ``computed``: a speculative
                 # produce is work the *owner's* claim will reuse.
                 self.stats.speculated += 1
-                self.stats.compute_seconds += computed["seconds"]
+                self.stats.compute_seconds += seconds
             return True
         return False
 

@@ -1,34 +1,24 @@
-"""Multi-GPU context: a pool of simulated devices driven by host threads.
+"""Multi-GPU context: a pool of simulated devices and its fork-join time.
 
 Reproduces the paper's multi-GPU architecture (Section III): "a thread on
 the CPU invokes and manages a GPU.  The CPU thread calls a method which
 takes as input all the inputs required by the kernel and the pre-allocated
 arrays for storing the outputs... The CPU threads are invoked in a
-parallel manner."  Here each host thread really runs concurrently (the
-functional work is NumPy, which releases the GIL), and the modeled
-multi-GPU time is the *maximum* over devices of (transfers + kernel time),
-matching fork-join semantics.
+parallel manner."  The pool holds the devices; the shared
+:class:`~repro.plan.planner.Planner` cuts the trials into one range per
+device and the :class:`~repro.plan.scheduler.Scheduler` runs one real
+host thread per device (the functional work is NumPy, which releases the
+GIL).  The modeled multi-GPU time is the *maximum* over devices of
+(transfers + kernel time), matching fork-join semantics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple, TypeVar
+from typing import List, Sequence
 
 from repro.gpusim.device import DeviceSpec, TESLA_M2090
 from repro.gpusim.kernel import GPUDevice
-from repro.utils.parallel import balanced_chunk_ranges, chunk_ranges, run_threaded
 from repro.utils.validation import check_positive
-
-T = TypeVar("T")
-
-
-@dataclass
-class DeviceTask:
-    """One device's share of a decomposed problem."""
-
-    device: GPUDevice
-    trial_range: Tuple[int, int]
 
 
 class MultiGPU:
@@ -51,51 +41,6 @@ class MultiGPU:
     @property
     def n_devices(self) -> int:
         return len(self.devices)
-
-    def decompose(self, n_trials: int) -> List[DeviceTask]:
-        """Split the trial space into contiguous per-device ranges.
-
-        The paper decomposes "the aggregate analysis workload among the
-        four available GPUs" — trials are independent, so a block
-        partition is load-balanced when trials are homogeneous.
-        """
-        return [
-            DeviceTask(device=device, trial_range=trial_range)
-            for device, trial_range in zip(
-                self.devices, chunk_ranges(n_trials, self.n_devices)
-            )
-        ]
-
-    def decompose_balanced(self, yet) -> List[DeviceTask]:
-        """Split trials so every device gets ~equal *occurrences*.
-
-        Real YETs are ragged (800–1500 events per trial); an equal-trial
-        split then hands devices unequal work and the fork-join makespan
-        follows the unluckiest device.  This partition cuts at the trial
-        boundaries closest to equal cumulative event counts — the shared
-        :func:`~repro.utils.parallel.balanced_chunk_ranges` rule, which
-        the multicore engine's ragged path reuses on CPU.  For
-        fixed-event-count YETs it degenerates to :meth:`decompose`.
-        """
-        if yet.n_occurrences == 0:
-            return self.decompose(yet.n_trials)
-        return [
-            DeviceTask(device=device, trial_range=trial_range)
-            for device, trial_range in zip(
-                self.devices,
-                balanced_chunk_ranges(yet.offsets, self.n_devices),
-            )
-        ]
-
-    def run_host_threads(
-        self, tasks: Sequence[Callable[[], T]]
-    ) -> List[T]:
-        """Run one callable per device on real host threads (fork-join).
-
-        One thread per device, mirroring the paper's CPU-thread-per-GPU
-        management scheme; results are returned in task order.
-        """
-        return run_threaded(tasks, max_workers=len(tasks) or 1)
 
     @staticmethod
     def modeled_makespan(per_device_seconds: Sequence[float]) -> float:

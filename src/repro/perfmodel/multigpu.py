@@ -28,11 +28,6 @@ from repro.gpusim.memory import DeviceCounters
 from repro.gpusim.occupancy import compute_occupancy
 from repro.gpusim.transfer import TransferModel
 from repro.perfmodel.result import PerfPrediction
-from repro.plan.staging import (
-    STAGING_OVERLAP,
-    check_staging,
-    overlap_pipeline_seconds,
-)
 from repro.utils.timer import ACTIVITY_OTHER
 from repro.utils.validation import check_positive
 
@@ -44,8 +39,6 @@ def predict_multi_gpu(
     threads_per_block: int = 32,
     chunk_events: int = 96,
     flags: OptimizationFlags | None = None,
-    staging: str = "serial",
-    shared_tables: bool = False,
 ) -> PerfPrediction:
     """Modeled time of the optimised kernel over ``n_devices`` GPUs.
 
@@ -53,17 +46,11 @@ def predict_multi_gpu(
     overflow), which is how the Figure 4 sweep's truncation beyond 64
     threads per block is represented.
 
-    ``staging="overlap"`` prices the plan-level transfer schedule
-    instead of the paper's stage-then-compute baseline: each device
-    streams the next layer's tables while the current layer's kernel
-    runs (:func:`repro.plan.staging.overlap_pipeline_seconds`).
-    ``shared_tables`` additionally models a portfolio whose layers all
-    reference one ELT set, so the broadcast is deduped to a single
-    staged table block (``staging="serial"`` restages per layer
-    regardless, matching the simulated engine's serial mode).
+    Staging follows the paper's stage-then-compute order: the largest
+    device's tables, YET slice and YLT slice are priced on top of its
+    kernel time, with no copy overlapping a kernel.
     """
     check_positive("n_devices", n_devices)
-    check_staging(staging)
     flags = flags if flags is not None else OptimizationFlags.all()
     word_bytes = 4 if flags.float32 else 8
 
@@ -113,39 +100,12 @@ def predict_multi_gpu(
         spec.catalog_size + 1
     ) * word_bytes * spec.elts_per_layer
     table_bytes = table_bytes_layer * spec.n_layers
-    n_staged = spec.n_layers
-    if staging == STAGING_OVERLAP:
-        # Plan-level schedule: the YET slice lands first, then each
-        # layer's table broadcast streams behind the previous layer's
-        # kernel (per-layer ops, so each broadcast pays its own PCIe
-        # latency); shared_tables dedupes to one staged block.
-        n_staged = 1 if shared_tables else spec.n_layers
-        yet_seconds = transfers.h2d(
-            spec.n_occurrences * 4 * trial_fraction, "yet_slice"
-        )
-        kernel_layer = cost.total / spec.n_layers
-        stage: List[float] = []
-        compute: List[float] = []
-        for i in range(spec.n_layers):
-            stage.append(
-                transfers.h2d(table_bytes_layer, f"elt_tables_layer{i}")
-                if i < n_staged
-                else 0.0
-            )
-            compute.append(
-                kernel_layer
-                + transfers.d2h(
-                    spec.n_trials * 8 * trial_fraction, f"ylt_layer{i}"
-                )
-            )
-        total = yet_seconds + overlap_pipeline_seconds(stage, compute)
-    else:
-        transfers.h2d(table_bytes, "elt_tables")
-        transfers.h2d(spec.n_occurrences * 4 * trial_fraction, "yet_slice")
-        transfers.d2h(
-            spec.n_trials * 8 * trial_fraction * spec.n_layers, "ylt_slice"
-        )
-        total = cost.total + transfers.total_seconds
+    transfers.h2d(table_bytes, "elt_tables")
+    transfers.h2d(spec.n_occurrences * 4 * trial_fraction, "yet_slice")
+    transfers.d2h(
+        spec.n_trials * 8 * trial_fraction * spec.n_layers, "ylt_slice"
+    )
+    total = cost.total + transfers.total_seconds
     profile = modeled_activity_profile(
         counters, cost.bandwidth_s, cost.compute_s
     )
@@ -165,9 +125,6 @@ def predict_multi_gpu(
         "limiting_resource": cost.occupancy.limiting_resource,
         "kernel_seconds": cost.total,
         "transfer_seconds": transfers.total_seconds,
-        "staging": staging,
-        "tables_staged": n_staged,
-        "tables_deduped": spec.n_layers - n_staged,
     }
     return PerfPrediction(
         implementation="multi-gpu",

@@ -121,10 +121,8 @@ class PlanResultCache:
     def store_key(self, key: Hashable) -> str:
         """The digested backing-store key of a cache key.
 
-        Public so other layers can address the same durable entries —
-        the fleet's quote jobs are keyed by exactly this digest, which
-        is how a worker process's write-through becomes the submitting
-        service's store hit.
+        Public so other layers can address the same durable entries
+        (:meth:`~repro.pricing.realtime.QuoteService.loss_store_key`).
         """
         from repro.store.keys import fingerprint_digest  # deferred import
 

@@ -516,8 +516,6 @@ class QuoteService:
         return record
 
     # ------------------------------------------------------------------
-    # Fleet offload: ride the shared job queue
-    # ------------------------------------------------------------------
     def loss_store_key(
         self,
         elt_ids: Sequence[int],
@@ -527,112 +525,14 @@ class QuoteService:
         """The durable store key of a candidate's finished year losses.
 
         This is the address the loss cache writes through to when a
-        ``store=`` is configured — and the content-addressed identity
-        fleet quote jobs carry, so any worker process sharing the store
-        can compute a candidate on this service's behalf.
+        ``store=`` is configured, so any service sharing the store
+        replays a candidate this one computed.
         """
         elts = self._resolve_elts(elt_ids)
         stream_key = self._stream_key(layer_id)
         return self._loss_cache.store_key(
             ("losses", self._base_key(elts, stream_key), terms.as_tuple())
         )
-
-    def enqueue_quotes(
-        self,
-        queue,
-        requests: Iterable[QuoteRequest | Tuple],
-        workload_spec=None,
-        sweep_id: str | None = None,
-    ):
-        """Offload a batch of candidates to fleet workers.
-
-        Store-aware like segment submission: candidates whose finished
-        loss vectors are already persisted are skipped (``reused``),
-        the rest become ``"quote"`` jobs on ``queue`` (a
-        :class:`~repro.fleet.jobs.JobQueue`).  Once workers drain the
-        sweep, :meth:`quote_many` over the same requests is pure store
-        hits — pricing happens locally against worker-computed vectors,
-        bit-for-bit what this service would have computed itself.
-
-        Requires this service to be store-backed; ``workload_spec``
-        embeds the seeded workload recipe so external ``repro-fleet
-        worker`` processes can rebuild the ELT pool (in-process workers
-        take the registered context instead).  Returns a
-        :class:`~repro.fleet.sweep.SweepTicket`-style summary dict.
-        """
-        if self.store is None:
-            raise ValueError(
-                "enqueue_quotes needs a store-backed QuoteService "
-                "(store=...): workers deliver results through the store"
-            )
-        from repro.fleet.context import fleet_config, spec_dict
-        from repro.fleet.jobs import JOB_KIND_QUOTE, FleetJob
-        from repro.store.keys import fingerprint_digest
-
-        normalised: List[QuoteRequest] = []
-        for req in requests:
-            normalised.append(
-                req if isinstance(req, QuoteRequest) else QuoteRequest(*req)
-            )
-        keys = [
-            self.loss_store_key(r.elt_ids, r.terms, r.layer_id)
-            for r in normalised
-        ]
-        if sweep_id is None:
-            sweep_id = "quotes-" + fingerprint_digest(
-                "quote-sweep", tuple(keys)
-            )[:16]
-        manifest = {
-            "sweep_id": sweep_id,
-            "kind": "quotes",
-            "config": fleet_config(
-                self.dtype,
-                self.catalog_size,
-                self.secondary,
-                self._secondary_base_seed,
-            ),
-            "workload": (
-                {"spec": spec_dict(workload_spec)}
-                if workload_spec is not None
-                else {}
-            ),
-            "requests": [
-                {
-                    "elt_ids": list(r.elt_ids),
-                    "terms": list(r.terms.as_tuple()),
-                    "layer_id": r.layer_id,
-                }
-                for r in normalised
-            ],
-        }
-        queue.save_sweep(sweep_id, manifest)
-        jobs = []
-        reused = 0
-        for index, (request, key) in enumerate(zip(normalised, keys)):
-            if self.store.contains(key):
-                reused += 1
-                continue
-            jobs.append(
-                FleetJob(
-                    job_id=f"{sweep_id}.q{index:06d}",
-                    sweep_id=sweep_id,
-                    kind=JOB_KIND_QUOTE,
-                    key=key,
-                    payload={
-                        "elt_ids": list(request.elt_ids),
-                        "terms": list(request.terms.as_tuple()),
-                        "layer_id": request.layer_id,
-                    },
-                )
-            )
-        submitted = queue.submit(jobs)
-        return {
-            "sweep_id": sweep_id,
-            "n_requests": len(normalised),
-            "submitted": submitted,
-            "reused": reused,
-            "keys": keys,
-        }
 
     # ------------------------------------------------------------------
     def cache_stats(self) -> Dict[str, Dict[str, int]]:

@@ -6,7 +6,7 @@ under our control, so the front-end bounds what it *accepts* (admission
 control), bounds how long anything it accepted may take (end-to-end
 deadlines), merges duplicate in-flight work (coalescing), and degrades
 in a documented order under sustained overload (brownout: batch lanes
-first, sweep submission last).  See ``README.md`` § "Serving under
+throttle, then pause).  See ``README.md`` § "Serving under
 load" and the ``SERVE-ABLATE`` experiment.
 """
 

@@ -10,7 +10,7 @@ implements the standard discipline:
   requests), which — by Little's law — bounds the latency of every
   admitted request at roughly ``depth / service_rate``;
 * **priority lanes**: interactive quotes may use the whole gate, while
-  batch work (sweep segments, bulk re-pricing) is capped at a
+  batch work (bulk re-pricing) is capped at a
   configurable share, scaled down further by the brownout controller —
   so interactive traffic preempts batch work under pressure instead of
   queueing behind it.
@@ -36,9 +36,9 @@ LANES = (LANE_INTERACTIVE, LANE_BATCH)
 class Overloaded(Exception):
     """Typed early-shed response: the service refused this request.
 
-    Carries why (``reason``: ``"rate"``, ``"depth"``, ``"batch-depth"``,
-    ``"sweeps-paused"``) and for which lane, so clients and load
-    generators can distinguish shed-by-policy from failure.
+    Carries why (``reason``: ``"rate"``, ``"depth"``, ``"batch-depth"``)
+    and for which lane, so clients and load generators can distinguish
+    shed-by-policy from failure.
     """
 
     def __init__(self, reason: str, lane: str = LANE_INTERACTIVE) -> None:

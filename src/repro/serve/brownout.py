@@ -11,8 +11,8 @@ cheapest traffic first, the freshest last:
     share (interactive quotes are untouched).
 ``paused``
     pressure persisted a full window *while already browned out*:
-    sweep submission stops entirely (``allow_sweep_submission`` is
-    False, batch factor 0.0) until pressure clears.
+    batch admission stops entirely (batch factor 0.0) until pressure
+    clears.
 
 Recovery runs the ladder in reverse with hysteresis: the shed rate must
 fall below ``exit_threshold`` (< ``enter_threshold``) for a full
@@ -167,10 +167,6 @@ class BrownoutController:
         if state == STATE_BROWNOUT:
             return self.brownout_batch_factor
         return 0.0
-
-    def allow_sweep_submission(self) -> bool:
-        """Whether new sweeps may be submitted (False only when paused)."""
-        return self.state != STATE_PAUSED
 
     def stats(self) -> Dict[str, object]:
         with self._lock:

@@ -2,7 +2,7 @@
 
 :class:`QuoteFrontEnd` is the layer a network server would mount: it
 wraps a :class:`~repro.pricing.realtime.QuoteService` (and, through it,
-the plan cache, the tiered store and the fleet queue) with the serving
+the plan cache and the tiered store) with the serving
 disciplines that keep an overloaded service *predictable*:
 
 * **admission control** — every request passes the
@@ -20,8 +20,8 @@ disciplines that keep an overloaded service *predictable*:
   the plan-level cache's in-flight dedup;
 * **brownout** — sustained shedding walks the
   :class:`~repro.serve.brownout.BrownoutController` ladder: batch lanes
-  throttle first, then sweep submission pauses, every transition
-  visible in :meth:`stats`.
+  throttle first, then pause, every transition visible in
+  :meth:`stats`.
 
 The front-end never changes what a quote *is*: admitted requests
 produce records bit-for-bit identical to a direct
@@ -33,12 +33,11 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Any, Dict, Iterable, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.data.layer import LayerTerms
 from repro.pricing.realtime import QuoteRecord, QuoteRequest, QuoteService
 from repro.serve.admission import (
-    LANE_BATCH,
     LANE_INTERACTIVE,
     AdmissionGate,
     Overloaded,
@@ -108,7 +107,6 @@ class QuoteFrontEnd:
         self.coalesced = 0
         self.deadline_misses = 0
         self.errors = 0
-        self.sweeps_rejected = 0
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -222,26 +220,6 @@ class QuoteFrontEnd:
         )
 
     # ------------------------------------------------------------------
-    def enqueue_quotes(
-        self,
-        queue,
-        requests: Iterable[QuoteRequest | Tuple],
-        **kwargs: Any,
-    ):
-        """Brownout-gated fleet offload.
-
-        Delegates to
-        :meth:`~repro.pricing.realtime.QuoteService.enqueue_quotes`
-        unless the brownout controller has escalated to ``paused`` — the
-        last rung of the degradation ladder stops feeding the fleet new
-        sweeps while interactive traffic is being shed.
-        """
-        if not self.brownout.allow_sweep_submission():
-            self.sweeps_rejected += 1
-            raise Overloaded("sweeps-paused", LANE_BATCH)
-        return self.service.enqueue_quotes(queue, requests, **kwargs)
-
-    # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
         """The whole serving picture in one dict.
 
@@ -260,7 +238,6 @@ class QuoteFrontEnd:
                 "coalesced": self.coalesced,
                 "deadline_misses": self.deadline_misses,
                 "errors": self.errors,
-                "sweeps_rejected": self.sweeps_rejected,
             },
             "latency": self.latency.summary(),
             "cache": cache,

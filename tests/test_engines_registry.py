@@ -40,6 +40,11 @@ class TestRegistry:
         with pytest.raises(TypeError, match="trafic"):
             create_engine("gpu", trafic="paper")
 
+    def test_create_engine_rejects_staging(self):
+        # Every layer restages its tables; there is no other schedule.
+        with pytest.raises(TypeError, match="staging"):
+            create_engine("multi-gpu", staging="overlap")
+
     def test_run_rejects_option_no_engine_accepts(self, tiny_workload):
         from repro.core.analysis import AggregateRiskAnalysis
 

@@ -364,95 +364,6 @@ class TestFailurePaths:
         assert queue.counts(ticket.sweep_id)["failed"] > 0
 
 
-class TestQuoteOffload:
-    def test_enqueued_quotes_become_store_hits(
-        self, small_workload, tmp_path
-    ):
-        from repro.pricing.realtime import QuoteService
-
-        layer = small_workload.portfolio.layers[0]
-        elts = list(small_workload.portfolio.elts.values())
-        elt_ids = tuple(e.elt_id for e in elts)
-        terms_pool = [
-            (elt_ids, layer.terms),
-            (
-                elt_ids,
-                type(layer.terms)(
-                    occ_retention=layer.terms.occ_retention,
-                    occ_limit=layer.terms.occ_limit * 0.5,
-                    agg_retention=layer.terms.agg_retention,
-                    agg_limit=layer.terms.agg_limit,
-                ),
-            ),
-        ]
-        queue = JobQueue(tmp_path / "q")
-        store = SharedFileStore(tmp_path / "cache")
-        catalog_size = small_workload.catalog.n_events
-        with QuoteService(
-            small_workload.yet, elts, catalog_size, max_workers=1,
-            store=store,
-        ) as service:
-            ticket = service.enqueue_quotes(queue, terms_pool)
-        assert ticket["submitted"] == 2
-        # drain with a worker that resolves the registered context
-        from repro.fleet.context import FleetContext
-
-        ctx = FleetContext(
-            yet=small_workload.yet,
-            portfolio=small_workload.portfolio,
-            catalog_size=catalog_size,
-        )
-        worker = FleetWorker(
-            queue, store, contexts={ticket["sweep_id"]: ctx}
-        )
-        worker.run(sweep_id=ticket["sweep_id"])
-        for key in ticket["keys"]:
-            assert store.contains(key)
-        # a fresh service replays every candidate from the store
-        with QuoteService(
-            small_workload.yet, elts, catalog_size, max_workers=1,
-            store=store,
-        ) as fresh:
-            records = fresh.quote_many(terms_pool)
-            assert fresh.cache_stats()["losses"]["store_hits"] == 2
-        # and the numbers equal a storeless compute
-        with QuoteService(
-            small_workload.yet, elts, catalog_size, max_workers=1
-        ) as direct_service:
-            direct = direct_service.quote_many(terms_pool)
-        for a, b in zip(records, direct):
-            assert a.quote.expected_loss == b.quote.expected_loss
-
-    def test_enqueue_requires_store(self, small_workload, tmp_path):
-        from repro.pricing.realtime import QuoteService
-
-        elts = list(small_workload.portfolio.elts.values())
-        with QuoteService(
-            small_workload.yet, elts, small_workload.catalog.n_events
-        ) as service:
-            with pytest.raises(ValueError, match="store-backed"):
-                service.enqueue_quotes(JobQueue(tmp_path / "q"), [])
-
-    def test_resubmission_reuses_stored_quotes(
-        self, small_workload, tmp_path
-    ):
-        from repro.pricing.realtime import QuoteService
-
-        layer = small_workload.portfolio.layers[0]
-        elts = list(small_workload.portfolio.elts.values())
-        request = [(tuple(e.elt_id for e in elts), layer.terms)]
-        queue = JobQueue(tmp_path / "q")
-        store = SharedFileStore(tmp_path / "cache")
-        with QuoteService(
-            small_workload.yet, elts, small_workload.catalog.n_events,
-            max_workers=1, store=store,
-        ) as service:
-            service.quote_many(request)  # computes + persists
-            ticket = service.enqueue_quotes(queue, request)
-        assert ticket["submitted"] == 0
-        assert ticket["reused"] == 1
-
-
 class TestModeledMakespan:
     def test_single_worker_is_the_sum(self):
         assert modeled_makespan([1.0, 2.0, 3.0], 1) == pytest.approx(6.0)

@@ -143,3 +143,17 @@ class TestHeartbeatLifecycle:
         assert worker.waited is True
         assert queue.beats >= 1
         assert queue.counts(ticket.sweep_id)["done"] == ticket.submitted
+
+
+def test_fleet_imports_no_pricing_or_serve():
+    """Source-level guard: the fleet runs analysis segments only, so no
+    fleet module reaches up into the quote layers (no import cycle)."""
+    import pathlib
+
+    import repro.fleet as fleet_pkg
+
+    root = pathlib.Path(fleet_pkg.__file__).parent
+    for path in root.rglob("*.py"):
+        text = path.read_text()
+        for token in ("repro.pricing", "repro.serve"):
+            assert token not in text, f"{path.name} names {token}"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.gpusim.device import TESLA_C2075, TESLA_M2090
+from repro.gpusim.device import TESLA_C2075
 from repro.gpusim.kernel import GPUDevice, SimKernel
 from repro.gpusim.memory import DeviceCounters
 from repro.gpusim.multi import MultiGPU
@@ -137,28 +137,6 @@ class TestTransferModel:
 
 
 class TestMultiGPU:
-    def test_decompose_covers_trials(self):
-        pool = MultiGPU(4, spec=TESLA_M2090)
-        tasks = pool.decompose(1003)
-        spans = [t.trial_range for t in tasks]
-        assert spans[0][0] == 0
-        assert spans[-1][1] == 1003
-        total = sum(stop - start for start, stop in spans)
-        assert total == 1003
-
-    def test_decompose_balanced(self):
-        pool = MultiGPU(4)
-        sizes = [
-            stop - start for start, stop in
-            (t.trial_range for t in pool.decompose(1_000_000))
-        ]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_run_host_threads_order(self):
-        pool = MultiGPU(3)
-        results = pool.run_host_threads([lambda i=i: i for i in range(3)])
-        assert results == [0, 1, 2]
-
     def test_makespan(self):
         assert MultiGPU.modeled_makespan([1.0, 3.0, 2.0]) == 3.0
         assert MultiGPU.modeled_makespan([]) == 0.0

@@ -8,7 +8,7 @@ from repro.data.elt import EventLossTable
 from repro.data.generator import generate_catalog, generate_yet
 from repro.data.layer import Portfolio
 from repro.engines.multigpu import MultiGPUEngine
-from repro.gpusim.multi import MultiGPU
+from repro.utils.parallel import balanced_chunk_ranges, chunk_ranges
 
 
 @pytest.fixture(scope="module")
@@ -73,13 +73,16 @@ def ragged_problem():
 
 
 class TestDecomposeBalanced:
+    """The occurrence-balanced trial cut, as the planner's
+    ``balance="events"`` lanes use it: :func:`balanced_chunk_ranges`
+    over the YET's offsets, against the equal-trial :func:`chunk_ranges`."""
+
     def test_covers_all_trials(self, ragged_problem):
         yet, _ = ragged_problem
-        pool = MultiGPU(4)
-        tasks = pool.decompose_balanced(yet)
-        spans = [t.trial_range for t in tasks]
+        spans = balanced_chunk_ranges(yet.offsets, 4)
         assert spans[0][0] == 0
         assert spans[-1][1] == yet.n_trials
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
         total = sum(stop - start for start, stop in spans)
         assert total == yet.n_trials
 
@@ -87,27 +90,25 @@ class TestDecomposeBalanced:
         self, ragged_problem
     ):
         yet, _ = ragged_problem
-        pool = MultiGPU(4)
 
-        def occurrence_spread(tasks):
+        def occurrence_spread(spans):
             counts = [
                 int(yet.offsets[stop] - yet.offsets[start])
-                for start, stop in (t.trial_range for t in tasks)
+                for start, stop in spans
             ]
             return max(counts) - min(counts)
 
-        trial_split = pool.decompose(yet.n_trials)
-        event_split = pool.decompose_balanced(yet)
+        trial_split = chunk_ranges(yet.n_trials, 4)
+        event_split = balanced_chunk_ranges(yet.offsets, 4)
         assert occurrence_spread(event_split) < occurrence_spread(
             trial_split
         )
 
     def test_fixed_counts_degenerate_to_trial_split(self, tiny_workload):
         yet = tiny_workload.yet  # fixed events per trial
-        pool = MultiGPU(4)
-        balanced = [t.trial_range for t in pool.decompose_balanced(yet)]
-        plain = [t.trial_range for t in pool.decompose(yet.n_trials)]
-        assert balanced == plain
+        assert balanced_chunk_ranges(yet.offsets, 4) == chunk_ranges(
+            yet.n_trials, 4
+        )
 
     def test_empty_yet_falls_back(self):
         from repro.data.yet import YearEventTable
@@ -117,11 +118,9 @@ class TestDecomposeBalanced:
             timestamps=np.empty(0, dtype=np.float32),
             offsets=np.zeros(5, dtype=np.int64),
         )
-        pool = MultiGPU(2)
-        tasks = pool.decompose_balanced(empty)
-        assert sum(
-            stop - start for start, stop in (t.trial_range for t in tasks)
-        ) == 4
+        spans = balanced_chunk_ranges(empty.offsets, 2)
+        assert spans == chunk_ranges(empty.n_trials, 2)
+        assert sum(stop - start for start, stop in spans) == 4
 
 
 class TestBalancedEngine:

@@ -107,8 +107,50 @@ def test_replay_shares_across_engines_and_plans(
     assert warm.meta["replay"]["computed_by"] == "sequential"
     assert warm.engine == "multicore"
     if n_cores > 1:  # a different plan, the same result
-        assert warm.meta["plan"] != cold.meta["plan"]
+        inputs = (small_workload.yet, small_workload.portfolio)
+        sequential = create_engine("sequential").plan_for(*inputs)
+        multicore = create_engine("multicore", n_cores=n_cores).plan_for(
+            *inputs
+        )
+        assert multicore.fingerprint() != sequential.fingerprint()
     assert warm.ylt.losses.tobytes() == cold.ylt.losses.tobytes()
+
+
+def test_replay_does_not_plan(small_workload, store, monkeypatch):
+    """The key does not depend on the plan, so a hit never builds one:
+    its meta carries the replay record and no plan summary."""
+    engine = create_engine("multicore", n_cores=4)
+    inputs = (small_workload.yet, small_workload.portfolio)
+    n_events = small_workload.catalog.n_events
+    cold = engine.run(*inputs, n_events, store=store)
+    assert "plan" in cold.meta
+
+    calls = []
+    plan_for = type(engine).plan_for
+
+    def counting_plan_for(self, *args, **kwargs):
+        calls.append(args)
+        return plan_for(self, *args, **kwargs)
+
+    monkeypatch.setattr(type(engine), "plan_for", counting_plan_for)
+    warm = engine.run(*inputs, n_events, store=store)
+    assert warm.meta["replay"]["hit"] is True
+    assert calls == []
+    assert "plan" not in warm.meta
+    assert warm.ylt.losses.tobytes() == cold.ylt.losses.tobytes()
+
+
+def test_given_plan_is_validated_before_the_lookup(small_workload, store):
+    """A caller's plan for other inputs is refused even when the store
+    holds the result."""
+    engine = create_engine("sequential")
+    inputs = (small_workload.yet, small_workload.portfolio)
+    n_events = small_workload.catalog.n_events
+    engine.run(*inputs, n_events, store=store)
+    short = small_workload.yet.slice_trials(0, small_workload.yet.n_trials // 2)
+    wrong = engine.plan_for(short, small_workload.portfolio)
+    with pytest.raises(ValueError, match="trials"):
+        engine.run(*inputs, n_events, plan=wrong, store=store)
 
 
 MATRIX_ENGINES = [

@@ -373,12 +373,10 @@ class TestBrownout:
             ctl.observe(shed=True)
         assert ctl.state == STATE_BROWNOUT  # one rung, not straight to pause
         assert ctl.batch_factor() == 0.25
-        assert ctl.allow_sweep_submission()
         clock.advance(2.0)  # dwell, still shedding
         ctl.observe(shed=True)
         assert ctl.state == STATE_PAUSED
         assert ctl.batch_factor() == 0.0
-        assert not ctl.allow_sweep_submission()
 
     def test_min_samples_guard(self):
         clock = Clock(10.0)
@@ -742,7 +740,9 @@ class TestQuoteFrontEnd:
             with pytest.raises(ValueError):
                 asyncio.run(scenario())
 
-    def test_paused_brownout_rejects_sweep_submission(self, serve_data):
+    def test_paused_brownout_sheds_batch_quotes(self, serve_data):
+        """The paused rung closes the batch lane (factor 0.0) while
+        interactive quotes are still served."""
         catalog, yet, elts = serve_data
         clock = Clock()
         brownout = BrownoutController(
@@ -759,10 +759,19 @@ class TestQuoteFrontEnd:
             clock.advance(1.0)
             brownout.observe(shed=True)
             assert brownout.state == STATE_PAUSED
-            with pytest.raises(Overloaded) as excinfo:
-                frontend.enqueue_quotes(object(), [])
-            assert excinfo.value.reason == "sweeps-paused"
-            assert frontend.sweeps_rejected == 1
+
+            async def scenario():
+                with pytest.raises(Overloaded) as excinfo:
+                    await frontend.quote(
+                        (0, 1), terms_for(4), lane=LANE_BATCH
+                    )
+                record = await frontend.quote((0, 1), terms_for(4))
+                return excinfo.value, record
+
+            shed, record = asyncio.run(scenario())
+        assert shed.reason == "batch-depth"
+        assert shed.lane == LANE_BATCH
+        assert record.quote is not None
 
     def test_stats_are_the_one_place(self, serve_data, tmp_path):
         catalog, yet, elts = serve_data
