@@ -83,10 +83,11 @@ def main() -> int:
             create_engine("sequential"),
             segment_trials=1_000,
             workload_spec=SPEC,
+            n_workers=N_WORKERS,
         )
         print(
-            f"submitted {ticket.sweep_id}: {ticket.submitted} job(s), "
-            f"{ticket.reused} segment(s) already stored"
+            f"submitted {ticket.sweep_id}: {ticket.submitted} segment(s) "
+            f"in {ticket.runs} job(s), {ticket.reused} already stored"
         )
 
         # 2. A fleet of independent worker processes drains the queue.
@@ -128,7 +129,7 @@ def main() -> int:
             workload_spec=SPEC,
         )
         print(
-            f"re-submitted: {again.submitted} job(s) enqueued, "
+            f"re-submitted: {again.submitted} segment(s) enqueued, "
             f"{again.reused}/{again.delta.n_segments} segments reused — "
             "a repeated sweep is pure replay"
         )

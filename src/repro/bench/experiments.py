@@ -1001,9 +1001,10 @@ def fleet_ablation(
       no-queue baseline; fleet coordination overhead shows against it);
     * **fleet-1 / fleet-N** — cold fleet sweeps (fresh store + queue)
       drained by 1 and ``n_workers`` workers.  Measured wall seconds on
-      this host, plus *modeled makespans*: per-job compute seconds are
-      measured (each segment entry records them) and scheduled LPT-
-      greedy onto hypothetical fleets —
+      this host, plus *modeled makespans*: the compute seconds of the
+      run jobs each fleet queues are measured (each segment entry
+      records its trial share of its run's) and scheduled LPT-greedy
+      onto hypothetical fleets —
       :func:`repro.fleet.sweep.modeled_makespan`, the fleet analogue of
       the repository's simulated-GPU cost models, meaningful even on
       single-core CI hosts where threads cannot physically overlap;
@@ -1022,7 +1023,7 @@ def fleet_ablation(
     from repro.core.analysis import AggregateRiskAnalysis
     from repro.data.yet import YearEventTable
     from repro.engines.registry import create_engine
-    from repro.fleet.sweep import modeled_makespan
+    from repro.fleet.sweep import modeled_makespan, segment_runs
     from repro.store import SharedFileStore
     from repro.store.keys import ylt_digest
 
@@ -1085,23 +1086,32 @@ def fleet_ablation(
 
         fleet_1, store_1_dir = cold_fleet("fleet-1", 1)
         store_1 = SharedFileStore(store_1_dir)
-        # per-job compute seconds, recorded by the workers in each
-        # segment entry: the modeled-makespan inputs.
+        # The modeled-makespan inputs: each segment entry records its
+        # share of its run's measured compute seconds, and a fleet of
+        # ``workers`` queues the runs ``segment_runs`` groups for it.
         engine_obj = create_engine("sequential")
         delta_plan = engine_obj.plan_missing(
             yet, workload.portfolio, None, segment_trials=segment_trials
         )
-        job_seconds = [
-            float(store_1.get(record.key).meta["seconds"])
-            for record in delta_plan.segments
-        ]
-        makespan_1 = modeled_makespan(job_seconds, 1)
-        makespan_n = modeled_makespan(job_seconds, n_workers)
+        seconds = {
+            record.key: float(store_1.get(record.key).meta["seconds"])
+            for record in delta_plan.missing
+        }
+
+        def run_seconds(workers: int) -> list:
+            return [
+                sum(seconds[record.key] for record in run)
+                for run in segment_runs(delta_plan.missing, workers)
+            ]
+
+        makespan_1 = modeled_makespan(run_seconds(1), 1)
+        makespan_n = modeled_makespan(run_seconds(n_workers), n_workers)
         report.add(
             mode="fleet-1",
             workers=1,
             measured_seconds=fleet_1.wall_seconds,
             jobs=fleet_1.meta["fleet"]["jobs_submitted"],
+            runs=fleet_1.meta["fleet"]["runs"],
             reused=fleet_1.meta["fleet"]["segments_reused"],
             modeled_makespan_seconds=makespan_1,
             modeled_speedup=1.0,
@@ -1115,6 +1125,7 @@ def fleet_ablation(
             measured_seconds=fleet_n.wall_seconds,
             measured_speedup_vs_1=fleet_1.wall_seconds / fleet_n.wall_seconds,
             jobs=fleet_n.meta["fleet"]["jobs_submitted"],
+            runs=fleet_n.meta["fleet"]["runs"],
             reused=fleet_n.meta["fleet"]["segments_reused"],
             modeled_makespan_seconds=makespan_n,
             modeled_speedup=makespan_1 / makespan_n if makespan_n else 0.0,
@@ -1180,7 +1191,7 @@ def fleet_ablation(
             monolithic_extended_digest=ylt_digest(mono_ext.ylt),
         )
         report.note(
-            f"modeled fleet makespan (measured per-job seconds, LPT onto "
+            f"modeled fleet makespan (measured run-job seconds, LPT onto "
             f"{n_workers} workers): {makespan_1:.3f}s -> {makespan_n:.3f}s "
             f"({makespan_1 / makespan_n:.2f}x); measured wall speedup on "
             f"this host: "

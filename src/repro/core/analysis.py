@@ -200,9 +200,11 @@ class AggregateRiskAnalysis:
         """Run the analysis as a fleet sweep over a shared job queue.
 
         The analysis is delta-planned against ``store`` (only segments
-        whose content-addressed keys are absent become jobs — a
+        whose content-addressed keys are absent become work — a
         re-sweep of a partially changed input computes only the delta),
-        drained by ``n_workers`` in-process worker threads, and
+        queued as runs of contiguous missing segments sized so each of
+        the ``n_workers`` in-process worker threads gets about four
+        (:func:`repro.fleet.sweep.segment_runs`), drained, and
         assembled from the store into a YLT **bit-for-bit identical**
         to a monolithic :meth:`run` of the same numeric configuration.
 
@@ -227,9 +229,10 @@ class AggregateRiskAnalysis:
         assembly shape for network-backed stores, bit-identical
         either way.
 
-        ``result.meta["fleet"]`` records the sweep id, segment/job
-        counts, reuse, per-worker stats, and the store's cache-
-        effectiveness counters.
+        ``result.meta["fleet"]`` records the sweep id, segment counts
+        (``jobs_submitted`` counts segments enqueued, ``runs`` the
+        queue jobs holding them), reuse, per-worker stats, and the
+        store's cache-effectiveness counters.
         """
         import time as _time
 
@@ -278,6 +281,7 @@ class AggregateRiskAnalysis:
                 segment_trials=segment_trials,
                 workload_spec=workload_spec,
                 n_partitions=n_partitions,
+                n_workers=n_workers,
             )
             contexts[ticket.sweep_id] = ctx
             worker_stats = run_workers(
@@ -310,6 +314,7 @@ class AggregateRiskAnalysis:
                     "n_workers": n_workers,
                     "n_segments": ticket.delta.n_segments,
                     "jobs_submitted": ticket.submitted,
+                    "runs": ticket.runs,
                     "segments_reused": ticket.reused,
                     "gather_retries": gather_retries,
                     "workers": [stats.as_dict() for stats in worker_stats],

@@ -211,7 +211,7 @@ def _cmd_submit(args) -> int:
     print(f"engine:    {args.engine}")
     print(f"workload:  {dataclasses.asdict(spec)}")
     print(f"segments:  {ticket.delta.n_segments}")
-    print(f"enqueued:  {ticket.submitted}")
+    print(f"enqueued:  {ticket.submitted} in {ticket.runs} job(s)")
     print(f"reused:    {ticket.reused} already in store")
     return 0
 

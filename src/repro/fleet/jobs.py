@@ -1,4 +1,4 @@
-"""The durable job queue: segment-granular work shared by a fleet.
+"""The durable job queue: runs of segments shared by a fleet.
 
 A :class:`JobQueue` is a directory.  Each job is one JSON file that
 moves between state subdirectories by ``rename(2)`` — the one cheap
@@ -25,13 +25,16 @@ than ``lease_seconds`` back to ``pending/``.  Every transition out of
 flock, as a stat plus a rename, so concurrent scanners agree on one
 requeue and a lost claim cannot be completed.
 
-Exactly-once *effects* do not depend on exactly-once job execution: a
-job's result lands in the content-addressed result store via
-``get_or_compute``, so a requeued job whose original worker already
-stored the segment becomes a store hit, and two workers racing on one
-segment compute it once per fleet (the store's cross-process lock).
-The queue only has to guarantee that every job is eventually completed
-by *someone* — which rename-based claims plus lease expiry give.
+A job is a *run* of contiguous segments of one layer (partition
+mode: one reduce job per partition); the queue itself treats payloads
+as opaque.  Exactly-once *effects* do not depend on exactly-once job
+execution: a job's results land in the content-addressed result store,
+probed before and again under the run's exclusive hold, so a requeued
+job whose original worker already stored its segments becomes a store
+hit, and two workers racing on one run compute it once per fleet (the
+store's cross-process lock).  The queue only has to guarantee that
+every job is eventually completed by *someone* — which rename-based
+claims plus lease expiry give.
 
 A :class:`MemoryJobQueue` keeps the same contract in one process's
 memory: the private queue of an in-process fleet, which no other
@@ -68,17 +71,20 @@ class FleetJob:
     Attributes
     ----------
     job_id:
-        Queue-unique id (``<sweep_id>.t<task_id>`` for segments); the
-        file name, so submission of an existing id is a no-op.
+        Queue-unique id (``<sweep_id>.t<task_id>`` of a run's first
+        segment); the file name, so submission of an existing id is a
+        no-op.
     sweep_id:
         The sweep manifest this job belongs to.
     kind:
-        ``"segment"`` (one plan task) or ``"reduce"`` (one partition of
-        segments folded into a partial YLT).
+        ``"segment"`` (a run of contiguous segments of one layer) or
+        ``"reduce"`` (one partition of segments folded into a partial
+        YLT).
     key:
-        Content-addressed store key the result must land under.
+        A run's first segment key (the key its exclusive hold is
+        taken on), or the partial's store key.
     payload:
-        Kind-specific work description (task coordinates, member segments).
+        The member ``segments``, each a store key and plan task.
     attempts:
         Times a worker has claimed this job (requeue increments).
     owner:

@@ -1,13 +1,17 @@
 """Sweep orchestration: submit, drain, gather.
 
-A *sweep* is one analysis decomposed into segment jobs.  Submission is
-store-aware end to end: the engine's
+A *sweep* is one analysis decomposed into segments, the unit of storage
+and of delta reuse.  Submission is store-aware end to end: the engine's
 :meth:`~repro.engines.base.Engine.plan_missing` derives every segment's
 content-addressed key, probes the store, and only the missing segments
-become queue jobs — a re-sweep of a partially changed input (extended
-YET, one re-termed layer) enqueues only the delta.  The manifest
-records *all* segments (stored and missing), which is exactly what the
-assembler needs to gather the final YLT.
+become queue work — a re-sweep of a partially changed input (extended
+YET, one re-termed layer) enqueues only the delta.  Missing segments
+are queued in *runs* (:func:`segment_runs`): one job per contiguous run
+of up to :func:`run_length` segments of one layer, which a worker
+computes in one kernel call and writes in one batch, so coordination is
+paid per run, not per segment.  The manifest records *all* segments
+(stored and missing), which is exactly what the assembler needs to
+gather the final YLT.
 
 ``run_fleet`` (the API behind
 :meth:`repro.core.analysis.AggregateRiskAnalysis.run_fleet`) wires the
@@ -20,8 +24,9 @@ the example and the REPLAY-style benchmarks run both shapes.
 from __future__ import annotations
 
 import heapq
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.data.layer import Portfolio
@@ -30,18 +35,33 @@ from repro.fleet.assemble import FleetAssemblyError, ResultAssembler
 from repro.fleet.context import FleetContext, config_from_context, spec_dict
 from repro.fleet.jobs import JOB_KIND_SEGMENT, FleetJob, JobQueue
 from repro.fleet.worker import FleetWorker, WorkerStats
-from repro.plan.delta import DeltaPlan
+from repro.plan.delta import DeltaPlan, SegmentRecord
 from repro.plan.scheduler import Scheduler
 from repro.store.base import ResultStore
+
+#: the most segments one run job holds
+MAX_RUN_SEGMENTS = 16
+#: runs each worker should get at least about this many of, so work
+#: still balances across a fleet and a straggler holds little of it
+RUNS_PER_WORKER = 4
+#: the fleet size assumed when the submitter does not know it
+#: (``repro-fleet submit``, scenario campaigns, the chaos runner)
+DEFAULT_FLEET_WORKERS = 4
 
 
 @dataclass
 class SweepTicket:
-    """Receipt of a submitted sweep."""
+    """Receipt of a submitted sweep.
+
+    ``submitted`` counts segments enqueued (partition mode: reduce
+    jobs), ``runs`` the queue jobs holding them, and ``reused`` the
+    segments (partition mode: partials) already stored.
+    """
 
     sweep_id: str
     delta: DeltaPlan
     submitted: int
+    runs: int
     reused: int
     manifest: Dict[str, Any]
 
@@ -49,9 +69,58 @@ class SweepTicket:
         return {
             "sweep_id": self.sweep_id,
             "submitted": self.submitted,
+            "runs": self.runs,
             "reused": self.reused,
             **self.delta.summary(),
         }
+
+
+def run_length(n_missing: int, n_workers: int | None = None) -> int:
+    """Segments per run job: about :data:`RUNS_PER_WORKER` runs per
+    worker, at most :data:`MAX_RUN_SEGMENTS` segments each."""
+    workers = DEFAULT_FLEET_WORKERS if n_workers is None else max(1, n_workers)
+    share = math.ceil(n_missing / (RUNS_PER_WORKER * workers))
+    return max(1, min(MAX_RUN_SEGMENTS, share))
+
+
+def segment_runs(
+    records: Sequence[SegmentRecord], n_workers: int | None = None
+) -> List[List[SegmentRecord]]:
+    """Group segments, in order, into runs of contiguous trials of one
+    layer, at most :func:`run_length` long."""
+    limit = run_length(len(records), n_workers)
+    runs: List[List[SegmentRecord]] = []
+    for record in records:
+        if runs:
+            run = runs[-1]
+            last = run[-1].task
+            if (
+                len(run) < limit
+                and last.layer_id == record.task.layer_id
+                and last.trial_stop == record.task.trial_start
+            ):
+                run.append(record)
+                continue
+        runs.append([record])
+    return runs
+
+
+def run_job(sweep_id: str, run: Sequence[SegmentRecord]) -> FleetJob:
+    """The queue job of one run; its id and key are its first
+    segment's, so resubmitting a sweep finds the same jobs."""
+    first = run[0]
+    return FleetJob(
+        job_id=f"{sweep_id}.t{first.task.task_id:06d}",
+        sweep_id=sweep_id,
+        kind=JOB_KIND_SEGMENT,
+        key=first.key,
+        payload={
+            "segments": [
+                {"key": record.key, "task": asdict(record.task)}
+                for record in run
+            ]
+        },
+    )
 
 
 def context_for_engine(
@@ -100,12 +169,17 @@ def submit_sweep(
     n_partitions: int | None = None,
     scenario=None,
     stage_trials: int | None = None,
+    n_workers: int | None = None,
 ) -> SweepTicket:
     """Delta-plan an analysis and enqueue its missing segments.
 
-    The sweep id defaults to a digest of the delta plan (decomposition
-    + segment keys), so resubmitting the identical sweep is idempotent:
-    job ids collide and the queue skips them.  ``workload_spec`` (a
+    Missing segments are enqueued as run jobs (:func:`segment_runs`)
+    sized for ``n_workers`` workers (``None``: the
+    :data:`DEFAULT_FLEET_WORKERS` a submitter that does not know its
+    fleet assumes).  The sweep id defaults to a digest of the delta
+    plan (decomposition + segment keys), so resubmitting the identical
+    sweep is idempotent: job ids collide and the queue skips them.
+    ``workload_spec`` (a
     :class:`~repro.data.presets.WorkloadSpec`) embeds the seeded
     recipe for the inputs in the manifest so workers in other processes
     can regenerate them; in-process fleets register their live context
@@ -178,36 +252,23 @@ def submit_sweep(
             sweep_id=sweep_id,
             delta=delta,
             submitted=submitted,
+            runs=submitted,
             reused=len(partitions) - len(todo),
             manifest=manifest,
         )
     queue.save_sweep(sweep_id, manifest)
-    jobs = [
-        FleetJob(
-            job_id=f"{sweep_id}.t{record.task.task_id:06d}",
-            sweep_id=sweep_id,
-            kind=JOB_KIND_SEGMENT,
-            key=record.key,
-            payload={
-                "task": {
-                    "task_id": record.task.task_id,
-                    "layer_id": record.task.layer_id,
-                    "slot": record.task.slot,
-                    "seq": record.task.seq,
-                    "trial_start": record.task.trial_start,
-                    "trial_stop": record.task.trial_stop,
-                    "occ_start": record.task.occ_start,
-                    "occ_stop": record.task.occ_stop,
-                }
-            },
-        )
-        for record in delta.missing
+    # One submit per run, so ``submitted`` counts the segments of the
+    # runs actually added (a resubmitted sweep's jobs are skipped).
+    added = [
+        run
+        for run in segment_runs(delta.missing, n_workers)
+        if queue.submit([run_job(sweep_id, run)])
     ]
-    submitted = queue.submit(jobs) if jobs else 0
     return SweepTicket(
         sweep_id=sweep_id,
         delta=delta,
-        submitted=submitted,
+        submitted=sum(len(run) for run in added),
+        runs=len(added),
         reused=delta.n_stored,
         manifest=manifest,
     )
@@ -278,10 +339,11 @@ def modeled_makespan(job_seconds: Sequence[float], n_workers: int) -> float:
     """Makespan of an LPT schedule of measured job times over a fleet.
 
     The fleet analogue of the repository's simulated-GPU cost models:
-    per-job compute seconds are *measured* (stored by workers in each
-    segment's meta), and the wall-clock of a hypothetical ``n_workers``
-    fleet is the longest-processing-time-first greedy assignment — the
-    standard 4/3-competitive bound.  This is what the FLEET-ABLATE
+    per-job compute seconds are *measured* (workers store each run's
+    seconds, pro-rated by trials, in its segments' meta), and the
+    wall-clock of a hypothetical ``n_workers`` fleet is the
+    longest-processing-time-first greedy assignment — the standard
+    4/3-competitive bound.  This is what the FLEET-ABLATE
     benchmark reports alongside measured wall times, so the scaling
     claim is meaningful even on single-core CI hosts.
     """

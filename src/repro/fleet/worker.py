@@ -2,22 +2,29 @@
 
 Workers are deliberately dumb loops.  All coordination lives in the
 queue (rename-based claims, mtime leases) and the result store
-(content-addressed ``get_or_compute`` with cross-process locks); the
-worker just moves jobs between them:
+(content-addressed entries with cross-process locks); the worker just
+moves jobs between them:
 
-1. claim a pending job (optionally restricted to one sweep);
+1. claim a pending job — a *run* of contiguous segments of one layer
+   (or, in partition mode, a reduce job);
 2. resolve the sweep's :class:`~repro.fleet.context.FleetContext`
    (registered in-process, or regenerated from the manifest's seeded
    workload spec);
-3. run the job's result through ``store.get_or_compute`` — if another
-   worker (any process in the fleet) already stored the key, this is a
-   read, not a compute; a compute is the one kernel, through
-   :func:`~repro.plan.execute.execute_segment_cpu`, so every worker
-   writes the bytes a monolithic run would;
+3. probe the run's segments with one ``contains_many``; if any is
+   missing, hold the run's key (:meth:`~repro.store.base.ResultStore.
+   exclusive`: in-process dedup plus the backend's cross-process lock),
+   probe again, compute the span of the still-missing segments in one
+   :func:`~repro.plan.execute.execute_segment_cpu` call — per-trial
+   losses do not depend on the span, so every worker writes the bytes
+   a monolithic run would — and write them with one ``put_many``;
 4. mark the job done.
 
+Segments stay the unit of storage and of delta reuse; a run is only
+the unit of coordination, so a sweep pays its claim, lock and kernel
+call per run rather than per segment.
+
 One heartbeat thread per worker touches the claimed file while the
-compute runs, so long segments on slow workers are not stolen; a worker
+compute runs, so long runs on slow workers are not stolen; a worker
 that dies mid-compute simply stops heartbeating and its job is requeued
 by any peer's :meth:`~repro.fleet.jobs.JobQueue.requeue_expired` scan.
 Failed computes requeue up to the queue's ``max_attempts`` and then
@@ -33,21 +40,23 @@ Resilience knobs (all on by default):
   (:func:`repro.store.verify.attach_checksums`), so corruption
   anywhere between this worker's write and the assembler's read is
   detected, retried and recomputed instead of silently assembled;
-* an idle worker **speculates** on straggling peers' segments
+* an idle worker **speculates** on straggling peers' runs
   (:meth:`FleetWorker.speculate_one`): lease age past half the lease
-  means the owner may be dead or stalled, so the segment is recomputed
-  into the store — a harmless duplicate via ``get_or_compute`` — and
-  the eventual requeue becomes a store hit.
+  means the owner may be dead or stalled, so the run is stored exactly
+  as the owner would store it — whichever of the two holds the run's
+  key second finds its segments stored — and the eventual requeue
+  becomes a store hit.
 """
 
 from __future__ import annotations
 
 import os
+import random
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Set, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -203,6 +212,7 @@ class FleetWorker:
         self.speculate = bool(speculate)
         self.speculation_age_fraction = float(speculation_age_fraction)
         self._speculated_ids: Set[str] = set()
+        self._retry_rng = random.Random()  # backoff jitter, seeded once
         self._heartbeat = _Heartbeat(queue)
         self.stats = WorkerStats(worker_id=self.worker_id)
 
@@ -213,7 +223,10 @@ class FleetWorker:
     def _store_call(self, fn):
         """Run a store operation under the worker's retry policy."""
         return retry_call(
-            fn, self.retry_policy, on_retry=self._count_retry
+            fn,
+            self.retry_policy,
+            rng=self._retry_rng,
+            on_retry=self._count_retry,
         )
 
     # ------------------------------------------------------------------
@@ -232,61 +245,103 @@ class FleetWorker:
     def _task_from(payload: Dict[str, object]) -> PlanTask:
         return PlanTask(**{k: int(v) for k, v in payload.items()})
 
-    def _compute_segment(self, ctx: FleetContext, task: PlanTask) -> StoreEntry:
+    def _members(self, job: FleetJob) -> List[Tuple[str, PlanTask]]:
+        return [
+            (str(member["key"]), self._task_from(member["task"]))
+            for member in job.payload["segments"]
+        ]
+
+    def _unstored(
+        self, members: List[Tuple[str, PlanTask]]
+    ) -> List[Tuple[str, PlanTask]]:
+        stored = self._store_call(
+            lambda: self.store.contains_many([key for key, _ in members])
+        )
+        return [member for member, hit in zip(members, stored) if not hit]
+
+    def _compute_run(
+        self, ctx: FleetContext, members: List[Tuple[str, PlanTask]]
+    ) -> Tuple[Dict[str, StoreEntry], float]:
+        """One kernel call over the trial span of ``members`` (one
+        layer, ascending trials), split into one entry per member."""
+        tasks = [task for _, task in members]
+        if any(
+            a.layer_id != b.layer_id or a.trial_stop > b.trial_start
+            for a, b in zip(tasks, tasks[1:])
+        ):
+            raise ValueError("a run's segments must ascend within one layer")
+        first, last = tasks[0], tasks[-1]
+        span = replace(first, trial_stop=last.trial_stop, occ_stop=last.occ_stop)
         started = time.perf_counter()
         losses = execute_segment_cpu(
             ctx.yet,
             ctx.portfolio,
             ctx.catalog_size,
-            task,
+            span,
             dtype=np.dtype(ctx.dtype),
             secondary=ctx.secondary,
             secondary_seed=ctx.secondary_seed,
         )
         seconds = time.perf_counter() - started
-        # End-to-end checksums in the entry *meta*: verified by the
-        # assembler on read, catching damage past the backend's own CRC
-        # (network tiers, injected corruption).
-        return attach_checksums(
-            StoreEntry(
-                arrays={"losses": losses},
-                meta={
-                    "kind": JOB_KIND_SEGMENT,
-                    "layer_id": task.layer_id,
-                    "trial_start": task.trial_start,
-                    "trial_stop": task.trial_stop,
-                    "computed_by": self.worker_id,
-                    "seconds": seconds,
-                },
+        entries = {}
+        for key, task in members:
+            offset = task.trial_start - span.trial_start
+            # End-to-end checksums in the entry *meta*: verified by the
+            # assembler on read, catching damage past the backend's own
+            # CRC (network tiers, injected corruption).
+            entries[key] = attach_checksums(
+                StoreEntry(
+                    arrays={"losses": losses[offset : offset + task.n_trials]},
+                    meta={
+                        "kind": JOB_KIND_SEGMENT,
+                        "layer_id": task.layer_id,
+                        "trial_start": task.trial_start,
+                        "trial_stop": task.trial_stop,
+                        "computed_by": self.worker_id,
+                        "seconds": seconds * task.n_trials / span.n_trials,
+                    },
+                )
             )
-        )
+        return entries, seconds
 
-    def _segment_entry(
-        self, ctx: FleetContext, key: str, task: PlanTask
-    ) -> Tuple[StoreEntry, Optional[float]]:
-        """``get_or_compute`` one segment under the retry policy.
+    def _store_run(self, ctx: FleetContext, job: FleetJob) -> Tuple[int, float]:
+        """Store a run job's missing segments: ``(computed, seconds)``.
 
-        Returns the entry and the compute seconds, or ``None`` when the
-        store already held the segment.
+        The members are probed in one ``contains_many``; when any is
+        missing, the run's key is held
+        (:meth:`~repro.store.base.ResultStore.exclusive`), the members
+        are probed again, and the span from the first to
+        the last still-missing member is computed in one kernel call
+        and written with one ``put_many``.
         """
+        missing = self._unstored(self._members(job))
+        if not missing:
+            return 0, 0.0
+        with self.store.exclusive(job.key):
+            missing = self._unstored(missing)
+            if not missing:
+                return 0, 0.0
+            entries, seconds = self._compute_run(ctx, missing)
+            self._store_call(lambda: self.store.put_many(entries))
+        return len(entries), seconds
+
+    def _ensure_segment(
+        self, ctx: FleetContext, key: str, task: PlanTask
+    ) -> StoreEntry:
+        """``get_or_compute`` one segment, counting computed vs reused."""
         computed: Dict[str, float] = {}
 
         def produce() -> StoreEntry:
-            entry = self._compute_segment(ctx, task)
-            computed["seconds"] = float(entry.meta["seconds"])
-            return entry
+            entries, seconds = self._compute_run(ctx, [(key, task)])
+            computed["seconds"] = seconds
+            return entries[key]
 
         entry = self._store_call(
             lambda: self.store.get_or_compute(key, produce)
         )
-        return entry, computed.get("seconds")
-
-    def _ensure_segment(self, ctx: FleetContext, key: str, task: PlanTask) -> StoreEntry:
-        """``get_or_compute`` one segment, counting computed vs reused."""
-        entry, seconds = self._segment_entry(ctx, key, task)
-        if seconds is not None:
+        if "seconds" in computed:
             self.stats.computed += 1
-            self.stats.compute_seconds += seconds
+            self.stats.compute_seconds += computed["seconds"]
         else:
             self.stats.reused += 1
         return entry
@@ -306,9 +361,7 @@ class FleetWorker:
         if self._store_call(lambda: self.store.contains(job.key)):
             return  # partial already reduced by a peer (or a past sweep)
         members = []
-        for member in job.payload["segments"]:
-            key = str(member["key"])
-            task = self._task_from(member["task"])
+        for key, task in self._members(job):
             entry = self._ensure_segment(ctx, key, task)
             if not verify_entry(entry):
                 # A damaged stored segment must not be folded into the
@@ -357,9 +410,10 @@ class FleetWorker:
                     )
         ctx = self._context(job.sweep_id)
         if job.kind == JOB_KIND_SEGMENT:
-            self._ensure_segment(
-                ctx, job.key, self._task_from(job.payload["task"])
-            )
+            computed, seconds = self._store_run(ctx, job)
+            self.stats.computed += computed
+            self.stats.reused += len(job.payload["segments"]) - computed
+            self.stats.compute_seconds += seconds
         elif job.kind == JOB_KIND_REDUCE:
             self._run_reduce(ctx, job)
         else:
@@ -398,16 +452,17 @@ class FleetWorker:
         return True
 
     def speculate_one(self, sweep_id: str | None = None) -> bool:
-        """Re-execute one straggling peer's segment into the store.
+        """Store one straggling peer's run of segments.
 
-        Picks the oldest claimed job (not this worker's own, not one
-        already speculated on) whose lease age passed
-        ``speculation_age_fraction`` of the lease, and runs its
-        computation through ``get_or_compute`` — without touching the
-        queue state at all.  If the owner was merely slow, the store
-        dedups and one compute is wasted; if the owner is dead, the
-        requeued claim finds the result already stored.  Returns
-        whether a speculation ran.
+        Picks the oldest claimed run job (not this worker's own, not
+        one already speculated on) whose lease age passed
+        ``speculation_age_fraction`` of the lease, and stores its
+        missing segments as the owner would — under the run's
+        exclusive hold, without touching the queue state at all.  If
+        the owner was merely slow, whichever of the two takes the hold
+        second finds the members stored; if the owner is dead, the
+        requeued claim finds them stored.  Returns whether a
+        speculation ran.
         """
         if not self.speculate:
             return False
@@ -422,17 +477,15 @@ class FleetWorker:
                 continue
             self._speculated_ids.add(job.job_id)
             try:
-                ctx = self._context(job.sweep_id)
-                _, seconds = self._segment_entry(
-                    ctx, job.key, self._task_from(job.payload["task"])
+                computed, seconds = self._store_run(
+                    self._context(job.sweep_id), job
                 )
             except Exception:
                 return False  # speculation is best-effort by definition
-            if seconds is not None:
-                # Counted separately from ``computed``: a speculative
-                # produce is work the *owner's* claim will reuse.
-                self.stats.speculated += 1
-                self.stats.compute_seconds += seconds
+            # Counted separately from ``computed``: a speculative
+            # produce is work the *owner's* claim will reuse.
+            self.stats.speculated += computed
+            self.stats.compute_seconds += seconds
             return True
         return False
 

@@ -19,13 +19,14 @@ over that transport.  Design choices worth naming:
   buys hedged reads, quarantine and graceful degradation with no new
   code.
 * **Retries are safe by construction.**  GET/CONTAINS/STATS and the
-  batched GET_MANY/CONTAINS_MANY are pure reads; PUT/DELETE are
-  idempotent because keys are content-addressed (two puts of one key
+  batched GET_MANY/CONTAINS_MANY are pure reads; PUT/PUT_MANY/DELETE
+  are idempotent because keys are content-addressed (two puts of one key
   carry identical bytes).  A dropped connection mid-RPC therefore
   costs one reconnect-and-retry, never a wrong state.
-* **Bulk paths are batched.**  ``contains_many``/``get_many`` carry
-  :data:`~repro.store.base.BATCH_KEYS` keys per round trip, so a warm
-  sweep's probe and gather cost O(1) RPCs, not one per segment.
+* **Bulk paths are batched.**  ``contains_many``/``get_many``/
+  ``put_many`` carry :data:`~repro.store.base.BATCH_KEYS` keys per
+  round trip, so a warm sweep's probe and gather, and a fleet run's
+  writes, cost O(1) RPCs, not one per segment.
 * **Cross-machine ``get_or_compute`` dedup** uses the server's
   lease-based LOCK op: ``_exclusive`` polls for the lock and releases
   it on exit.  When the server is unreachable the guard degrades to a
@@ -42,7 +43,7 @@ import socket
 import threading
 import time
 import uuid
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,13 +58,20 @@ from repro.faults.plan import (
 from repro.net.protocol import (
     WireProtocolError,
     decode_entry,
+    encode_entries,
     encode_entry,
     pack_message,
     raise_for_header,
     read_frame_size,
     unpack_payload,
 )
-from repro.store.base import BATCH_KEYS, ResultStore, StoreEntry, check_keys
+from repro.store.base import (
+    BATCH_KEYS,
+    ResultStore,
+    StoreEntry,
+    check_entries,
+    check_keys,
+)
 from repro.utils.retry import CircuitBreaker, RetryPolicy, retry_call
 
 logger = logging.getLogger("repro.net.client")
@@ -367,6 +375,17 @@ class RemoteStore(ResultStore):
     def _put(self, key: str, entry: StoreEntry) -> None:
         header, blobs = encode_entry({"op": "put", "key": key}, entry)
         self._rpc(header, blobs)
+
+    def put_many(self, entries: Mapping[str, StoreEntry]) -> None:
+        """One ``put_many`` round trip per :data:`BATCH_KEYS` entries."""
+        keys = check_entries(entries)
+        for start in range(0, len(keys), BATCH_KEYS):
+            chunk = keys[start : start + BATCH_KEYS]
+            header, blobs = encode_entries([entries[key] for key in chunk])
+            header.update(op="put_many", keys=chunk, n=len(chunk))
+            self._rpc(header, blobs)
+            with self._lock:
+                self.puts += len(chunk)
 
     def contains(self, key: str) -> bool:
         header, _ = self._rpc({"op": "contains", "key": key})

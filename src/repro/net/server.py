@@ -4,9 +4,9 @@ One asyncio server fronts two contracts over the framing in
 :mod:`repro.net.protocol`:
 
 * a **store front**: GET/PUT/CONTAINS/DELETE/STATS, the batched
-  CONTAINS_MANY/GET_MANY and lease-based LOCK/UNLOCK, delegating to
-  any local :class:`~repro.store.base.ResultStore` (a ``FileStore`` in
-  production, a ``MemoryStore`` in tests);
+  CONTAINS_MANY/GET_MANY/PUT_MANY and lease-based LOCK/UNLOCK,
+  delegating to any local :class:`~repro.store.base.ResultStore` (a
+  ``FileStore`` in production, a ``MemoryStore`` in tests);
 * a **queue front**: submit/claim/heartbeat/complete/fail/requeue and
   the introspection calls, delegating to a server-local
   :class:`~repro.fleet.jobs.JobQueue`.
@@ -46,6 +46,7 @@ import numpy as np
 from repro.fleet.jobs import FleetJob, JobQueue
 from repro.net.protocol import (
     BATCH_REPLY_BYTES,
+    WireProtocolError,
     batch_keys,
     decode_entry,
     encode_entries,
@@ -259,6 +260,24 @@ class NetServer:
             entries.append(entry)
             nbytes += 0 if entry is None else entry.nbytes
         return self._reply(*encode_entries(entries))
+
+    def _op_put_many(self, header, blobs) -> bytes:
+        keys = batch_keys(header)
+        slots = header.get("entries")
+        if not isinstance(slots, list) or len(slots) != len(keys):
+            raise ValueError(
+                f"put_many carries entries {slots!r} for {len(keys)} keys"
+            )
+        entries = {}
+        for index, (key, slot) in enumerate(zip(keys, slots)):
+            if not isinstance(slot, dict):
+                raise ValueError(f"put_many entry {index} is {slot!r}")
+            try:
+                entries[key] = decode_entry(slot, blobs, prefix=f"{index}/")
+            except WireProtocolError as exc:
+                raise ValueError(f"put_many entry {index}: {exc}") from exc
+        self.store.put_many(entries)
+        return self._reply()
 
     def _op_delete(self, header, blobs) -> bytes:
         key = check_key(str(header.get("key")))

@@ -24,6 +24,7 @@ import logging
 import re
 import threading
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
@@ -35,9 +36,9 @@ logger = logging.getLogger("repro.store")
 _KEY_RE = re.compile(r"^[A-Za-z0-9._-]{1,200}$")
 
 #: keys per batched round trip: a remote store sends one
-#: ``contains_many``/``get_many`` request per chunk of this size (its
-#: server refuses larger batches), and gather reads entries in chunks
-#: of this size to bound what it holds at once.
+#: ``contains_many``/``get_many``/``put_many`` request per chunk of this
+#: size (its server refuses larger batches), and gather reads entries in
+#: chunks of this size to bound what it holds at once.
 BATCH_KEYS = 256
 
 
@@ -83,6 +84,22 @@ class StoreEntry:
     @property
     def nbytes(self) -> int:
         return int(sum(a.nbytes for a in self.arrays.values()))
+
+
+def check_entry(entry: StoreEntry) -> StoreEntry:
+    if not isinstance(entry, StoreEntry):
+        raise TypeError(f"expected StoreEntry, got {type(entry)}")
+    return entry
+
+
+def check_entries(entries: Mapping[str, StoreEntry]) -> List[str]:
+    """Validate a batch of ``{key: entry}`` writes; the keys, in order."""
+    if not isinstance(entries, Mapping):
+        raise TypeError(f"expected a mapping of keys to entries: {entries!r}")
+    keys = check_keys(list(entries))
+    for entry in entries.values():
+        check_entry(entry)
+    return keys
 
 
 def _frozen_copy(array: np.ndarray) -> np.ndarray:
@@ -151,9 +168,7 @@ class ResultStore(abc.ABC):
         Keys are content-addressed, so concurrent puts of one key carry
         identical bytes and any winner is correct.
         """
-        if not isinstance(entry, StoreEntry):
-            raise TypeError(f"expected StoreEntry, got {type(entry)}")
-        self._put(check_key(key), entry)
+        self._put(check_key(key), check_entry(entry))
         with self._lock:
             self.puts += 1
 
@@ -192,6 +207,18 @@ class ResultStore(abc.ABC):
         """
         keys = check_keys(keys)
         return [self.get(key) for key in keys]
+
+    # -- batched writes ------------------------------------------------
+    def put_many(self, entries: Mapping[str, StoreEntry]) -> None:
+        """:meth:`put` each ``{key: entry}``, in order.
+
+        Every key and entry is validated before any is written.  The
+        default loops over :meth:`put` (counted per entry), so wrappers
+        keep their per-key semantics; :class:`~repro.net.client.
+        RemoteStore` overrides it with one round trip per chunk.
+        """
+        for key in check_entries(entries):
+            self.put(key, entries[key])
 
     def delete(self, key: str) -> bool:
         """Remove ``key`` if present; ``True`` when an entry was removed.
@@ -288,6 +315,32 @@ class ResultStore(abc.ABC):
         with self._lock:
             self._pending.pop(key).set()
         return entry
+
+    @contextmanager
+    def exclusive(self, key: str):
+        """Hold ``key`` against every other holder while the block runs.
+
+        In this process the hold is :meth:`get_or_compute`'s in-flight
+        claim on ``key`` (so it also waits out, and holds off, a
+        single-key compute of it); across processes it is the backend's
+        :meth:`_exclusive`.  A fleet worker holds a run's first key
+        while it computes the run's missing segments, and re-checks
+        them inside the block.
+        """
+        check_key(key)
+        while True:
+            with self._lock:
+                event = self._pending.get(key)
+                if event is None:
+                    self._pending[key] = threading.Event()
+                    break
+            event.wait()
+        try:
+            with self._exclusive(key):
+                yield
+        finally:
+            with self._lock:
+                self._pending.pop(key).set()
 
     # -- bookkeeping ---------------------------------------------------
     def _size_hint(self) -> Optional[int]:

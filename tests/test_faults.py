@@ -769,6 +769,144 @@ class TestSpeculation:
         assert worker.speculate_one(sweep_id=ticket.sweep_id) is False
 
 
+class UnbeatenQueue(JobQueue):
+    """A queue whose heartbeats never land: a held claim keeps ageing,
+    as a stalled worker's does."""
+
+    def heartbeat(self, job) -> bool:
+        return True
+
+
+class TestRunSpeculation:
+    """Speculation on a run job stores each of its segments once."""
+
+    @pytest.fixture()
+    def run_sweep(self, tmp_path, small_workload, monkeypatch):
+        from repro.engines.registry import create_engine
+
+        import repro.fleet.worker as fleet_worker
+
+        queue = UnbeatenQueue(tmp_path / "q", lease_seconds=0.4)
+        store = MemoryStore(max_entries=None)
+        engine = create_engine("sequential")
+        ticket = submit_sweep(
+            queue,
+            store,
+            small_workload.yet,
+            small_workload.portfolio,
+            small_workload.catalog.n_events,
+            engine,
+            segment_trials=50,
+            n_workers=1,
+        )
+        contexts = {
+            ticket.sweep_id: context_for_engine(
+                small_workload.yet,
+                small_workload.portfolio,
+                small_workload.catalog.n_events,
+                engine,
+            )
+        }
+        kernel_calls = []
+        real = fleet_worker.execute_segment_cpu
+
+        def counted(*args, **kwargs):
+            kernel_calls.append(threading.current_thread().name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fleet_worker, "execute_segment_cpu", counted)
+        return queue, store, contexts, ticket, kernel_calls
+
+    @staticmethod
+    def wait_for_claim(queue, sweep_id) -> FleetJob:
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline:
+            claimed = list(queue.jobs("claimed", sweep_id))
+            if claimed:
+                return claimed[0]
+            time.sleep(0.01)
+        raise AssertionError("the owner never claimed a job")
+
+    def test_idle_peer_stores_a_stalled_owners_run(self, run_sweep):
+        queue, store, contexts, ticket, kernel_calls = run_sweep
+        release = threading.Event()
+
+        class Stalled(FleetWorker):
+            def _run_job(self, job):
+                release.wait(timeout=30.0)
+                super()._run_job(job)
+
+        owner = Stalled(queue, store, contexts=contexts, worker_id="owner")
+        thread = threading.Thread(
+            target=owner.run_one, args=(ticket.sweep_id,), name="owner"
+        )
+        thread.start()
+        try:
+            job = self.wait_for_claim(queue, ticket.sweep_id)
+            members = [m["key"] for m in job.payload["segments"]]
+            assert len(members) == 3
+            time.sleep(0.25)  # past speculation_age_fraction * lease
+            helper = FleetWorker(
+                queue, store, contexts=contexts, worker_id="helper"
+            )
+            assert helper.speculate_one(sweep_id=ticket.sweep_id) is True
+        finally:
+            release.set()
+            thread.join()
+        assert helper.stats.speculated == len(members)
+        assert store.contains_many(members) == [True] * len(members)
+        # one kernel call stored the run; the owner's claim reused it
+        assert kernel_calls == ["MainThread"]
+        assert owner.stats.computed == 0
+        assert owner.stats.reused == len(members)
+        assert queue.counts(ticket.sweep_id)["done"] == 1
+
+    def test_speculation_waits_out_the_owners_compute(
+        self, run_sweep, monkeypatch
+    ):
+        """A peer speculating while the owner computes waits on the
+        run's hold and then finds every segment stored."""
+        import repro.fleet.worker as fleet_worker
+
+        queue, store, contexts, ticket, kernel_calls = run_sweep
+        computing, release = threading.Event(), threading.Event()
+        counted = fleet_worker.execute_segment_cpu
+
+        def stalled(*args, **kwargs):
+            if threading.current_thread().name == "owner":
+                computing.set()
+                release.wait(timeout=30.0)
+            return counted(*args, **kwargs)
+
+        monkeypatch.setattr(fleet_worker, "execute_segment_cpu", stalled)
+        owner = FleetWorker(queue, store, contexts=contexts, worker_id="owner")
+        helper = FleetWorker(queue, store, contexts=contexts, worker_id="helper")
+        threads = [
+            threading.Thread(
+                target=owner.run_one, args=(ticket.sweep_id,), name="owner"
+            ),
+            threading.Thread(
+                target=lambda: (
+                    time.sleep(0.25),  # let the owner's claim age
+                    helper.speculate_one(sweep_id=ticket.sweep_id),
+                ),
+                name="helper",
+            ),
+        ]
+        threads[0].start()
+        try:
+            assert computing.wait(timeout=30.0)
+            threads[1].start()
+            time.sleep(0.4)  # the helper is now waiting on the run's hold
+        finally:
+            release.set()
+            for thread in threads:
+                thread.join()
+        assert kernel_calls == ["owner"]
+        assert owner.stats.computed == 3
+        assert helper.stats.speculated == 0
+
+
 # ----------------------------------------------------------------------
 # SharedFileStore exactly-once under injected put latency
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ from repro.faults.wire import wire_chaos_plan
 from repro.net.client import RemoteStore, WireTransport
 from repro.net.server import NetServer, ServerThread
 from repro.store import MemoryStore, StoreEntry, TieredStore
+from repro.store.base import BATCH_KEYS
 from repro.utils.retry import CircuitBreaker, RetryPolicy
 
 KEY = "a" * 64
@@ -86,6 +87,19 @@ class TestRoundTrips:
             store._rpc({"op": "no_such_op"})
         # bad_request is not retried: exactly one round trip
         assert store.transport.requests == 1
+
+    def test_put_many_is_one_rpc_per_chunk(self, served_store):
+        backing, host, port = served_store
+        store = RemoteStore(host, port, retry_policy=FAST_RETRY)
+        entries = {f"k-{i:04d}": entry_for(i) for i in range(2 * BATCH_KEYS + 1)}
+        store.put_many(entries)
+        assert store.transport.requests == 3
+        assert store.stats()["puts"] == len(entries)
+        assert store.contains_many(list(entries)) == [True] * len(entries)
+        got = backing.get("k-0007")
+        assert np.array_equal(got.arrays["losses"], entry_for(7).arrays["losses"])
+        assert got.meta["seed"] == 7
+        store.close()
 
     def test_server_stats_and_client_stats(self, served_store):
         _backing, host, port = served_store

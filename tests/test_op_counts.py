@@ -1,15 +1,15 @@
-"""Operation-count budgets: filesystem work per fleet job.
+"""Operation-count budgets: filesystem work per fleet segment and run.
 
 Creating a file or a directory is the expensive filesystem operation on
 the fleet path (about 0.5 ms each on a 2-vCPU VM, against ~22 µs for a
 rename), and unlike a timing a count does not depend on the host.  This
 test counts what a small one-worker cold sweep creates and holds it to
-a per-job budget:
+a budget per segment and per run job (a contiguous run of segments):
 
-* the queue's share is 2 — the job file at submit and its claim
-  rewrite (complete is a rename);
-* the store's share is 2 — the per-key lock file and the entry file,
-  written under ``tmp/`` and renamed into ``objects/``.
+* each segment creates 1 — its entry file, written under ``tmp/`` and
+  renamed into ``objects/``;
+* each run creates 3 — the job file at submit, its claim rewrite
+  (complete is a rename) and the run's lock file in the store.
 
 Layout directories (queue state dirs, ``objects/<k[:2]>`` fan-out,
 ``tmp/``, ``locks/``) are made once per store or queue and counted
@@ -29,10 +29,10 @@ import pytest
 from repro.core.analysis import AggregateRiskAnalysis
 from repro.store import FileStore, SharedFileStore, StoreEntry, ylt_digest
 
-#: files plus directories created per job (queue 2 + store 2)
-FILES_PER_JOB = 4
-#: of which the store's: key lock + entry file
-STORE_FILES_PER_JOB = 2
+#: files created per segment: its entry file
+FILES_PER_SEGMENT = 1
+#: files created per run job: job file, claim rewrite, run lock
+FILES_PER_RUN = 3
 
 
 class CreationLog:
@@ -78,7 +78,7 @@ def creation_log(monkeypatch):
     return CreationLog(monkeypatch)
 
 
-def test_cold_sweep_creates_at_most_four_files_per_job(
+def test_cold_sweep_creates_one_file_per_segment_and_three_per_run(
     small_workload, tmp_path, monkeypatch, creation_log
 ):
     store_dir, queue_dir = tmp_path / "store", tmp_path / "queue"
@@ -95,8 +95,11 @@ def test_cold_sweep_creates_at_most_four_files_per_job(
         segment_trials=40,
     )
     monkeypatch.undo()
-    jobs = result.meta["fleet"]["jobs_submitted"]
-    assert jobs >= 10
+    segments = result.meta["fleet"]["jobs_submitted"]
+    runs = len(list((queue_dir / "done").iterdir()))
+    assert segments >= 10
+    # a queue job is a run of several segments
+    assert runs < segments
 
     per_sweep = {queue_dir / "locks" / "queue.lock"}
     files = [
@@ -104,15 +107,17 @@ def test_cold_sweep_creates_at_most_four_files_per_job(
         for path in log.files
         if path not in per_sweep and path.parent != queue_dir / "sweeps"
     ]
-    # scratch directories are per job; every other directory is layout
+    # scratch directories are per segment; every other directory is layout
     scratch_dirs = [d for d in log.dirs if d.parent == store_dir / "tmp"]
     layout_dirs = [d for d in log.dirs if d.parent != store_dir / "tmp"]
     store_files = [p for p in files if store_dir in p.parents]
 
-    assert len(files) + len(scratch_dirs) <= FILES_PER_JOB * jobs, (
+    budget = FILES_PER_SEGMENT * segments + FILES_PER_RUN * runs
+    assert len(files) + len(scratch_dirs) <= budget, (
         sorted(str(p) for p in files + scratch_dirs)
     )
-    assert len(store_files) <= STORE_FILES_PER_JOB * jobs
+    # the store's share: entry files and one lock per run
+    assert len(store_files) <= segments + runs
     # fan-out is bounded by the 256 two-hex-digit prefixes
     assert len(layout_dirs) <= 256 + 16
     assert len(log.files) - len(files) <= 2

@@ -5,7 +5,10 @@ fingerprint imports from ``repro.backends``, the layer tracer replaces
 module globals and methods by name, and the harness builds lookup tables
 through ``repro.core.kernels``.  A change that renames or deletes one of
 those names breaks every benchmark run, so this test loads the three
-modules against ``src/`` and drives each entry point once.
+modules against ``src/`` and drives each entry point once.  A wrapper
+whose name still exists but is no longer called reads zero instead of
+failing, so one small fleet sweep runs under the wrappers and its
+compute spans are counted.
 
 The modules import each other by bare name (``import hostinfo``), as
 ``perfbench/run.py`` arranges with ``sys.path``.  Here each is loaded
@@ -76,6 +79,38 @@ def test_layer_wrappers_install_and_uninstall(perfbench):
     finally:
         tracer.uninstall()
     assert plan_execute.layer_trial_batch_ragged is original
+
+
+def test_fleet_compute_spans_once_per_run(perfbench, small_workload):
+    """The worker computes each run job through the names perfbench
+    wraps: one ``fleet.compute`` span with one ``kernel.batch`` span
+    inside it per run, so ``fleet.compute_s`` and the kernel counters
+    measure a sweep's work."""
+    from repro.core.analysis import AggregateRiskAnalysis
+    from repro.store import MemoryStore
+
+    ara = AggregateRiskAnalysis(
+        small_workload.portfolio, small_workload.catalog.n_events
+    )
+    tracer = perfbench["spans"].Tracer()
+    perfbench["layers"].install(tracer)
+    try:
+        result = ara.run_fleet(
+            small_workload.yet,
+            n_workers=1,
+            store=MemoryStore(max_entries=None),
+            segment_trials=40,
+        )
+    finally:
+        tracer.uninstall()
+    fleet = result.meta["fleet"]
+    assert 1 < fleet["runs"] < fleet["n_segments"]
+    compute = [s for s in tracer.spans if s.name == "fleet.compute"]
+    kernel = [s for s in tracer.spans if s.name == "kernel.batch"]
+    assert len(compute) == len(kernel) == fleet["runs"]
+    assert {tracer.spans[s.parent].name for s in kernel} == {"fleet.compute"}
+    submits = [s for s in tracer.spans if s.name == "fleet.submit"]
+    assert [s.attrs["jobs"] for s in submits] == [fleet["n_segments"]]
 
 
 def test_harness_builds_tables(perfbench, tiny_workload):

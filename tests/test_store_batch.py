@@ -1,7 +1,8 @@
-"""Batched store reads: ``contains_many`` / ``get_many`` on every
-backend, the RKV1 ``contains_many``/``get_many`` ops, and the sweep
-paths that ride them (a warm ``tcp://`` replay in O(1) round trips, a
-damaged entry inside a batch healed by recompute)."""
+"""Batched store calls: ``contains_many`` / ``get_many`` / ``put_many``
+on every backend, the RKV1 ``contains_many``/``get_many``/``put_many``
+ops, and the sweep paths that ride them (a warm ``tcp://`` replay in
+O(1) round trips, a damaged entry inside a batch healed by
+recompute)."""
 
 from __future__ import annotations
 
@@ -116,6 +117,30 @@ class TestContract:
     def test_empty_batches(self, store):
         assert store.contains_many([]) == []
         assert store.get_many([]) == []
+        store.put_many({})
+        assert store.stats()["puts"] == 0
+
+    def test_put_many_equals_the_per_key_loop(self, store):
+        entries = {f"k-{seed}": entry_for(seed + 1) for seed in range(4)}
+        store.put_many(entries)
+        assert store.stats()["puts"] == len(entries)
+        for key, entry in entries.items():
+            assert same_entry(store.get(key), entry), key
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            {"k-0": entry_for(1), "bad key": entry_for(2)},
+            {"k-0": entry_for(1), "k-1": "not an entry"},
+            [("k-0", entry_for(1))],
+        ],
+        ids=["bad-key", "bad-entry", "not-a-mapping"],
+    )
+    def test_invalid_put_many_writes_nothing(self, store, entries):
+        with pytest.raises((ValueError, TypeError)):
+            store.put_many(entries)
+        assert not store.contains("k-0")
+        assert store.stats()["puts"] == 0
 
     @pytest.mark.parametrize(
         "keys", [["ok", "not a key!"], ["ok", ""], ["ok", None], "k-0"]
@@ -141,6 +166,17 @@ class TestRemoteBatches:
         assert store.transport.requests == 4
         for key, got in zip(keys, entries):
             assert same_entry(got, backing.get(key)), key
+
+    def test_put_many_is_one_round_trip_per_chunk(self, server):
+        backing, host, port = server
+        entries = {f"k-{i}": entry_for(i) for i in range(BATCH_KEYS + 5)}
+        store = RemoteStore(host, port, retry_policy=FAST_RETRY)
+        store.put_many(entries)
+        assert store.transport.requests == 2
+        assert store.stats()["puts"] == len(entries)
+        assert backing.stats()["puts"] == len(entries)
+        for key, entry in entries.items():
+            assert same_entry(backing.get(key), entry), key
 
     def test_invalid_key_costs_no_round_trip(self, server):
         _backing, host, port = server
@@ -193,6 +229,65 @@ class TestRemoteBatches:
         assert store.transport.requests == 1  # never retried
         # the server is still up and answering
         assert store.contains_many(["k-0"]) == [False]
+
+    @pytest.mark.parametrize(
+        "header, blobs",
+        [
+            ({"op": "put_many", "keys": ["k-0"], "n": 1}, {}),
+            ({"op": "put_many", "keys": ["k-0"], "n": 1, "entries": []}, {}),
+            (
+                {"op": "put_many", "keys": ["k-0"], "n": 1, "entries": [None]},
+                {},
+            ),
+            (
+                {
+                    "op": "put_many",
+                    "keys": ["k-0"],
+                    "n": 1,
+                    "entries": [{"arrays": ["losses"], "meta": {}}],
+                },
+                {},
+            ),
+            (
+                {
+                    "op": "put_many",
+                    "keys": ["k-0"],
+                    "n": 1,
+                    "entries": [{"arrays": [], "meta": {}}],
+                },
+                {"0/losses": np.zeros(2)},
+            ),
+            (
+                {
+                    "op": "put_many",
+                    "keys": ["bad key"],
+                    "n": 1,
+                    "entries": [{"arrays": ["losses"], "meta": {}}],
+                },
+                {"0/losses": np.zeros(2)},
+            ),
+        ],
+        ids=[
+            "no-entries",
+            "entries-short",
+            "entry-none",
+            "missing-blob",
+            "no-arrays",
+            "bad-key",
+        ],
+    )
+    def test_malformed_put_many_frames_are_bad_requests(
+        self, server, header, blobs
+    ):
+        backing, host, port = server
+        store = RemoteStore(host, port, retry_policy=FAST_RETRY)
+        with pytest.raises(ValueError, match="rejected by server"):
+            store._rpc(header, blobs)
+        assert store.transport.requests == 1  # never retried
+        assert backing.stats()["puts"] == 0
+        # the server is still up and answering
+        store.put_many({"k-1": entry_for(1)})
+        assert same_entry(backing.get("k-1"), entry_for(1))
 
     @pytest.mark.parametrize(
         "reply",
