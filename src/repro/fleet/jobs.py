@@ -32,7 +32,12 @@ execution: a job's results land in the content-addressed result store,
 probed before and again under the run's exclusive hold, so a requeued
 job whose original worker already stored its segments becomes a store
 hit, and two workers racing on one run compute it once per fleet (the
-store's cross-process lock).  The queue only has to guarantee that
+store's cross-process lock).  The hold is the run's, not each
+segment's: sweeps that group the same segments into different runs may
+both compute the segments where their runs overlap, writing the same
+bytes.  A payload without ``segments`` (the older one-job-per-segment
+format) fails once with :class:`JobFormatError`.  The queue only has
+to guarantee that
 every job is eventually completed by *someone* — which rename-based
 claims plus lease expiry give.
 
@@ -48,7 +53,7 @@ import threading
 import time
 import uuid
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Deque, Dict, Iterator, List, Optional, Union
 
@@ -62,6 +67,14 @@ JOB_STATES = ("pending", "claimed", "done", "failed")
 #: job kinds the fleet worker knows how to execute.
 JOB_KIND_SEGMENT = "segment"
 JOB_KIND_REDUCE = "reduce"
+
+
+class JobFormatError(ValueError):
+    """A job whose payload this version cannot run.
+
+    Retrying cannot fix it, so a worker retires the job to ``failed/``
+    on the first attempt.
+    """
 
 
 @dataclass
@@ -179,6 +192,18 @@ def _record_failure(
     return "pending" if requeue and job.attempts < max_attempts else "failed"
 
 
+def _revived(job: FleetJob, failed: FleetJob) -> FleetJob:
+    """``job`` as resubmitted over its ``failed`` record: no attempts,
+    the failure's last error and history kept."""
+    return replace(
+        job,
+        attempts=0,
+        owner=None,
+        error=failed.error,
+        history=list(failed.history),
+    )
+
+
 def _check_queue_limits(lease_seconds: float, max_attempts: int) -> None:
     if lease_seconds <= 0:
         raise ValueError(f"lease_seconds must be > 0, got {lease_seconds}")
@@ -267,19 +292,23 @@ class JobQueue:
         Idempotent by ``job_id``: a job already pending, claimed or
         done is skipped, so resubmitting a sweep after a partial run
         only fills the gaps.  A job found in ``failed/`` is *revived* —
-        its attempt counter resets and it returns to ``pending/`` — so
-        resubmission is the recovery path after fixing whatever
-        exhausted its attempts (the last error is kept on the job).
+        it returns to ``pending/`` as submitted, with no attempts and
+        the failed record's last error and history — so resubmission is
+        the recovery path after fixing whatever exhausted its attempts,
+        a payload this version cannot run included.
         """
+        return len(self.submit_ids(jobs))
+
+    def submit_ids(self, jobs: List[FleetJob]) -> List[str]:
+        """:meth:`submit`, returning the ids of the jobs added."""
         self.ensure()
-        added = 0
+        added = []
         for job in jobs:
             state = self.find(job.job_id)
             if state == "failed":
-                revived = read_json(self._job_path("failed", job.job_id))
-                if revived is not None:
-                    job = FleetJob.from_json(revived)
-                    job.attempts = 0
+                failed = read_json(self._job_path("failed", job.job_id))
+                if failed is not None:
+                    job = _revived(job, FleetJob.from_json(failed))
                 try:
                     os.remove(self._job_path("failed", job.job_id))
                 except OSError:
@@ -287,7 +316,7 @@ class JobQueue:
             elif state is not None:
                 continue
             write_json_atomic(self._job_path("pending", job.job_id), job.to_json())
-            added += 1
+            added.append(job.job_id)
         return added
 
     # -- sweeps --------------------------------------------------------
@@ -640,16 +669,18 @@ class MemoryJobQueue:
         return sum(1 for _ in self._in(state, sweep_id))
 
     def submit(self, jobs: List[FleetJob]) -> int:
-        added = 0
+        return len(self.submit_ids(jobs))
+
+    def submit_ids(self, jobs: List[FleetJob]) -> List[str]:
+        added = []
         with self._lock:
             for job in jobs:
                 if job.job_id in self._states["failed"]:
-                    job = self._states["failed"].pop(job.job_id)
-                    job.attempts = 0  # revived (last error kept)
+                    job = _revived(job, self._states["failed"].pop(job.job_id))
                 elif any(job.job_id in held for held in self._states.values()):
                     continue
                 self._states["pending"][job.job_id] = _copy(job)
-                added += 1
+                added.append(job.job_id)
         return added
 
     def save_sweep(self, sweep_id: str, manifest: Dict[str, Any]) -> None:

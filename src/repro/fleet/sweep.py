@@ -77,8 +77,14 @@ class SweepTicket:
 
 def run_length(n_missing: int, n_workers: int | None = None) -> int:
     """Segments per run job: about :data:`RUNS_PER_WORKER` runs per
-    worker, at most :data:`MAX_RUN_SEGMENTS` segments each."""
+    worker, at most :data:`MAX_RUN_SEGMENTS` segments each.
+
+    A fleet known to be one worker has no peer to balance against or
+    to speculate for it, so its runs are as long as the cap allows.
+    """
     workers = DEFAULT_FLEET_WORKERS if n_workers is None else max(1, n_workers)
+    if workers == 1:
+        return MAX_RUN_SEGMENTS
     share = math.ceil(n_missing / (RUNS_PER_WORKER * workers))
     return max(1, min(MAX_RUN_SEGMENTS, share))
 
@@ -257,17 +263,19 @@ def submit_sweep(
             manifest=manifest,
         )
     queue.save_sweep(sweep_id, manifest)
-    # One submit per run, so ``submitted`` counts the segments of the
-    # runs actually added (a resubmitted sweep's jobs are skipped).
-    added = [
-        run
+    jobs = [
+        run_job(sweep_id, run)
         for run in segment_runs(delta.missing, n_workers)
-        if queue.submit([run_job(sweep_id, run)])
     ]
+    # ``submitted`` counts the segments of the runs actually added (a
+    # resubmitted sweep's jobs are skipped); a warm sweep makes no call.
+    added = set(queue.submit_ids(jobs)) if jobs else set()
     return SweepTicket(
         sweep_id=sweep_id,
         delta=delta,
-        submitted=sum(len(run) for run in added),
+        submitted=sum(
+            len(job.payload["segments"]) for job in jobs if job.job_id in added
+        ),
         runs=len(added),
         reused=delta.n_stored,
         manifest=manifest,

@@ -65,6 +65,7 @@ from repro.fleet.jobs import (
     JOB_KIND_REDUCE,
     JOB_KIND_SEGMENT,
     FleetJob,
+    JobFormatError,
     JobQueue,
 )
 from repro.plan.execute import execute_segment_cpu
@@ -246,9 +247,16 @@ class FleetWorker:
         return PlanTask(**{k: int(v) for k, v in payload.items()})
 
     def _members(self, job: FleetJob) -> List[Tuple[str, PlanTask]]:
+        segments = job.payload.get("segments")
+        if segments is None:
+            raise JobFormatError(
+                f"job {job.job_id} has no 'segments' list: a payload "
+                "holding one 'task' is the older one-job-per-segment "
+                "format; resubmit its sweep from this version"
+            )
         return [
             (str(member["key"]), self._task_from(member["task"]))
-            for member in job.payload["segments"]
+            for member in segments
         ]
 
     def _unstored(
@@ -441,7 +449,12 @@ class FleetWorker:
             self.queue.fail(job, "worker interrupted", requeue=True)
             raise
         except Exception as exc:
-            state = self.queue.fail(job, repr(exc), exc=exc)
+            state = self.queue.fail(
+                job,
+                repr(exc),
+                requeue=not isinstance(exc, JobFormatError),
+                exc=exc,
+            )
             if state == "failed":
                 self.stats.failed += 1
                 self.stats.errors[job.job_id] = repr(exc)

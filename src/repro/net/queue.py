@@ -131,10 +131,13 @@ class RemoteJobQueue:
 
     # -- submission / sweeps -------------------------------------------
     def submit(self, jobs: List[FleetJob]) -> int:
+        return len(self.submit_ids(jobs))
+
+    def submit_ids(self, jobs: List[FleetJob]) -> List[str]:
         reply = self._rpc(
             {"op": "qsubmit", "jobs": [job.to_json() for job in jobs]}
         )
-        return int(reply.get("added", 0))
+        return [str(job_id) for job_id in reply.get("added_ids") or []]
 
     def save_sweep(self, sweep_id: str, manifest: Dict[str, Any]) -> None:
         self._rpc(

@@ -318,7 +318,8 @@ class NetServer:
     def _op_qsubmit(self, header, blobs) -> bytes:
         queue = self._require_queue()
         jobs = [FleetJob.from_json(j) for j in header.get("jobs") or []]
-        return self._reply({"added": queue.submit(jobs)})
+        added = queue.submit_ids(jobs)
+        return self._reply({"added": len(added), "added_ids": added})
 
     def _op_qclaim(self, header, blobs) -> bytes:
         queue = self._require_queue()

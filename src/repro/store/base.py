@@ -277,25 +277,15 @@ class ResultStore(abc.ABC):
         started, runs to completion (its value is shared by every
         waiter, so abandoning it would waste the others' wait).
         """
-        from repro.utils.retry import DeadlineExceeded  # deferred import
-
         check_key(key)
         while True:
             entry = self.get(key)
             if entry is not None:
                 return entry
+            if self._claim(key, deadline):
+                break
             with self._lock:
-                event = self._pending.get(key)
-                if event is None:
-                    self._pending[key] = threading.Event()
-                    break
                 self.inflight_hits += 1
-            if deadline is None:
-                event.wait()
-            elif not event.wait(timeout=deadline.remaining()):
-                raise DeadlineExceeded(
-                    f"gave up waiting on in-flight compute of {key[:16]}…"
-                )
         try:
             if deadline is not None:
                 deadline.check(f"store compute of {key[:16]}")
@@ -308,12 +298,8 @@ class ResultStore(abc.ABC):
                     except OSError:
                         with self._lock:
                             self.put_errors += 1
-        except BaseException:
-            with self._lock:
-                self._pending.pop(key).set()
-            raise
-        with self._lock:
-            self._pending.pop(key).set()
+        finally:
+            self._release(key)
         return entry
 
     @contextmanager
@@ -328,19 +314,42 @@ class ResultStore(abc.ABC):
         them inside the block.
         """
         check_key(key)
-        while True:
-            with self._lock:
-                event = self._pending.get(key)
-                if event is None:
-                    self._pending[key] = threading.Event()
-                    break
-            event.wait()
+        while not self._claim(key):
+            pass
         try:
             with self._exclusive(key):
                 yield
         finally:
-            with self._lock:
-                self._pending.pop(key).set()
+            self._release(key)
+
+    def _claim(self, key: str, deadline=None) -> bool:
+        """Claim ``key`` in this process, or wait out its holder.
+
+        ``True``: this caller now holds the claim and must
+        :meth:`_release` it.  ``False``: another caller held it and has
+        released it since; the caller re-checks and tries again.
+        Waiting past ``deadline`` raises
+        :class:`~repro.utils.retry.DeadlineExceeded`.
+        """
+        with self._lock:
+            event = self._pending.get(key)
+            if event is None:
+                self._pending[key] = threading.Event()
+                return True
+        if deadline is None:
+            event.wait()
+        elif not event.wait(timeout=deadline.remaining()):
+            from repro.utils.retry import DeadlineExceeded  # deferred import
+
+            raise DeadlineExceeded(
+                f"gave up waiting on in-flight compute of {key[:16]}…"
+            )
+        return False
+
+    def _release(self, key: str) -> None:
+        """Release this caller's claim on ``key`` and wake its waiters."""
+        with self._lock:
+            self._pending.pop(key).set()
 
     # -- bookkeeping ---------------------------------------------------
     def _size_hint(self) -> Optional[int]:

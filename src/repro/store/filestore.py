@@ -21,14 +21,16 @@ addressing makes both byte-identical).
 A read is one ``open`` and one ``fstat``, then one ``mmap`` of the
 file and ``np.frombuffer`` views onto it — read-only, as the
 :class:`StoreEntry` contract requires, and shared through the page
-cache by every process replaying the same analysis.  Each array's CRC32
-is verified on load (``verify=False`` skips this and keeps the mapping
-fully lazy).  Any damage — an empty or truncated file, a bad tag or
-header checksum, an offset past the end of the file, an array checksum
-mismatch, or anything but a file at the entry's path (such as an entry
-directory of the retired v1 layout) — demotes the entry to a miss,
-removes it, and bumps ``corrupt_misses``.  A corrupt cache can slow
-you down; it cannot change an answer.
+cache by every process replaying the same analysis.  A file under
+:data:`MMAP_MIN_BYTES` is read with one ``pread`` instead: copying a
+few pages costs less than mapping them and unmapping them again.  Each
+array's CRC32 is verified on load (``verify=False`` skips this and
+keeps the mapping fully lazy).  Any damage — an empty or truncated
+file, a bad tag or header checksum, an offset past the end of the file,
+an array checksum mismatch, or anything but a file at the entry's path
+(such as an entry directory of the retired v1 layout) — demotes the
+entry to a miss, removes it, and bumps ``corrupt_misses``.  A corrupt
+cache can slow you down; it cannot change an answer.
 """
 
 from __future__ import annotations
@@ -61,6 +63,9 @@ PathLike = Union[str, Path]
 DEFAULT_CACHE_DIR = "~/.cache/repro-ara"
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
+#: entry files smaller than this are read into memory, not mapped
+MMAP_MIN_BYTES = 64 * 1024
+
 
 def resolve_cache_dir(cache_dir: PathLike | None = None) -> Path:
     """The cache root: explicit argument > ``$REPRO_CACHE_DIR`` > default."""
@@ -84,7 +89,8 @@ class FileStore(ResultStore):
         Root directory (created on first write).  ``None`` resolves via
         ``$REPRO_CACHE_DIR`` and the package default.
     mmap:
-        Memory-map entries on read (default) instead of loading copies.
+        Memory-map entries of at least :data:`MMAP_MIN_BYTES` on read
+        (default) instead of loading copies.
     verify:
         Check each array's recorded CRC32 on read.  Costs one pass over
         the bytes; disable to keep mmap reads fully lazy when the
@@ -149,11 +155,10 @@ class FileStore(ResultStore):
         self, key: str, path: str, fd: int, status: os.stat_result
     ) -> Optional[StoreEntry]:
         try:
-            if self.mmap:
+            if self.mmap and status.st_size >= MMAP_MIN_BYTES:
                 buffer = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
             else:
-                with open(fd, "rb", closefd=False) as fh:
-                    buffer = fh.read()
+                buffer = os.pread(fd, status.st_size, 0)
             entry = entryfile.decode(buffer, verify=self.verify)
         except (OSError, ValueError, KeyError, TypeError) as exc:
             # Damaged entries are a miss, never a wrong answer.  Remove

@@ -25,8 +25,9 @@ so the old entry is simply never looked up again.
 from __future__ import annotations
 
 import hashlib
+import pickle
 import struct
-from typing import Any
+from typing import Any, Dict
 
 import numpy as np
 
@@ -161,6 +162,31 @@ def layer_fingerprint(portfolio: Portfolio, layer: Layer) -> tuple:
     )
 
 
+#: canonical bytes of recently keyed layer fingerprints, keyed by the
+#: fingerprint's pickle, which (unlike ``==``) tells ``1`` from ``1.0``
+#: and ``0.0`` from ``-0.0`` exactly as :func:`canonical_bytes` does
+_LAYER_PARTS: Dict[bytes, bytes] = {}
+_LAYER_PARTS_MAX = 256
+
+
+def _layer_part(portfolio: Portfolio, layer: Layer) -> bytes:
+    """``canonical_bytes(layer_fingerprint(portfolio, layer))``.
+
+    The fingerprint itself is recomputed on every call (ELTs are not
+    frozen, so a layer's content may change under the same object);
+    only its serialisation, the costly part, is remembered.
+    """
+    fingerprint = layer_fingerprint(portfolio, layer)
+    memo = pickle.dumps(fingerprint, protocol=pickle.HIGHEST_PROTOCOL)
+    part = _LAYER_PARTS.get(memo)
+    if part is None:
+        part = canonical_bytes(fingerprint)
+        if len(_LAYER_PARTS) >= _LAYER_PARTS_MAX:
+            _LAYER_PARTS.clear()
+        _LAYER_PARTS[memo] = part
+    return part
+
+
 def segment_key(
     yet: YearEventTable,
     portfolio: Portfolio,
@@ -229,7 +255,8 @@ def segment_keys(
 
     Byte-identical to calling :func:`segment_key` per task, but each
     invariant part of the key tuple (schema, kernel name, dtype, table) is
-    serialised once, each layer fingerprint once, and each trial
+    serialised once, each layer fingerprint once (and remembered across
+    calls, :func:`_layer_part`), and each trial
     range's slice fingerprint once for all layers; the parts are then
     spliced into the encoding :func:`canonical_bytes` gives the whole
     7-tuple.  A sweep's plan derives hundreds of keys from a handful of
@@ -251,9 +278,8 @@ def segment_keys(
     for task in tasks:
         layer_part = layer_parts.get(task.layer_id)
         if layer_part is None:
-            layer = portfolio.layer(task.layer_id)
-            layer_part = layer_parts[task.layer_id] = canonical_bytes(
-                layer_fingerprint(portfolio, layer)
+            layer_part = layer_parts[task.layer_id] = _layer_part(
+                portfolio, portfolio.layer(task.layer_id)
             )
         span = (task.trial_start, task.trial_stop)
         slice_part = slice_parts.get(span)

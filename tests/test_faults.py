@@ -797,7 +797,7 @@ class TestRunSpeculation:
             small_workload.catalog.n_events,
             engine,
             segment_trials=50,
-            n_workers=1,
+            n_workers=2,
         )
         contexts = {
             ticket.sweep_id: context_for_engine(
@@ -844,7 +844,7 @@ class TestRunSpeculation:
         try:
             job = self.wait_for_claim(queue, ticket.sweep_id)
             members = [m["key"] for m in job.payload["segments"]]
-            assert len(members) == 3
+            assert len(members) == 2  # 12 segments in runs of 2
             time.sleep(0.25)  # past speculation_age_fraction * lease
             helper = FleetWorker(
                 queue, store, contexts=contexts, worker_id="helper"
@@ -903,7 +903,7 @@ class TestRunSpeculation:
             for thread in threads:
                 thread.join()
         assert kernel_calls == ["owner"]
-        assert owner.stats.computed == 3
+        assert owner.stats.computed == 2
         assert helper.stats.speculated == 0
 
 

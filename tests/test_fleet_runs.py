@@ -10,6 +10,9 @@ per-segment meaning.
 
 from __future__ import annotations
 
+import threading
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,14 @@ import repro.fleet.worker as fleet_worker
 from repro.core.analysis import AggregateRiskAnalysis
 from repro.core.secondary import SecondaryUncertainty
 from repro.engines.registry import create_engine
-from repro.fleet import FleetWorker, MemoryJobQueue, context_for_engine
+from repro.fleet import (
+    JOB_KIND_SEGMENT,
+    FleetJob,
+    FleetWorker,
+    MemoryJobQueue,
+    context_for_engine,
+)
+from repro.fleet.jobs import JobFormatError
 from repro.fleet.sweep import (
     DEFAULT_FLEET_WORKERS,
     MAX_RUN_SEGMENTS,
@@ -43,10 +53,10 @@ class TestGrouping:
     @pytest.mark.parametrize(
         "n_missing, n_workers, expected",
         [
-            (0, 1, 1),
-            (4, 1, 1),
-            (14, 1, 4),
-            (128, 1, MAX_RUN_SEGMENTS),
+            (0, 2, 1),
+            (14, 2, 2),
+            (65, 2, 9),
+            (128, 2, MAX_RUN_SEGMENTS),
             (32, 4, 2),
             (16, None, 1),
             (64, None, 4),
@@ -56,6 +66,12 @@ class TestGrouping:
         self, n_missing, n_workers, expected
     ):
         assert run_length(n_missing, n_workers) == expected
+
+    @pytest.mark.parametrize("n_missing", [1, 4, 14, 128])
+    def test_one_worker_runs_are_as_long_as_the_cap(self, n_missing):
+        """One worker has no peer to balance against or to speculate
+        for it, so only contiguity and the cap end its runs."""
+        assert run_length(n_missing, 1) == MAX_RUN_SEGMENTS
 
     def test_unknown_fleet_assumes_the_default_worker_count(self):
         for n_missing in (1, 17, 100, 1000):
@@ -83,7 +99,7 @@ class TestGrouping:
 
     def test_each_worker_gets_about_four_runs(self):
         records = [record(i, 0, 10 * i, 10 * (i + 1)) for i in range(48)]
-        for workers in (1, 2, 3, 4):
+        for workers in (2, 3, 4):
             runs = segment_runs(records, n_workers=workers)
             assert len(runs) >= RUNS_PER_WORKER * workers - 1
             assert max(len(run) for run in runs) > 1
@@ -102,11 +118,11 @@ class TestRunSweeps:
     ):
         store = SharedFileStore(tmp_path / "store")
         result = analysis.run_fleet(
-            small_workload.yet, n_workers=1, store=store, segment_trials=40
+            small_workload.yet, n_workers=1, store=store, segment_trials=20
         )
         fleet = result.meta["fleet"]
-        assert fleet["jobs_submitted"] == fleet["n_segments"] == 15
-        assert fleet["runs"] == 4  # runs of 4, 4, 4 and 3 segments
+        assert fleet["jobs_submitted"] == fleet["n_segments"] == 30
+        assert fleet["runs"] == 2  # runs of 16 and 14 segments
         (worker,) = fleet["workers"]
         assert worker["claimed"] == fleet["runs"]
         assert worker["computed"] == fleet["n_segments"]
@@ -168,12 +184,12 @@ class TestRunSweeps:
             small_workload.catalog.n_events,
             engine,
         )
-        first = submit_sweep(*args, segment_trials=40, n_workers=1)
-        again = submit_sweep(*args, segment_trials=40, n_workers=1)
-        assert (first.submitted, first.runs) == (15, 4)
+        first = submit_sweep(*args, segment_trials=40, n_workers=2)
+        again = submit_sweep(*args, segment_trials=40, n_workers=2)
+        assert (first.submitted, first.runs) == (15, 8)
         assert again.sweep_id == first.sweep_id
         assert (again.submitted, again.runs) == (0, 0)
-        assert queue.counts(first.sweep_id)["pending"] == 4
+        assert queue.counts(first.sweep_id)["pending"] == 8
 
     def test_member_stored_after_submit_is_rechecked(
         self, small_workload, analysis, monkeypatch
@@ -201,7 +217,7 @@ class TestRunSweeps:
         )
         job = next(queue.jobs("pending", ticket.sweep_id))
         members = job.payload["segments"]
-        assert len(members) == 4
+        assert len(members) == 15
         peer = FleetWorker(MemoryJobQueue(), store, contexts={})
         middle = peer._members(job)[1]
         entries, _ = peer._compute_run(ctx, [middle])
@@ -219,8 +235,8 @@ class TestRunSweeps:
         assert worker.run_one(sweep_id=ticket.sweep_id)
         first, last = members[0]["task"], members[-1]["task"]
         assert spans == [(first["trial_start"], last["trial_stop"])]
-        assert worker.stats.computed == 3 and worker.stats.reused == 1
-        assert store.stats()["puts"] == 4
+        assert worker.stats.computed == 14 and worker.stats.reused == 1
+        assert store.stats()["puts"] == 15
         worker.run(sweep_id=ticket.sweep_id)
         mono = analysis.run(small_workload.yet, engine="sequential")
         ylt = gather_sweep(queue, store, ticket.sweep_id)
@@ -278,10 +294,142 @@ class TestRunSweeps:
             small_workload.yet,
             n_workers=1,
             store=MemoryStore(max_entries=None),
-            segment_trials=40,
+            segment_trials=20,
         )
-        assert len(calls) == result.meta["fleet"]["runs"] == 4
+        assert len(calls) == result.meta["fleet"]["runs"] == 2
         assert sum(task.n_trials for task in calls) == small_workload.yet.n_trials
+
+    def test_single_task_payload_is_retired_with_a_format_error(
+        self, small_workload
+    ):
+        """A job written in the older one-job-per-segment format (one
+        ``task``, no ``segments``) fails once with a typed error naming
+        the format, instead of retrying into ``failed/``."""
+        engine = create_engine("sequential")
+        (record_0, *_) = engine.plan_missing(
+            small_workload.yet, small_workload.portfolio, None, segment_trials=40
+        ).missing
+        queue, store = MemoryJobQueue(max_attempts=3), MemoryStore()
+        queue.submit(
+            [
+                FleetJob(
+                    job_id="old.t000000",
+                    sweep_id="old",
+                    kind=JOB_KIND_SEGMENT,
+                    key=record_0.key,
+                    payload={"task": asdict(record_0.task)},
+                )
+            ]
+        )
+        ctx = context_for_engine(
+            small_workload.yet,
+            small_workload.portfolio,
+            small_workload.catalog.n_events,
+            engine,
+        )
+        worker = FleetWorker(queue, store, contexts={"old": ctx})
+        assert worker.run_one(sweep_id="old")
+        (failed,) = queue.jobs("failed", "old")
+        assert failed.attempts == 1
+        assert JobFormatError.__name__ in failed.error
+        assert "one-job-per-segment" in failed.error
+        assert worker.stats.failed == 1
+        assert store.stats()["puts"] == 0
+        # the remedy the error names: resubmitting the sweep revives
+        # the job id with the run's payload, and the sweep completes
+        ticket = submit_sweep(
+            queue,
+            store,
+            small_workload.yet,
+            small_workload.portfolio,
+            small_workload.catalog.n_events,
+            engine,
+            segment_trials=40,
+            n_workers=1,
+            sweep_id="old",
+        )
+        (revived,) = queue.jobs("pending", "old")
+        assert revived.job_id == "old.t000000"
+        assert len(revived.payload["segments"]) == ticket.submitted == 15
+        assert revived.attempts == 0 and "one-job-per-segment" in revived.error
+        worker.run(sweep_id="old")
+        mono = AggregateRiskAnalysis(
+            small_workload.portfolio, small_workload.catalog.n_events
+        ).run(small_workload.yet)
+        ylt = gather_sweep(queue, store, "old")
+        assert ylt_digest(ylt) == ylt_digest(mono.ylt)
+
+
+class TestOverlappingGroupings:
+    def test_differently_grouped_sweeps_compute_the_overlap_twice(
+        self, small_workload, analysis, tmp_path, monkeypatch
+    ):
+        """Compute-once holds per run, not per segment: two sweeps of
+        one input, grouped differently, share one store but not their
+        run keys.  A narrow sweep (runs of 2) stalls computing its
+        second run while a wide sweep (one run of 15) stores every
+        segment still missing; the narrow run then writes its 2
+        segments again.  The duplicates are the same bytes."""
+        engine = create_engine("sequential")
+        args = (
+            small_workload.yet,
+            small_workload.portfolio,
+            small_workload.catalog.n_events,
+            engine,
+        )
+        ctx = context_for_engine(*args)
+        sweeps = {}
+        for name, n_workers in (("narrow", 2), ("wide", 1)):
+            queue = MemoryJobQueue()
+            ticket = submit_sweep(
+                queue,
+                SharedFileStore(tmp_path / "store"),
+                *args,
+                segment_trials=40,
+                n_workers=n_workers,
+            )
+            sweeps[name] = queue, ticket
+        assert sweeps["narrow"][1].runs == 8 and sweeps["wide"][1].runs == 1
+        sweep_id = sweeps["wide"][1].sweep_id
+
+        computing, release = threading.Event(), threading.Event()
+        real = fleet_worker.execute_segment_cpu
+
+        def stalled(yet, portfolio, catalog_size, task, **kwargs):
+            narrow = threading.current_thread().name == "narrow"
+            if narrow and task.trial_start == 80:  # its second run
+                computing.set()
+                release.wait(timeout=30.0)
+            return real(yet, portfolio, catalog_size, task, **kwargs)
+
+        monkeypatch.setattr(fleet_worker, "execute_segment_cpu", stalled)
+        workers = {
+            name: FleetWorker(
+                queue,
+                SharedFileStore(tmp_path / "store"),
+                contexts={sweep_id: ctx},
+                worker_id=name,
+            )
+            for name, (queue, _) in sweeps.items()
+        }
+        narrow = threading.Thread(
+            target=workers["narrow"].run, args=(sweep_id,), name="narrow"
+        )
+        narrow.start()
+        try:
+            assert computing.wait(timeout=30.0)
+            assert workers["wide"].run_one(sweep_id=sweep_id)
+        finally:
+            release.set()
+            narrow.join()
+
+        assert workers["wide"].stats.computed == 13  # all but run 1
+        assert workers["narrow"].stats.computed == 4  # runs 1 and 2
+        assert workers["narrow"].stats.reused == 11
+        mono = ylt_digest(analysis.run(small_workload.yet).ylt)
+        store = SharedFileStore(tmp_path / "store")
+        for queue, _ in sweeps.values():
+            assert ylt_digest(gather_sweep(queue, store, sweep_id)) == mono
 
 
 def test_put_many_default_counts_each_put():

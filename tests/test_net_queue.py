@@ -7,8 +7,10 @@ import time
 
 import pytest
 
+from repro.engines.registry import create_engine
 from repro.faults.wire import wire_chaos_plan
 from repro.fleet.jobs import JOB_KIND_SEGMENT, FleetJob, JobQueue
+from repro.fleet.sweep import submit_sweep
 from repro.net.queue import RemoteJobQueue
 from repro.net.server import NetServer, ServerThread
 from repro.store import MemoryStore
@@ -57,6 +59,34 @@ class TestContract:
         assert remote.complete(job)
         assert remote.find(job.job_id) == "done"
         assert remote.active_count("sweep-x") == 1  # one still pending
+
+    def test_submit_ids_names_the_jobs_added(self, served_queue):
+        _local, remote = served_queue
+        assert remote.submit_ids([job_for(1), job_for(2)]) == [
+            job_for(1).job_id,
+            job_for(2).job_id,
+        ]
+        assert remote.submit_ids([job_for(1), job_for(3)]) == [job_for(3).job_id]
+
+    def test_a_sweep_of_many_runs_is_one_submit_rpc(
+        self, served_queue, small_workload
+    ):
+        local, remote = served_queue
+        args = (
+            remote,
+            MemoryStore(max_entries=None),
+            small_workload.yet,
+            small_workload.portfolio,
+            small_workload.catalog.n_events,
+            create_engine("sequential"),
+        )
+        before = remote.transport.requests
+        ticket = submit_sweep(*args, segment_trials=40, n_workers=2)
+        assert remote.transport.requests - before == 2  # manifest, jobs
+        assert (ticket.submitted, ticket.runs) == (15, 8)
+        assert local.counts(ticket.sweep_id)["pending"] == 8
+        again = submit_sweep(*args, segment_trials=40, n_workers=2)
+        assert (again.submitted, again.runs) == (0, 0)
 
     def test_fail_carries_provenance_across_the_wire(self, served_queue):
         local, remote = served_queue

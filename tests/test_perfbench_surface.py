@@ -99,7 +99,7 @@ def test_fleet_compute_spans_once_per_run(perfbench, small_workload):
             small_workload.yet,
             n_workers=1,
             store=MemoryStore(max_entries=None),
-            segment_trials=40,
+            segment_trials=20,
         )
     finally:
         tracer.uninstall()

@@ -350,3 +350,41 @@ class TestSegmentKeysFastPath:
                 dtype=dtype,
                 **shared,
             )
+
+    @pytest.mark.parametrize("retention, other", [(1, 1.0), (0.0, -0.0)])
+    def test_remembered_layer_parts_tell_equal_values_apart(
+        self, small_workload, retention, other
+    ):
+        """Terms that compare equal but serialise differently (``1`` and
+        ``1.0``, ``0.0`` and ``-0.0``) key differently, each exactly as
+        :func:`segment_key` does, in either order and on a repeat, and
+        terms replaced on the same layer object re-key it."""
+        from repro.data.layer import LayerTerms
+        from repro.store.keys import segment_keys
+
+        yet = small_workload.yet
+        (original,) = small_workload.portfolio.layers
+        layer = Layer(original.layer_id, original.elt_ids)
+        book = Portfolio(elts=dict(small_workload.portfolio.elts), layers=[layer])
+        delta = Planner().plan_missing(
+            yet, book, EngineCapabilities(engine="test"), None, segment_trials=200
+        )
+        tasks = [record.task for record in delta.segments]
+        seen = []
+        for value in (retention, other, retention):
+            layer.terms = LayerTerms(occ_retention=value)
+            keys = segment_keys(yet, book, tasks, "<f8")
+            assert keys == [
+                segment_key(
+                    yet,
+                    book,
+                    task.layer_id,
+                    task.trial_start,
+                    task.trial_stop,
+                    task.occ_start,
+                    dtype="<f8",
+                )
+                for task in tasks
+            ]
+            seen.append(keys)
+        assert seen[0] != seen[1] and seen[0] == seen[2]

@@ -384,6 +384,41 @@ def assert_recomputed(store, key):
 
 
 @pytest.mark.parametrize("mmap", [True, False])
+def test_only_large_entries_are_mapped(tmp_path, mmap):
+    """An entry file of at least ``MMAP_MIN_BYTES`` is mapped (when the
+    store maps at all), a smaller one is read into memory; both round
+    trip read-only, and a truncated large entry is a healed miss."""
+    import mmap as mmap_module
+
+    from repro.store.filestore import MMAP_MIN_BYTES
+
+    def buffer_of(array):
+        while isinstance(array, np.ndarray):
+            array = array.base
+        return array.obj if isinstance(array, memoryview) else array
+
+    store = FileStore(tmp_path, mmap=mmap)
+    sizes = {"small": 16, "large": MMAP_MIN_BYTES // 8}
+    for name, size in sizes.items():
+        entry = StoreEntry({"v": np.arange(size * 1.0)})
+        store.put(fingerprint_digest(name), entry)
+    for name, size in sizes.items():
+        got = store.get(fingerprint_digest(name)).arrays["v"]
+        np.testing.assert_array_equal(got, np.arange(size * 1.0))
+        assert not got.flags.writeable
+        mapped = isinstance(buffer_of(got), mmap_module.mmap)
+        assert mapped == (mmap and name == "large")
+    del got
+
+    key = fingerprint_digest("large")
+    path = store.entry_path(key)
+    path.write_bytes(path.read_bytes()[: MMAP_MIN_BYTES // 2])
+    assert store.get(key) is None
+    assert store.stats()["corrupt_misses"] == 1
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("mmap", [True, False])
 def test_directory_at_an_entry_path_is_damage(tmp_path, mmap):
     """Anything but a file at an entry's path (an entry directory of the
     retired v1 layout, say) is damage: not contained, a counted miss
